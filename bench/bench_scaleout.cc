@@ -316,14 +316,12 @@ RunStats storage_run(uint32_t pods, int per_pod) {
   return run_storage(sys, pods_v, per_pod);
 }
 
-// --- giant sharded point (DESIGN.md §4j) ------------------------------------------------------
+// --- giant point (DESIGN.md "1024-node scale") ---------------------------------------------
 //
 // One 1024-node configuration — 256 four-node pods, classes still striped across the 4
-// racks — driven through the sharded parallel engine (one shard per rack). The classic
-// sweep above stays on the legacy engine and remains bit-identical to the committed
-// numbers; this section covers the cluster size the legacy engine was too slow to sweep.
-// Every simulated result below (latencies, rps, byte counters) is a shard-count invariant
-// (pinned by parallel_engine_test), so CI gates them exactly; only wall_ms varies.
+// racks. Lazy Controller meshing and zero-page memory pools are what make it fit; the run
+// is deterministic end to end, so CI gates every simulated result exactly and only wall_ms
+// varies.
 
 struct GiantStats {
   RunStats run;
@@ -332,16 +330,14 @@ struct GiantStats {
 };
 
 template <typename App>
-GiantStats giant_facever(uint32_t pods, int per_pod, uint32_t shards) {
+GiantStats giant_facever(uint32_t pods, int per_pod) {
   SystemConfig cfg;
   // 16 spines: a 256-node rack with 2 uplinks would be 128:1 oversubscribed — a saturation
   // regime where both systems collapse into pure queueing and the comparison degenerates.
   // The classic sweep above keeps the 2-spine shape of its committed numbers.
   cfg.topology = TopologySpec::fat_tree(pods, 16);
-  cfg.engine_shards = shards;
-  cfg.engine_racks = 4;
   // 1024 co-located Controllers: the eager full mesh would be ~1M channel pairs (tens of
-  // GB); lazily only the intra-pod links ever form, during cooperative setup.
+  // GB); lazily only the intra-pod links ever form.
   cfg.lazy_controller_mesh = true;
   System sys(cfg);
   auto clusters = facever_racks(sys, pods);
@@ -356,11 +352,9 @@ GiantStats giant_facever(uint32_t pods, int per_pod, uint32_t shards) {
     apps.back()->ingest_database();
   }
   for (auto& app : apps) {
-    sys.await_ok(app->verify(0));  // warm-up, run cooperatively
+    sys.await_ok(app->verify(0));  // warm-up
   }
 
-  // Closed loop confined to rack 0: every frontend lives there, so this driver state is only
-  // ever touched by rack-0 events and the parallel run stays deterministic.
   std::vector<int> issued(pods, 0);
   std::vector<uint32_t> round(pods, 0);
   std::vector<int64_t> lat_ns;
@@ -381,17 +375,14 @@ GiantStats giant_facever(uint32_t pods, int per_pod, uint32_t shards) {
 
   const uint64_t cross0 = sys.net().counters().total_cross_rack_bytes();
   const Time start = sys.loop().now();
-  {
-    RackScope scope(0);
-    for (uint32_t p = 0; p < pods; ++p) {
-      for (int i = 0; i < 2; ++i) {
-        next(p);
-      }
+  for (uint32_t p = 0; p < pods; ++p) {
+    for (int i = 0; i < 2; ++i) {
+      next(p);
     }
   }
   const auto w0 = std::chrono::steady_clock::now();
   GiantStats g;
-  g.events = sys.loop().run_parallel();
+  g.events = sys.loop().run();
   g.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - w0).count();
   FRACTOS_CHECK(lat_ns.size() == static_cast<size_t>(pods) * static_cast<size_t>(per_pod));
@@ -426,7 +417,7 @@ void append_run_json(std::string& out, const char* key, const RunStats& s) {
 }
 
 void write_json(const std::vector<std::pair<std::string, std::vector<Point>>>& workloads,
-                uint32_t giant_pods, uint32_t giant_shards, const GiantStats& giant_fractos,
+                uint32_t giant_pods, const GiantStats& giant_fractos,
                 const GiantStats& giant_baseline) {
   std::string out = "{\n  \"bench\": \"scaleout\",\n  \"workloads\": [\n";
   for (size_t w = 0; w < workloads.size(); ++w) {
@@ -449,8 +440,8 @@ void write_json(const std::vector<std::pair<std::string, std::vector<Point>>>& w
   char head[192];
   std::snprintf(head, sizeof(head),
                 "  \"giant\": {\"name\": \"facever\", \"nodes\": %u, \"pods\": %u, "
-                "\"shards\": %u, \"events\": %" PRIu64 ", ",
-                4 * giant_pods, giant_pods, giant_shards, giant_fractos.events);
+                "\"events\": %" PRIu64 ", ",
+                4 * giant_pods, giant_pods, giant_fractos.events);
   out += head;
   append_run_json(out, "fractos", giant_fractos.run);
   out += ", ";
@@ -512,16 +503,18 @@ int main() {
   check_divergence("storage", storage);
 
   constexpr uint32_t kGiantPods = 256;  // 1024 nodes
-  constexpr uint32_t kGiantShards = 4;  // one shard per resource rack
-  const GiantStats gf = giant_facever<FaceVerifyFractos>(kGiantPods, /*per_pod=*/4, kGiantShards);
-  const GiantStats gb =
-      giant_facever<FaceVerifyBaseline>(kGiantPods, /*per_pod=*/4, kGiantShards);
-  std::printf("\ngiant: 1024 nodes / %u pods on %u shards — FractOS p99 %.1f us (%.1f ms wall),"
-              " baseline p99 %.1f us (%.1f ms wall)\n",
-              kGiantPods, kGiantShards, gf.run.p99_us, gf.wall_ms, gb.run.p99_us, gb.wall_ms);
+  const GiantStats gf = giant_facever<FaceVerifyFractos>(kGiantPods, /*per_pod=*/4);
+  const GiantStats gb = giant_facever<FaceVerifyBaseline>(kGiantPods, /*per_pod=*/4);
+  std::printf("\ngiant: 1024 nodes / %u pods — FractOS p99 %.1f us, %" PRIu64
+              " cross-rack B (%.1f ms wall); baseline p99 %.1f us, %" PRIu64
+              " cross-rack B (%.1f ms wall)\n",
+              kGiantPods, gf.run.p99_us, gf.run.cross_rack_bytes, gf.wall_ms, gb.run.p99_us,
+              gb.run.cross_rack_bytes, gb.wall_ms);
   FRACTOS_CHECK_MSG(gf.run.p99_us < gb.run.p99_us,
                     "FractOS p99 must beat the baseline at 1024 nodes");
+  FRACTOS_CHECK_MSG(gf.run.cross_rack_bytes < gb.run.cross_rack_bytes,
+                    "FractOS must move fewer cross-rack bytes than the baseline at 1024 nodes");
 
-  write_json({{"facever", facever}, {"storage", storage}}, kGiantPods, kGiantShards, gf, gb);
+  write_json({{"facever", facever}, {"storage", storage}}, kGiantPods, gf, gb);
   return 0;
 }

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -224,77 +223,7 @@ SoakResult storage_soak(int total_ios) {
   return r;
 }
 
-// --- sharded-engine A/B (DESIGN.md §4j) -------------------------------------------------------
-//
-// 1024-node fat tree (16 racks x 64 nodes, 4 spines) saturated with rack-crossing send
-// chains, run at 1/2/4/8 shards through run_parallel(). `events` and `sim_now_ns` are
-// shard-count invariants — the engine fires the identical canonical event sequence at every
-// width — so CI gates them exactly; only wall_ms (and thus events_per_sec) may vary.
-
-struct ShardPoint {
-  uint32_t shards = 0;
-  uint64_t events = 0;
-  int64_t sim_now_ns = 0;
-  double wall_ms = 0.0;
-  double events_per_sec() const { return wall_ms > 0 ? events / (wall_ms / 1e3) : 0.0; }
-};
-
-ShardPoint shard_soak(uint32_t shards) {
-  constexpr uint32_t kRacks = 16;
-  constexpr uint32_t kPerRack = 64;
-  constexpr uint32_t kNodes = kRacks * kPerRack;  // 1024
-  constexpr int kChainsPerRack = 48;
-  constexpr int kHops = 400;
-
-  const TopologySpec spec = TopologySpec::fat_tree(kPerRack, /*num_spines=*/4);
-  EventLoop loop;
-  loop.enable_sharding(shards, kRacks, spec.min_cross_rack_latency());
-  Network net(&loop, {}, spec);
-  for (uint32_t i = 0; i < kNodes; ++i) {
-    net.add_node("n" + std::to_string(i));
-  }
-
-  // Each chain hops node -> node: mostly cross-rack (the two-phase sharded fabric path, a
-  // fresh spine per flow hash), every fourth hop rack-local (the shard-internal path). The
-  // payload is one shared 4 KiB rep — each send costs a refcount bump, not a copy.
-  struct Chains {
-    Network* net;
-    Payload payload{std::vector<uint8_t>(4096, 0xab)};
-    void step(uint32_t node, int left) {
-      if (left == 0) {
-        return;
-      }
-      uint32_t dst;
-      if ((left & 3) == 0) {
-        dst = (node / kPerRack) * kPerRack + (node + 7) % kPerRack;
-      } else {
-        dst = (node + kPerRack * (1 + static_cast<uint32_t>(left) % 5)) % kNodes;
-      }
-      net->send(Endpoint{node, Loc::kHost}, Endpoint{dst, Loc::kHost}, Traffic::kData,
-                payload, [this, dst, left](Payload) { step(dst, left - 1); });
-    }
-  };
-  Chains chains{&net};
-  for (uint32_t r = 0; r < kRacks; ++r) {
-    RackScope scope(r);
-    for (int c = 0; c < kChainsPerRack; ++c) {
-      const uint32_t start = r * kPerRack + static_cast<uint32_t>(c);
-      loop.schedule_at(Time::from_ns(c), [&chains, start]() { chains.step(start, kHops); });
-    }
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const uint64_t fired = loop.run_parallel();
-  ShardPoint p;
-  p.shards = shards;
-  p.events = fired;
-  p.sim_now_ns = loop.now().ns();
-  p.wall_ms = wall_ms_since(t0);
-  FRACTOS_CHECK(net.counters().total_cross_rack_messages() > 0);
-  return p;
-}
-
-void write_json(const std::vector<SoakResult>& soaks, const std::vector<ShardPoint>& sweep) {
+void write_json(const std::vector<SoakResult>& soaks) {
   char buf[512];
   std::string out;
   uint64_t total_events = 0;
@@ -311,22 +240,6 @@ void write_json(const std::vector<SoakResult>& soaks, const std::vector<ShardPoi
                   s.name.c_str(), s.events, s.requests, s.wall_ms, s.events_per_sec(),
                   s.requests_per_sec(), s.sim_now_ns, s.sim_steps,
                   i + 1 < soaks.size() ? "," : "");
-    out += buf;
-  }
-  const double base = sweep.empty() || sweep.front().wall_ms <= 0
-                          ? 0.0
-                          : sweep.front().events_per_sec();
-  std::snprintf(buf, sizeof(buf), "  ],\n  \"cores\": %u,\n  \"shard_sweep\": [\n",
-                std::thread::hardware_concurrency());
-  out += buf;
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const ShardPoint& p = sweep[i];
-    const double speedup = base > 0 ? p.events_per_sec() / base : 0.0;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"shards\": %u, \"events\": %" PRIu64 ", \"sim_now_ns\": %" PRId64
-                  ", \"wall_ms\": %.3f, \"events_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
-                  p.shards, p.events, p.sim_now_ns, p.wall_ms, p.events_per_sec(), speedup,
-                  i + 1 < sweep.size() ? "," : "");
     out += buf;
   }
   const double aggregate = total_ms > 0 ? total_events / (total_ms / 1e3) : 0.0;
@@ -356,23 +269,6 @@ int main() {
   }
   t.print();
 
-  std::vector<ShardPoint> sweep;
-  for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
-    sweep.push_back(shard_soak(shards));
-    // Shard-count invariance: every width must fire the identical canonical event sequence.
-    FRACTOS_CHECK(sweep.back().events == sweep.front().events);
-    FRACTOS_CHECK(sweep.back().sim_now_ns == sweep.front().sim_now_ns);
-  }
-  Table st("simspeed — sharded engine, 1024-node fat tree (16 racks)",
-           {"shards", "events", "wall ms", "events/s", "speedup", "sim ns"});
-  for (const ShardPoint& p : sweep) {
-    st.row({std::to_string(p.shards), std::to_string(p.events), fmt(p.wall_ms, 1),
-            fmt(p.events_per_sec(), 0),
-            fmt(p.events_per_sec() / sweep.front().events_per_sec(), 2),
-            std::to_string(p.sim_now_ns)});
-  }
-  st.print();
-
-  write_json(soaks, sweep);
+  write_json(soaks);
   return 0;
 }

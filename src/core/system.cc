@@ -78,29 +78,6 @@ std::optional<std::string> SystemConfig::validate(uint32_t num_nodes) const {
   if (auto err = topology.validate(num_nodes); err.has_value()) {
     return err;
   }
-  if (engine_shards > 0 || engine_racks > 0) {
-    if (topology.kind != TopologySpec::Kind::kFatTree) {
-      return "engine_shards/engine_racks require a fat-tree topology: the flat model has "
-             "no racks to partition the event loop by";
-    }
-    if (engine_shards == 0 || engine_racks == 0) {
-      return "engine_shards and engine_racks must both be set (or both zero): the sharded "
-             "engine needs the shard count and the total rack count up front";
-    }
-    if (engine_racks < engine_shards) {
-      return "engine_racks (" + std::to_string(engine_racks) + ") < engine_shards (" +
-             std::to_string(engine_shards) + "): some shards would own no rack";
-    }
-    if (num_nodes > 0 && num_nodes != engine_racks * topology.nodes_per_rack) {
-      return "engine_racks (" + std::to_string(engine_racks) + ") x nodes_per_rack (" +
-             std::to_string(topology.nodes_per_rack) + ") does not match the cluster size (" +
-             std::to_string(num_nodes) + " node(s))";
-    }
-    if (faults.has_value()) {
-      return "engine_shards requires a clean fabric: the fault injector draws rng in global "
-             "send order, which a rack-parallel run does not have";
-    }
-  }
   if (lazy_controller_mesh && replication_group_size != 0) {
     return "lazy_controller_mesh is incompatible with replication: leader announcements "
            "broadcast over the full peer mesh, which a lazy mesh only grows on demand";
@@ -175,12 +152,6 @@ System::System(SystemConfig config) : config_(config) {
   // CHECK failure (or silent misbehavior) in the middle of a long run.
   if (auto err = config_.validate(); err.has_value()) {
     FRACTOS_CHECK_MSG(false, err->c_str());
-  }
-  if (config_.engine_shards > 0) {
-    // Must happen before the Network exists: sharding is only legal on a pristine loop, and
-    // Network::add_node consults loop().sharded() to size per-rack state.
-    loop_.enable_sharding(config_.engine_shards, config_.engine_racks,
-                          config_.topology.min_cross_rack_latency());
   }
   net_ = std::make_unique<Network>(&loop_, config_.fabric, config_.topology);
   if (config_.faults.has_value()) {
@@ -263,13 +234,6 @@ void System::mesh_controller(Controller& c) {
 }
 
 Channel* System::lazy_connect(Controller& self, ControllerAddr peer_addr) {
-  // Connecting mutates both Controllers' peer maps — setup-time state that must never grow
-  // from inside a parallel window (two shards could race on it). Workloads run under
-  // run_parallel() must establish their peer links during cooperative setup (ingest,
-  // warm-up), which every closed-loop driver here does naturally.
-  FRACTOS_CHECK_MSG(!loop_.parallel_active(),
-                    "lazy_controller_mesh: first contact between two Controllers must "
-                    "happen outside run_parallel() (connect during setup/warm-up)");
   Controller* other = controller_by_addr(peer_addr);
   if (other == nullptr || other->failed() || other == &self) {
     return nullptr;

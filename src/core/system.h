@@ -57,25 +57,16 @@ struct SystemConfig {
   // validate()). No group is formed unless replicate_controller is called.
   ReplicationGroup::Params replication;
   uint32_t replication_group_size = 0;
-  // Sharded parallel engine (DESIGN.md §4j): partitions the event loop by rack across
-  // engine_shards worker threads under conservative lookahead. Requires a fat-tree topology
-  // and the total rack count up front; the lookahead is derived from the topology
-  // (TopologySpec::min_cross_rack_latency). engine_racks > 0 with engine_shards == 1 runs
-  // the sharded engine cooperatively on one thread — the differential-testing baseline whose
-  // results every shard count must reproduce. Both zero (the default) keeps the legacy
-  // single-threaded engine, bit-identical to every recorded bench number.
-  uint32_t engine_shards = 0;
-  uint32_t engine_racks = 0;
   // Defer Controller peer channels to first use instead of eagerly meshing every pair.
   // The eager mesh is O(n^2) channels — prohibitive at 1000+ Controllers (the 1024-node
   // giant bench needs ~1M pairs eagerly, a few thousand lazily). Connecting costs no
   // simulated time. One semantic narrowing: revocation-cleanup broadcasts fan out only to
   // peers a channel exists to, so global message/step totals shrink by the skipped
   // broadcast legs (off the critical path: request latencies and results do not move —
-  // pinned by parallel_engine_test). A Controller that never exchanged traffic can hold a
-  // reference only via bootstrap_grant, and its stale stub surfaces at use exactly like an
-  // unreachable peer's. Incompatible with replication_group_size > 0 (leader announcements
-  // rely on the full mesh).
+  // pinned by LazyControllerMesh.PreservesWorkloadResults). A Controller that never
+  // exchanged traffic can hold a reference only via bootstrap_grant, and its stale stub
+  // surfaces at use exactly like an unreachable peer's. Incompatible with
+  // replication_group_size > 0 (leader announcements rely on the full mesh).
   bool lazy_controller_mesh = false;
 
   // Cross-field consistency check, run by the System constructor (CHECK) and directly by

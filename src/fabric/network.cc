@@ -44,10 +44,6 @@ const NetNames& net_names() {
   return n;
 }
 
-// Route scratch, reused per transfer, never escapes a call. thread_local because sharded
-// parallel runs route concurrently from several shard threads (same-rack routed transfers).
-thread_local std::vector<Topology::Hop> t_route_scratch;
-
 }  // namespace
 
 Network::Network(EventLoop* loop, FabricParams params, TopologySpec topology)
@@ -70,15 +66,6 @@ uint32_t Network::add_node(std::string name, bool with_snic) {
   ingress_free_.push_back(Time{});
   local_free_.push_back(Time{});
   topology_.on_node_added(id);
-  if (loop_->sharded()) {
-    // Rack partitioning needs the fat tree: the flat model shares one implicit switch (and
-    // the receiver-ingress occupancy slot) across all nodes, which no rack can own.
-    FRACTOS_CHECK(!topology_.flat());
-    FRACTOS_CHECK(topology_.rack_of(id) < loop_->num_racks());
-    rack_counters_.resize(loop_->num_racks());
-    // Lazy port-vector growth inside traverse() would race across shard threads.
-    topology_.presize_ports();
-  }
   return id;
 }
 
@@ -107,7 +94,7 @@ Time Network::schedule_transfer(Endpoint src, Endpoint dst, Traffic category,
       payload_bytes + params_.header_bytes * segment_count(payload_bytes, params_.mtu_bytes);
 
   const size_t cat = static_cast<size_t>(category);
-  TrafficCounters& c = counters_for_current();
+  TrafficCounters& c = counters_;
   c.messages[cat] += 1;
   c.bytes[cat] += wire_bytes;
   if (cross) {
@@ -166,8 +153,8 @@ Time Network::schedule_routed_transfer(Endpoint src, Endpoint dst, uint64_t wire
                                        LinkClass cls) {
   const Duration link = topology_.spec().sw.link_oneway;
   const Duration nic_ser = transfer_time(wire_bytes, params_.wire_bandwidth_bpns);
-  topology_.route(src, dst, &t_route_scratch);
-  FRACTOS_CHECK(!t_route_scratch.empty());
+  topology_.route(src, dst, &route_scratch_);
+  FRACTOS_CHECK(!route_scratch_.empty());
 
   SpanTracer* t =
       span_tracing_active() && loop_->span_tracer() != nullptr ? loop_->span_tracer() : nullptr;
@@ -190,7 +177,7 @@ Time Network::schedule_routed_transfer(Endpoint src, Endpoint dst, uint64_t wire
     }
   }
 
-  for (const Topology::Hop& hop : t_route_scratch) {
+  for (const Topology::Hop& hop : route_scratch_) {
     if (hop.sw == nullptr) {
       continue;  // the NIC hop, charged above
     }
@@ -220,8 +207,8 @@ bool Network::route_blocked(Endpoint src, Endpoint dst, Time now) {
   if (injector_->plan().flaps.empty()) {
     return false;  // only flap schedules can name switch links
   }
-  topology_.route(src, dst, &t_route_scratch);
-  for (const Topology::Hop& hop : t_route_scratch) {
+  topology_.route(src, dst, &route_scratch_);
+  for (const Topology::Hop& hop : route_scratch_) {
     if (injector_->link_blocked(hop.link_a, hop.link_b, now)) {
       return true;
     }
@@ -231,109 +218,8 @@ bool Network::route_blocked(Endpoint src, Endpoint dst, Time now) {
 
 void Network::transfer_then(Endpoint src, Endpoint dst, Traffic category, uint64_t payload_bytes,
                             LinkClass cls, EventLoop::Callback then) {
-  if (loop_->sharded() && src.node != dst.node && !topology_.same_rack(src.node, dst.node)) {
-    sharded_cross_rack_transfer(src, dst, category, payload_bytes, cls, std::move(then));
-    return;
-  }
   const Time arrival = schedule_transfer(src, dst, category, payload_bytes, cls);
   loop_->schedule_at(arrival, std::move(then));
-}
-
-void Network::sharded_cross_rack_transfer(Endpoint src, Endpoint dst, Traffic category,
-                                          uint64_t payload_bytes, LinkClass cls,
-                                          EventLoop::Callback then) {
-  const uint64_t wire_bytes =
-      payload_bytes + params_.header_bytes * segment_count(payload_bytes, params_.mtu_bytes);
-
-  // All accounting is charged on the source rack, where the send executes — the same rack
-  // for every shard count, so merged counters and metrics are shard-count-invariant.
-  const size_t cat = static_cast<size_t>(category);
-  TrafficCounters& c = counters_for_current();
-  c.messages[cat] += 1;
-  c.bytes[cat] += wire_bytes;
-  c.cross_messages[cat] += 1;
-  c.cross_bytes[cat] += wire_bytes;
-  if (MetricsRegistry* m = loop_->metrics()) {
-    const NetNames& n = net_names();
-    m->add(n.msg[cat]);
-    m->add(n.bytes[cat], static_cast<int64_t>(wire_bytes));
-  }
-
-  const TopologySpec& spec = topology_.spec();
-  const Duration link = spec.sw.link_oneway;
-  const Duration nic_ser = transfer_time(wire_bytes, params_.wire_bandwidth_bpns);
-  const uint32_t src_rack = topology_.rack_of(src.node);
-  const uint32_t dst_rack = topology_.rack_of(dst.node);
-  const uint32_t spine = topology_.spine_for(src, dst);
-
-  SpanTracer* t =
-      span_tracing_active() && loop_->span_tracer() != nullptr ? loop_->span_tracer() : nullptr;
-  const NetNames& n = net_names();
-
-  // Source-rack prefix: NIC serialization plus the ToR uplink toward the chosen spine. Every
-  // piece of state touched here (sender NIC egress, source-ToR ports) is owned by src_rack.
-  const Time nic_start = max(loop_->now(), egress_free_[src.node]);
-  egress_free_[src.node] = nic_start + nic_ser;
-  const Time at = nic_start + nic_ser + link;
-  if (t != nullptr) {
-    if (nic_start > loop_->now()) {
-      t->record(n.net, SpanKind::kQueue, n.nic_wait, loop_->now(), nic_start);
-    }
-    const uint64_t id = t->record(n.net, SpanKind::kFabric, n.wire, nic_start, at);
-    if (id != 0) {
-      t->attr(id, "bytes", std::to_string(wire_bytes));
-    }
-  }
-  const bool hot = cls == LinkClass::kHot;
-  const Switch::Transit tr =
-      topology_.tor(src_rack).traverse(spec.nodes_per_rack + spine, at, wire_bytes, hot);
-  if (t != nullptr) {
-    if (tr.queued > Duration::zero()) {
-      t->record(n.net, SpanKind::kFabricQueue, n.port_wait, at, at + tr.queued);
-    }
-    t->record(n.net, SpanKind::kFabric, n.hop, at + tr.queued, tr.depart + link);
-  }
-
-  // Arrival at the spine — the first resource owned by the destination rack. It sits at
-  // least nic_ser + 2 * link_oneway past now(), which is what makes post_remote's lookahead
-  // contract (TopologySpec::min_cross_rack_latency) provable rather than tuned.
-  const Time t_mid = tr.depart + link;
-  const uint32_t dst_local = dst.node % spec.nodes_per_rack;
-  loop_->post_remote(
-      dst_rack, t_mid,
-      [this, spine, dst_rack, dst_local, wire_bytes, hot, then = std::move(then)]() mutable {
-        // Destination-rack suffix, running at t_mid on the destination shard: spine egress
-        // toward the destination ToR, then the ToR member port down to the node. Spine port
-        // r faces rack r's ToR, so port dst_rack is owned by the destination rack too.
-        const Duration link2 = topology_.spec().sw.link_oneway;
-        SpanTracer* t2 = span_tracing_active() && loop_->span_tracer() != nullptr
-                             ? loop_->span_tracer()
-                             : nullptr;
-        const NetNames& n2 = net_names();
-        const Time at_spine = loop_->now();
-        const Switch::Transit trs =
-            topology_.spine(spine).traverse(dst_rack, at_spine, wire_bytes, hot);
-        if (t2 != nullptr) {
-          if (trs.queued > Duration::zero()) {
-            t2->record(n2.net, SpanKind::kFabricQueue, n2.port_wait, at_spine,
-                       at_spine + trs.queued);
-          }
-          t2->record(n2.net, SpanKind::kFabric, n2.hop, at_spine + trs.queued,
-                     trs.depart + link2);
-        }
-        const Time at_tor = trs.depart + link2;
-        const Switch::Transit trt =
-            topology_.tor(dst_rack).traverse(dst_local, at_tor, wire_bytes, hot);
-        if (t2 != nullptr) {
-          if (trt.queued > Duration::zero()) {
-            t2->record(n2.net, SpanKind::kFabricQueue, n2.port_wait, at_tor,
-                       at_tor + trt.queued);
-          }
-          t2->record(n2.net, SpanKind::kFabric, n2.hop, at_tor + trt.queued,
-                     trt.depart + link2);
-        }
-        loop_->schedule_at(trt.depart + link2, std::move(then));
-      });
 }
 
 void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload,
@@ -347,8 +233,7 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
   }
 
   if (injector_ == nullptr) {
-    // Clean fabric — the only mode sharded runs support. transfer_then is bit-identical to
-    // the historical schedule_transfer + schedule_at pair on an unsharded loop.
+    // Clean fabric: no fault draws, just the modeled transfer.
     const uint64_t payload_bytes = payload.size();
     const uint32_t dst_node = dst.node;
     transfer_then(src, dst, category, payload_bytes, LinkClass::kBulk,
@@ -466,9 +351,7 @@ void Network::rdma_read_impl(Endpoint initiator, uint32_t target, const RdmaKey&
                              std::function<void(Result<Payload>)> done, LinkClass cls) {
   const Endpoint tgt_ep{target, Loc::kHost};
 
-  // Request leg: a header-only work request to the target NIC. Each leg runs through
-  // transfer_then, so under a sharded loop every node's state (authorizer, pools) is only
-  // ever touched by the rack that owns it.
+  // Request leg: a header-only work request to the target NIC.
   transfer_then(initiator, tgt_ep, Traffic::kData, 0, cls,
                 [this, initiator, target, key, pool, addr, size, tgt_ep, cls,
                  done = std::move(done)]() mutable {

@@ -10,11 +10,8 @@
 // Payload copies are refcount bumps. The bytes are copied exactly once, at the origin
 // (`Payload{std::move(vec)}` doesn't even copy — it adopts the vector). Immutability makes
 // the sharing safe: no API exposes a mutable view, so a retransmitted message and its
-// original can alias the same Rep forever. The refcount is atomic (relaxed increments,
-// acquire-release decrement) because sharded parallel runs (DESIGN.md §4j) can retain and
-// release a Rep from different shard threads — e.g. a retransmit buffer freed after its
-// payload crossed a rack boundary. Uncontended atomic RMWs are a few cycles; measured noise
-// on bench_simspeed's soaks.
+// original can alias the same Rep forever. The refcount is a plain integer: the simulator
+// runs on one thread.
 //
 // `std::vector<uint8_t>` converts implicitly, so existing call sites that build a vector
 // (or a braced list) keep compiling; they now pay one adoption instead of N copies.
@@ -22,7 +19,6 @@
 #ifndef SRC_FABRIC_PAYLOAD_H_
 #define SRC_FABRIC_PAYLOAD_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -48,7 +44,7 @@ class Payload {
 
   Payload(const Payload& other) : rep_(other.rep_) {
     if (rep_ != nullptr) {
-      rep_->refs.fetch_add(1, std::memory_order_relaxed);
+      ++rep_->refs;
     }
   }
   Payload(Payload&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
@@ -82,12 +78,12 @@ class Payload {
 
  private:
   struct Rep {
-    std::atomic<size_t> refs;
+    size_t refs;
     std::vector<uint8_t> bytes;
   };
 
   void unref() {
-    if (rep_ != nullptr && rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (rep_ != nullptr && --rep_->refs == 0) {
       delete rep_;
     }
     rep_ = nullptr;

@@ -87,15 +87,6 @@ class Switch {
   size_t num_ports() const { return ports_.size(); }
   const PortStats& port_stats(uint32_t port) const;
 
-  // Pre-sizes the port vector. Sharded parallel runs (DESIGN.md §4j) rely on this: different
-  // shards own different ports of a spine, and the lazy vector growth in ensure_port would
-  // race across their threads. Idempotent, never shrinks.
-  void ensure_ports(uint32_t n) {
-    if (ports_.size() < n) {
-      ports_.resize(n);
-    }
-  }
-
   // Aggregates over every port of this switch.
   uint64_t max_queue_bytes() const;
   uint64_t total_ecn_marks() const;

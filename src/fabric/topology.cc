@@ -120,15 +120,6 @@ void Topology::route(Endpoint src, Endpoint dst, std::vector<Hop>* out) {
   out->push_back(Hop{tors_[dst_rack].get(), dst_local, tor_id(dst_rack), dst.node});
 }
 
-void Topology::presize_ports() {
-  for (const auto& t : tors_) {
-    t->ensure_ports(spec_.nodes_per_rack + spec_.num_spines);
-  }
-  for (const auto& s : spines_) {
-    s->ensure_ports(static_cast<uint32_t>(tors_.size()));
-  }
-}
-
 uint64_t Topology::max_port_queue_bytes() const {
   uint64_t m = 0;
   for (const auto& t : tors_) {

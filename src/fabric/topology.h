@@ -59,13 +59,6 @@ struct TopologySpec {
   // cross-rack traffic ratios and is almost always a sweep-configuration bug.
   // SystemConfig::validate() calls this.
   std::optional<std::string> validate(uint32_t num_nodes = 0) const;
-
-  // A provable lower bound on how long any cross-rack delivery stays on source-rack
-  // resources: before a message can touch the first shard-foreign switch (a spine), it
-  // serializes at the sender NIC and crosses the NIC->ToR and ToR->spine links — at least
-  // two one-way link propagations after send time. This is the conservative lookahead the
-  // sharded engine uses (EventLoop::enable_sharding, DESIGN.md §4j).
-  Duration min_cross_rack_latency() const { return sw.link_oneway + sw.link_oneway; }
 };
 
 class Topology {
@@ -127,12 +120,6 @@ class Topology {
   uint64_t max_port_queue_bytes() const;
   uint64_t total_ecn_marks() const;
   uint64_t total_pause_events() const;
-
-  // Pre-sizes every switch's port vector to its full fan-out (ToRs: member ports + uplinks;
-  // spines: one port per rack). Sharded parallel runs require this: different shards charge
-  // different ports of the same spine, and lazy port-vector growth inside traverse() would
-  // race. Idempotent; called by Network::add_node in sharded mode.
-  void presize_ports();
 
  private:
   TopologySpec spec_;

@@ -91,10 +91,9 @@ struct Trampoline {
 };
 
 inline Trampoline& trampoline() {
-  // Per-thread: each shard worker (DESIGN.md §4j) bounds its own continuation depth. A
-  // deferred continuation always drains before its outermost delivery frame returns, i.e.
-  // within the same event, so per-thread state never leaks across events or shards.
-  static thread_local Trampoline t;
+  // A deferred continuation always drains before its outermost delivery frame returns, i.e.
+  // within the same event, so trampoline state never leaks across events.
+  static Trampoline t;
   return t;
 }
 

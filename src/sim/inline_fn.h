@@ -9,10 +9,6 @@
 //   * parks larger callables in fixed-size blocks recycled through a freelist, so a steady
 //     state soak allocates nothing per event no matter the capture size. Callables larger
 //     than a pool block (rare) fall back to plain new/delete.
-//
-// The freelist is per-thread (thread_local), so sharded parallel runs (DESIGN.md §4j) stay
-// lock-free: a callback allocated on one shard thread and destroyed on another simply
-// migrates its block to the destroyer's freelist.
 
 #ifndef SRC_SIM_INLINE_FN_H_
 #define SRC_SIM_INLINE_FN_H_
@@ -43,7 +39,7 @@ struct Pool {
 };
 
 inline Pool& pool() {
-  static thread_local Pool p;
+  static Pool p;
   return p;
 }
 

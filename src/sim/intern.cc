@@ -1,7 +1,6 @@
 #include "src/sim/intern.h"
 
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 
 namespace fractos {
@@ -12,10 +11,6 @@ struct Table {
   // Views key into `names`, whose std::deque never invalidates element references.
   std::unordered_map<std::string_view, NameId> ids;
   std::deque<std::string> names;  // names[id - 1]
-  // Shard worker threads (DESIGN.md §4j) may intern concurrently. Assigned ids depend on
-  // first-intern order, so they are process-local handles — nothing serialized ever embeds a
-  // raw NameId, only the interned string it resolves to.
-  std::mutex mu;
 };
 
 Table& table() {
@@ -27,7 +22,6 @@ Table& table() {
 
 NameId intern_name(std::string_view name) {
   Table& t = table();
-  std::lock_guard<std::mutex> lock(t.mu);
   auto it = t.ids.find(name);
   if (it != t.ids.end()) {
     return it->second;
@@ -41,11 +35,10 @@ NameId intern_name(std::string_view name) {
 const std::string& interned_name(NameId id) {
   static const std::string kEmpty;
   Table& t = table();
-  std::lock_guard<std::mutex> lock(t.mu);
   if (id == 0 || id > t.names.size()) {
     return kEmpty;
   }
-  // Safe to return a reference past the unlock: deque elements are never moved or erased.
+  // Deque elements are never moved or erased, so the reference stays valid.
   return t.names[id - 1];
 }
 

@@ -43,15 +43,6 @@ Log2Histogram* MetricsRegistry::hist_slot(NameId id) {
   return slot;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [key, value] : other.scalars_) {
-    scalars_[key] += value;
-  }
-  for (const auto& [key, hist] : other.hists_) {
-    hists_[key].merge_from(hist);
-  }
-}
-
 std::string MetricsRegistry::serialize() const {
   std::string out;
   char buf[32];

@@ -59,12 +59,6 @@ class MetricsRegistry {
   // One "key value\n" line per snapshot entry — the golden-file format.
   std::string serialize() const;
 
-  // Folds another registry in: scalars sum, histograms merge bucket-wise. Commutative and
-  // associative, so merging per-rack registries from a sharded run (DESIGN.md §4j) yields
-  // the same snapshot in any merge order — and the same snapshot for any shard count,
-  // because each sample's rack placement is shard-count-invariant.
-  void merge_from(const MetricsRegistry& other);
-
   bool empty() const { return scalars_.empty() && hists_.empty(); }
 
  private:

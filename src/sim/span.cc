@@ -37,7 +37,7 @@ const char* span_kind_name(SpanKind kind) {
 
 uint64_t SpanTracer::start_trace(NameId actor, NameId name, Time now) {
   Span s;
-  s.span_id = id_base_ + spans_.size() + 1;
+  s.span_id = spans_.size() + 1;
   s.trace_id = s.span_id;
   s.parent = 0;
   s.actor_id = actor;
@@ -57,7 +57,7 @@ uint64_t SpanTracer::begin(NameId actor, SpanKind kind, NameId name, Time now) {
     return 0;
   }
   Span s;
-  s.span_id = id_base_ + spans_.size() + 1;
+  s.span_id = spans_.size() + 1;
   s.trace_id = ctx.trace_id;
   s.parent = ctx.span_id;
   s.actor_id = actor;
@@ -79,7 +79,7 @@ uint64_t SpanTracer::record(NameId actor, SpanKind kind, NameId name, Time t_sta
   }
   FRACTOS_DCHECK(t_end >= t_start);
   Span s;
-  s.span_id = id_base_ + spans_.size() + 1;
+  s.span_id = spans_.size() + 1;
   s.trace_id = ctx.trace_id;
   s.parent = ctx.span_id;
   s.actor_id = actor;
@@ -94,10 +94,9 @@ uint64_t SpanTracer::record(NameId actor, SpanKind kind, NameId name, Time t_sta
 }
 
 void SpanTracer::bubble_end(uint64_t parent_id, Time end) {
-  // The chain ends at a trace root (parent 0) or at the first ancestor recorded by another
-  // rack's tracer — cross-rack parents keep their locally-computed end times.
-  while (parent_id != 0 && contains(parent_id)) {
-    Span& s = spans_[parent_id - id_base_ - 1];
+  // The chain ends at a trace root, whose parent is 0.
+  while (contains(parent_id)) {
+    Span& s = spans_[parent_id - 1];
     if (s.open) {
       if (end > s.max_child_end) {
         s.max_child_end = end;
@@ -113,10 +112,10 @@ void SpanTracer::bubble_end(uint64_t parent_id, Time end) {
 }
 
 void SpanTracer::end(uint64_t span_id, Time now) {
-  if (span_id == 0 || !contains(span_id)) {
+  if (!contains(span_id)) {
     return;
   }
-  Span& s = spans_[span_id - id_base_ - 1];
+  Span& s = spans_[span_id - 1];
   if (!s.open) {
     return;
   }
@@ -130,38 +129,35 @@ void SpanTracer::end(uint64_t span_id, Time now) {
 }
 
 void SpanTracer::end_error(uint64_t span_id, Time now, std::string_view what) {
-  if (span_id == 0) {
-    return;
-  }
-  end(span_id, now);
   if (!contains(span_id)) {
     return;
   }
-  Span& s = spans_[span_id - id_base_ - 1];
+  end(span_id, now);
+  Span& s = spans_[span_id - 1];
   s.error = true;
   s.error_what = what;
 }
 
 void SpanTracer::attr(uint64_t span_id, std::string_view key, std::string_view value) {
-  if (span_id == 0 || !contains(span_id)) {
+  if (!contains(span_id)) {
     return;
   }
-  spans_[span_id - id_base_ - 1].attrs.emplace_back(key, value);
+  spans_[span_id - 1].attrs.emplace_back(key, value);
 }
 
 SpanContext SpanTracer::context_of(uint64_t span_id) const {
-  if (span_id == 0 || !contains(span_id)) {
+  if (!contains(span_id)) {
     return SpanContext{};
   }
-  const Span& s = spans_[span_id - id_base_ - 1];
+  const Span& s = spans_[span_id - 1];
   return SpanContext{s.trace_id, s.span_id};
 }
 
 const Span* SpanTracer::find(uint64_t span_id) const {
-  if (span_id == 0 || !contains(span_id)) {
+  if (!contains(span_id)) {
     return nullptr;
   }
-  return &spans_[span_id - id_base_ - 1];
+  return &spans_[span_id - 1];
 }
 
 std::vector<const Span*> SpanTracer::trace(uint64_t trace_id) const {
@@ -199,16 +195,6 @@ std::string SpanTracer::serialize() const {
       out += v;
     }
     out += '\n';
-  }
-  return out;
-}
-
-std::string serialize_spans(const std::vector<const SpanTracer*>& tracers) {
-  std::string out;
-  for (const SpanTracer* t : tracers) {
-    if (t != nullptr) {
-      out += t->serialize();
-    }
   }
   return out;
 }

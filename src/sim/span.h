@@ -62,12 +62,9 @@ struct SpanContext {
 };
 
 namespace internal_span {
-// SpanTracers alive; gates every capture site. Plain int on purpose: tracers are constructed
-// and destroyed before/after any shard worker threads run (DESIGN.md §4j), so parallel phases
-// only ever read it.
+// SpanTracers alive; gates every capture site.
 inline int g_active_tracers = 0;
-// The ambient context is per-thread so each shard worker carries its own restore chain.
-inline thread_local SpanContext g_ambient{};
+inline SpanContext g_ambient{};
 }  // namespace internal_span
 
 // True while any SpanTracer exists. This is the one branch every instrumentation and
@@ -116,19 +113,9 @@ struct Span {
 
 // Records spans. Attach to an EventLoop with loop.set_span_tracer(&tracer); the tracer's
 // lifetime (not attachment) is what switches the ambient-context machinery on.
-//
-// Sharded mode (DESIGN.md §4j) gives each rack its own tracer with a disjoint id namespace:
-// construct with id_base = rack << 40 and attach via loop.set_rack_span_tracer(). Span and
-// trace ids stay globally unique, so a trace whose spans land on several racks can be folded
-// across tracers (fold_tax takes a tracer list). Operations on an id outside this tracer's
-// namespace — e.g. bubbling a child's end time toward a parent recorded on another rack — are
-// deterministic no-ops: a span's tracer is decided by the rack that records it, which is
-// shard-count-invariant, so merged output is too.
 class SpanTracer {
  public:
-  explicit SpanTracer(uint64_t id_base = 0) : id_base_(id_base) {
-    ++internal_span::g_active_tracers;
-  }
+  SpanTracer() { ++internal_span::g_active_tracers; }
   ~SpanTracer() { --internal_span::g_active_tracers; }
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
@@ -169,12 +156,9 @@ class SpanTracer {
   const std::vector<Span>& spans() const { return spans_; }
   const Span* find(uint64_t span_id) const;
   size_t open_spans() const { return open_; }
-  uint64_t id_base() const { return id_base_; }
-
-  // True iff `span_id` was issued by this tracer.
-  bool contains(uint64_t span_id) const {
-    return span_id > id_base_ && span_id - id_base_ <= spans_.size();
-  }
+  // True iff `span_id` indexes a span of this tracer. Several tracers may be alive at once
+  // (each numbers its spans from 1), so an id handed to the wrong tracer can be out of range.
+  bool contains(uint64_t span_id) const { return span_id > 0 && span_id <= spans_.size(); }
 
   // All spans of one trace, in span-id (creation) order.
   std::vector<const Span*> trace(uint64_t trace_id) const;
@@ -185,19 +169,12 @@ class SpanTracer {
 
  private:
   // Propagates a child's end time up the ancestor chain: open ancestors remember it (for
-  // their own close), already-closed ancestors are extended so containment holds. Stops at
-  // the namespace boundary — a parent on another rack's tracer is not extended.
+  // their own close), already-closed ancestors are extended so containment holds.
   void bubble_end(uint64_t parent_id, Time end);
 
-  std::vector<Span> spans_;  // span_id is id_base_ + index + 1
-  uint64_t id_base_ = 0;
+  std::vector<Span> spans_;  // span_id is index + 1
   size_t open_ = 0;
 };
-
-// Deterministic merged dump of several tracers (sharded mode: pass them in rack order, which
-// is ascending id_base order — the result is then sorted by span-id namespace and identical
-// for every shard count).
-std::string serialize_spans(const std::vector<const SpanTracer*>& tracers);
 
 }  // namespace fractos
 

@@ -66,15 +66,6 @@ class Log2Histogram {
   uint64_t bucket(size_t i) const;
   size_t num_buckets() const { return 64; }
 
-  // Bucket-wise accumulation — exact, since both sides already discretized identically.
-  // Used to merge per-rack registries from sharded runs (DESIGN.md §4j).
-  void merge_from(const Log2Histogram& other) {
-    for (size_t i = 0; i < 64; ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-    total_ += other.total_;
-  }
-
   // The bucket a value falls into (the inverse of the boundaries above).
   static size_t bucket_of(uint64_t value);
   // Largest value bucket i can hold: 2^(i+1) - 1 (bucket 0 holds {0, 1}).

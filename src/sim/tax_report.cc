@@ -59,9 +59,8 @@ TaxBucket tax_bucket_of(SpanKind kind) {
   return TaxBucket::kOther;
 }
 
-namespace {
-
-TaxBreakdown fold_spans(const std::vector<const Span*>& spans, uint64_t trace_id) {
+TaxBreakdown fold_tax(const SpanTracer& tracer, uint64_t trace_id) {
+  const std::vector<const Span*> spans = tracer.trace(trace_id);
   TaxBreakdown out;
   const Span* root = nullptr;
   for (const Span* s : spans) {
@@ -81,9 +80,7 @@ TaxBreakdown fold_spans(const std::vector<const Span*>& spans, uint64_t trace_id
   }
 
   // Clip every span to the root interval; open spans extend to the root's end. Depth is the
-  // distance to the root along the parent chain, resolved by memoized chain walks — a span
-  // gathered from one rack's tracer may precede its parent from another rack's in `spans`,
-  // so a single in-order pass would not do.
+  // distance to the root along the parent chain, resolved by memoized chain walks.
   std::unordered_map<uint64_t, const Span*> by_id;
   by_id.reserve(spans.size());
   for (const Span* s : spans) {
@@ -163,24 +160,6 @@ TaxBreakdown fold_spans(const std::vector<const Span*>& spans, uint64_t trace_id
     out.ns[static_cast<size_t>(best->bucket)] += b - a;
   }
   return out;
-}
-
-}  // namespace
-
-TaxBreakdown fold_tax(const SpanTracer& tracer, uint64_t trace_id) {
-  return fold_spans(tracer.trace(trace_id), trace_id);
-}
-
-TaxBreakdown fold_tax(const std::vector<const SpanTracer*>& tracers, uint64_t trace_id) {
-  std::vector<const Span*> spans;
-  for (const SpanTracer* t : tracers) {
-    if (t == nullptr) {
-      continue;
-    }
-    const std::vector<const Span*> part = t->trace(trace_id);
-    spans.insert(spans.end(), part.begin(), part.end());
-  }
-  return fold_spans(spans, trace_id);
 }
 
 std::string tax_table(const std::vector<std::pair<std::string, TaxBreakdown>>& rows) {

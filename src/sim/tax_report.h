@@ -60,11 +60,6 @@ struct TaxBreakdown {
 // extending to the root's end. Returns a zero breakdown if the trace does not exist.
 TaxBreakdown fold_tax(const SpanTracer& tracer, uint64_t trace_id);
 
-// Multi-tracer fold for sharded runs (DESIGN.md §4j): a trace whose spans landed on several
-// racks' tracers is folded across all of them. Pass tracers in rack order for a deterministic
-// result; spans are matched by trace id, which is globally unique across rack namespaces.
-TaxBreakdown fold_tax(const std::vector<const SpanTracer*>& tracers, uint64_t trace_id);
-
 // Renders labeled breakdowns as an aligned text table (one row per label, microseconds).
 std::string tax_table(const std::vector<std::pair<std::string, TaxBreakdown>>& rows);
 

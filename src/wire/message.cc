@@ -392,9 +392,7 @@ const char* msg_type_name(MsgType t) {
 }
 
 NameId msg_type_span_name(MsgType t) {
-  // thread_local: shard workers fill their own cache instead of racing on one (the interned
-  // id for a given name is identical on every thread, only the lazy fill would race).
-  static thread_local NameId cache[256] = {};
+  static NameId cache[256] = {};
   NameId& id = cache[static_cast<uint8_t>(t)];
   if (id == kInvalidNameId) {
     id = intern_name(msg_type_name(t));

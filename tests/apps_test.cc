@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/apps/face_verify.h"
+#include "src/sim/metrics.h"
 
 namespace fractos {
 namespace {
@@ -142,6 +147,100 @@ TEST(FaceKernelTest, ComparesImagesAndModelsTime) {
   EXPECT_EQ(mem[16384], 1);  // image 0 matches
   EXPECT_EQ(mem[16385], 0);  // image 1 tampered
   EXPECT_EQ(t.ns(), 200000);
+}
+
+// --- lazy Controller meshing --------------------------------------------------------------
+//
+// bench_scaleout's face-verify scenario at 12 nodes: 3 pods of 4 on fat_tree(3, 2), resource
+// classes striped across the 4 racks (frontends = rack 0, FS = rack 1, storage = rack 2,
+// GPUs = rack 3), so every request crosses the bisection. Returns the measured-window event
+// count, every request latency, and the metrics snapshot, one "key=value" line each.
+std::string facever_scaleout_fingerprint(bool lazy_mesh) {
+  constexpr uint32_t kPods = 3;
+  constexpr int kPerPod = 6;
+  constexpr int kInflight = 2;
+  FaceVerifyParams params;
+  params.image_bytes = 16 << 10;
+  params.images_per_batch = 2;
+  params.num_batches = 3;
+  params.pool_slots = 2;
+  params.per_image_compute = Duration::micros(120);
+
+  SystemConfig cfg;
+  cfg.topology = TopologySpec::fat_tree(kPods, 2);
+  cfg.lazy_controller_mesh = lazy_mesh;
+  System sys(cfg);
+  MetricsRegistry metrics;
+  sys.loop().set_metrics(&metrics);
+  for (const char* role : {"frontend", "fs", "storage", "gpu"}) {
+    for (uint32_t p = 0; p < kPods; ++p) {
+      sys.add_node(std::string(role) + std::to_string(p));
+    }
+  }
+  std::vector<std::unique_ptr<FaceVerifyCluster>> clusters;
+  std::vector<std::unique_ptr<FaceVerifyFractos>> apps;
+  for (uint32_t p = 0; p < kPods; ++p) {
+    auto c = std::make_unique<FaceVerifyCluster>();
+    c->frontend_node = p;
+    c->fs_node = kPods + p;
+    c->storage_node = 2 * kPods + p;
+    c->gpu_node = 3 * kPods + p;
+    c->nvme = std::make_unique<SimNvme>(&sys.loop());
+    c->gpu = std::make_unique<SimGpu>(&sys.net(), c->gpu_node);
+    apps.push_back(std::make_unique<FaceVerifyFractos>(&sys, c.get(), Loc::kHost, params));
+    apps.back()->ingest_database();
+    clusters.push_back(std::move(c));
+  }
+  for (auto& app : apps) {
+    EXPECT_TRUE(sys.await_ok(app->verify(0)));
+  }
+
+  std::vector<int> issued(kPods, 0);
+  std::vector<int64_t> lat_ns;
+  std::function<void(uint32_t)> next = [&](uint32_t p) {
+    if (issued[p] == kPerPod) {
+      return;
+    }
+    const uint32_t batch = static_cast<uint32_t>(issued[p]++) % params.num_batches;
+    const Time t0 = sys.loop().now();
+    apps[p]->verify(batch).on_ready([&, t0, p](Result<bool>&& r) {
+      EXPECT_TRUE(r.ok() && r.value());
+      lat_ns.push_back((sys.loop().now() - t0).ns());
+      next(p);
+    });
+  };
+  for (uint32_t p = 0; p < kPods; ++p) {
+    for (int i = 0; i < kInflight; ++i) {
+      next(p);
+    }
+  }
+  std::string out = "events=" + std::to_string(sys.loop().run()) + "\n";
+  EXPECT_EQ(lat_ns.size(), static_cast<size_t>(kPods) * kPerPod);
+  out += "lat_ns=";
+  for (const int64_t v : lat_ns) {
+    out += std::to_string(v) + ",";
+  }
+  out += "\n";
+  return out + metrics.serialize();
+}
+
+TEST(LazyControllerMesh, PreservesWorkloadResults) {
+  // Lazy peer meshing (SystemConfig::lazy_controller_mesh) creates channels on first use
+  // at zero simulated cost. The revocation-cleanup broadcast fans out only to connected
+  // peers, so global message/step totals legitimately shrink; everything the workload can
+  // observe — the measured-window event count and every per-request latency — must not
+  // move.
+  const std::string eager = facever_scaleout_fingerprint(/*lazy_mesh=*/false);
+  const std::string lazy = facever_scaleout_fingerprint(/*lazy_mesh=*/true);
+  const auto line = [](const std::string& s, const char* key) {
+    const size_t b = s.find(key);
+    EXPECT_NE(b, std::string::npos) << key;
+    return s.substr(b, s.find('\n', b) - b);
+  };
+  EXPECT_EQ(line(eager, "events="), line(lazy, "events="));
+  EXPECT_EQ(line(eager, "lat_ns="), line(lazy, "lat_ns="));
+  EXPECT_EQ(line(eager, "facever.requests"), line(lazy, "facever.requests"));
+  EXPECT_EQ(line(eager, "nvme.reads"), line(lazy, "nvme.reads"));
 }
 
 }  // namespace

@@ -158,6 +158,15 @@ TEST(ConfigValidation, RejectsOutageOfUnknownNode) {
   expect_rejection(cfg, 4, "node outage references node 9");
 }
 
+TEST(ConfigValidation, RejectsLazyMeshWithReplication) {
+  SystemConfig cfg;
+  cfg.lazy_controller_mesh = true;
+  cfg.replication_group_size = 3;
+  const auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("lazy_controller_mesh"), std::string::npos) << *err;
+}
+
 TEST(ConfigValidation, RejectsZeroRdmaRetryBudget) {
   SystemConfig cfg;
   FaultPlan plan;

@@ -295,68 +295,27 @@ TEST(TopologyFaultTest, SpineLinkFlapPartitionsCrossRackTraffic) {
   EXPECT_GT(f.rdma_retransmits, 0u);
 }
 
-// --- sharded-engine lookahead contract and parallel-mode restrictions ----------------------
+// --- configuration validation --------------------------------------------------------------
 
-TEST(TopologySpecTest, MinCrossRackLatencyIsTwoLinkPropagations) {
-  // The sharded engine's lookahead (EventLoop::enable_sharding) is derived from this bound,
-  // so its value is a correctness contract, not a tunable: two one-way link propagations
-  // (NIC->ToR, ToR->spine) before any cross-rack delivery can touch a foreign shard.
-  TopologySpec spec = TopologySpec::fat_tree(2, 2);
-  EXPECT_EQ(spec.min_cross_rack_latency(), spec.sw.link_oneway + spec.sw.link_oneway);
-  EXPECT_GT(spec.min_cross_rack_latency(), Duration::zero());
+TEST(TopologyValidate, RejectsUnevenFatTree) {
+  const TopologySpec spec = TopologySpec::fat_tree(/*nodes_per_rack=*/8, /*num_spines=*/2);
+  EXPECT_FALSE(spec.validate(16).has_value());
+  EXPECT_FALSE(spec.validate(0).has_value());  // unknown size: shape-only checks
+  const auto err = spec.validate(20);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("does not divide"), std::string::npos);
+  EXPECT_NE(err->find("add 4 node(s)"), std::string::npos);
 
-  SwitchParams slow;
-  slow.link_oneway = Duration::nanos(1'250);
-  TopologySpec wide = TopologySpec::fat_tree(8, 4, slow);
-  EXPECT_EQ(wide.min_cross_rack_latency().ns(), 2'500);
-}
+  TopologySpec no_spines = TopologySpec::fat_tree(8, 2);
+  no_spines.num_spines = 0;
+  ASSERT_TRUE(no_spines.validate().has_value());
+  EXPECT_NE(no_spines.validate()->find("num_spines"), std::string::npos);
 
-TEST(ShardedRestrictionTest, ValidateRejectsFlatTopologyAndFaultyFabricWithShards) {
-  SystemConfig flat;
-  flat.engine_shards = 2;
-  flat.engine_racks = 2;
-  ASSERT_TRUE(flat.validate().has_value());
-  EXPECT_NE(flat.validate()->find("fat-tree"), std::string::npos);
+  TopologySpec empty_racks = TopologySpec::fat_tree(8, 2);
+  empty_racks.nodes_per_rack = 0;
+  ASSERT_TRUE(empty_racks.validate().has_value());
 
-  SystemConfig faulty;
-  faulty.topology = TopologySpec::fat_tree(2, 2);
-  faulty.engine_shards = 2;
-  faulty.engine_racks = 2;
-  faulty.faults = FaultPlan{};
-  ASSERT_TRUE(faulty.validate().has_value());
-  EXPECT_NE(faulty.validate()->find("clean fabric"), std::string::npos);
-
-  faulty.faults.reset();
-  EXPECT_FALSE(faulty.validate().has_value());
-}
-
-TEST(ShardedRestrictionDeathTest, EcnListenerChecksOnShardedLoop) {
-  EXPECT_DEATH(
-      {
-        EventLoop loop;
-        loop.enable_sharding(1, 2, Duration::nanos(1'100));
-        Network net(&loop, FabricParams{}, TopologySpec::fat_tree(2, 2));
-        net.set_ecn_listener([](uint32_t, uint32_t) {});
-      },
-      "sharded");
-}
-
-TEST(ShardedRestrictionDeathTest, FaultInjectorChecksOnShardedLoop) {
-  EXPECT_DEATH(
-      {
-        EventLoop loop;
-        loop.enable_sharding(1, 2, Duration::nanos(1'100));
-        Network net(&loop, FabricParams{}, TopologySpec::fat_tree(2, 2));
-        net.install_fault_injector(FaultPlan{});
-      },
-      "sharded");
-}
-
-TEST(ShardedRestrictionTest, ClearingEcnListenerIsAllowedOnShardedLoop) {
-  EventLoop loop;
-  loop.enable_sharding(1, 2, Duration::nanos(1'100));
-  Network net(&loop, FabricParams{}, TopologySpec::fat_tree(2, 2));
-  net.set_ecn_listener(nullptr);  // clearing is always safe, even on a sharded loop
+  EXPECT_FALSE(TopologySpec::single_switch().validate(17).has_value());
 }
 
 // --- hot/bulk lane partition (far-memory tier, DESIGN.md §4k) ------------------------------
