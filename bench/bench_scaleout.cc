@@ -13,7 +13,8 @@
 // Emits BENCH_scaleout.json (override: FRACTOS_BENCH_JSON) with p50/p99 latency,
 // throughput, cross-rack bytes, and peak switch-port occupancy per cluster size; CI gates
 // on the FractOS p99 column against the committed baseline (the simulation is
-// deterministic, so any drift is a real model change).
+// deterministic, so any drift is a real model change). The top-level "host" member records
+// the whole run's wall time and peak RSS; it is not gated.
 
 #include <algorithm>
 #include <chrono>
@@ -383,8 +384,7 @@ GiantStats giant_facever(uint32_t pods, int per_pod) {
   const auto w0 = std::chrono::steady_clock::now();
   GiantStats g;
   g.events = sys.loop().run();
-  g.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - w0).count();
+  g.wall_ms = bench::wall_ms_since(w0);
   FRACTOS_CHECK(lat_ns.size() == static_cast<size_t>(pods) * static_cast<size_t>(per_pod));
   g.run.p50_us = percentile_us(lat_ns, 50);
   g.run.p99_us = percentile_us(lat_ns, 99);
@@ -418,7 +418,7 @@ void append_run_json(std::string& out, const char* key, const RunStats& s) {
 
 void write_json(const std::vector<std::pair<std::string, std::vector<Point>>>& workloads,
                 uint32_t giant_pods, const GiantStats& giant_fractos,
-                const GiantStats& giant_baseline) {
+                const GiantStats& giant_baseline, const std::string& host) {
   std::string out = "{\n  \"bench\": \"scaleout\",\n  \"workloads\": [\n";
   for (size_t w = 0; w < workloads.size(); ++w) {
     out += "    {\"name\": \"" + workloads[w].first + "\", \"points\": [\n";
@@ -446,7 +446,7 @@ void write_json(const std::vector<std::pair<std::string, std::vector<Point>>>& w
   append_run_json(out, "fractos", giant_fractos.run);
   out += ", ";
   append_run_json(out, "baseline", giant_baseline.run);
-  out += "}\n}\n";
+  out += "},\n  " + host + "\n}\n";
   bench::emit_bench_json("bench_scaleout", "BENCH_scaleout.json", out);
 }
 
@@ -475,6 +475,7 @@ void check_divergence(const char* workload, const std::vector<Point>& points) {
 
 int main() {
   using namespace fractos;
+  const auto run_start = std::chrono::steady_clock::now();
   std::printf("Scale-out sweep: FractOS vs CPU-centric baseline on a 2-spine fat tree\n");
   std::printf("(resource classes striped across racks; every request crosses the bisection)\n\n");
 
@@ -515,6 +516,7 @@ int main() {
   FRACTOS_CHECK_MSG(gf.run.cross_rack_bytes < gb.run.cross_rack_bytes,
                     "FractOS must move fewer cross-rack bytes than the baseline at 1024 nodes");
 
-  write_json({{"facever", facever}, {"storage", storage}}, kGiantPods, gf, gb);
+  write_json({{"facever", facever}, {"storage", storage}}, kGiantPods, gf, gb,
+             bench::host_json(run_start));
   return 0;
 }

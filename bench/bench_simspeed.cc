@@ -11,17 +11,21 @@
 //
 // Every soak reports the final simulated clock and step count; those are engine-version
 // invariants (same-seed runs must be bit-identical), so the JSON doubles as a determinism
-// guard when comparing engines. Emits BENCH_simspeed.json (override: FRACTOS_BENCH_JSON).
+// guard when comparing engines. After the soaks, an "objtable" ledger times ObjectTable
+// insert and resolve in ns/op, and a "host" member records the whole run's wall time and
+// peak RSS; neither is gated. Emits BENCH_simspeed.json (override: FRACTOS_BENCH_JSON).
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/apps/face_verify.h"
+#include "src/cap/object_table.h"
 #include "src/sim/rng.h"
 
 namespace fractos {
@@ -29,6 +33,7 @@ namespace {
 
 using bench::Table;
 using bench::fmt;
+using bench::wall_ms_since;
 
 struct SoakResult {
   std::string name;
@@ -41,11 +46,6 @@ struct SoakResult {
   double events_per_sec() const { return wall_ms > 0 ? events / (wall_ms / 1e3) : 0.0; }
   double requests_per_sec() const { return wall_ms > 0 ? requests / (wall_ms / 1e3) : 0.0; }
 };
-
-double wall_ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // Pure scheduler churn. Actors re-schedule themselves with delays drawn from a deterministic
 // Rng: mostly sub-microsecond (same / neighboring wheel buckets), some tens of microseconds
@@ -223,7 +223,59 @@ SoakResult storage_soak(int total_ios) {
   return r;
 }
 
-void write_json(const std::vector<SoakResult>& soaks) {
+// --- ObjectTable ledger -------------------------------------------------------------------
+//
+// The capability table at the sizes the simulator runs it: one small table per Controller
+// (10 and 10^3 objects) and the 10^6-object owner of bench_capability. Inserts go into fresh
+// tables with construction inside the timed region, so a table's first-use cost shows at the
+// small sizes; the tables stay alive until timing ends, so teardown is excluded.
+
+struct ObjTableLedger {
+  double insert_ns_n10 = 0;
+  double insert_ns_n1k = 0;
+  double insert_ns_n1m = 0;
+  double resolve_ns_n1m = 0;
+};
+
+double insert_ns_per_op(size_t objects, size_t tables,
+                        std::vector<std::unique_ptr<ObjectTable>>& out) {
+  out.clear();
+  out.reserve(tables);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (size_t t = 0; t < tables; ++t) {
+    out.push_back(std::make_unique<ObjectTable>(/*owner=*/1));
+    for (size_t i = 0; i < objects; ++i) {
+      FRACTOS_CHECK(
+          out.back()->create_memory(1, MemoryDesc{0, 0, i * 64, 64}, Perms::kRead).ok());
+    }
+  }
+  return wall_ms_since(t0) * 1e6 / static_cast<double>(objects * tables);
+}
+
+ObjTableLedger objtable_ledger() {
+  ObjTableLedger l;
+  std::vector<std::unique_ptr<ObjectTable>> tables;
+  l.insert_ns_n10 = insert_ns_per_op(10, 1000, tables);
+  l.insert_ns_n1k = insert_ns_per_op(1000, 100, tables);
+  l.insert_ns_n1m = insert_ns_per_op(1'000'000, 1, tables);
+
+  // Indices are assigned 1..n in a fresh table, so uniform picks need no index list.
+  constexpr int kResolves = 1'000'000;
+  const ObjectTable& big = *tables.front();
+  Rng rng(11);
+  uint64_t bytes = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kResolves; ++i) {
+    const ObjectIndex idx = 1 + rng.next_below(big.live_count());
+    bytes += big.resolve_memory(idx, big.reboot_count()).value().desc.size;
+  }
+  l.resolve_ns_n1m = wall_ms_since(t0) * 1e6 / kResolves;
+  FRACTOS_CHECK(bytes == uint64_t{64} * kResolves);
+  return l;
+}
+
+void write_json(const std::vector<SoakResult>& soaks, const ObjTableLedger& objtable,
+                const std::string& host) {
   char buf[512];
   std::string out;
   uint64_t total_events = 0;
@@ -243,8 +295,14 @@ void write_json(const std::vector<SoakResult>& soaks) {
     out += buf;
   }
   const double aggregate = total_ms > 0 ? total_events / (total_ms / 1e3) : 0.0;
-  std::snprintf(buf, sizeof(buf), "  ],\n  \"aggregate_events_per_sec\": %.0f\n}\n", aggregate);
+  std::snprintf(buf, sizeof(buf),
+                "  ],\n  \"aggregate_events_per_sec\": %.0f,\n"
+                "  \"objtable\": {\"insert_ns_n10\": %.1f, \"insert_ns_n1k\": %.1f, "
+                "\"insert_ns_n1m\": %.1f, \"resolve_ns_n1m\": %.1f},\n",
+                aggregate, objtable.insert_ns_n10, objtable.insert_ns_n1k,
+                objtable.insert_ns_n1m, objtable.resolve_ns_n1m);
   out += buf;
+  out += "  " + host + "\n}\n";
   bench::emit_bench_json("bench_simspeed", "BENCH_simspeed.json", out);
 }
 
@@ -253,6 +311,7 @@ void write_json(const std::vector<SoakResult>& soaks) {
 
 int main() {
   using namespace fractos;
+  const auto run_start = std::chrono::steady_clock::now();
   std::printf("Engine wall-clock speed: events/sec and requests/sec by soak\n");
 
   std::vector<SoakResult> soaks;
@@ -269,6 +328,15 @@ int main() {
   }
   t.print();
 
-  write_json(soaks);
+  const ObjTableLedger objtable = objtable_ledger();
+  Table o("objtable — ObjectTable ns/op (fresh tables, construction included)",
+          {"op", "objects per table", "ns/op"});
+  o.row({"insert", "10", fmt(objtable.insert_ns_n10, 1)});
+  o.row({"insert", "1000", fmt(objtable.insert_ns_n1k, 1)});
+  o.row({"insert", "1000000", fmt(objtable.insert_ns_n1m, 1)});
+  o.row({"resolve", "1000000", fmt(objtable.resolve_ns_n1m, 1)});
+  o.print();
+
+  write_json(soaks, objtable, bench::host_json(run_start));
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "src/apps/face_verify.h"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -27,6 +29,24 @@ std::vector<uint8_t> face_batch(uint32_t batch, uint32_t images_per_batch,
   }
   return content;
 }
+
+namespace {
+
+// One process-wide cache of generated batches, shared by every deployment: a fat tree of 64
+// pods ingests the same database 64 times, and generation is pure host time. Keyed by
+// everything face_batch depends on; std::map keeps references stable as it grows. The
+// simulator is single-threaded, so there is no lock.
+const std::vector<uint8_t>& cached_batch(const FaceVerifyParams& params, uint32_t batch) {
+  using Key = std::tuple<uint32_t, uint32_t, uint64_t>;
+  static std::map<Key, std::vector<uint8_t>> cache;
+  auto [it, fresh] = cache.try_emplace(Key{batch, params.images_per_batch, params.image_bytes});
+  if (fresh) {
+    it->second = face_batch(batch, params.images_per_batch, params.image_bytes);
+  }
+  return it->second;
+}
+
+}  // namespace
 
 SimGpu::Kernel make_face_verify_kernel(Duration per_image_compute) {
   return [per_image_compute](PoolBytes& mem, const std::vector<uint64_t>& args) {
@@ -158,7 +178,7 @@ void FaceVerifyFractos::ingest_database() {
   for (uint32_t b = 0; b < params_.num_batches; ++b) {
     const std::string name = "batch_" + std::to_string(b);
     FRACTOS_CHECK(sys_->await(FsClient::create(*frontend_, fs_create_, name, batch_bytes)).ok());
-    frontend_->write_mem(stage_addr, probe_for(b));
+    frontend_->write_mem(stage_addr, cached_batch(params_, b));
     auto f = sys_->await_ok(FsClient::open(*frontend_, fs_open_, name, true, false));
     FRACTOS_CHECK(sys_->await(FsClient::write(*frontend_, f, 0, batch_bytes, stage)).ok());
     FRACTOS_CHECK(sys_->await(FsClient::close(*frontend_, f)).ok());
@@ -170,16 +190,6 @@ FaceVerifyFractos::~FaceVerifyFractos() {
   for (size_t i = 0; i < slots_.size(); ++i) {
     finish_slot(i, Status(ErrorCode::kAborted));
   }
-}
-
-const std::vector<uint8_t>& FaceVerifyFractos::probe_for(uint32_t batch) {
-  if (probe_cache_.size() <= batch) {
-    probe_cache_.resize(batch + 1);
-  }
-  if (probe_cache_[batch].empty()) {
-    probe_cache_[batch] = face_batch(batch, params_.images_per_batch, params_.image_bytes);
-  }
-  return probe_cache_[batch];
 }
 
 void FaceVerifyFractos::finish_slot(size_t i, Status st) {
@@ -235,12 +245,12 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
   // round-robin, so the pristine probe for this batch is often already staged — skip the
   // redundant 512 KiB write_mem in that case.
   if (tamper) {
-    std::vector<uint8_t> probe = probe_for(batch);
+    std::vector<uint8_t> probe = cached_batch(params_, batch);
     probe[params_.image_bytes / 2] ^= 0xff;
     frontend_->write_mem(slot.probe_addr, probe);
     slot.staged_batch = -1;
   } else if (slot.staged_batch != static_cast<int64_t>(batch)) {
-    frontend_->write_mem(slot.probe_addr, probe_for(batch));
+    frontend_->write_mem(slot.probe_addr, cached_batch(params_, batch));
     slot.staged_batch = static_cast<int64_t>(batch);
   }
 
@@ -355,18 +365,8 @@ void FaceVerifyBaseline::ingest_database() {
     const std::string name = "batch_" + std::to_string(b);
     FRACTOS_CHECK(nfs_server_->create_file(name, batch_bytes).ok());
     auto f = sys_->await_ok(nfs_->open(name));
-    FRACTOS_CHECK(sys_->await(nfs_->write(f, 0, probe_for(b))).ok());
+    FRACTOS_CHECK(sys_->await(nfs_->write(f, 0, cached_batch(params_, b))).ok());
   }
-}
-
-const std::vector<uint8_t>& FaceVerifyBaseline::probe_for(uint32_t batch) {
-  if (probe_cache_.size() <= batch) {
-    probe_cache_.resize(batch + 1);
-  }
-  if (probe_cache_[batch].empty()) {
-    probe_cache_[batch] = face_batch(batch, params_.images_per_batch, params_.image_bytes);
-  }
-  return probe_cache_[batch];
 }
 
 Future<Result<bool>> FaceVerifyBaseline::verify(uint32_t batch, bool tamper) {
@@ -390,7 +390,7 @@ void FaceVerifyBaseline::run_on_slot(size_t s, uint32_t batch, bool tamper,
   };
 
   // One copy of the cached batch — cu_memcpy_htod consumes the probe by value.
-  std::vector<uint8_t> probe = probe_for(batch);
+  std::vector<uint8_t> probe = cached_batch(params_, batch);
   if (tamper) {
     probe[params_.image_bytes / 2] ^= 0xff;
   }

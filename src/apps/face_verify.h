@@ -51,8 +51,8 @@ struct FaceVerifyParams {
 std::vector<uint8_t> face_image(uint32_t batch, uint32_t index, uint64_t image_bytes);
 
 // A whole batch (images_per_batch images concatenated). Generation is pure wall-clock
-// overhead — both deployments cache these per batch instead of regenerating 512 KiB of
-// pseudo-random bytes on every request.
+// overhead — every deployment in the process shares one cache of these instead of
+// regenerating 512 KiB of pseudo-random bytes on every request or every ingest.
 std::vector<uint8_t> face_batch(uint32_t batch, uint32_t images_per_batch,
                                 uint64_t image_bytes);
 
@@ -117,7 +117,6 @@ class FaceVerifyFractos {
   // Completes the slot's pending promise (if any) with `st`.
   void finish_slot(size_t i, Status st);
   void run_on_slot(size_t slot, uint32_t batch, bool tamper, Promise<Result<bool>> promise);
-  const std::vector<uint8_t>& probe_for(uint32_t batch);
 
   System* sys_;
   FaceVerifyCluster* cluster_;
@@ -131,7 +130,6 @@ class FaceVerifyFractos {
   GpuClient::Session session_;
   SlotPool slot_pool_;
   std::vector<Slot> slots_;
-  std::vector<std::vector<uint8_t>> probe_cache_;  // lazily filled, keyed by batch
 };
 
 class FaceVerifyBaseline {
@@ -148,7 +146,6 @@ class FaceVerifyBaseline {
     uint64_t gpu_result_addr = 0;
   };
   void run_on_slot(size_t slot, uint32_t batch, bool tamper, Promise<Result<bool>> promise);
-  const std::vector<uint8_t>& probe_for(uint32_t batch);
 
   System* sys_;
   FaceVerifyCluster* cluster_;
@@ -163,7 +160,6 @@ class FaceVerifyBaseline {
   uint64_t kernel_fn_ = 0;
   SlotPool slot_pool_;
   std::vector<Slot> slots_;
-  std::vector<std::vector<uint8_t>> probe_cache_;  // lazily filled, keyed by batch
 };
 
 }  // namespace fractos

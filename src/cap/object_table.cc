@@ -94,7 +94,7 @@ const ObjectTable::Slot* ObjectTable::find_slot(ObjectIndex idx) const {
       return nullptr;  // hit an empty bucket: key absent
     }
     if (b.key == idx) {
-      const Slot* slot = &shard.slabs[b.slot / kSlabSlots][b.slot % kSlabSlots];
+      const Slot* slot = &slot_at(shard, b.slot);
       return slot->idx == idx ? slot : nullptr;
     }
     // Tombstones (kInvalidObject) and other keys: keep probing.
@@ -152,46 +152,43 @@ uint32_t ObjectTable::index_erase(Shard& shard, ObjectIndex idx) {
   }
 }
 
-ObjectIndex ObjectTable::insert(Object obj) {
-  const ObjectIndex idx = next_index_++;
-  Shard& shard = shard_of(idx);
+void ObjectTable::grow_slabs(Shard& shard) {
+  const uint32_t slab = static_cast<uint32_t>(shard.slabs.size());
+  const uint32_t slots = slab_slots(slab);
+  FRACTOS_CHECK(slab < (1u << (32 - kSlabShift)));  // slot ids must fit in 32 bits
+  shard.slabs.push_back(std::make_unique<Slot[]>(slots));
+  // Newly minted slots enter the freelist back-to-front so allocation proceeds front-to-back
+  // within the slab (deterministic iteration order).
+  const uint32_t base = slab << kSlabShift;
+  for (uint32_t i = 0; i < slots; ++i) {
+    shard.free_slots.push_back(base + slots - 1 - i);
+  }
+}
+
+ObjectTable::Slot& ObjectTable::claim_slot(Shard& shard, ObjectIndex idx, Object obj) {
   if (shard.free_slots.empty()) {
-    shard.slabs.push_back(std::make_unique<Slot[]>(kSlabSlots));
-    // Newly minted slots enter the freelist back-to-front so allocation proceeds
-    // front-to-back within the slab (deterministic iteration order).
-    const uint32_t base = static_cast<uint32_t>((shard.slabs.size() - 1) * kSlabSlots);
-    for (uint32_t i = 0; i < kSlabSlots; ++i) {
-      shard.free_slots.push_back(base + kSlabSlots - 1 - i);
-    }
+    grow_slabs(shard);
   }
   const uint32_t slot_id = shard.free_slots.back();
   shard.free_slots.pop_back();
-  Slot& slot = shard.slabs[slot_id / kSlabSlots][slot_id % kSlabSlots];
+  Slot& slot = slot_at(shard, slot_id);
   slot.idx = idx;
   slot.obj = std::move(obj);
   index_insert(shard, idx, slot_id);
   ++total_;
+  return slot;
+}
+
+ObjectIndex ObjectTable::insert(Object obj) {
+  const ObjectIndex idx = next_index_++;
+  claim_slot(shard_of(idx), idx, std::move(obj));
   ++live_;
   return idx;
 }
 
 void ObjectTable::insert_with_index(ObjectIndex idx, Object obj) {
   FRACTOS_DCHECK(find_slot(idx) == nullptr);
-  Shard& shard = shard_of(idx);
-  if (shard.free_slots.empty()) {
-    shard.slabs.push_back(std::make_unique<Slot[]>(kSlabSlots));
-    const uint32_t base = static_cast<uint32_t>((shard.slabs.size() - 1) * kSlabSlots);
-    for (uint32_t i = 0; i < kSlabSlots; ++i) {
-      shard.free_slots.push_back(base + kSlabSlots - 1 - i);
-    }
-  }
-  const uint32_t slot_id = shard.free_slots.back();
-  shard.free_slots.pop_back();
-  Slot& slot = shard.slabs[slot_id / kSlabSlots][slot_id % kSlabSlots];
-  slot.idx = idx;
-  slot.obj = std::move(obj);
-  index_insert(shard, idx, slot_id);
-  ++total_;
+  const Slot& slot = claim_slot(shard_of(idx), idx, std::move(obj));
   if (!slot.obj.invalidated) {
     ++live_;
   }
@@ -914,6 +911,16 @@ size_t ObjectTable::interned_args_count() const {
       if (!w.expired()) {
         ++n;
       }
+    }
+  }
+  return n;
+}
+
+size_t ObjectTable::slot_capacity() const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    for (size_t s = 0; s < shard.slabs.size(); ++s) {
+      n += slab_slots(s);
     }
   }
   return n;

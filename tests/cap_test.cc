@@ -362,6 +362,63 @@ TEST_F(ObjectTableTest, SlabSlotsAreRecycledAcrossChurn) {
   }
 }
 
+TEST_F(ObjectTableTest, SmallTableAllocatesSmallSlabs) {
+  // Most tables are small (one per Controller). Each object lands in at most one fresh shard,
+  // whose first slab holds kFirstSlabSlots slots — not a full kSlabSlots slab.
+  EXPECT_EQ(table_.slot_capacity(), 0u);
+  for (int i = 0; i < 10; ++i) {
+    make_memory();
+  }
+  EXPECT_GT(table_.slot_capacity(), 0u);
+  EXPECT_LE(table_.slot_capacity(), 10 * ObjectTable::kFirstSlabSlots);
+}
+
+TEST_F(ObjectTableTest, GeometricSlabsCrossEveryBoundary) {
+  // Every shard grows through its 16..512-slot slabs, fills one 1024-slot slab and starts a
+  // second: ~2340 objects per shard against the 2032 slots before that second slab.
+  constexpr size_t kN = 150'000;
+  constexpr size_t kGeometric = 16 + 32 + 64 + 128 + 256 + 512;
+  std::vector<ObjectIndex> idx;
+  idx.reserve(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    idx.push_back(
+        table_.create_memory(kProc, MemoryDesc{0, 0, i * 64, 64}, Perms::kRead).value());
+  }
+  EXPECT_EQ(table_.slot_capacity(),
+            ObjectTable::kShardCount * (kGeometric + 2 * ObjectTable::kSlabSlots));
+
+  for (size_t i = 0; i < kN; i += 2) {
+    auto r = table_.revoke(idx[i], table_.reboot_count());
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(table_.erase_objects(r.value().invalidated), 1u);
+  }
+  for (size_t i = 0; i < kN / 2; ++i) {
+    ASSERT_TRUE(
+        table_.create_memory(kOther, MemoryDesc{0, 0, 1ull << 40, 64}, Perms::kRead).ok());
+  }
+  EXPECT_EQ(table_.live_count(), kN);
+  for (size_t i = 0; i < kN; ++i) {
+    auto r = table_.resolve_memory(idx[i], table_.reboot_count());
+    if (i % 2 == 0) {
+      EXPECT_FALSE(r.ok()) << "erased " << i;
+    } else {
+      ASSERT_TRUE(r.ok()) << "survivor " << i;
+      EXPECT_EQ(r.value().desc.addr, i * 64);
+    }
+  }
+
+  // The restore path (insert_with_index) crosses the same boundaries and must rebuild an
+  // identical table.
+  const std::vector<uint8_t> snap = table_.serialize_snapshot();
+  ObjectTable restored(table_.owner());
+  ASSERT_TRUE(restored.restore_snapshot(snap).ok());
+  EXPECT_EQ(restored.digest(), table_.digest());
+  EXPECT_EQ(restored.serialize_snapshot(), snap);
+  auto r = restored.resolve_memory(idx[1], restored.reboot_count());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().desc.addr, 64u);
+}
+
 TEST(CheckImmOverlapTest, Cases) {
   const std::vector<ImmExtent> existing = {{0, {1, 2, 3, 4}}};
   EXPECT_TRUE(check_imm_overlap(existing, {{4, {5}}}).ok());
