@@ -12,8 +12,10 @@
 // Every soak reports the final simulated clock and step count; those are engine-version
 // invariants (same-seed runs must be bit-identical), so the JSON doubles as a determinism
 // guard when comparing engines. After the soaks, an "objtable" ledger times ObjectTable
-// insert and resolve in ns/op, and a "host" member records the whole run's wall time and
-// peak RSS; neither is gated. Emits BENCH_simspeed.json (override: FRACTOS_BENCH_JSON).
+// insert and resolve in ns/op; a "capspace" ledger times CapSpace install, get and purge at
+// 10^6 entries and records the heap bytes per capability and per ObjectTable object; and a
+// "host" member records the whole run's wall time and peak RSS. None of these is gated.
+// Emits BENCH_simspeed.json (override: FRACTOS_BENCH_JSON).
 
 #include <chrono>
 #include <cinttypes>
@@ -25,6 +27,7 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/face_verify.h"
+#include "src/cap/cap_space.h"
 #include "src/cap/object_table.h"
 #include "src/sim/rng.h"
 
@@ -274,8 +277,77 @@ ObjTableLedger objtable_ledger() {
   return l;
 }
 
+struct CapSpaceLedger {
+  double install_ns_n1m = 0;
+  double get_ns_n1m = 0;
+  double purge_ns_n1m = 0;
+  double heap_bytes_per_cap = 0;
+  double heap_bytes_per_object = 0;
+};
+
+// The capability layer at production scale: 10^6 capabilities on distinct objects in one
+// space (the capability_1m holder), and 10^6 objects in one table.
+CapSpaceLedger capspace_ledger() {
+  constexpr uint32_t kN = 1'000'000;
+  CapSpaceLedger l;
+  {
+    const size_t heap0 = bench::heap_in_use_bytes();
+    ObjectTable table(/*owner=*/1);
+    for (uint32_t i = 0; i < kN; ++i) {
+      FRACTOS_CHECK(table.create_memory(1, MemoryDesc{0, 0, i * 64ull, 64}, Perms::kRead).ok());
+    }
+    l.heap_bytes_per_object =
+        static_cast<double>(bench::heap_in_use_bytes() - heap0) / static_cast<double>(kN);
+  }
+
+  const size_t heap0 = bench::heap_in_use_bytes();
+  CapSpace space(kN);
+  CapEntry entry;
+  entry.ref = ObjectRef{1, 0, 1};
+  entry.perms = Perms::kRead;
+  auto t0 = std::chrono::steady_clock::now();
+  for (uint32_t i = 0; i < kN; ++i) {
+    entry.ref.index = i + 1;
+    entry.mem = MemoryDesc{0, 0, i * 64ull, 64};
+    FRACTOS_CHECK(space.install(entry).value() == i);
+  }
+  l.install_ns_n1m = wall_ms_since(t0) * 1e6 / kN;
+  l.heap_bytes_per_cap =
+      static_cast<double>(bench::heap_in_use_bytes() - heap0) / static_cast<double>(kN);
+
+  Rng rng(13);
+  uint64_t bytes = 0;
+  t0 = std::chrono::steady_clock::now();
+  for (uint32_t i = 0; i < kN; ++i) {
+    bytes += space.get(static_cast<CapId>(rng.next_below(kN))).value().mem.size;
+  }
+  l.get_ns_n1m = wall_ms_since(t0) * 1e6 / kN;
+  FRACTOS_CHECK(bytes == uint64_t{64} * kN);
+
+  // Revocation cleanup in 64-ref batches, in an order unrelated to install order.
+  std::vector<ObjectRef> refs;
+  refs.reserve(kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    refs.push_back(ObjectRef{1, i + 1, 1});
+  }
+  for (size_t i = refs.size() - 1; i > 0; --i) {
+    std::swap(refs[i], refs[rng.next_below(i + 1)]);
+  }
+  size_t purged = 0;
+  std::vector<ObjectRef> batch;
+  t0 = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < refs.size(); i += 64) {
+    batch.assign(refs.begin() + static_cast<std::ptrdiff_t>(i),
+                 refs.begin() + static_cast<std::ptrdiff_t>(std::min(i + 64, refs.size())));
+    purged += space.purge_refs(batch);
+  }
+  l.purge_ns_n1m = wall_ms_since(t0) * 1e6 / kN;
+  FRACTOS_CHECK(purged == kN && space.size() == 0);
+  return l;
+}
+
 void write_json(const std::vector<SoakResult>& soaks, const ObjTableLedger& objtable,
-                const std::string& host) {
+                const CapSpaceLedger& capspace, const std::string& host) {
   char buf[512];
   std::string out;
   uint64_t total_events = 0;
@@ -301,6 +373,13 @@ void write_json(const std::vector<SoakResult>& soaks, const ObjTableLedger& objt
                 "\"insert_ns_n1m\": %.1f, \"resolve_ns_n1m\": %.1f},\n",
                 aggregate, objtable.insert_ns_n10, objtable.insert_ns_n1k,
                 objtable.insert_ns_n1m, objtable.resolve_ns_n1m);
+  out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "  \"capspace\": {\"install_ns_n1m\": %.1f, \"get_ns_n1m\": %.1f, "
+                "\"purge_ns_n1m\": %.1f, \"heap_bytes_per_cap\": %.1f, "
+                "\"heap_bytes_per_object\": %.1f},\n",
+                capspace.install_ns_n1m, capspace.get_ns_n1m, capspace.purge_ns_n1m,
+                capspace.heap_bytes_per_cap, capspace.heap_bytes_per_object);
   out += buf;
   out += "  " + host + "\n}\n";
   bench::emit_bench_json("bench_simspeed", "BENCH_simspeed.json", out);
@@ -337,6 +416,16 @@ int main() {
   o.row({"resolve", "1000000", fmt(objtable.resolve_ns_n1m, 1)});
   o.print();
 
-  write_json(soaks, objtable, bench::host_json(run_start));
+  const CapSpaceLedger capspace = capspace_ledger();
+  Table c("capspace — the capability layer at 10^6 entries",
+          {"measure", "value"});
+  c.row({"CapSpace install ns/op", fmt(capspace.install_ns_n1m, 1)});
+  c.row({"CapSpace get ns/op", fmt(capspace.get_ns_n1m, 1)});
+  c.row({"CapSpace purge_refs ns/entry", fmt(capspace.purge_ns_n1m, 1)});
+  c.row({"heap bytes per capability", fmt(capspace.heap_bytes_per_cap, 1)});
+  c.row({"heap bytes per ObjectTable object", fmt(capspace.heap_bytes_per_object, 1)});
+  c.print();
+
+  write_json(soaks, objtable, capspace, bench::host_json(run_start));
   return 0;
 }

@@ -88,7 +88,14 @@ void CloudInference::ingest() {
   for (uint32_t i = 0; i < params_.num_inputs; ++i) {
     const std::string name = "in_" + std::to_string(i);
     FRACTOS_CHECK(sys_->await(FsClient::create(*frontend_, in_create_, name, rb)).ok());
-    frontend_->write_mem(stage_addr, input_content(i));
+    std::vector<uint8_t> content = input_content(i);
+    frontend_->write_mem(stage_addr, content);
+    // The kernel's transform of this input, computed once: every verification compares
+    // against it.
+    for (uint8_t& b : content) {
+      b = static_cast<uint8_t>(b ^ 0x5A);
+    }
+    expected_outputs_.push_back(std::move(content));
     auto f = sys_->await_ok(FsClient::open(*frontend_, in_open_, name, true, false));
     FRACTOS_CHECK(sys_->await(FsClient::write(*frontend_, f, 0, rb, stage)).ok());
     FRACTOS_CHECK(sys_->await(FsClient::close(*frontend_, f)).ok());
@@ -176,12 +183,8 @@ void CloudInference::verify_output(size_t s, uint32_t input_id, Promise<Result<b
           return;
         }
         const auto got = frontend_->read_mem(sl.host_addr, params_.request_bytes);
-        auto expected = input_content(input_id);
-        for (auto& b : expected) {
-          b = static_cast<uint8_t>(b ^ 0x5A);
-        }
         slot_pool_.release(s);
-        promise.set(got == expected);
+        promise.set(got == expected_outputs_[input_id]);
       });
 }
 

@@ -105,6 +105,8 @@ class CloudInference {
   CapId kernel_ep_ = kInvalidCap;
   SlotPool slot_pool_;
   std::vector<Slot> slots_;
+  // Per input: the output the inference kernel must produce (input XOR 0x5A).
+  std::vector<std::vector<uint8_t>> expected_outputs_;
   // Cached DAX opens (steady state: open once, reuse).
   std::vector<FsClient::OpenFile> input_files_;
   FsClient::OpenFile output_file_;

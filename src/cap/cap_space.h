@@ -4,12 +4,19 @@
 //
 // Memory entries cache the delegated MemoryDesc (the rkey analogue) so third-party transfers
 // need no resolution round trip; validity is still enforced at the object's owner.
+//
+// Storage is sized for the Controller holding "millions of live capabilities" (Section 3.5).
+// cids are minted sequentially and never reused, so entries live in fixed pages of
+// kPageSlots indexed directly by cid: a lookup is two array reads, and a page is freed once
+// every cid it covers has been minted and removed. Entries holding the same ObjectRef are
+// chained through per-entry prev/next cid links, and an open-addressed index maps each ref to
+// its chain head. install, remove and every entry purge_refs drops are O(1); nothing ever
+// scans the other holders of a ref.
 
 #ifndef SRC_CAP_CAP_SPACE_H_
 #define SRC_CAP_CAP_SPACE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -40,20 +47,75 @@ class CapSpace {
   // Returns the number of entries purged.
   size_t purge_refs(const std::vector<ObjectRef>& revoked);
 
-  // All live entries (used when translating a Process failure into revocations).
+  // All live entries in ascending cid order (used when translating a Process failure into
+  // revocations, which must happen in a defined order).
   std::vector<CapEntry> all_entries() const;
 
   size_t size() const { return live_; }
   uint32_t quota() const { return quota_; }
 
- private:
-  static uint64_t ref_key(const ObjectRef& ref);
+  // Pages currently holding entry storage (freed pages excluded).
+  size_t resident_pages() const;
 
-  std::unordered_map<CapId, CapEntry> slots_;
-  // Secondary index ref -> cids holding it, so purge_refs is O(revoked), not O(slots): at
-  // millions of installed caps, a per-revocation full scan is the hot-path killer. Entries
-  // are pruned lazily (remove() leaves them; install and purge drop dead cids on probe).
-  std::unordered_map<uint64_t, std::vector<CapId>> by_ref_;
+  static constexpr uint32_t kPageShift = 10;
+  static constexpr uint32_t kPageSlots = 1u << kPageShift;
+
+  // Bytes of one stored entry, chain links included.
+  static constexpr size_t slot_bytes() { return sizeof(Slot); }
+
+ private:
+  // One entry, with the ObjectRef unpacked so that no padding sits between its fields.
+  struct Slot {
+    ObjectIndex index = kInvalidObject;
+    ControllerAddr owner = kInvalidController;
+    uint32_t reboot_count = 0;
+    MemoryDesc mem;
+    CapId prev = kInvalidCap;  // neighbours in the chain of entries holding the same ref
+    CapId next = kInvalidCap;
+    ObjectKind kind = ObjectKind::kMemory;
+    Perms perms = Perms::kNone;
+    bool tracked = false;
+    bool live = false;
+
+    ObjectRef ref() const { return ObjectRef{owner, index, reboot_count}; }
+  };
+
+  // The entries of cids [p << kPageShift, (p + 1) << kPageShift). `slots` holds one element per
+  // cid minted so far in the page. The first page grows geometrically, so a Process with a
+  // handful of capabilities does not pay for a whole page; later pages are reserved whole, so
+  // a large space leaves no outgrown buffers behind in the heap.
+  struct Page {
+    std::vector<Slot> slots;
+    uint32_t live = 0;
+  };
+
+  // Ref index bucket: `head` is the first cid of the chain (kInvalidCap = empty), `hash` the
+  // ref's hash, kept so that probes read an entry only on a hash match and deletion never
+  // reads one.
+  struct RefBucket {
+    uint32_t hash = 0;
+    CapId head = kInvalidCap;
+  };
+
+  static uint32_t ref_hash(const ObjectRef& ref);
+
+  Slot* find(CapId cid);
+  const Slot* find(CapId cid) const;
+  Slot& slot(CapId cid) { return pages_[cid >> kPageShift].slots[cid & (kPageSlots - 1)]; }
+  // Marks a live entry dead and frees its page once the page is full and empty.
+  void release(CapId cid, Slot& s);
+
+  // The bucket holding the chain for `ref`, else the empty bucket that ends its probe run.
+  // The index must be non-empty.
+  size_t probe(const ObjectRef& ref, uint32_t hash) const;
+  // Bucket of the chain for `ref`, or ~0 if it has none.
+  size_t find_chain(const ObjectRef& ref, uint32_t hash) const;
+  void erase_chain(size_t bucket);
+  void grow_index();
+
+  std::vector<Page> pages_;
+  std::vector<RefBucket> buckets_;  // open-addressed, linear probing, power-of-two size
+  size_t chains_ = 0;
   CapId next_cid_ = 0;
   uint32_t quota_;
   size_t live_ = 0;

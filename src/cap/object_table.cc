@@ -1,6 +1,7 @@
 #include "src/cap/object_table.h"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -72,6 +73,44 @@ ObjectTable::ObjectTable(ControllerAddr owner, uint32_t reboot_count)
     : owner_(owner), reboot_count_(reboot_count) {}
 
 uint64_t ObjectTable::mix(ObjectIndex idx) { return mix64(idx); }
+
+// --- the hot slot's payload union -------------------------------------------------------------
+
+ObjectTable::Object::Object(ObjectKind k) {
+  kind = k;
+  if (kind == ObjectKind::kRequest) {
+    new (&req) RequestPayload();
+  } else {
+    new (&mem) MemoryPayload();
+  }
+}
+
+ObjectTable::Object::Object(Object&& o) noexcept : ObjectHeader(o) { take_payload(o); }
+
+ObjectTable::Object& ObjectTable::Object::operator=(Object&& o) noexcept {
+  if (this != &o) {
+    if (kind == ObjectKind::kRequest) {
+      req.~RequestPayload();
+    }
+    static_cast<ObjectHeader&>(*this) = o;
+    take_payload(o);
+  }
+  return *this;
+}
+
+ObjectTable::Object::~Object() {
+  if (kind == ObjectKind::kRequest) {
+    req.~RequestPayload();
+  }
+}
+
+void ObjectTable::Object::take_payload(Object& o) {
+  if (kind == ObjectKind::kRequest) {
+    new (&req) RequestPayload(std::move(o.req));
+  } else {
+    new (&mem) MemoryPayload(o.mem);
+  }
+}
 
 // --- shard plumbing ------------------------------------------------------------------------
 
@@ -255,7 +294,18 @@ std::shared_ptr<const RequestArgs> ObjectTable::intern_args(RequestArgs args) {
 }
 
 const RequestArgs& ObjectTable::args_of(const Object& o) const {
-  return o.args ? *o.args : empty_args();
+  return o.kind == ObjectKind::kRequest && o.req.args ? *o.req.args : empty_args();
+}
+
+const ObjectTable::MonitorState& ObjectTable::monitor_fields(ObjectIndex idx,
+                                                             const Object& o) const {
+  static const MonitorState kNone;
+  return o.monitored ? monitors_.at(idx) : kNone;
+}
+
+ObjectTable::MonitorState& ObjectTable::monitor_for(ObjectIndex idx, Object& o) {
+  o.monitored = true;
+  return monitors_[idx];
 }
 
 // --- creation & derivation -----------------------------------------------------------------
@@ -264,11 +314,9 @@ Result<ObjectIndex> ObjectTable::create_memory(ProcessId creator, MemoryDesc des
   if (desc.size == 0) {
     return ErrorCode::kInvalidArgument;
   }
-  Object obj;
-  obj.kind = ObjectKind::kMemory;
+  Object obj(ObjectKind::kMemory);
   obj.creator = creator;
-  obj.mem = desc;
-  obj.mem_perms = perms;
+  obj.mem = MemoryPayload{desc, perms};
   return insert(std::move(obj));
 }
 
@@ -283,16 +331,15 @@ Result<ObjectIndex> ObjectTable::derive_memory(ProcessId creator, ObjectIndex ba
   if (b.kind != ObjectKind::kMemory) {
     return ErrorCode::kWrongObjectKind;
   }
-  if (offset > b.mem.size || size > b.mem.size - offset || size == 0) {
+  if (offset > b.mem.desc.size || size > b.mem.desc.size - offset || size == 0) {
     return ErrorCode::kOutOfRange;
   }
-  Object obj;
-  obj.kind = ObjectKind::kMemory;
+  Object obj(ObjectKind::kMemory);
   obj.creator = creator;
-  obj.mem = b.mem;
-  obj.mem.addr += offset;
-  obj.mem.size = size;
-  obj.mem_perms = perms_drop(b.mem_perms, drop_perms);
+  obj.mem.desc = b.mem.desc;
+  obj.mem.desc.addr += offset;
+  obj.mem.desc.size = size;
+  obj.mem.perms = perms_drop(b.mem.perms, drop_perms);
   const ObjectIndex idx = insert(std::move(obj));
   link_child(base, idx);
   return idx;
@@ -306,22 +353,21 @@ Result<ObjectIndex> ObjectTable::create_request_root(ProcessId provider, CapId e
   if (Status s = check_imm_overlap({}, args.imms); !s.ok()) {
     return s.error();
   }
-  Object obj;
-  obj.kind = ObjectKind::kRequest;
+  Object obj(ObjectKind::kRequest);
   obj.creator = provider;
   obj.is_root = true;
-  obj.provider = provider;
-  obj.endpoint_cid = endpoint_cid;
-  obj.args = intern_args(std::move(args));
+  obj.req.provider = provider;
+  obj.req.endpoint_cid = endpoint_cid;
+  obj.req.args = intern_args(std::move(args));
   return insert(std::move(obj));
 }
 
 Status ObjectTable::set_endpoint_cid(ObjectIndex idx, CapId endpoint_cid) {
   Object* o = mutable_lookup(idx);
-  if (o == nullptr || !o->is_root) {
+  if (o == nullptr || o->kind != ObjectKind::kRequest || !o->is_root) {
     return ErrorCode::kInvalidArgument;
   }
-  o->endpoint_cid = endpoint_cid;
+  o->req.endpoint_cid = endpoint_cid;
   return ok_status();
 }
 
@@ -346,10 +392,9 @@ Result<ObjectIndex> ObjectTable::derive_request_local(ProcessId creator, ObjectI
   if (Status s = check_imm_overlap(existing, refinement.imms); !s.ok()) {
     return s.error();
   }
-  Object obj;
-  obj.kind = ObjectKind::kRequest;
+  Object obj(ObjectKind::kRequest);
   obj.creator = creator;
-  obj.args = intern_args(std::move(refinement));
+  obj.req.args = intern_args(std::move(refinement));
   const ObjectIndex idx = insert(std::move(obj));
   link_child(base, idx);
   return idx;
@@ -361,13 +406,11 @@ Result<ObjectIndex> ObjectTable::create_revtree_child(ProcessId creator, ObjectI
     return base_obj.error();
   }
   const Object& b = *base_obj.value();
-  Object obj;
-  obj.kind = b.kind;
+  Object obj(b.kind);
   obj.creator = creator;
   obj.indirection = true;
   if (b.kind == ObjectKind::kMemory) {
     obj.mem = b.mem;
-    obj.mem_perms = b.mem_perms;
   }
   const ObjectIndex idx = insert(std::move(obj));
   link_child(base, idx);
@@ -388,7 +431,7 @@ Result<ObjectTable::ResolvedMemory> ObjectTable::resolve_memory(ObjectIndex idx,
   }
   // Derived memory objects carry their effective extent, so no chain walk is needed; parents
   // were already checked live at derivation time and invalidate their subtree on revoke.
-  return ResolvedMemory{o.mem, o.mem_perms};
+  return ResolvedMemory{o.mem.desc, o.mem.perms};
 }
 
 Result<ObjectTable::ResolvedRequest> ObjectTable::resolve_request(ObjectIndex idx,
@@ -416,11 +459,11 @@ Result<ObjectTable::ResolvedRequest> ObjectTable::resolve_request(ObjectIndex id
   }
 
   ResolvedRequest out;
-  if (!head->is_root) {
+  if (head->kind != ObjectKind::kRequest || !head->is_root) {
     return ErrorCode::kInternal;  // derivation is always at the owner, so heads are roots
   }
-  out.provider = head->provider;
-  out.endpoint_cid = head->endpoint_cid;
+  out.provider = head->req.provider;
+  out.endpoint_cid = head->req.endpoint_cid;
   // Merge args base-first (chain was collected leaf-to-head).
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const RequestArgs& layer = args_of(**it);
@@ -452,17 +495,22 @@ void ObjectTable::invalidate_subtree(ObjectIndex root, RevokeResult& out) {
     o->invalidated = true;
     --live_;
     out.invalidated.push_back(idx);
-    for (const MonitorSub& sub : o->receive_subs) {
-      out.fires.push_back(MonitorFire{sub, /*delegate_mode=*/false});
-    }
-    o->receive_subs.clear();
-    // A delegated ("delegatee") child decrements its parent's outstanding-delegation counter;
-    // at zero the parent's monitor_delegate callback fires (Section 3.6).
-    if (o->is_delegatee_child && o->parent != kInvalidObject) {
-      Object* parent = mutable_lookup(o->parent);
-      if (parent != nullptr && parent->monitor_delegator && parent->delegatee_count > 0) {
-        if (--parent->delegatee_count == 0 && !parent->invalidated) {
-          out.fires.push_back(MonitorFire{parent->delegate_sub, /*delegate_mode=*/true});
+    if (o->monitored) {
+      MonitorState& m = monitors_.at(idx);
+      for (const MonitorSub& sub : m.receive_subs) {
+        out.fires.push_back(MonitorFire{sub, /*delegate_mode=*/false});
+      }
+      m.receive_subs.clear();
+      // A delegated ("delegatee") child decrements its parent's outstanding-delegation
+      // counter; at zero the parent's monitor_delegate callback fires (Section 3.6).
+      if (m.is_delegatee_child && o->parent != kInvalidObject) {
+        const Object* parent = find_object(o->parent);
+        if (parent != nullptr && parent->monitored) {
+          MonitorState& pm = monitors_.at(o->parent);
+          if (pm.delegator && pm.delegatee_count > 0 && --pm.delegatee_count == 0 &&
+              !parent->invalidated) {
+            out.fires.push_back(MonitorFire{pm.delegate_sub, /*delegate_mode=*/true});
+          }
         }
       }
     }
@@ -538,6 +586,9 @@ bool ObjectTable::erase_one(ObjectIndex idx) {
       }
     }
   }
+  if (o.monitored) {
+    monitors_.erase(idx);
+  }
   Shard& shard = shard_of(idx);
   const uint32_t slot_id = index_erase(shard, idx);
   slot->idx = kInvalidObject;
@@ -584,12 +635,13 @@ Status ObjectTable::monitor_delegate(ObjectIndex idx, uint32_t ref_reboot, Monit
   if (o->first_child != kInvalidObject) {
     return ErrorCode::kInvalidArgument;  // paper footnote 1: must have no children yet
   }
-  if (o->monitor_delegator) {
+  if (monitor_fields(idx, *o).delegator) {
     return ErrorCode::kAlreadyExists;
   }
-  o->monitor_delegator = true;
-  o->delegate_sub = sub;
-  o->delegatee_count = 0;
+  MonitorState& m = monitor_for(idx, *o);
+  m.delegator = true;
+  m.delegate_sub = sub;
+  m.delegatee_count = 0;
   return ok_status();
 }
 
@@ -598,7 +650,7 @@ Status ObjectTable::monitor_receive(ObjectIndex idx, uint32_t ref_reboot, Monito
   if (!obj.ok()) {
     return obj.error();
   }
-  mutable_lookup(idx)->receive_subs.push_back(sub);
+  monitor_for(idx, *mutable_lookup(idx)).receive_subs.push_back(sub);
   return ok_status();
 }
 
@@ -607,16 +659,15 @@ Result<ObjectIndex> ObjectTable::prepare_delegation(ObjectIndex idx) {
   if (!obj.ok()) {
     return obj.error();
   }
-  if (!obj.value()->monitor_delegator) {
+  if (!monitor_fields(idx, *obj.value()).delegator) {
     return idx;
   }
   auto child = create_revtree_child(obj.value()->creator, idx);
   if (!child.ok()) {
     return child.error();
   }
-  Object* c = mutable_lookup(child.value());
-  c->is_delegatee_child = true;
-  mutable_lookup(idx)->delegatee_count++;
+  monitor_for(child.value(), *mutable_lookup(child.value())).is_delegatee_child = true;
+  monitors_.at(idx).delegatee_count++;
   return child.value();
 }
 
@@ -682,6 +733,18 @@ ObjectTable::ApplyOutcome ObjectTable::apply_replicated(const ReplicatedOp& op) 
   return out;
 }
 
+// The snapshot and digest carry every field of both payload kinds (and of the monitor state),
+// with the defaults of the kind an object is not, exactly as when every object held all of them.
+const ObjectTable::MemoryPayload& ObjectTable::mem_fields(const Object& o) {
+  static const MemoryPayload kNone;
+  return o.kind == ObjectKind::kMemory ? o.mem : kNone;
+}
+
+const ObjectTable::RequestPayload& ObjectTable::req_fields(const Object& o) {
+  static const RequestPayload kNone;
+  return o.kind == ObjectKind::kRequest ? o.req : kNone;
+}
+
 std::vector<uint8_t> ObjectTable::serialize_snapshot() const {
   std::vector<std::pair<ObjectIndex, const Object*>> objs;
   objs.reserve(total_);
@@ -695,6 +758,9 @@ std::vector<uint8_t> ObjectTable::serialize_snapshot() const {
   e.put_u64(next_index_);
   e.put_u32(static_cast<uint32_t>(objs.size()));
   for (const auto& [idx, o] : objs) {
+    const MemoryPayload& mem = mem_fields(*o);
+    const RequestPayload& req = req_fields(*o);
+    const MonitorState& mon = monitor_fields(idx, *o);
     e.put_u64(idx);
     e.put_u8(static_cast<uint8_t>(o->kind));
     e.put_bool(o->invalidated);
@@ -703,28 +769,28 @@ std::vector<uint8_t> ObjectTable::serialize_snapshot() const {
     e.put_u64(o->last_child);
     e.put_u64(o->prev_sibling);
     e.put_u64(o->next_sibling);
-    encode_mem_desc(e, o->mem);
-    e.put_u8(static_cast<uint8_t>(o->mem_perms));
+    encode_mem_desc(e, mem.desc);
+    e.put_u8(static_cast<uint8_t>(mem.perms));
     e.put_bool(o->is_root);
-    e.put_u64(o->provider);
-    e.put_u32(o->endpoint_cid);
-    const bool has_args = o->args != nullptr;
+    e.put_u64(req.provider);
+    e.put_u32(req.endpoint_cid);
+    const bool has_args = req.args != nullptr;
     e.put_bool(has_args);
     if (has_args) {
-      encode_imms(e, o->args->imms);
-      e.put_u32(static_cast<uint32_t>(o->args->caps.size()));
-      for (const WireCap& c : o->args->caps) {
+      encode_imms(e, req.args->imms);
+      e.put_u32(static_cast<uint32_t>(req.args->caps.size()));
+      for (const WireCap& c : req.args->caps) {
         encode_wire_cap(e, c);
       }
     }
     e.put_bool(o->indirection);
     e.put_u64(o->creator);
-    e.put_bool(o->monitor_delegator);
-    encode_sub(e, o->delegate_sub);
-    e.put_u32(o->delegatee_count);
-    e.put_bool(o->is_delegatee_child);
-    e.put_u32(static_cast<uint32_t>(o->receive_subs.size()));
-    for (const MonitorSub& s : o->receive_subs) {
+    e.put_bool(mon.delegator);
+    encode_sub(e, mon.delegate_sub);
+    e.put_u32(mon.delegatee_count);
+    e.put_bool(mon.is_delegatee_child);
+    e.put_u32(static_cast<uint32_t>(mon.receive_subs.size()));
+    for (const MonitorSub& s : mon.receive_subs) {
       encode_sub(e, s);
     }
   }
@@ -745,6 +811,7 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
   for (Shard& shard : shards_) {
     shard = Shard{};
   }
+  monitors_.clear();
   args_pool_.clear();
   live_ = 0;
   total_ = 0;
@@ -752,19 +819,21 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
   next_index_ = next;
   for (uint32_t i = 0; i < count && d.ok(); ++i) {
     const ObjectIndex idx = d.get_u64();
-    Object o;
-    o.kind = static_cast<ObjectKind>(d.get_u8());
+    Object o(static_cast<ObjectKind>(d.get_u8()));
     o.invalidated = d.get_bool();
     o.parent = d.get_u64();
     o.first_child = d.get_u64();
     o.last_child = d.get_u64();
     o.prev_sibling = d.get_u64();
     o.next_sibling = d.get_u64();
-    o.mem = decode_mem_desc(d);
-    o.mem_perms = static_cast<Perms>(d.get_u8());
+    // Fields of the other kind were serialized as defaults; they are read and dropped.
+    MemoryPayload mem;
+    mem.desc = decode_mem_desc(d);
+    mem.perms = static_cast<Perms>(d.get_u8());
     o.is_root = d.get_bool();
-    o.provider = d.get_u64();
-    o.endpoint_cid = d.get_u32();
+    RequestPayload req;
+    req.provider = d.get_u64();
+    req.endpoint_cid = d.get_u32();
     if (d.get_bool()) {
       RequestArgs args;
       args.imms = decode_imms(d);
@@ -772,20 +841,30 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
       for (uint32_t c = 0; c < ncaps && d.ok(); ++c) {
         args.caps.push_back(decode_wire_cap(d));
       }
-      o.args = intern_args(std::move(args));
+      req.args = intern_args(std::move(args));
+    }
+    if (o.kind == ObjectKind::kRequest) {
+      o.req = std::move(req);
+    } else {
+      o.mem = mem;
     }
     o.indirection = d.get_bool();
     o.creator = d.get_u64();
-    o.monitor_delegator = d.get_bool();
-    o.delegate_sub = decode_sub(d);
-    o.delegatee_count = d.get_u32();
-    o.is_delegatee_child = d.get_bool();
+    MonitorState mon;
+    mon.delegator = d.get_bool();
+    mon.delegate_sub = decode_sub(d);
+    mon.delegatee_count = d.get_u32();
+    mon.is_delegatee_child = d.get_bool();
     const uint32_t nsubs = d.get_u32();
     for (uint32_t s = 0; s < nsubs && d.ok(); ++s) {
-      o.receive_subs.push_back(decode_sub(d));
+      mon.receive_subs.push_back(decode_sub(d));
     }
     if (!d.ok()) {
       break;
+    }
+    // delegate_sub and delegatee_count are only ever set on a delegator.
+    if (mon.delegator || mon.is_delegatee_child || !mon.receive_subs.empty()) {
+      monitor_for(idx, o) = std::move(mon);
     }
     insert_with_index(idx, std::move(o));
   }
@@ -806,6 +885,9 @@ uint64_t ObjectTable::digest() const {
   // the object *states* agree.
   uint64_t sum = 0;
   for_each_object([&](ObjectIndex idx, const Object& o) {
+    const MemoryPayload& mem = mem_fields(o);
+    const RequestPayload& req = req_fields(o);
+    const MonitorState& mon = monitor_fields(idx, o);
     uint64_t h = 0xcbf29ce484222325ull;
     h = fold(h, idx);
     h = fold(h, static_cast<uint64_t>(o.kind));
@@ -813,25 +895,25 @@ uint64_t ObjectTable::digest() const {
     h = fold(h, o.parent);
     h = fold(h, o.first_child);
     h = fold(h, o.last_child);
-    h = fold(h, o.mem.node);
-    h = fold(h, o.mem.pool);
-    h = fold(h, o.mem.addr);
-    h = fold(h, o.mem.size);
-    h = fold(h, static_cast<uint64_t>(o.mem_perms));
+    h = fold(h, mem.desc.node);
+    h = fold(h, mem.desc.pool);
+    h = fold(h, mem.desc.addr);
+    h = fold(h, mem.desc.size);
+    h = fold(h, static_cast<uint64_t>(mem.perms));
     h = fold(h, o.is_root ? 1 : 0);
-    h = fold(h, o.provider);
-    h = fold(h, o.endpoint_cid);
-    h = fold(h, o.args ? hash_args(*o.args) : 0);
+    h = fold(h, req.provider);
+    h = fold(h, req.endpoint_cid);
+    h = fold(h, req.args ? hash_args(*req.args) : 0);
     h = fold(h, o.indirection ? 1 : 0);
     h = fold(h, o.creator);
-    h = fold(h, o.monitor_delegator ? 1 : 0);
-    h = fold(h, o.delegate_sub.controller);
-    h = fold(h, o.delegate_sub.process);
-    h = fold(h, o.delegate_sub.callback_id);
-    h = fold(h, o.delegatee_count);
-    h = fold(h, o.is_delegatee_child ? 1 : 0);
-    h = fold(h, o.receive_subs.size());
-    for (const MonitorSub& s : o.receive_subs) {
+    h = fold(h, mon.delegator ? 1 : 0);
+    h = fold(h, mon.delegate_sub.controller);
+    h = fold(h, mon.delegate_sub.process);
+    h = fold(h, mon.delegate_sub.callback_id);
+    h = fold(h, mon.delegatee_count);
+    h = fold(h, mon.is_delegatee_child ? 1 : 0);
+    h = fold(h, mon.receive_subs.size());
+    for (const MonitorSub& s : mon.receive_subs) {
       h = fold(h, s.controller);
       h = fold(h, s.process);
       h = fold(h, s.callback_id);
@@ -864,6 +946,7 @@ void ObjectTable::reboot() {
   for (Shard& shard : shards_) {
     shard = Shard{};
   }
+  monitors_.clear();
   args_pool_.clear();
   live_ = 0;
   total_ = 0;

@@ -19,8 +19,11 @@
 // Storage serves both the one table with "millions of live capabilities" (ROADMAP) and the
 // hundreds of small per-Controller tables of a fat-tree run: objects live in slab arrays
 // grouped into shards selected by a hash of the ObjectIndex. A shard's slabs grow
-// geometrically from 16 to 1024 slots, so a shard's first use value-initialises ~3 KB rather
+// geometrically from 16 to 1024 slots, so a shard's first use value-initialises ~1.5 KB rather
 // than ~200 KB (256 Controllers of ~47 objects each: 1.7 GB peak RSS before, ~0.2 GB after).
+// A slot holds only the hot fields (96 B): kind and flags, the tree links, the creator, and
+// one payload shared by the memory and request kinds. Monitor state, which few objects ever
+// carry, sits in a cold side table keyed by ObjectIndex.
 // Slabs never move, so Object* stays valid across inserts (no rehash storms), freed slots are
 // recycled through a per-shard freelist, and each shard keeps a small open-addressed index
 // from ObjectIndex to slot. The derivation tree uses intrusive sibling links instead of
@@ -211,10 +214,31 @@ class ObjectTable {
   static constexpr uint32_t kSlabShift = 10;
   static_assert(kSlabSlots == size_t{1} << kSlabShift);
 
+  // Bytes of one slab slot, index included.
+  static constexpr size_t slot_bytes() { return sizeof(Slot); }
+
  private:
-  struct Object {
-    ObjectKind kind = ObjectKind::kMemory;
+  // Kind-specific payloads. An object is only ever one kind, so the two share storage in the
+  // hot slot below.
+  struct MemoryPayload {
+    MemoryDesc desc;  // the effective extent of this view
+    Perms perms = Perms::kNone;
+  };
+  struct RequestPayload {
+    // This layer's refinement (roots: initial args); interned, nullptr means empty.
+    std::shared_ptr<const RequestArgs> args;
+    ProcessId provider = kInvalidProcess;  // roots only
+    CapId endpoint_cid = kInvalidCap;      // roots only
+  };
+
+  // The hot slot: what resolution, derivation and revocation touch on every call. Monitor
+  // state lives in the cold `monitors_` table (few objects are ever monitored).
+  struct ObjectHeader {
+    ObjectKind kind = ObjectKind::kMemory;  // selects the live member of Object's payload
     bool invalidated = false;
+    bool is_root = false;      // Request root
+    bool indirection = false;  // revtree child: adds no args of its own
+    bool monitored = false;    // has an entry in monitors_
 
     // Derivation/revocation tree (local to this table), as intrusive links: children hang off
     // `first_child`..`last_child` and chain through the sibling pointers. New children append
@@ -225,23 +249,30 @@ class ObjectTable {
     ObjectIndex prev_sibling = kInvalidObject;
     ObjectIndex next_sibling = kInvalidObject;
 
-    // Memory payload (kind == kMemory): the effective extent/perms of this view.
-    MemoryDesc mem;
-    Perms mem_perms = Perms::kNone;
-
-    // Request payload (kind == kRequest).
-    bool is_root = false;
-    ProcessId provider = kInvalidProcess;
-    CapId endpoint_cid = kInvalidCap;
-    // This layer's refinement (roots: initial args); interned, nullptr means empty.
-    std::shared_ptr<const RequestArgs> args;
-    bool indirection = false;  // revtree child: adds no args of its own
-
     // Creating Process, used to translate a Process failure into revocations.
     ProcessId creator = kInvalidProcess;
+  };
 
-    // Monitors.
-    bool monitor_delegator = false;
+  struct Object : ObjectHeader {
+    union {
+      MemoryPayload mem;   // kind == kMemory
+      RequestPayload req;  // kind == kRequest
+    };
+
+    explicit Object(ObjectKind k = ObjectKind::kMemory);
+    Object(Object&& o) noexcept;
+    Object& operator=(Object&& o) noexcept;
+    ~Object();
+
+   private:
+    // Move-constructs this object's payload (of kind `kind`) from `o`'s.
+    void take_payload(Object& o);
+  };
+
+  // Monitor state (Section 3.6), keyed by ObjectIndex. Only ever point-looked-up: its
+  // iteration order must never drive anything.
+  struct MonitorState {
+    bool delegator = false;  // monitor_delegate'd
     MonitorSub delegate_sub;
     uint32_t delegatee_count = 0;
     bool is_delegatee_child = false;  // decrements parent's counter on revoke
@@ -317,6 +348,13 @@ class ObjectTable {
   bool erase_one(ObjectIndex idx);
   std::shared_ptr<const RequestArgs> intern_args(RequestArgs args);
   const RequestArgs& args_of(const Object& o) const;
+  // The payload of `o` as the snapshot and digest see it: defaults for the other kind.
+  static const MemoryPayload& mem_fields(const Object& o);
+  static const RequestPayload& req_fields(const Object& o);
+  // Monitor state of `o` (stored under `idx`); a default state if it has none.
+  const MonitorState& monitor_fields(ObjectIndex idx, const Object& o) const;
+  // Monitor state of `o`, created on first use.
+  MonitorState& monitor_for(ObjectIndex idx, Object& o);
 
   ControllerAddr owner_;
   uint32_t reboot_count_;
@@ -324,6 +362,7 @@ class ObjectTable {
   Shard shards_[kShardCount];
   size_t live_ = 0;
   size_t total_ = 0;
+  std::unordered_map<ObjectIndex, MonitorState> monitors_;
 
   // Content-interning pool for argument blobs: hash -> weak entries. Objects hold the strong
   // references; a blob dies with its last object and the bucket is pruned on the next probe.

@@ -449,6 +449,80 @@ TEST(CheckImmOverlapTest, Cases) {
   EXPECT_TRUE(check_imm_overlap({}, {{3, {}}, {3, {}}}).ok());
 }
 
+// FNV-1a over a byte string: a compact fingerprint of a serialized snapshot.
+uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Scripted table covering every field the snapshot and digest carry: memory and request
+// objects, revtree children of both kinds, monitor_delegate with delegatee children,
+// monitor_receive subscriptions, a revoke that fires them, and an erase. The golden values
+// pin the encoded state, so a change to the table's storage layout cannot silently change
+// replica digests or catch-up snapshots.
+TEST(ObjectTableGolden, ScriptedTableDigestAndSnapshotArePinned) {
+  ObjectTable t(/*owner=*/3, /*reboot_count=*/2);
+  const uint32_t gen = t.reboot_count();
+  const ObjectIndex m1 =
+      t.create_memory(kProc, MemoryDesc{1, 2, 0x1000, 8192}, Perms::kReadWrite).value();
+  const ObjectIndex m2 = t.derive_memory(kProc, m1, 1024, 2048, Perms::kWrite).value();
+  ASSERT_TRUE(t.create_revtree_child(kOther, m1).ok());
+  WireCap wc;
+  wc.ref = ObjectRef{9, 77, 4};
+  wc.kind = ObjectKind::kMemory;
+  wc.perms = Perms::kRead;
+  wc.mem = MemoryDesc{4, 0, 0x2000, 64};
+  wc.tracked = true;
+  const ObjectIndex r1 =
+      t.create_request_root(kProc, kInvalidCap, RequestArgs{{{0, {1, 2, 3, 4}}}, {wc}}).value();
+  ASSERT_TRUE(t.set_endpoint_cid(r1, 42).ok());
+  const ObjectIndex r2 = t.derive_request_local(kOther, r1, RequestArgs{{{8, {9, 9}}}, {}}).value();
+  const ObjectIndex r3 = t.create_revtree_child(kProc, r2).value();
+  const ObjectIndex m4 =
+      t.create_memory(kOther, MemoryDesc{2, 1, 0, 4096}, Perms::kRead).value();
+  ASSERT_TRUE(t.monitor_delegate(m4, gen, MonitorSub{5, 55, 501}).ok());
+  const ObjectIndex d1 = t.prepare_delegation(m4).value();
+  const ObjectIndex d2 = t.prepare_delegation(m4).value();
+  ASSERT_TRUE(t.monitor_receive(m2, gen, MonitorSub{6, 66, 601}).ok());
+  ASSERT_TRUE(t.monitor_receive(m2, gen, MonitorSub{7, 77, 701}).ok());
+  ASSERT_TRUE(t.monitor_receive(r3, gen, MonitorSub{8, 88, 801}).ok());
+  ASSERT_TRUE(t.monitor_receive(d2, gen, MonitorSub{9, 99, 901}).ok());
+
+  const uint64_t mid_digest = t.digest();
+  const uint64_t mid_snapshot = fnv1a(t.serialize_snapshot());
+
+  auto rd = t.revoke(d1, gen);
+  ASSERT_TRUE(rd.ok());
+  EXPECT_TRUE(rd.value().fires.empty());  // d2 still outstanding
+  auto rm = t.revoke(m2, gen);
+  ASSERT_TRUE(rm.ok());
+  ASSERT_EQ(rm.value().fires.size(), 2u);
+  EXPECT_EQ(rm.value().fires[0].sub.callback_id, 601u);
+  EXPECT_EQ(rm.value().fires[1].sub.callback_id, 701u);
+  EXPECT_EQ(t.erase_objects(rm.value().invalidated), 1u);
+  auto rr = t.revoke(r2, gen);
+  ASSERT_TRUE(rr.ok());
+  ASSERT_EQ(rr.value().fires.size(), 1u);
+  EXPECT_EQ(rr.value().fires[0].sub.callback_id, 801u);
+
+  // Recorded before the hot/cold slot split; the layout must not move them.
+  const std::vector<uint8_t> snap = t.serialize_snapshot();
+  EXPECT_EQ(mid_digest, 15242609877831521016ull);
+  EXPECT_EQ(mid_snapshot, 15470063156281637796ull);
+  EXPECT_EQ(t.digest(), 8549598469441130911ull);
+  EXPECT_EQ(fnv1a(snap), 5371060548242472518ull);
+  EXPECT_EQ(snap.size(), 1145u);
+
+  ObjectTable restored(/*owner=*/3);
+  ASSERT_TRUE(restored.restore_snapshot(snap).ok());
+  EXPECT_EQ(restored.digest(), t.digest());
+  EXPECT_EQ(restored.serialize_snapshot(), snap);
+}
+
 class CapSpaceTest : public ::testing::Test {
  protected:
   static CapEntry entry(ObjectIndex idx) {
@@ -525,6 +599,122 @@ TEST_F(CapSpaceTest, InvalidCidRejected) {
   EXPECT_EQ(space.get(0).error(), ErrorCode::kInvalidCapability);
   EXPECT_EQ(space.remove(12345).error(), ErrorCode::kInvalidCapability);
 }
+
+TEST_F(CapSpaceTest, AllEntriesAreInAscendingCidOrder) {
+  CapSpace space;
+  std::vector<CapId> cids;
+  for (ObjectIndex i = 0; i < CapSpace::kPageSlots + 100; ++i) {
+    cids.push_back(space.install(entry(i)).value());
+  }
+  for (size_t i = 0; i < cids.size(); i += 3) {
+    ASSERT_TRUE(space.remove(cids[i]).ok());
+  }
+  const std::vector<CapEntry> all = space.all_entries();
+  ASSERT_EQ(all.size(), space.size());
+  for (size_t i = 1; i < all.size(); ++i) {
+    EXPECT_LT(all[i - 1].ref.index, all[i].ref.index);  // entry(i) was installed as cid i
+  }
+}
+
+TEST_F(CapSpaceTest, CidsAreNeverReusedAcrossRemovePurgeAndPageRelease) {
+  CapSpace space;
+  const uint32_t n = 2 * CapSpace::kPageSlots + 5;
+  for (ObjectIndex i = 0; i < n; ++i) {
+    ASSERT_EQ(space.install(entry(i)).value(), static_cast<CapId>(i));
+  }
+  EXPECT_EQ(space.resident_pages(), 3u);
+  // Empty the first page through remove() and the second through purge_refs(): both full
+  // pages are released; the partly filled tail page stays.
+  std::vector<ObjectRef> second_page;
+  for (CapId c = 0; c < CapSpace::kPageSlots; ++c) {
+    ASSERT_TRUE(space.remove(c).ok());
+    second_page.push_back(ObjectRef{1, CapSpace::kPageSlots + c, 1});
+  }
+  EXPECT_EQ(space.purge_refs(second_page), CapSpace::kPageSlots);
+  EXPECT_EQ(space.resident_pages(), 1u);
+  EXPECT_EQ(space.size(), 5u);
+  for (CapId c = 0; c < 2 * CapSpace::kPageSlots; ++c) {
+    ASSERT_EQ(space.get(c).error(), ErrorCode::kInvalidCapability) << c;
+    ASSERT_EQ(space.remove(c).error(), ErrorCode::kInvalidCapability) << c;
+  }
+  // New installs continue the sequence instead of refilling released cids.
+  const CapId next = space.install(entry(0)).value();
+  EXPECT_EQ(next, n);
+  EXPECT_EQ(space.get(next).value().ref.index, 0u);
+  EXPECT_EQ(space.get(0).error(), ErrorCode::kInvalidCapability);
+}
+
+TEST_F(CapSpaceTest, InstallRemoveChurnOnOneRefKeepsTheChainExact) {
+  // 10^4 install/remove cycles on one ref beside 1000 long-lived holders of it. The chain
+  // links make each install and remove O(1), and the chain holds exactly the live holders.
+  CapSpace space;
+  std::vector<CapId> holders;
+  for (int i = 0; i < 1000; ++i) {
+    holders.push_back(space.install(entry(42)).value());
+  }
+  CapId last = holders.back();
+  for (int i = 0; i < 10'000; ++i) {
+    const CapId c = space.install(entry(42)).value();
+    ASSERT_GT(c, last);
+    last = c;
+    ASSERT_TRUE(space.remove(c).ok());
+  }
+  // Removing from the middle, the head and the tail of the chain.
+  ASSERT_TRUE(space.remove(holders[500]).ok());
+  ASSERT_TRUE(space.remove(holders.back()).ok());
+  ASSERT_TRUE(space.remove(holders.front()).ok());
+  EXPECT_EQ(space.size(), 997u);
+  EXPECT_EQ(space.get(holders[1]).value().ref.index, 42u);
+  EXPECT_EQ(space.purge_refs({ObjectRef{1, 42, 1}}), 997u);
+  EXPECT_EQ(space.size(), 0u);
+  EXPECT_EQ(space.purge_refs({ObjectRef{1, 42, 1}}), 0u);
+}
+
+TEST_F(CapSpaceTest, PurgeRefsSeparatesRefsWhoseKeysCollide) {
+  // The two refs fold to the same 64-bit key (owner << 40 ^ reboot << 32 ^ index), so they
+  // share a hash and only the full ref comparison tells their chains apart.
+  const ObjectRef a{0, ObjectIndex{1} << 32, 0};
+  const ObjectRef b{0, 0, 1};
+  CapSpace space;
+  std::vector<CapId> a_cids;
+  std::vector<CapId> b_cids;
+  for (int i = 0; i < 4; ++i) {
+    CapEntry ea;
+    ea.ref = a;
+    a_cids.push_back(space.install(ea).value());
+    CapEntry eb;
+    eb.ref = b;
+    b_cids.push_back(space.install(eb).value());
+  }
+  ASSERT_TRUE(space.remove(a_cids[1]).ok());
+  EXPECT_EQ(space.purge_refs({a}), 3u);
+  for (CapId c : a_cids) {
+    EXPECT_EQ(space.get(c).error(), ErrorCode::kInvalidCapability);
+  }
+  for (CapId c : b_cids) {
+    EXPECT_EQ(space.get(c).value().ref, b);
+  }
+  ASSERT_TRUE(space.remove(b_cids[0]).ok());
+  EXPECT_EQ(space.purge_refs({b, a}), 3u);
+  EXPECT_EQ(space.size(), 0u);
+}
+
+TEST_F(CapSpaceTest, QuotaExhaustionRecoversThroughPurge) {
+  CapSpace space(3);
+  ASSERT_TRUE(space.install(entry(1)).ok());
+  ASSERT_TRUE(space.install(entry(1)).ok());
+  ASSERT_TRUE(space.install(entry(2)).ok());
+  EXPECT_EQ(space.install(entry(3)).error(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(space.size(), 3u);
+  EXPECT_EQ(space.purge_refs({ObjectRef{1, 1, 1}}), 2u);
+  EXPECT_EQ(space.install(entry(3)).value(), 3u);  // the refused install minted no cid
+  EXPECT_TRUE(space.install(entry(4)).ok());
+  EXPECT_EQ(space.install(entry(5)).error(), ErrorCode::kResourceExhausted);
+}
+
+// The capability layer's per-entry footprint at 10^6 live objects and caps (DESIGN.md §4g).
+static_assert(ObjectTable::slot_bytes() <= 104, "ObjectTable hot slot grew");
+static_assert(CapSpace::slot_bytes() <= 56, "CapSpace entry grew");
 
 }  // namespace
 }  // namespace fractos

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/apps/face_verify.h"
 #include "src/core/bootstrap.h"
@@ -212,6 +213,50 @@ TEST_F(FailureMatrix, KvStoreDeathFailsLookupsButNotHolders) {
   ASSERT_TRUE(sys_.await(consumer.request_invoke(got)).ok());
   sys_.loop().run();
   EXPECT_EQ(handled, 1);
+}
+
+TEST_F(FailureMatrix, DeadHolderRevokesTrackedCapsInCidOrder) {
+  // Two services on two owners each monitor_delegate two endpoints and delegate them to one
+  // client, interleaving owners. When the client dies, its Controller revokes the tracked
+  // entries at their owners in ascending cid order (its capability space lists entries that
+  // way), so the monitor_delegate callbacks fire in delegation order.
+  Process& s0 = sys_.spawn("s0", n0_, *c0_);
+  Process& s1 = sys_.spawn("s1", n1_, *c1_);
+  Process& client = sys_.spawn("client", n2_, *c2_);
+  std::vector<uint64_t> fired;
+  s0.set_monitor_handler([&](uint64_t cb, bool delegate_mode) {
+    EXPECT_TRUE(delegate_mode);
+    fired.push_back(cb);
+  });
+  s1.set_monitor_handler([&](uint64_t cb, bool delegate_mode) {
+    EXPECT_TRUE(delegate_mode);
+    fired.push_back(cb);
+  });
+  size_t received = 0;
+  const CapId inbox = sys_.await_ok(client.serve({}, [&](Process::Received) { ++received; }));
+  const CapId inbox_s0 = sys_.bootstrap_grant(client, inbox, s0).value();
+  const CapId inbox_s1 = sys_.bootstrap_grant(client, inbox, s1).value();
+
+  struct Delegation {
+    Process* svc;
+    CapId inbox;
+    uint64_t callback;
+  };
+  const std::vector<Delegation> order = {
+      {&s1, inbox_s1, 10}, {&s0, inbox_s0, 20}, {&s1, inbox_s1, 11}, {&s0, inbox_s0, 21}};
+  for (const Delegation& d : order) {
+    const CapId ep = sys_.await_ok(d.svc->serve({}, [](Process::Received) {}));
+    ASSERT_TRUE(sys_.await(d.svc->monitor_delegate(ep, d.callback)).ok());
+    const size_t before = received;
+    ASSERT_TRUE(sys_.await(d.svc->request_invoke(d.inbox, Process::Args{}.cap(ep))).ok());
+    ASSERT_TRUE(sys_.loop().run_until([&]() { return received > before; }));
+  }
+  sys_.loop().run();
+  EXPECT_TRUE(fired.empty());
+
+  sys_.fail_process(client);
+  sys_.loop().run();
+  EXPECT_EQ(fired, (std::vector<uint64_t>{10, 20, 11, 21}));
 }
 
 TEST(FailureEndToEnd, GpuNodeCrashFailsVerifyButFrontendSurvives) {
