@@ -25,11 +25,13 @@
 // per-access bucket sums are CHECKed against end-to-end latency, and aggregate translation
 // time must order tor < owner-cpu < snic.
 //
-// Emits BENCH_memtier.json (override: FRACTOS_BENCH_JSON); CI gates the file exactly — the
-// simulation is deterministic, so any drift is a real model change. Set FRACTOS_MEMTIER_TRACE
-// to a path to also dump the span trace of the owner-cpu placement run.
+// Emits BENCH_memtier.json (override: FRACTOS_BENCH_JSON); CI gates the file exactly apart
+// from its "host" member (wall time, peak RSS): the simulation is deterministic, so any drift
+// is a real model change. Set FRACTOS_MEMTIER_TRACE to a path to also
+// dump the span trace of the owner-cpu placement run.
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -319,7 +321,8 @@ void append_phase_json(std::string& out, const PhaseResult& p, bool last) {
   out += buf;
 }
 
-void write_json(const std::vector<ModeResult>& modes, const std::vector<SweepResult>& sweep) {
+void write_json(const std::vector<ModeResult>& modes, const std::vector<SweepResult>& sweep,
+                const std::string& host) {
   char buf[512];
   std::string out = "{\n  \"bench\": \"memtier\",\n";
   std::snprintf(buf, sizeof(buf),
@@ -354,7 +357,7 @@ void write_json(const std::vector<ModeResult>& modes, const std::vector<SweepRes
                   i + 1 < sweep.size() ? "," : "");
     out += buf;
   }
-  out += "  ]\n}\n";
+  out += "  ],\n  " + host + "\n}\n";
   bench::emit_bench_json("bench_memtier", "BENCH_memtier.json", out);
 }
 
@@ -363,6 +366,7 @@ void write_json(const std::vector<ModeResult>& modes, const std::vector<SweepRes
 
 int main() {
   using namespace fractos;
+  const auto run_start = std::chrono::steady_clock::now();
   std::printf("Far-memory tier: dual-granularity movement and translation placement\n");
 
   std::vector<ModeResult> modes;
@@ -405,7 +409,7 @@ int main() {
   FRACTOS_CHECK_MSG(tor_x < cpu_x && cpu_x < snic_x,
                     "translation placement ordering violated (want tor < owner-cpu < snic)");
 
-  write_json(modes, sweep);
+  write_json(modes, sweep, bench::host_json(run_start));
   std::printf("\nOK\n");
   return 0;
 }

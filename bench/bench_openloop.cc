@@ -22,11 +22,13 @@
 // kOverloaded and the admitted requests keep a bounded p99 — the overload-control story the
 // open-loop harness exists to measure.
 //
-// Emits BENCH_openloop.json (override: FRACTOS_BENCH_JSON); CI gates the file exactly — the
-// simulation is deterministic, so any drift is a real model change. Set FRACTOS_OPENLOOP_TRACE
-// to a path to also dump the span trace of the highest-load FractOS run.
+// Emits BENCH_openloop.json (override: FRACTOS_BENCH_JSON); CI gates the file exactly apart
+// from its "host" member (wall time, peak RSS): the simulation is deterministic, so any drift
+// is a real model change. Set FRACTOS_OPENLOOP_TRACE to a path to also
+// dump the span trace of the highest-load FractOS run.
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -402,7 +404,8 @@ void append_run_json(std::string& out, const char* key, const RunPoint& rp) {
 }
 
 void write_json(const std::vector<Point>& points, double control_load, double control_boost,
-                uint32_t control_limit, const RunPoint& ungated, const RunPoint& gated) {
+                uint32_t control_limit, const RunPoint& ungated, const RunPoint& gated,
+                const std::string& host) {
   std::string out = "{\n  \"bench\": \"openloop\",\n  \"points\": [\n";
   for (size_t i = 0; i < points.size(); ++i) {
     char head[48];
@@ -423,7 +426,7 @@ void write_json(const std::vector<Point>& points, double control_load, double co
   append_run_json(out, "ungated", ungated);
   out += ",\n   ";
   append_run_json(out, "admitted", gated);
-  out += "\n  }\n}\n";
+  out += "\n  },\n  " + host + "\n}\n";
   bench::emit_bench_json("bench_openloop", "BENCH_openloop.json", out);
 }
 
@@ -488,6 +491,7 @@ void check_overload_control(const RunPoint& ungated_run, const RunPoint& gated_r
 
 int main() {
   using namespace fractos;
+  const auto run_start = std::chrono::steady_clock::now();
   std::printf("Open-loop three-tenant sweep on a shared 12-node fat tree (2 spines)\n");
   std::printf("(facever Poisson, storage on/off bursts, inference diurnal; %.0f ms horizon)\n",
               kHorizon.to_seconds() * 1e3);
@@ -520,6 +524,6 @@ int main() {
   check_overload_control(control_ungated, control_gated);
 
   write_json(points, points.back().load, kControlBoost, kAdmissionLimit, control_ungated,
-             control_gated);
+             control_gated, bench::host_json(run_start));
   return 0;
 }

@@ -130,7 +130,6 @@ FaceVerifyFractos::FaceVerifyFractos(System* sys, FaceVerifyCluster* cluster, Lo
   session_ = sys->await_ok(GpuClient::init(*frontend_, gpu_init));
   const CapId kernel_ep = sys->await_ok(GpuClient::load(*frontend_, session_, "face_verify"));
 
-  const uint64_t result_bytes = params_.images_per_batch;
   slots_.resize(params_.pool_slots);
   for (size_t s = 0; s < slots_.size(); ++s) {
     Slot& slot = slots_[s];

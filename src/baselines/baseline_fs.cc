@@ -248,7 +248,6 @@ void BaselineFs::io_pump(std::shared_ptr<BaselineIoState> st) {
 
 void BaselineFs::run_chunk(std::shared_ptr<BaselineIoState> st, size_t slot_idx,
                            uint64_t op_off, uint64_t chunk) {
-  const Slot& slot = slots_[slot_idx];
   auto chunk_finished = [this, st, slot_idx, chunk](Status s) {
     slot_pool_.release(slot_idx);
     --st->in_flight;

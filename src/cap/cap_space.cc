@@ -6,28 +6,12 @@
 
 namespace fractos {
 
-namespace {
-
-constexpr size_t kNoBucket = ~size_t{0};
-
-// splitmix64 finalizer: owners, generations and sequential indices spread over the buckets.
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+static_assert(kInvalidCap == DenseIndex::kAbsent, "a ref without a chain has head kInvalidCap");
 
 CapSpace::CapSpace(uint32_t quota) : quota_(quota) {}
 
-uint32_t CapSpace::ref_hash(const ObjectRef& ref) {
-  // Collisions are tolerated (probes compare the full ref), so a cheap fold suffices before
-  // the mix.
-  return static_cast<uint32_t>(mix64((static_cast<uint64_t>(ref.owner) << 40) ^
-                                     (static_cast<uint64_t>(ref.reboot_count) << 32) ^
-                                     ref.index));
+uint64_t CapSpace::ref_group(const ObjectRef& ref) {
+  return (static_cast<uint64_t>(ref.owner) << 32) | ref.reboot_count;
 }
 
 // --- cid pages -----------------------------------------------------------------------------
@@ -55,59 +39,6 @@ void CapSpace::release(CapId cid, Slot& s) {
   Page& page = pages_[cid >> kPageShift];
   if (--page.live == 0 && page.slots.size() == kPageSlots) {
     std::vector<Slot>().swap(page.slots);  // every cid of the page is minted and gone
-  }
-}
-
-// --- ref index -----------------------------------------------------------------------------
-
-size_t CapSpace::probe(const ObjectRef& ref, uint32_t hash) const {
-  const size_t mask = buckets_.size() - 1;
-  for (size_t b = hash & mask;; b = (b + 1) & mask) {
-    const RefBucket& bucket = buckets_[b];
-    if (bucket.head == kInvalidCap ||
-        (bucket.hash == hash && find(bucket.head)->ref() == ref)) {
-      return b;
-    }
-  }
-}
-
-size_t CapSpace::find_chain(const ObjectRef& ref, uint32_t hash) const {
-  if (buckets_.empty()) {
-    return kNoBucket;
-  }
-  const size_t b = probe(ref, hash);
-  return buckets_[b].head == kInvalidCap ? kNoBucket : b;
-}
-
-void CapSpace::erase_chain(size_t hole) {
-  // Backward-shift deletion: pull each later member of the probe run into the hole unless
-  // that would move it in front of its home bucket. No tombstones, so churn never degrades
-  // probe lengths.
-  const size_t mask = buckets_.size() - 1;
-  for (size_t b = (hole + 1) & mask; buckets_[b].head != kInvalidCap; b = (b + 1) & mask) {
-    const size_t home = buckets_[b].hash & mask;
-    if (((b - home) & mask) >= ((b - hole) & mask)) {
-      buckets_[hole] = buckets_[b];
-      hole = b;
-    }
-  }
-  buckets_[hole] = RefBucket{};
-  --chains_;
-}
-
-void CapSpace::grow_index() {
-  std::vector<RefBucket> old = std::move(buckets_);
-  buckets_.assign(old.empty() ? 16 : old.size() * 2, RefBucket{});
-  const size_t mask = buckets_.size() - 1;
-  for (const RefBucket& bucket : old) {
-    if (bucket.head == kInvalidCap) {
-      continue;
-    }
-    size_t b = bucket.hash & mask;
-    while (buckets_[b].head != kInvalidCap) {
-      b = (b + 1) & mask;
-    }
-    buckets_[b] = bucket;
   }
 }
 
@@ -142,21 +73,12 @@ Result<CapId> CapSpace::install(CapEntry entry) {
   s.tracked = entry.tracked;
   s.live = true;
 
-  // Link at the head of the ref's chain, starting the chain if the ref is new. The index grows
-  // before the probe, so one probe finds either the chain or the bucket for a new one.
-  if ((chains_ + 1) * 4 > buckets_.size() * 3) {
-    grow_index();
+  // Link at the head of the ref's chain, starting the chain if the ref is new.
+  const CapId head = heads_.put(entry.ref.index, cid, ref_group(entry.ref));
+  if (head != kInvalidCap) {
+    s.next = head;
+    slot(head).prev = cid;
   }
-  const uint32_t hash = ref_hash(entry.ref);
-  RefBucket& bucket = buckets_[probe(entry.ref, hash)];
-  if (bucket.head != kInvalidCap) {
-    s.next = bucket.head;
-    slot(s.next).prev = cid;
-  } else {
-    bucket.hash = hash;
-    ++chains_;
-  }
-  bucket.head = cid;
   return cid;
 }
 
@@ -178,15 +100,12 @@ Status CapSpace::remove(CapId cid) {
   }
   if (s->prev != kInvalidCap) {
     slot(s->prev).next = s->next;
+  } else if (s->next != kInvalidCap) {
+    [[maybe_unused]] const CapId head = heads_.put(s->index, s->next, ref_group(s->ref()));
+    FRACTOS_DCHECK(head == cid);
   } else {
-    const ObjectRef ref = s->ref();
-    const size_t b = find_chain(ref, ref_hash(ref));
-    FRACTOS_DCHECK(b != kNoBucket && buckets_[b].head == cid);
-    if (s->next != kInvalidCap) {
-      buckets_[b].head = s->next;
-    } else {
-      erase_chain(b);
-    }
+    [[maybe_unused]] const CapId head = heads_.erase(s->index, ref_group(s->ref()));
+    FRACTOS_DCHECK(head == cid);
   }
   release(cid, *s);
   return ok_status();
@@ -195,18 +114,13 @@ Status CapSpace::remove(CapId cid) {
 size_t CapSpace::purge_refs(const std::vector<ObjectRef>& revoked) {
   size_t purged = 0;
   for (const ObjectRef& r : revoked) {
-    const size_t b = find_chain(r, ref_hash(r));
-    if (b == kNoBucket) {
-      continue;
-    }
-    for (CapId cid = buckets_[b].head; cid != kInvalidCap;) {
+    for (CapId cid = heads_.erase(r.index, ref_group(r)); cid != kInvalidCap;) {
       Slot& s = slot(cid);
       const CapId next = s.next;  // read before release() may free the page
       release(cid, s);
       ++purged;
       cid = next;
     }
-    erase_chain(b);
   }
   return purged;
 }

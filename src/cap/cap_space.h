@@ -9,9 +9,10 @@
 // cids are minted sequentially and never reused, so entries live in fixed pages of
 // kPageSlots indexed directly by cid: a lookup is two array reads, and a page is freed once
 // every cid it covers has been minted and removed. Entries holding the same ObjectRef are
-// chained through per-entry prev/next cid links, and an open-addressed index maps each ref to
-// its chain head. install, remove and every entry purge_refs drops are O(1); nothing ever
-// scans the other holders of a ref.
+// chained through per-entry prev/next cid links, and a DenseIndex keyed by (owner and
+// generation, object index) maps each ref to its chain head: refs from one owner arrive in
+// index order, so they share leaves. install, remove and every entry purge_refs drops are
+// O(1); nothing ever scans the other holders of a ref.
 
 #ifndef SRC_CAP_CAP_SPACE_H_
 #define SRC_CAP_CAP_SPACE_H_
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/cap/dense_index.h"
 #include "src/cap/types.h"
 
 namespace fractos {
@@ -89,15 +91,9 @@ class CapSpace {
     uint32_t live = 0;
   };
 
-  // Ref index bucket: `head` is the first cid of the chain (kInvalidCap = empty), `hash` the
-  // ref's hash, kept so that probes read an entry only on a hash match and deletion never
-  // reads one.
-  struct RefBucket {
-    uint32_t hash = 0;
-    CapId head = kInvalidCap;
-  };
-
-  static uint32_t ref_hash(const ObjectRef& ref);
+  // The DenseIndex group of a ref: its owner and generation, so that refs differing only in
+  // those never share a chain.
+  static uint64_t ref_group(const ObjectRef& ref);
 
   Slot* find(CapId cid);
   const Slot* find(CapId cid) const;
@@ -105,17 +101,8 @@ class CapSpace {
   // Marks a live entry dead and frees its page once the page is full and empty.
   void release(CapId cid, Slot& s);
 
-  // The bucket holding the chain for `ref`, else the empty bucket that ends its probe run.
-  // The index must be non-empty.
-  size_t probe(const ObjectRef& ref, uint32_t hash) const;
-  // Bucket of the chain for `ref`, or ~0 if it has none.
-  size_t find_chain(const ObjectRef& ref, uint32_t hash) const;
-  void erase_chain(size_t bucket);
-  void grow_index();
-
   std::vector<Page> pages_;
-  std::vector<RefBucket> buckets_;  // open-addressed, linear probing, power-of-two size
-  size_t chains_ = 0;
+  DenseIndex heads_;  // (ref_group, ref.index) -> first cid of the ref's chain
   CapId next_cid_ = 0;
   uint32_t quota_;
   size_t live_ = 0;

@@ -119,82 +119,15 @@ ObjectTable::Slot* ObjectTable::find_slot(ObjectIndex idx) {
 }
 
 const ObjectTable::Slot* ObjectTable::find_slot(ObjectIndex idx) const {
-  if (idx == kInvalidObject || idx == 0) {
-    return nullptr;
-  }
-  const Shard& shard = shard_of(idx);
-  if (shard.buckets.empty()) {
-    return nullptr;
-  }
-  const size_t mask = shard.buckets.size() - 1;
-  for (size_t probe = mix64(idx) & mask;; probe = (probe + 1) & mask) {
-    const IndexBucket& b = shard.buckets[probe];
-    if (b.key == 0) {
-      return nullptr;  // hit an empty bucket: key absent
-    }
-    if (b.key == idx) {
-      const Slot* slot = &slot_at(shard, b.slot);
-      return slot->idx == idx ? slot : nullptr;
-    }
-    // Tombstones (kInvalidObject) and other keys: keep probing.
-  }
-}
-
-void ObjectTable::index_grow(Shard& shard) {
-  std::vector<IndexBucket> old = std::move(shard.buckets);
-  const size_t new_size = old.empty() ? 16 : old.size() * 2;
-  shard.buckets.assign(new_size, IndexBucket{});
-  shard.filled = 0;
-  const size_t mask = new_size - 1;
-  for (const IndexBucket& b : old) {
-    if (b.key == 0 || b.key == kInvalidObject) {
-      continue;  // rehash drops tombstones
-    }
-    size_t probe = mix64(b.key) & mask;
-    while (shard.buckets[probe].key != 0) {
-      probe = (probe + 1) & mask;
-    }
-    shard.buckets[probe] = b;
-    ++shard.filled;
-  }
-}
-
-void ObjectTable::index_insert(Shard& shard, ObjectIndex idx, uint32_t slot) {
-  // Grow at 3/4 load counting tombstones, so probes stay short forever.
-  if (shard.buckets.empty() || (shard.filled + 1) * 4 > shard.buckets.size() * 3) {
-    index_grow(shard);
-  }
-  const size_t mask = shard.buckets.size() - 1;
-  size_t probe = mix64(idx) & mask;
-  while (shard.buckets[probe].key != 0 && shard.buckets[probe].key != kInvalidObject) {
-    FRACTOS_DCHECK(shard.buckets[probe].key != idx);
-    probe = (probe + 1) & mask;
-  }
-  if (shard.buckets[probe].key == 0) {
-    ++shard.filled;  // reusing a tombstone doesn't change the filled count
-  }
-  shard.buckets[probe] = IndexBucket{idx, slot};
-  ++shard.entries;
-}
-
-uint32_t ObjectTable::index_erase(Shard& shard, ObjectIndex idx) {
-  FRACTOS_DCHECK(!shard.buckets.empty());
-  const size_t mask = shard.buckets.size() - 1;
-  for (size_t probe = mix64(idx) & mask;; probe = (probe + 1) & mask) {
-    IndexBucket& b = shard.buckets[probe];
-    FRACTOS_CHECK(b.key != 0);  // caller verified the key exists
-    if (b.key == idx) {
-      b.key = kInvalidObject;  // tombstone keeps probe chains intact
-      --shard.entries;
-      return b.slot;
-    }
-  }
+  const uint32_t slot_id = index_.find(idx);
+  return slot_id == DenseIndex::kAbsent ? nullptr : &slot_at(shard_of(idx), slot_id);
 }
 
 void ObjectTable::grow_slabs(Shard& shard) {
   const uint32_t slab = static_cast<uint32_t>(shard.slabs.size());
   const uint32_t slots = slab_slots(slab);
-  FRACTOS_CHECK(slab < (1u << (32 - kSlabShift)));  // slot ids must fit in 32 bits
+  // Slot ids must fit in 32 bits, and the all-ones id is DenseIndex::kAbsent.
+  FRACTOS_CHECK(slab + 1 < (1u << (32 - kSlabShift)));
   shard.slabs.push_back(std::make_unique<Slot[]>(slots));
   // Newly minted slots enter the freelist back-to-front so allocation proceeds front-to-back
   // within the slab (deterministic iteration order).
@@ -213,7 +146,8 @@ ObjectTable::Slot& ObjectTable::claim_slot(Shard& shard, ObjectIndex idx, Object
   Slot& slot = slot_at(shard, slot_id);
   slot.idx = idx;
   slot.obj = std::move(obj);
-  index_insert(shard, idx, slot_id);
+  [[maybe_unused]] const uint32_t prior = index_.put(idx, slot_id);
+  FRACTOS_DCHECK(prior == DenseIndex::kAbsent);
   ++total_;
   return slot;
 }
@@ -226,7 +160,6 @@ ObjectIndex ObjectTable::insert(Object obj) {
 }
 
 void ObjectTable::insert_with_index(ObjectIndex idx, Object obj) {
-  FRACTOS_DCHECK(find_slot(idx) == nullptr);
   const Slot& slot = claim_slot(shard_of(idx), idx, std::move(obj));
   if (!slot.obj.invalidated) {
     ++live_;
@@ -589,11 +522,9 @@ bool ObjectTable::erase_one(ObjectIndex idx) {
   if (o.monitored) {
     monitors_.erase(idx);
   }
-  Shard& shard = shard_of(idx);
-  const uint32_t slot_id = index_erase(shard, idx);
   slot->idx = kInvalidObject;
   slot->obj = Object{};
-  shard.free_slots.push_back(slot_id);
+  shard_of(idx).free_slots.push_back(index_.erase(idx));
   --total_;
   return true;
 }
@@ -808,18 +739,20 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
   }
   // Destructive restore: the caller is replacing a stale or diverged replica wholesale, so a
   // malformed blob past this point leaves an empty table (and an error to act on).
-  for (Shard& shard : shards_) {
-    shard = Shard{};
-  }
-  monitors_.clear();
-  args_pool_.clear();
-  live_ = 0;
-  total_ = 0;
+  clear_objects();
   reboot_count_ = reboot;
   next_index_ = next;
   for (uint32_t i = 0; i < count && d.ok(); ++i) {
+    // Blobs come from peers: an index must be one this table could have minted (in
+    // [1, next), so never the free marker kInvalidObject) and appear once.
     const ObjectIndex idx = d.get_u64();
-    Object o(static_cast<ObjectKind>(d.get_u8()));
+    const uint8_t kind = d.get_u8();
+    if (idx == 0 || idx >= next || exists(idx) ||
+        kind > static_cast<uint8_t>(ObjectKind::kRequest)) {
+      clear_objects();
+      return ErrorCode::kInvalidArgument;
+    }
+    Object o(static_cast<ObjectKind>(kind));
     o.invalidated = d.get_bool();
     o.parent = d.get_u64();
     o.first_child = d.get_u64();
@@ -869,6 +802,7 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
     insert_with_index(idx, std::move(o));
   }
   if (!d.ok() || !d.done()) {
+    clear_objects();
     return ErrorCode::kInvalidArgument;
   }
   return ok_status();
@@ -943,15 +877,20 @@ std::vector<ObjectIndex> ObjectTable::invalidated_objects() const {
 // --- failure handling ----------------------------------------------------------------------
 
 void ObjectTable::reboot() {
+  clear_objects();
+  next_index_ = 1;
+  ++reboot_count_;
+}
+
+void ObjectTable::clear_objects() {
   for (Shard& shard : shards_) {
     shard = Shard{};
   }
+  index_ = DenseIndex{};
   monitors_.clear();
   args_pool_.clear();
   live_ = 0;
   total_ = 0;
-  next_index_ = 1;
-  ++reboot_count_;
 }
 
 // --- introspection -------------------------------------------------------------------------

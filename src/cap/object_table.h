@@ -24,11 +24,12 @@
 // A slot holds only the hot fields (96 B): kind and flags, the tree links, the creator, and
 // one payload shared by the memory and request kinds. Monitor state, which few objects ever
 // carry, sits in a cold side table keyed by ObjectIndex.
-// Slabs never move, so Object* stays valid across inserts (no rehash storms), freed slots are
-// recycled through a per-shard freelist, and each shard keeps a small open-addressed index
-// from ObjectIndex to slot. The derivation tree uses intrusive sibling links instead of
-// per-node child vectors, so revocation touches exactly the revoked subtree and erasure
-// unlinks in O(1) — no global scans to fix dangling links. Request argument blobs are
+// Slabs never move, so Object* stays valid across inserts (no rehash storms) and freed slots
+// are recycled through a per-shard freelist. One DenseIndex maps each ObjectIndex to its slot:
+// indices are minted in sequence, so 64 of them share a leaf (~5 B an object at 10^6) and a
+// fill mostly hits the last-leaf cache. The derivation tree uses intrusive sibling links
+// instead of per-node child vectors, so revocation touches exactly the revoked subtree and
+// erasure unlinks in O(1) — no global scans to fix dangling links. Request argument blobs are
 // content-interned (the way span names are NameId-interned in sim/trace), so N delegations of
 // the same refinement share one allocation.
 
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/cap/dense_index.h"
 #include "src/cap/types.h"
 #include "src/wire/message.h"
 
@@ -168,7 +170,10 @@ class ObjectTable {
 
   // Deterministic full-state serialization for follower catch-up (objects sorted by index,
   // every field verbatim). restore_snapshot replaces this table's entire contents, including
-  // owner, reboot counter, and the next-index cursor.
+  // owner, reboot counter, and the next-index cursor. Blobs come from peers: one that is
+  // truncated or holds index 0, kInvalidObject, an index at or past its next-index cursor, a
+  // duplicate index or an unknown kind is rejected with kInvalidArgument and leaves the
+  // table empty.
   std::vector<uint8_t> serialize_snapshot() const;
   Status restore_snapshot(const std::vector<uint8_t>& blob);
 
@@ -286,17 +291,9 @@ class ObjectTable {
     Object obj;
   };
 
-  struct IndexBucket {
-    ObjectIndex key = 0;  // 0 = empty (indices start at 1), kInvalidObject = tombstone
-    uint32_t slot = 0;
-  };
-
   struct Shard {
     std::vector<std::unique_ptr<Slot[]>> slabs;
-    std::vector<uint32_t> free_slots;       // LIFO recycle list of slot ids
-    std::vector<IndexBucket> buckets;       // open-addressed, power-of-two size
-    size_t filled = 0;                      // occupied + tombstoned buckets
-    size_t entries = 0;                     // live keys
+    std::vector<uint32_t> free_slots;  // LIFO recycle list of slot ids
   };
 
   static uint64_t mix(ObjectIndex idx);
@@ -317,9 +314,8 @@ class ObjectTable {
 
   Slot* find_slot(ObjectIndex idx);
   const Slot* find_slot(ObjectIndex idx) const;
-  void index_insert(Shard& shard, ObjectIndex idx, uint32_t slot);
-  uint32_t index_erase(Shard& shard, ObjectIndex idx);  // returns the freed slot id
-  void index_grow(Shard& shard);
+  // Drops every object, keeping owner, reboot counter and next-index cursor.
+  void clear_objects();
 
   // Walks every live slot in deterministic order: shard 0..N, slabs in allocation order,
   // slots in slot order.
@@ -360,6 +356,7 @@ class ObjectTable {
   uint32_t reboot_count_;
   ObjectIndex next_index_ = 1;
   Shard shards_[kShardCount];
+  DenseIndex index_;  // ObjectIndex -> slot id within shard_of(idx)
   size_t live_ = 0;
   size_t total_ = 0;
   std::unordered_map<ObjectIndex, MonitorState> monitors_;

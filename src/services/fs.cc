@@ -445,7 +445,6 @@ void FsService::run_chunk(std::shared_ptr<FsIoState> st, size_t slot_idx, uint64
   const uint64_t pos = st->off + op_off;
   const uint64_t extent = pos / st->extent_bytes;
   const uint64_t eoff = pos % st->extent_bytes;
-  Slot& slot = slots_[slot_idx];
   auto chunk_finished = [this, st, slot_idx, chunk](Status s) {
     slot_pool_.release(slot_idx);
     --st->in_flight;
