@@ -13,7 +13,7 @@ Node::Node(EventLoop* loop, uint32_t id, std::string name, bool with_snic)
 
 PoolId Node::add_pool(uint64_t size) {
   // Sized construction (not fill-construction) so PoolAlloc's no-op value-init applies and
-  // the calloc'd pages stay untouched.
+  // the mapped pages stay untouched.
   pools_.emplace_back(size);
   return static_cast<PoolId>(pools_.size() - 1);
 }
