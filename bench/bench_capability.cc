@@ -90,14 +90,14 @@ double revocation_us(Loc ctrl_loc, int n, bool one_revtree_per_cap) {
     // Traditional: one individually revocable (revtree child) object per delegation.
     for (int i = 0; i < n; ++i) {
       const CapId child = sys.await_ok(owner.cap_create_revtree(base));
-      sys.bootstrap_grant(owner, child, holder);
+      FRACTOS_CHECK(sys.bootstrap_grant(owner, child, holder).ok());
       to_revoke.push_back(child);
     }
   } else {
     // Optimized: every delegatee points at ONE revtree child; one revoke kills all.
     const CapId child = sys.await_ok(owner.cap_create_revtree(base));
     for (int i = 0; i < n; ++i) {
-      sys.bootstrap_grant(owner, child, holder);
+      FRACTOS_CHECK(sys.bootstrap_grant(owner, child, holder).ok());
     }
     to_revoke.push_back(child);
   }

@@ -50,7 +50,7 @@ NullResult fractos_null_us(Loc ctrl_loc) {
   Summary s;
   for (int i = 0; i < 1000; ++i) {
     const Time start = sys.loop().now();
-    sys.await(p.null_op());
+    FRACTOS_CHECK(sys.await(p.null_op()).ok());
     s.add(sys.loop().now() - start);
   }
   return NullResult{s.mean(), s.stddev()};

@@ -619,7 +619,7 @@ void Controller::bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, 
   st->src = src;
   st->dst = dst;
   st->total = total;
-  st->chunk = total <= config_.double_buffer_threshold ? total : config_.copy_chunk_bytes;
+  st->chunk = total <= kDoubleBufferThreshold ? total : config_.copy_chunk_bytes;
   st->done = std::move(done);
   if (total == 0) {
     net_->loop()->post([st]() { st->done(ok_status()); });
@@ -711,7 +711,7 @@ Duration Controller::cap_serialize_cost(const std::vector<WireCap>& caps) {
   for (const WireCap& wc : caps) {
     const uint64_t key = (static_cast<uint64_t>(wc.ref.owner) << 48) ^ wc.ref.index;
     if (config_.cache_serialized_requests && serialized_cache_.contains(key)) {
-      total += config_.costs.cap_serialize * config_.serialized_cache_discount;
+      total += config_.costs.cap_serialize * ControllerCosts::kSerializedCacheDiscount;
     } else {
       total += config_.costs.cap_serialize;
       if (config_.cache_serialized_requests) {
@@ -1879,11 +1879,11 @@ void Controller::flush_peer_batch(ControllerAddr peer) {
 
 void Controller::schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t> op_ids,
                                        Payload frame, uint32_t attempt) {
-  if (attempt > config_.peer_op_retry_budget) {
+  if (attempt > kPeerOpRetryBudget) {
     return;
   }
   const Duration delay =
-      config_.peer_op_rto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
+      kPeerOpRto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
   net_->loop()->schedule_after(delay, [this, peer, op_ids = std::move(op_ids),
                                        frame = std::move(frame), attempt]() mutable {
     if (failed_) {
@@ -1911,11 +1911,11 @@ void Controller::schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t
 
 void Controller::schedule_peer_resend(ControllerAddr peer, uint64_t op_id, Payload frame,
                                       uint32_t attempt) {
-  if (attempt > config_.peer_op_retry_budget) {
+  if (attempt > kPeerOpRetryBudget) {
     return;
   }
   const Duration delay =
-      config_.peer_op_rto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
+      kPeerOpRto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
   net_->loop()->schedule_after(delay, [this, peer, op_id, frame = std::move(frame),
                                        attempt]() mutable {
     if (failed_ || !pending_ops_.contains(op_id)) {

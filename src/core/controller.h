@@ -67,52 +67,58 @@ struct ControllerStats {
   uint64_t admission_max_inflight = 0; // high-water mark of concurrently admitted invokes
 };
 
+// The Controller settings a deployment may choose, declared once: SystemConfig inherits them
+// and System::add_controller hands them to every Controller it deploys. SystemConfig::validate
+// rejects the values that make no sense (DESIGN.md lists each field and its rule).
+struct ControllerPolicy {
+  // Congestion control: max unacknowledged deliveries per Process (Section 4).
+  uint32_t congestion_window = 1024;
+  // memory_copy staging: chunk size of the pipelined (double-buffered) copies of Fig. 5.
+  uint64_t copy_chunk_bytes = 64 * 1024;
+  // Fig. 5 "HW copies": use third-party RDMA instead of bounce buffers.
+  bool hw_third_party_copies = false;
+  // Capability-space capacity of each attached Process.
+  uint32_t cap_quota = 1u << 20;
+  // Optimization suggested by the paper (Section 6.1): cache serialized Requests so that
+  // repeat delegations of the same object pay a fraction of the serialization cost.
+  bool cache_serialized_requests = false;
+  // Peer-op reliability (effective only on a lossy fabric): the whole operation times out
+  // with kTimeout at peer_op_deadline.
+  Duration peer_op_deadline = Duration::millis(1);
+  // Completed-peer-op dedup entries older than this are evicted (deterministically, on
+  // simulated time). Must stay well above peer_op_deadline: once an op's deadline passes,
+  // no more resends of it can arrive, so its cached reply is dead weight.
+  Duration peer_op_dedup_ttl = Duration::millis(50);
+  // Capability hot path (all off by default for compatibility with existing goldens):
+  // owner-side translation cache capacity in entries; 0 disables caching.
+  uint32_t translation_cache_entries = 0;
+  // Depth-proportional translation pricing: a local delivery pays an extra
+  // (chain_depth - 1) * request_traversal on a translation-cache miss and nothing on a
+  // hit. Off means the legacy flat pricing (every invoke costs the same regardless of
+  // delegation depth) — enabling it without a cache is the honest baseline for Fig. 7.
+  bool charge_chain_traversal = false;
+  // Batched owner-bound peer ops: coalesce up to this many RemoteDerive ops per peer into
+  // one kRemoteDeriveBatch frame (amortizing per-message syscall_base). 0 sends singles.
+  uint32_t peer_op_batch_max = 0;
+  // How long a non-full batch may wait for more ops before flushing.
+  Duration peer_op_batch_delay = Duration::micros(2);
+};
+
 class Controller {
  public:
-  struct Config {
+  // Deployment (System assigns all three); the cost model follows the placement.
+  struct Config : ControllerPolicy {
     ControllerAddr addr = 0;
     Endpoint endpoint;
     ControllerCosts costs;
-    // Congestion control: max unacknowledged deliveries per Process (Section 4).
-    uint32_t congestion_window = 1024;
-    // memory_copy staging: below the threshold the copy is read-then-write; above it, chunks
-    // are pipelined (double buffering), as in Fig. 5.
-    uint64_t double_buffer_threshold = 16 * 1024;
-    uint64_t copy_chunk_bytes = 64 * 1024;
-    // Fig. 5 "HW copies": use third-party RDMA instead of bounce buffers.
-    bool hw_third_party_copies = false;
-    uint32_t cap_quota = 1u << 20;
-    // Optimization suggested by the paper (Section 6.1): cache serialized Requests so that
-    // repeat delegations of the same object pay a fraction of the serialization cost.
-    bool cache_serialized_requests = false;
-    double serialized_cache_discount = 0.25;  // fraction of cap_serialize paid on a hit
-    // Peer-op reliability (effective only on a lossy fabric): requests are resent with
-    // exponential backoff from peer_op_rto, at most peer_op_retry_budget times, and the
-    // whole operation times out with kTimeout at peer_op_deadline.
-    Duration peer_op_rto = Duration::micros(150);
-    uint32_t peer_op_retry_budget = 3;
-    Duration peer_op_deadline = Duration::millis(1);
-    // Completed-peer-op dedup entries older than this are evicted (deterministically, on
-    // simulated time). Must stay well above peer_op_deadline: once an op's deadline passes,
-    // no more resends of it can arrive, so its cached reply is dead weight.
-    Duration peer_op_dedup_ttl = Duration::millis(50);
-    // Capability hot path (all off by default for compatibility with existing goldens):
-    // owner-side translation cache capacity in entries; 0 disables caching.
-    uint32_t translation_cache_entries = 0;
-    // Depth-proportional translation pricing: a local delivery pays an extra
-    // (chain_depth - 1) * request_traversal on a translation-cache miss and nothing on a
-    // hit. Off means the legacy flat pricing (every invoke costs the same regardless of
-    // delegation depth) — enabling it without a cache is the honest baseline for Fig. 7.
-    bool charge_chain_traversal = false;
-    // Batched owner-bound peer ops: coalesce up to this many RemoteDerive ops per peer into
-    // one kRemoteDeriveBatch frame (amortizing per-message syscall_base). 0 sends singles.
-    uint32_t peer_op_batch_max = 0;
-    // How long a non-full batch may wait for more ops before flushing.
-    Duration peer_op_batch_delay = Duration::micros(2);
   };
 
   // Bound on the completed-peer-op reply cache (receiver-side dedup, lossy fabric only).
   static constexpr size_t kCompletedPeerOpCacheCap = 4096;
+  // Peer-op resends (lossy fabric only): a request is resent with exponential backoff from
+  // kPeerOpRto, at most kPeerOpRetryBudget times, until its peer_op_deadline.
+  static constexpr Duration kPeerOpRto = Duration::micros(150);
+  static constexpr uint32_t kPeerOpRetryBudget = 3;
 
   Controller(Network* net, Config config);
   // Completes any still-pending peer operations with kChannelClosed so their futures never
@@ -362,6 +368,9 @@ class Controller {
   void fail_pending_ops(ErrorCode status);
   // The memory_copy data path.
   void do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const CapEntry& dst);
+  // Fig. 5: "FractOS uses double buffering for buffers larger than 16 KB"; copies up to this
+  // size take one read and one write, larger ones are chunked by copy_chunk_bytes.
+  static constexpr uint64_t kDoubleBufferThreshold = 16 * 1024;
   void bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, uint64_t total,
                            std::function<void(Status)> done);
   // Charges additional compute, then runs `fn`.

@@ -67,6 +67,9 @@ struct ControllerCosts {
   // Per capability argument crossing a Controller boundary (delegation).
   Duration cap_serialize = Duration::micros(1.20);
   Duration cap_deserialize = Duration::micros(1.20);
+  // Fraction of cap_serialize a delegation pays when its serialized Request is already
+  // cached (ControllerPolicy::cache_serialized_requests, Section 6.1's suggestion).
+  static constexpr double kSerializedCacheDiscount = 0.25;
   // Installing one capability into a Process's capability space.
   Duration cap_install = Duration::micros(0.15);
   // Fixed orchestration cost of a memory_copy (bounce-buffer management, two RDMA setups).

@@ -45,11 +45,27 @@ std::optional<std::string> SystemConfig::validate(uint32_t num_nodes) const {
   if (copy_chunk_bytes == 0) {
     return "copy_chunk_bytes must be >= 1 (0 would make chunked copies loop forever)";
   }
+  if (cap_quota == 0) {
+    return "cap_quota must be >= 1 (0 would refuse every capability a Process is given)";
+  }
+  if (peer_op_deadline <= Duration::zero()) {
+    return "peer_op_deadline must be positive (" + std::to_string(peer_op_deadline.ns()) +
+           "ns would time out every peer op the moment it is sent)";
+  }
   if (peer_op_dedup_ttl < peer_op_deadline) {
     return "peer_op_dedup_ttl (" + std::to_string(peer_op_dedup_ttl.ns()) +
            "ns) is shorter than peer_op_deadline (" + std::to_string(peer_op_deadline.ns()) +
            "ns): dedup entries would be evicted while resends of their op can still "
            "arrive, re-executing non-idempotent ops; raise the TTL above the deadline";
+  }
+  if (fabric.mtu_bytes == 0) {
+    return "fabric.mtu_bytes must be >= 1 (a 0-byte MTU cannot segment any payload)";
+  }
+  if (!(fabric.wire_bandwidth_bpns > 0.0)) {
+    return "fabric.wire_bandwidth_bpns must be positive (cross-node transfers never end)";
+  }
+  if (!(fabric.local_bandwidth_bpns > 0.0)) {
+    return "fabric.local_bandwidth_bpns must be positive (same-node transfers never end)";
   }
   if (replication_group_size == 1) {
     return "replication_group_size of 1 replicates nothing (the seat alone); use 0 to "
@@ -188,23 +204,10 @@ void System::install_authorizer(uint32_t node) {
 
 Controller& System::add_controller(uint32_t node, Loc loc) {
   Controller::Config cfg;
+  static_cast<ControllerPolicy&>(cfg) = config_;
   cfg.addr = next_ctrl_addr_++;
   cfg.endpoint = Endpoint{node, loc};
-  cfg.costs = loc == Loc::kHost ? config_.host_costs : config_.snic_costs;
-  cfg.congestion_window = config_.congestion_window;
-  cfg.double_buffer_threshold = config_.double_buffer_threshold;
-  cfg.copy_chunk_bytes = config_.copy_chunk_bytes;
-  cfg.hw_third_party_copies = config_.hw_third_party_copies;
-  cfg.cap_quota = config_.cap_quota;
-  cfg.cache_serialized_requests = config_.cache_serialized_requests;
-  cfg.peer_op_rto = config_.peer_op_rto;
-  cfg.peer_op_retry_budget = config_.peer_op_retry_budget;
-  cfg.peer_op_deadline = config_.peer_op_deadline;
-  cfg.peer_op_dedup_ttl = config_.peer_op_dedup_ttl;
-  cfg.translation_cache_entries = config_.translation_cache_entries;
-  cfg.charge_chain_traversal = config_.charge_chain_traversal;
-  cfg.peer_op_batch_max = config_.peer_op_batch_max;
-  cfg.peer_op_batch_delay = config_.peer_op_batch_delay;
+  cfg.costs = loc == Loc::kHost ? ControllerCosts::host() : ControllerCosts::snic();
   controllers_.push_back(std::make_unique<Controller>(net_.get(), cfg));
   Controller& c = *controllers_.back();
   by_addr_[c.addr()] = &c;
@@ -261,7 +264,7 @@ std::vector<Controller*> System::controllers() {
 Process& System::spawn(const std::string& name, uint32_t node, Controller& controller,
                        uint64_t heap_bytes) {
   if (heap_bytes == 0) {
-    heap_bytes = config_.default_heap_bytes;
+    heap_bytes = kDefaultHeapBytes;
   }
   const PoolId heap = net_->node(node).add_pool(heap_bytes);
   const ProcessId pid = next_pid_++;

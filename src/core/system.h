@@ -23,35 +23,17 @@
 
 namespace fractos {
 
-struct SystemConfig {
+// Everything a System can be configured with. The Controller settings come from
+// ControllerPolicy (src/core/controller.h); the fields below configure the cluster around them.
+struct SystemConfig : ControllerPolicy {
   FabricParams fabric;
   // Fabric topology: single-switch (the calibrated flat default) or a ToR/spine fat tree
   // with per-port congestion modeling (src/fabric/topology.h).
   TopologySpec topology;
-  ControllerCosts host_costs = ControllerCosts::host();
-  ControllerCosts snic_costs = ControllerCosts::snic();
-  uint32_t congestion_window = 1024;
-  uint64_t double_buffer_threshold = 16 * 1024;
-  uint64_t copy_chunk_bytes = 64 * 1024;
-  bool hw_third_party_copies = false;
-  uint64_t default_heap_bytes = 8ull << 20;
-  uint32_t cap_quota = 1u << 20;
-  // Section 6.1's suggested optimization: cache serialized Requests at Controllers.
-  bool cache_serialized_requests = false;
   // Deterministic fault injection: when set, the plan is installed into the Network before
   // any topology is built. Absent (the default) the fabric is clean and every fault-handling
   // code path stays dormant — recorded bench numbers are unaffected.
   std::optional<FaultPlan> faults;
-  // Controller peer-op reliability knobs (effective only on a lossy fabric).
-  Duration peer_op_rto = Duration::micros(150);
-  uint32_t peer_op_retry_budget = 3;
-  Duration peer_op_deadline = Duration::millis(1);
-  Duration peer_op_dedup_ttl = Duration::millis(50);
-  // Capability hot path (see Controller::Config; all off by default).
-  uint32_t translation_cache_entries = 0;
-  bool charge_chain_traversal = false;
-  uint32_t peer_op_batch_max = 0;
-  Duration peer_op_batch_delay = Duration::micros(2);
   // Replicated control plane (DESIGN.md §4h): timing knobs applied by replicate_controller,
   // and the intended group size (0 = replication unused; checked against the node count by
   // validate()). No group is formed unless replicate_controller is called.
@@ -70,9 +52,10 @@ struct SystemConfig {
   bool lazy_controller_mesh = false;
 
   // Cross-field consistency check, run by the System constructor (CHECK) and directly by
-  // tests. Returns a description of the *first* inconsistency found — a fault plan naming a
-  // switch the topology doesn't have, a dedup TTL shorter than the op deadline it must
-  // outlive, a replication quorum larger than the cluster — or std::nullopt when sound.
+  // tests. Returns a description of the *first* inconsistency found — a zero quota, MTU or
+  // bandwidth, a fault plan naming a switch the topology doesn't have, a dedup TTL shorter
+  // than the op deadline it must outlive, a replication quorum larger than the cluster — or
+  // std::nullopt when sound. Each message names the offending field.
   // `num_nodes` > 0 enables the checks that need the cluster size (the constructor runs
   // before nodes exist and passes 0, so callers that know the size should re-validate).
   std::optional<std::string> validate(uint32_t num_nodes = 0) const;
@@ -80,6 +63,9 @@ struct SystemConfig {
 
 class System {
  public:
+  // Heap pool size of a Process spawned without an explicit heap_bytes.
+  static constexpr uint64_t kDefaultHeapBytes = 8ull << 20;
+
   explicit System(SystemConfig config = {});
 
   EventLoop& loop() { return loop_; }

@@ -206,7 +206,7 @@ void GpuAdaptor::handle_cleanup(uint32_t ctx_id, Process::Received r) {
   }
   Context ctx = it->second;
   contexts_.erase(it);
-  gpu_->destroy_context(ctx.gpu_ctx);
+  FRACTOS_CHECK(gpu_->destroy_context(ctx.gpu_ctx).ok());
 
   // Revoke everything handed out plus the per-context endpoints: all delegated copies die.
   std::vector<Future<Status>> revokes;

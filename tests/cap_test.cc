@@ -202,7 +202,7 @@ TEST_F(ObjectTableTest, UnknownIndexIsInvalidCapability) {
 TEST_F(ObjectTableTest, SweepReclaimsInvalidatedObjects) {
   const ObjectIndex a = make_memory();
   const ObjectIndex b = make_memory();
-  table_.revoke(a, table_.reboot_count());
+  ASSERT_TRUE(table_.revoke(a, table_.reboot_count()).ok());
   EXPECT_EQ(table_.total_count(), 2u);
   EXPECT_EQ(table_.sweep_invalidated(), 1u);
   EXPECT_EQ(table_.total_count(), 1u);
@@ -250,7 +250,7 @@ TEST_F(ObjectTableTest, MonitorDelegateCountsChildren) {
 
 TEST_F(ObjectTableTest, MonitorDelegateRequiresNoExistingChildren) {
   const ObjectIndex idx = make_memory();
-  table_.create_revtree_child(kProc, idx);
+  ASSERT_TRUE(table_.create_revtree_child(kProc, idx).ok());
   EXPECT_EQ(table_.monitor_delegate(idx, table_.reboot_count(), MonitorSub{1, kProc, 1}).error(),
             ErrorCode::kInvalidArgument);
 }
@@ -743,7 +743,7 @@ TEST_F(CapSpaceTest, QuotaEnforced) {
   EXPECT_TRUE(space.install(entry(1)).ok());
   EXPECT_TRUE(space.install(entry(2)).ok());
   EXPECT_EQ(space.install(entry(3)).error(), ErrorCode::kResourceExhausted);
-  space.remove(0);
+  EXPECT_TRUE(space.remove(0).ok());
   EXPECT_TRUE(space.install(entry(3)).ok());
 }
 
@@ -760,17 +760,17 @@ TEST_F(CapSpaceTest, PurgeRefsDropsMatchingEntries) {
 
 TEST_F(CapSpaceTest, PurgeIgnoresDifferentGeneration) {
   CapSpace space;
-  space.install(entry(10));
+  ASSERT_TRUE(space.install(entry(10)).ok());
   EXPECT_EQ(space.purge_refs({ObjectRef{1, 10, 2}}), 0u);
   EXPECT_EQ(space.size(), 1u);
 }
 
 TEST_F(CapSpaceTest, AllEntriesListsLive) {
   CapSpace space;
-  space.install(entry(1));
+  ASSERT_TRUE(space.install(entry(1)).ok());
   const CapId b = space.install(entry(2)).value();
-  space.install(entry(3));
-  space.remove(b);
+  ASSERT_TRUE(space.install(entry(3)).ok());
+  ASSERT_TRUE(space.remove(b).ok());
   auto all = space.all_entries();
   EXPECT_EQ(all.size(), 2u);
 }

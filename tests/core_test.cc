@@ -27,9 +27,9 @@ TEST(CoreLatency, NullOpMatchesTable3OnCpu) {
   Controller& ctrl = sys.add_controller(n0, Loc::kHost);
   Process& p = sys.spawn("app", n0, ctrl);
   // Warm-up (allocates nothing, but keeps the measurement clean).
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const Time before = sys.loop().now();
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const double us = (sys.loop().now() - before).to_us();
   EXPECT_NEAR(us, 3.00, 0.10);  // Table 3: FractOS @ CPU = 3.00 us
 }
@@ -39,9 +39,9 @@ TEST(CoreLatency, NullOpMatchesTable3OnSnic) {
   const uint32_t n0 = sys.add_node("n0");
   Controller& ctrl = sys.add_controller(n0, Loc::kSnic);
   Process& p = sys.spawn("app", n0, ctrl);
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const Time before = sys.loop().now();
-  sys.await(p.null_op());
+  ASSERT_TRUE(sys.await(p.null_op()).ok());
   const double us = (sys.loop().now() - before).to_us();
   EXPECT_NEAR(us, 4.50, 0.15);  // Table 3: FractOS @ sNIC = 4.50 us
 }

@@ -36,8 +36,8 @@ TEST_F(GpuTest, AllocFreeAndContextTeardown) {
 TEST_F(GpuTest, AllocReusesFreedSpace) {
   const auto ctx = gpu_->create_context();
   const uint64_t a = gpu_->alloc(ctx, 4096).value();
-  gpu_->alloc(ctx, 4096);
-  gpu_->free(ctx, a);
+  ASSERT_TRUE(gpu_->alloc(ctx, 4096).ok());
+  ASSERT_TRUE(gpu_->free(ctx, a).ok());
   const uint64_t c = gpu_->alloc(ctx, 1024).value();
   EXPECT_EQ(c, a);  // first fit lands in the hole
 }

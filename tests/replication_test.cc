@@ -62,6 +62,36 @@ TEST(ConfigValidation, RejectsZeroCopyChunk) {
   expect_rejection(cfg, 0, "copy_chunk_bytes");
 }
 
+TEST(ConfigValidation, RejectsZeroCapQuota) {
+  SystemConfig cfg;
+  cfg.cap_quota = 0;
+  expect_rejection(cfg, 0, "cap_quota");
+}
+
+TEST(ConfigValidation, RejectsNonPositivePeerOpDeadline) {
+  SystemConfig cfg;
+  cfg.peer_op_deadline = Duration::zero();
+  expect_rejection(cfg, 0, "peer_op_deadline");
+}
+
+TEST(ConfigValidation, RejectsZeroMtu) {
+  SystemConfig cfg;
+  cfg.fabric.mtu_bytes = 0;
+  expect_rejection(cfg, 0, "fabric.mtu_bytes");
+}
+
+TEST(ConfigValidation, RejectsNonPositiveWireBandwidth) {
+  SystemConfig cfg;
+  cfg.fabric.wire_bandwidth_bpns = 0.0;
+  expect_rejection(cfg, 0, "fabric.wire_bandwidth_bpns");
+}
+
+TEST(ConfigValidation, RejectsNonPositiveLocalBandwidth) {
+  SystemConfig cfg;
+  cfg.fabric.local_bandwidth_bpns = -1.0;
+  expect_rejection(cfg, 0, "fabric.local_bandwidth_bpns");
+}
+
 TEST(ConfigValidation, RejectsDedupTtlShorterThanOpDeadline) {
   SystemConfig cfg;
   cfg.peer_op_dedup_ttl = Duration::micros(500);

@@ -74,7 +74,7 @@ TEST_F(TraceStatsTest, TracerSeesRevocationAndFailure) {
 
 TEST_F(TraceStatsTest, TracingDisabledByDefaultAndCostsNothing) {
   EXPECT_FALSE(sys_.loop().tracing());
-  sys_.await(a_->null_op());  // no crash, nothing to observe
+  EXPECT_TRUE(sys_.await(a_->null_op()).ok());  // no crash, nothing to observe
 }
 
 TEST_F(TraceStatsTest, StatsCountTheRightOperations) {
