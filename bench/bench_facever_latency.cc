@@ -6,9 +6,6 @@
 // the baseline (NVMe-oF, NFS, rCUDA), giving lower latency for both CPU and sNIC
 // deployments; headline ~47% faster end to end.
 
-#include <cstdlib>
-#include <fstream>
-
 #include "bench/bench_util.h"
 #include "src/apps/face_verify.h"
 #include "src/sim/metrics.h"
@@ -108,14 +105,7 @@ void traced_tax_breakdown() {
   rows.emplace_back("TOTAL", total);
   std::printf("%s", tax_table(rows).c_str());
 
-  if (const char* path = std::getenv("FRACTOS_TRACE_JSON")) {
-    std::ofstream out(path);
-    out << chrome_trace_json(tracer);
-  }
-  if (const char* path = std::getenv("FRACTOS_METRICS_OUT")) {
-    std::ofstream out(path);
-    out << metrics.serialize();
-  }
+  bench::write_observability(&tracer, &metrics);
 }
 
 }  // namespace

@@ -27,8 +27,8 @@
 //
 // Emits BENCH_memtier.json (override: FRACTOS_BENCH_JSON); CI gates the file exactly apart
 // from its "host" member (wall time, peak RSS): the simulation is deterministic, so any drift
-// is a real model change. Set FRACTOS_MEMTIER_TRACE to a path to also
-// dump the span trace of the owner-cpu placement run.
+// is a real model change. FRACTOS_TRACE_JSON / FRACTOS_METRICS_OUT (bench/bench_util.h) dump
+// the span trace and the metrics of the owner-cpu placement run.
 
 #include <algorithm>
 #include <chrono>
@@ -243,10 +243,14 @@ struct SweepResult {
   TaxBreakdown tax;  // summed over every access trace
 };
 
-SweepResult run_placement(XlatePlacement placement, bool dump_trace) {
+SweepResult run_placement(XlatePlacement placement, bool observed) {
   Cluster c(kHotLaneShare);
   SpanTracer tracer;
+  MetricsRegistry metrics;
   c.sys.loop().set_span_tracer(&tracer);
+  if (observed) {
+    c.sys.loop().set_metrics(&metrics);
+  }
   FarMemClient fm(&c.sys, *c.client, *c.client_ctrl, c.seg.mem,
                   client_config(/*dual=*/true, placement));
   PhaseResult phase;
@@ -255,6 +259,7 @@ SweepResult run_placement(XlatePlacement placement, bool dump_trace) {
   run_phase(c, fm, LineStream(LineStream::kZipfian, kSeedBase + 4), kSweepAccesses,
             "zipfian", &phase, &tracer, &traces);
   c.sys.loop().set_span_tracer(nullptr);
+  c.sys.loop().set_metrics(nullptr);
 
   SweepResult out;
   out.placement = xlate_placement_name(placement);
@@ -265,15 +270,8 @@ SweepResult run_placement(XlatePlacement placement, bool dump_trace) {
     FRACTOS_CHECK_MSG(bd.sum_ns() == bd.total_ns, "tax buckets do not sum to access latency");
     out.tax += bd;
   }
-  if (dump_trace) {
-    if (const char* path = std::getenv("FRACTOS_MEMTIER_TRACE")) {
-      const std::string text = tracer.serialize();
-      if (FILE* f = std::fopen(path, "w")) {
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        std::printf("wrote span trace to %s (%zu spans)\n", path, tracer.spans().size());
-      }
-    }
+  if (observed) {
+    bench::write_observability(&tracer, &metrics);
   }
   return out;
 }
@@ -397,9 +395,9 @@ int main() {
   }
 
   std::vector<SweepResult> sweep;
-  sweep.push_back(run_placement(XlatePlacement::kOwnerCpu, /*dump_trace=*/true));
-  sweep.push_back(run_placement(XlatePlacement::kSnic, /*dump_trace=*/false));
-  sweep.push_back(run_placement(XlatePlacement::kTor, /*dump_trace=*/false));
+  sweep.push_back(run_placement(XlatePlacement::kOwnerCpu, /*observed=*/true));
+  sweep.push_back(run_placement(XlatePlacement::kSnic, /*observed=*/false));
+  sweep.push_back(run_placement(XlatePlacement::kTor, /*observed=*/false));
   print_sweep(sweep);
 
   // The MIND ordering: in-network translation is cheapest, the SmartNIC's slow cores dearest.

@@ -24,8 +24,8 @@
 //
 // Emits BENCH_openloop.json (override: FRACTOS_BENCH_JSON); CI gates the file exactly apart
 // from its "host" member (wall time, peak RSS): the simulation is deterministic, so any drift
-// is a real model change. Set FRACTOS_OPENLOOP_TRACE to a path to also
-// dump the span trace of the highest-load FractOS run.
+// is a real model change. FRACTOS_TRACE_JSON / FRACTOS_METRICS_OUT (bench/bench_util.h) dump
+// the span trace and the metrics of the highest-load FractOS run.
 
 #include <algorithm>
 #include <chrono>
@@ -244,14 +244,16 @@ TenantPoint tenant_point(const OpenLoopEngine& eng, size_t i) {
 // tenant's offered rate (the overload-control point drives that tenant past the SSD's
 // capacity while the sweep keeps all three tenants on a common load axis).
 template <bool kFractos>
-RunPoint run_openloop(double load, uint32_t storage_admission, bool dump_trace,
+RunPoint run_openloop(double load, uint32_t storage_admission, bool observed,
                       double storage_boost = 1.0) {
   SystemConfig cfg;
   cfg.topology = TopologySpec::fat_tree(3, 2);
   System sys(cfg);
   SpanTracer tracer;
-  if (dump_trace) {
+  MetricsRegistry metrics;
+  if (observed) {
     sys.loop().set_span_tracer(&tracer);
+    sys.loop().set_metrics(&metrics);
   }
 
   for (const char* name : {"fv-frontend", "fv-gpu", "st-client", "fv-fs", "st-fs",
@@ -339,16 +341,10 @@ RunPoint run_openloop(double load, uint32_t storage_admission, bool dump_trace,
     out.tenants.push_back(std::move(t));
   }
 
-  if (dump_trace) {
+  if (observed) {
     sys.loop().set_span_tracer(nullptr);
-    if (const char* path = std::getenv("FRACTOS_OPENLOOP_TRACE")) {
-      const std::string text = tracer.serialize();
-      if (FILE* f = std::fopen(path, "w")) {
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        std::printf("wrote span trace to %s (%zu spans)\n", path, tracer.spans().size());
-      }
-    }
+    sys.loop().set_metrics(nullptr);
+    bench::write_observability(&tracer, &metrics);
   }
   return out;
 }
@@ -502,7 +498,7 @@ int main() {
     pt.load = load;
     const bool trace = load == 1.5;  // highest-load FractOS run is the interesting trace
     pt.fractos = run_openloop<true>(load, /*storage_admission=*/0, trace);
-    pt.baseline = run_openloop<false>(load, /*storage_admission=*/0, /*dump_trace=*/false);
+    pt.baseline = run_openloop<false>(load, /*storage_admission=*/0, /*observed=*/false);
     points.push_back(std::move(pt));
     std::printf("  load %.2f done\n", load);
   }
@@ -518,9 +514,9 @@ int main() {
   constexpr uint32_t kAdmissionLimit = 24;
   constexpr double kControlBoost = 6.0;
   const RunPoint control_ungated = run_openloop<true>(
-      points.back().load, /*storage_admission=*/0, /*dump_trace=*/false, kControlBoost);
+      points.back().load, /*storage_admission=*/0, /*observed=*/false, kControlBoost);
   const RunPoint control_gated = run_openloop<true>(
-      points.back().load, kAdmissionLimit, /*dump_trace=*/false, kControlBoost);
+      points.back().load, kAdmissionLimit, /*observed=*/false, kControlBoost);
   check_overload_control(control_ungated, control_gated);
 
   write_json(points, points.back().load, kControlBoost, kAdmissionLimit, control_ungated,

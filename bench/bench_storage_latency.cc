@@ -7,8 +7,6 @@
 // absorbs them; DAX optimizes data transfers ~2x, from ~1.1x total speedup at 4 KiB (NVMe
 // latency dominates, ~70 us) to ~1.3x at larger sizes.
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -257,14 +255,7 @@ int main() {
 
     std::printf("\nMeasured tax breakdown — 64 KiB random read (traced spans):\n%s",
                 tax_table(rows).c_str());
-    if (const char* path = std::getenv("FRACTOS_TRACE_JSON")) {
-      std::ofstream out(path);
-      out << chrome_trace_json(tracer);
-    }
-    if (const char* path = std::getenv("FRACTOS_METRICS_OUT")) {
-      std::ofstream out(path);
-      out << metrics.serialize();
-    }
+    bench::write_observability(&tracer, &metrics);
   }
   return 0;
 }

@@ -1,6 +1,6 @@
 // Service discovery through the capability-bootstrap key/value store (Section 4: "a key/value
-// store to bootstrap capabilities on new Processes"), with the tracer attached so you can
-// watch every message of the discovery and the subsequent direct service use.
+// store to bootstrap capabilities on new Processes"), with a span tracer attached so you can
+// watch every Controller step and wire transfer of the discovery.
 //
 // The KV store is itself an ordinary FractOS Process: publishing a service delegates its
 // Request capability to the store; looking it up delegates it onward to the client. After
@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "src/core/bootstrap.h"
-#include "src/sim/trace.h"
+#include "src/sim/span.h"
 
 using namespace fractos;
 
@@ -49,13 +49,18 @@ int main() {
   // A client discovers svc.sum by name — watch the messages.
   Process& app = sys.spawn("app", app_node, ca);
   auto app_eps = kv.grant_to(app);
-  std::printf("-- trace of the discovery lookup --\n");
-  std::fflush(stdout);  // keep stdout/stderr interleaving sane
-  sys.loop().set_tracer(trace_to_stderr());
-  const CapId sum_at_app = sys.await_ok(KvStore::get(app, app_eps.get, "svc.sum"));
-  std::fflush(stderr);
-  sys.loop().set_tracer(nullptr);
-  std::printf("-- end trace --\n\n");
+  SpanTracer tracer;
+  sys.loop().set_span_tracer(&tracer);
+  const uint64_t lookup = tracer.start_trace("app", "lookup svc.sum", sys.loop().now());
+  Future<Result<CapId>> found = [&]() {
+    SpanScope scope(tracer.context_of(lookup));
+    return KvStore::get(app, app_eps.get, "svc.sum");
+  }();
+  const CapId sum_at_app = sys.await_ok(std::move(found));
+  tracer.end(lookup, sys.loop().now());
+  sys.loop().set_span_tracer(nullptr);
+  std::printf("-- trace of the discovery lookup --\n%s-- end trace --\n\n",
+              tracer.serialize().c_str());
 
   auto reply = sys.await_ok(app.call(sum_at_app, Process::Args{}.imm_u64(0, 19).imm_u64(8, 23)));
   std::printf("svc.sum(19, 23) = %llu\n",

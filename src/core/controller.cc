@@ -25,28 +25,32 @@ NameId peer_msg_type_span_name(MsgType t) {
 
 Controller::Controller(Network* net, Config config)
     : net_(net), config_(config), table_(config.addr),
-      tcache_(config.translation_cache_entries) {
+      tcache_(config.translation_cache_entries),
+      publisher_(net->loop(), [this](MetricSink& out) { publish_metrics(out); }) {
   FRACTOS_CHECK(net != nullptr);
   exec_ = &net_->node(config_.endpoint.node).context(config_.endpoint.loc);
-  name_ = "ctrl-" + std::to_string(config_.addr);
-  name_id_ = intern_name(name_);
-  const std::string mp = "ctrl." + std::to_string(config_.addr) + ".";
-  mkeys_.syscalls = intern_name(mp + "syscalls");
-  mkeys_.deliveries = intern_name(mp + "deliveries");
-  mkeys_.translations = intern_name(mp + "translations");
-  mkeys_.peer_retries = intern_name(mp + "peer_retries");
-  mkeys_.peer_op_timeouts = intern_name(mp + "peer_op_timeouts");
-  mkeys_.peer_dedup_hits = intern_name(mp + "peer_dedup_hits");
-  mkeys_.late_reply = intern_name(mp + "late_reply");
-  // Interning is registry-free; the registry only learns these keys if a hot-path feature
-  // actually touches them, keeping default-config metric snapshots unchanged.
-  const std::string cp = "cap." + std::to_string(config_.addr) + ".";
-  mkeys_.cap_cache_hit = intern_name(cp + "xlate_hit");
-  mkeys_.cap_cache_miss = intern_name(cp + "xlate_miss");
-  mkeys_.cap_revoke_subtree = intern_name(cp + "revoke_subtree");
-  mkeys_.cap_batch_occupancy = intern_name(cp + "batch_occupancy");
-  mkeys_.admission_admitted = intern_name(mp + "admission.admitted");
-  mkeys_.admission_shed = intern_name(mp + "admission.shed");
+  name_id_ = intern_name("ctrl-" + std::to_string(config_.addr));
+  // Interning is registry-free; the registry only learns these keys if a site touches them.
+  const std::string addr = std::to_string(config_.addr);
+  translations_key_ = intern_name("ctrl." + addr + ".translations");
+  revoke_subtree_key_ = intern_name("cap." + addr + ".revoke_subtree");
+  batch_occupancy_key_ = intern_name("cap." + addr + ".batch_occupancy");
+}
+
+void Controller::publish_metrics(MetricSink& out) const {
+  const std::string addr = std::to_string(config_.addr);
+  const std::string mp = "ctrl." + addr + ".";
+  out.emit(mp + "syscalls", stats_.syscalls);
+  out.emit(mp + "deliveries", stats_.deliveries);
+  out.emit(mp + "peer_retries", stats_.peer_retries);
+  out.emit(mp + "peer_op_timeouts", stats_.peer_op_timeouts);
+  out.emit(mp + "peer_dedup_hits", stats_.peer_dedup_hits);
+  out.emit(mp + "late_reply", stats_.late_replies_ignored);
+  out.emit(mp + "admission.admitted", stats_.admission_admitted);
+  out.emit(mp + "admission.shed", stats_.admission_shed);
+  const std::string cp = "cap." + addr + ".";
+  out.emit(cp + "xlate_hit", tcache_.hits());
+  out.emit(cp + "xlate_miss", tcache_.misses());
 }
 
 Controller::~Controller() {
@@ -277,7 +281,7 @@ void Controller::charge(Duration cost, std::function<void()> fn) {
 
 void Controller::note_translation(Duration cost) {
   if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.translations);
+    m->add(translations_key_);
   }
   static const NameId kCapSerialize = intern_name("cap-serialize");
   record_translation_span(cost, kCapSerialize);
@@ -346,13 +350,6 @@ void Controller::close_peer_op_span(uint64_t op_id, const char* error) {
 
 void Controller::handle_syscall(ProcState& p, const Envelope& env) {
   ++stats_.syscalls;
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.syscalls);
-  }
-  if (net_->loop()->tracing() && env.type != MsgType::kDeliverAck) {
-    net_->loop()->trace(name_, std::string("syscall ") + msg_type_name(env.type) + " from pid " +
-                                   std::to_string(p.pid));
-  }
   switch (env.type) {
     case MsgType::kNullOp:
       reply(p, env.seq, ErrorCode::kOk);
@@ -722,12 +719,8 @@ Duration Controller::cap_serialize_cost(const std::vector<WireCap>& caps) {
   return total;
 }
 
-void Controller::node_recovered(uint32_t node) {
+void Controller::node_recovered(uint32_t /*node*/) {
   ++stats_.node_recoveries;
-  if (net_->loop()->tracing()) {
-    net_->loop()->trace(name_, "node " + std::to_string(node) +
-                                   " re-admitted (spurious failure report)");
-  }
 }
 
 void Controller::node_failed(uint32_t node) {
@@ -927,12 +920,8 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
   // what makes shedding a defense against overload rather than another queue.
   const bool gated = p.admission_limit != 0;
   if (gated) {
-    MetricsRegistry* mr = net_->loop()->metrics();
     if (p.admission_inflight >= p.admission_limit) {
       ++stats_.admission_shed;
-      if (mr != nullptr) {
-        mr->add(mkeys_.admission_shed);
-      }
       reply(p, seq, ErrorCode::kOverloaded);
       return;
     }
@@ -940,9 +929,6 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
     ++stats_.admission_admitted;
     if (p.admission_inflight > stats_.admission_max_inflight) {
       stats_.admission_max_inflight = p.admission_inflight;
-    }
-    if (mr != nullptr) {
-      mr->add(mkeys_.admission_admitted);
     }
   }
   auto entry = p.caps.get(m.cid);
@@ -1219,12 +1205,8 @@ ErrorCode Controller::deliver_locally(ObjectIndex idx, const std::vector<ImmExte
   // checked when building the ObjectRef view.
   ObjectTable::ResolvedRequest req;
   if (tcache_.enabled()) {
-    MetricsRegistry* mr = net_->loop()->metrics();
     if (const ObjectTable::ResolvedRequest* cached = tcache_.lookup(idx)) {
       req = *cached;  // copy out: the delivery below consumes the merged args
-      if (mr != nullptr) {
-        mr->add(mkeys_.cap_cache_hit);
-      }
     } else {
       auto resolved = table_.resolve_request(idx, table_.reboot_count());
       if (!resolved.ok()) {
@@ -1232,9 +1214,6 @@ ErrorCode Controller::deliver_locally(ObjectIndex idx, const std::vector<ImmExte
       }
       req = std::move(resolved).value();
       tcache_.put(idx, req);
-      if (mr != nullptr) {
-        mr->add(mkeys_.cap_cache_miss);
-      }
     }
   } else {
     auto resolved = table_.resolve_request(idx, table_.reboot_count());
@@ -1304,13 +1283,6 @@ void Controller::push_delivery(ProcState& p, DeliverRequestMsg msg) {
   // (one response per invoke — see set_admission_limit); release its slot.
   admission_release(p);
   ++stats_.deliveries;
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.deliveries);
-  }
-  if (net_->loop()->tracing()) {
-    net_->loop()->trace(name_, "deliver request to pid " + std::to_string(p.pid) + " (" +
-                                   std::to_string(msg.caps.size()) + " caps)");
-  }
   if (p.outstanding >= config_.congestion_window) {
     p.pending.push_back(std::move(msg));
     ++deliveries_queued_;
@@ -1399,9 +1371,6 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     auto cached = completed_peer_ops_.find(dedup_key);
     if (cached != completed_peer_ops_.end()) {
       ++stats_.peer_dedup_hits;
-      if (MetricsRegistry* mr = net_->loop()->metrics()) {
-        mr->add(mkeys_.peer_dedup_hits);
-      }
       done(cached->second);
       return;
     }
@@ -1534,9 +1503,6 @@ void Controller::peer_reply(const PeerReplyMsg& m) {
     // The op already completed (first reply won, the deadline fired, or this Controller
     // failed): resend-induced duplicates and post-timeout stragglers land here.
     ++stats_.late_replies_ignored;
-    if (MetricsRegistry* mr = net_->loop()->metrics()) {
-      mr->add(mkeys_.late_reply);
-    }
     return;
   }
   Promise<Result<PeerReplyMsg>> promise = std::move(it->second);
@@ -1662,14 +1628,9 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
     tcache_.invalidate(result.invalidated);
     if (!result.invalidated.empty()) {
       if (MetricsRegistry* m = net_->loop()->metrics()) {
-        m->observe(mkeys_.cap_revoke_subtree, result.invalidated.size());
+        m->observe(revoke_subtree_key_, result.invalidated.size());
       }
     }
-  }
-  if (net_->loop()->tracing() && !result.invalidated.empty()) {
-    net_->loop()->trace(name_, "revoked " + std::to_string(result.invalidated.size()) +
-                                   " object(s), " + std::to_string(result.fires.size()) +
-                                   " monitor fire(s)");
   }
   if (result.invalidated.empty()) {
     if (fire_monitors) {
@@ -1861,7 +1822,7 @@ void Controller::flush_peer_batch(ControllerAddr peer) {
     return;  // on_peer_severed already failed every member op
   }
   if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->observe(mkeys_.cap_batch_occupancy, batch.ops.size());
+    m->observe(batch_occupancy_key_, batch.ops.size());
   }
   std::vector<uint64_t> op_ids;
   op_ids.reserve(batch.ops.size());
@@ -1898,9 +1859,6 @@ void Controller::schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t
       return;
     }
     ++stats_.peer_retries;
-    if (MetricsRegistry* m = net_->loop()->metrics()) {
-      m->add(mkeys_.peer_retries);
-    }
     Peer* pr = find_peer(peer);
     if (pr != nullptr && !pr->chan->severed()) {
       pr->chan->send_encoded(Traffic::kControl, frame);
@@ -1922,9 +1880,6 @@ void Controller::schedule_peer_resend(ControllerAddr peer, uint64_t op_id, Paylo
       return;  // answered, timed out, or this Controller failed
     }
     ++stats_.peer_retries;
-    if (MetricsRegistry* m = net_->loop()->metrics()) {
-      m->add(mkeys_.peer_retries);
-    }
     Peer* pr = find_peer(peer);
     if (pr != nullptr && !pr->chan->severed()) {
       pr->chan->send_encoded(Traffic::kControl, frame);
@@ -1939,9 +1894,6 @@ void Controller::forget_peer_op(uint64_t op_id) {
     return;
   }
   ++stats_.peer_op_timeouts;
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.peer_op_timeouts);
-  }
   pending_ops_.erase(it);
   pending_op_peer_.erase(op_id);
   close_peer_op_span(op_id, "timeout");
@@ -1986,9 +1938,6 @@ bool Controller::replay_completed_peer_op(ControllerAddr origin, uint64_t key) {
     return false;
   }
   ++stats_.peer_dedup_hits;
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->add(mkeys_.peer_dedup_hits);
-  }
   send_peer(origin, make_envelope(next_seq_++, it->second));
   return true;
 }
@@ -2038,9 +1987,6 @@ void Controller::process_failed(ProcessId pid) {
   ProcState& p = *it->second;
   p.alive = false;
   ++stats_.process_failures;
-  if (net_->loop()->tracing()) {
-    net_->loop()->trace(name_, "process " + std::to_string(pid) + " failed; translating to revocations");
-  }
   p.chan->sever();
 
   // Tracked (per-delegation) entries are revoked at their owners — this is what decrements

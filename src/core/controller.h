@@ -38,6 +38,7 @@
 #include "src/fabric/network.h"
 #include "src/futures/future.h"
 #include "src/sim/intern.h"
+#include "src/sim/metrics.h"
 
 namespace fractos {
 
@@ -375,6 +376,8 @@ class Controller {
                            std::function<void(Status)> done);
   // Charges additional compute, then runs `fn`.
   void charge(Duration cost, std::function<void()> fn);
+  // The pulled metrics: ctrl.<addr>.* from stats_, cap.<addr>.xlate_* from tcache_.
+  void publish_metrics(MetricSink& out) const;
   // Called from inside a charge() callback that just paid `cost` of capability/request
   // translation: counts it and records the kTranslation span retroactively (the execution
   // window [now - cost/speed, now] has just elapsed on exec_).
@@ -472,28 +475,15 @@ class Controller {
   uint64_t deliveries_queued_ = 0;
   bool failed_ = false;
   ControllerStats stats_;
-  std::string name_;           // "ctrl-<addr>", for trace lines
-  NameId name_id_ = kInvalidNameId;  // interned name_, the span actor
-  // Pre-interned metric keys (ctrl.<addr>.*) so hot paths neither concatenate nor look up
-  // strings.
-  struct MetricKeys {
-    NameId syscalls = kInvalidNameId;
-    NameId deliveries = kInvalidNameId;
-    NameId translations = kInvalidNameId;
-    NameId peer_retries = kInvalidNameId;
-    NameId peer_op_timeouts = kInvalidNameId;
-    NameId peer_dedup_hits = kInvalidNameId;
-    NameId late_reply = kInvalidNameId;  // mirrors stats_.late_replies_ignored exactly
-    // cap.<addr>.* hot-path keys — touched only when the owning feature is enabled, so the
-    // default-config metrics snapshots stay bit-identical.
-    NameId cap_cache_hit = kInvalidNameId;       // translation-cache hits (counter)
-    NameId cap_cache_miss = kInvalidNameId;      // translation-cache misses (counter)
-    NameId cap_revoke_subtree = kInvalidNameId;  // invalidated-subtree sizes (histogram)
-    NameId cap_batch_occupancy = kInvalidNameId; // ops per flushed batch (histogram)
-    // Admission gate — touched only for processes with a nonzero limit.
-    NameId admission_admitted = kInvalidNameId;
-    NameId admission_shed = kInvalidNameId;
-  } mkeys_;
+  NameId name_id_ = kInvalidNameId;  // interned "ctrl-<addr>", the span actor
+  // Pre-interned keys of the pushed metrics (ctrl.<addr>.translations and the cap.<addr>.*
+  // histograms), so hot paths neither concatenate nor look up strings.
+  NameId translations_key_ = kInvalidNameId;
+  NameId revoke_subtree_key_ = kInvalidNameId;   // invalidated-subtree sizes
+  NameId batch_occupancy_key_ = kInvalidNameId;  // ops per flushed peer batch
+  // Publishes stats_ and the translation cache's hit/miss counters; declared last so it
+  // goes first at destruction.
+  MetricsPublisher publisher_;
 };
 
 }  // namespace fractos

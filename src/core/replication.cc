@@ -31,7 +31,7 @@ ReplicationGroup::ReplicationGroup(Controller* host, ControllerAddr seat,
     replica_ = std::make_unique<ObjectTable>(seat_, seat_reboot);
   }
   const std::string prefix =
-      "repl." + host_->name_ + ".s" + std::to_string(seat_) + ".";
+      "repl." + interned_name(host_->name_id_) + ".s" + std::to_string(seat_) + ".";
   keys_.appends = intern_name(prefix + "appends");
   keys_.commits = intern_name(prefix + "commits");
   keys_.elections = intern_name(prefix + "elections");

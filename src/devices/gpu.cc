@@ -8,7 +8,8 @@
 namespace fractos {
 
 SimGpu::SimGpu(Network* net, uint32_t node, Params params)
-    : net_(net), node_(node), params_(params) {
+    : net_(net), node_(node), params_(params),
+      publisher_(net->loop(), [this](MetricSink& out) { out.emit("gpu.launches", launches_); }) {
   pool_ = net_->node(node_).add_pool(params_.memory_bytes);
 }
 
@@ -92,7 +93,6 @@ void SimGpu::launch(KernelId id, std::vector<uint64_t> args, std::function<void(
   busy_ += total;
   ++launches_;
   struct GpuNames {
-    NameId launches = intern_name("gpu.launches");
     NameId kernel_ns = intern_name("gpu.kernel_ns");
     NameId gpu = intern_name("gpu");
     NameId engine_wait = intern_name("engine-wait");
@@ -100,7 +100,6 @@ void SimGpu::launch(KernelId id, std::vector<uint64_t> args, std::function<void(
   };
   if (MetricsRegistry* m = net_->loop()->metrics()) {
     static const GpuNames names;
-    m->add(names.launches);
     m->observe(names.kernel_ns, static_cast<uint64_t>(total.ns()));
   }
   if (span_tracing_active()) {

@@ -20,6 +20,7 @@
 
 #include "src/base/result.h"
 #include "src/fabric/network.h"
+#include "src/sim/metrics.h"
 
 namespace fractos {
 
@@ -87,6 +88,7 @@ class SimGpu {
   // Simple first-fit allocator over the device pool.
   std::map<uint64_t, Allocation> allocs_;  // addr -> allocation, ordered
   uint64_t allocated_ = 0;
+  MetricsPublisher publisher_;  // gpu.launches; last, so it goes first
 };
 
 }  // namespace fractos

@@ -13,9 +13,7 @@ namespace fractos {
 namespace {
 
 struct NvmeNames {
-  NameId reads = intern_name("nvme.reads");
   NameId read_bytes = intern_name("nvme.read_bytes");
-  NameId writes = intern_name("nvme.writes");
   NameId write_bytes = intern_name("nvme.write_bytes");
   NameId nvme = intern_name("nvme");
   NameId channel_wait = intern_name("channel-wait");
@@ -30,8 +28,13 @@ const NvmeNames& nvme_names() {
 
 }  // namespace
 
-SimNvme::SimNvme(EventLoop* loop, Params params) : loop_(loop), params_(params) {
-  FRACTOS_CHECK(loop != nullptr);
+SimNvme::SimNvme(EventLoop* loop, Params params)
+    : loop_(loop),
+      params_(params),
+      publisher_(loop, [this](MetricSink& out) {
+        out.emit("nvme.reads", reads_);
+        out.emit("nvme.writes", writes_);
+      }) {
   FRACTOS_CHECK(params_.channels > 0);
   channel_free_.assign(params_.channels, Time{});
 }
@@ -114,9 +117,7 @@ void SimNvme::read(uint64_t off, uint64_t size, std::function<void(Result<Payloa
   const Time finish = schedule_on_channel(service, &start);
   ++reads_;
   if (MetricsRegistry* m = loop_->metrics()) {
-    const NvmeNames& n = nvme_names();
-    m->add(n.reads);
-    m->add(n.read_bytes, static_cast<int64_t>(size));
+    m->add(nvme_names().read_bytes, static_cast<int64_t>(size));
   }
   if (span_tracing_active()) {
     if (SpanTracer* t = loop_->span_tracer()) {
@@ -144,9 +145,7 @@ void SimNvme::write(uint64_t off, Payload data, std::function<void(Status)> done
   write_bytes(off, data.bytes());
   ++writes_;
   if (MetricsRegistry* m = loop_->metrics()) {
-    const NvmeNames& n = nvme_names();
-    m->add(n.writes);
-    m->add(n.write_bytes, static_cast<int64_t>(data.size()));
+    m->add(nvme_names().write_bytes, static_cast<int64_t>(data.size()));
   }
   if (span_tracing_active()) {
     if (SpanTracer* t = loop_->span_tracer()) {

@@ -17,6 +17,7 @@
 #include "src/base/result.h"
 #include "src/fabric/payload.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/metrics.h"
 
 namespace fractos {
 
@@ -74,6 +75,7 @@ class SimNvme {
   std::unordered_map<uint64_t, std::vector<uint8_t>> blocks_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
+  MetricsPublisher publisher_;  // nvme.reads / nvme.writes; last, so it goes first
 };
 
 }  // namespace fractos

@@ -143,7 +143,6 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
   const FaultCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = FaultCounters{}; }
 
  private:
   double drop_prob_for(uint32_t a, uint32_t b, size_t cat) const;

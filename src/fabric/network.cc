@@ -10,27 +10,8 @@ namespace fractos {
 
 namespace {
 
-// Mirrors one RDMA fault verdict into the metrics registry at the exact point the verdict is
-// drawn, so `net.faults.*` equals the injector's own FaultCounters key-for-key.
-void note_rdma_faults(EventLoop* loop, const FaultInjector::RdmaVerdict& v) {
-  MetricsRegistry* m = loop->metrics();
-  if (m == nullptr) {
-    return;
-  }
-  if (v.retries > 0) {
-    static const NameId kRetransmits = intern_name("net.faults.rdma_retransmits");
-    m->add(kRetransmits, v.retries);
-  }
-  if (v.abort) {
-    static const NameId kAborts = intern_name("net.faults.rdma_aborts");
-    m->add(kAborts);
-  }
-}
-
 // Interned names for the per-transfer fast path (one hash lookup per process, ever).
 struct NetNames {
-  NameId msg[2] = {intern_name("net.messages.control"), intern_name("net.messages.data")};
-  NameId bytes[2] = {intern_name("net.bytes.control"), intern_name("net.bytes.data")};
   NameId net = intern_name("net");
   NameId nic_wait = intern_name("nic-wait");
   NameId wire = intern_name("wire");
@@ -44,19 +25,48 @@ const NetNames& net_names() {
   return n;
 }
 
+// Records one fabric leg as pre-closed spans: the wait from `ready` to `start` (a
+// `wait_kind` span, only if there was a wait) and the transfer itself from `start` to `end`,
+// tagged with its wire `bytes` unless that is 0.
+void record_leg(SpanTracer* t, SpanKind wait_kind, NameId wait_name, Time ready, Time start,
+                NameId name, Time end, uint64_t bytes) {
+  const NameId net = net_names().net;
+  if (start > ready) {
+    t->record(net, wait_kind, wait_name, ready, start);
+  }
+  const uint64_t id = t->record(net, SpanKind::kFabric, name, start, end);
+  if (id != 0 && bytes != 0) {
+    t->attr(id, "bytes", std::to_string(bytes));
+  }
+}
+
 }  // namespace
 
 Network::Network(EventLoop* loop, FabricParams params, TopologySpec topology)
-    : loop_(loop), params_(params), topology_(topology) {
-  FRACTOS_CHECK(loop != nullptr);
+    : loop_(loop), params_(params), topology_(topology),
+      publisher_(loop, [this](MetricSink& out) { publish_metrics(out); }) {}
+
+void Network::publish_metrics(MetricSink& out) const {
+  const TrafficCounters& c = counters_;
+  out.emit("net.messages.control", c.messages[0]);
+  out.emit("net.messages.data", c.messages[1]);
+  out.emit("net.bytes.control", c.bytes[0]);
+  out.emit("net.bytes.data", c.bytes[1]);
+  out.emit("net.faults.rc_exhausted", c.rc_exhausted);
+  if (injector_ != nullptr) {
+    const FaultCounters& f = injector_->counters();
+    out.emit("net.faults.drops", f.dropped[0] + f.dropped[1] + f.partition_drops);
+    out.emit("net.faults.duplicates", f.duplicated[0] + f.duplicated[1]);
+    out.emit("net.faults.delayed", f.delayed[0] + f.delayed[1]);
+    out.emit("net.faults.rdma_retransmits", f.rdma_retransmits);
+    out.emit("net.faults.rdma_aborts", f.rdma_aborts);
+  }
 }
 
-void Network::note_rc_exhausted() {
-  ++counters_.rc_exhausted;
-  if (MetricsRegistry* m = loop_->metrics(); m != nullptr) {
-    static const NameId kRcExhausted = intern_name("net.faults.rc_exhausted");
-    m->add(kRcExhausted);
-  }
+void Network::reset_counters() {
+  FRACTOS_CHECK_MSG(loop_->metrics() == nullptr,
+                    "reset_counters would corrupt the attached metrics registry's window");
+  counters_ = TrafficCounters{};
 }
 
 uint32_t Network::add_node(std::string name, bool with_snic) {
@@ -105,11 +115,6 @@ Time Network::schedule_transfer(Endpoint src, Endpoint dst, Traffic category,
       c.rack_local_bytes[cat] += wire_bytes;
     }
   }
-  if (MetricsRegistry* m = loop_->metrics()) {
-    const NetNames& n = net_names();
-    m->add(n.msg[cat]);
-    m->add(n.bytes[cat], static_cast<int64_t>(wire_bytes));
-  }
 
   if (cross && !topology_.flat()) {
     return schedule_routed_transfer(src, dst, wire_bytes, cls);
@@ -133,18 +138,11 @@ Time Network::schedule_transfer(Endpoint src, Endpoint dst, Traffic category,
 
   const Time arrival = start + serialization + wire_latency(src, dst);
   if (span_tracing_active() && loop_->span_tracer() != nullptr) {
-    SpanTracer* t = loop_->span_tracer();
-    const NetNames& n = net_names();
     // Waiting for NIC/wire occupancy is queueing; the transfer itself (serialization +
-    // propagation) is fabric. Both windows are known up front, so record pre-closed spans.
-    if (start > loop_->now()) {
-      t->record(n.net, SpanKind::kQueue, n.nic_wait, loop_->now(), start);
-    }
-    const uint64_t id =
-        t->record(n.net, SpanKind::kFabric, cross ? n.wire : n.local, start, arrival);
-    if (id != 0) {
-      t->attr(id, "bytes", std::to_string(wire_bytes));
-    }
+    // propagation) is fabric.
+    const NetNames& n = net_names();
+    record_leg(loop_->span_tracer(), SpanKind::kQueue, n.nic_wait, loop_->now(), start,
+               cross ? n.wire : n.local, arrival, wire_bytes);
   }
   return arrival;
 }
@@ -168,13 +166,7 @@ Time Network::schedule_routed_transfer(Endpoint src, Endpoint dst, uint64_t wire
   egress_free_[src.node] = nic_start + nic_ser;
   Time at = nic_start + nic_ser + link;
   if (t != nullptr) {
-    if (nic_start > loop_->now()) {
-      t->record(n.net, SpanKind::kQueue, n.nic_wait, loop_->now(), nic_start);
-    }
-    const uint64_t id = t->record(n.net, SpanKind::kFabric, n.wire, nic_start, at);
-    if (id != 0) {
-      t->attr(id, "bytes", std::to_string(wire_bytes));
-    }
+    record_leg(t, SpanKind::kQueue, n.nic_wait, loop_->now(), nic_start, n.wire, at, wire_bytes);
   }
 
   for (const Topology::Hop& hop : route_scratch_) {
@@ -190,10 +182,8 @@ Time Network::schedule_routed_transfer(Endpoint src, Endpoint dst, uint64_t wire
       // Head-of-line wait at the egress port is congestion (its own tax bucket, so the
       // disaggregation-tax breakdown attributes fabric queueing per hop); the
       // serialization + propagation that follows is fabric proper.
-      if (tr.queued > Duration::zero()) {
-        t->record(n.net, SpanKind::kFabricQueue, n.port_wait, at, at + tr.queued);
-      }
-      t->record(n.net, SpanKind::kFabric, n.hop, at + tr.queued, tr.depart + link);
+      record_leg(t, SpanKind::kFabricQueue, n.port_wait, at, at + tr.queued, n.hop,
+                 tr.depart + link, /*bytes=*/0);
     }
     at = tr.depart + link;
   }
@@ -259,29 +249,10 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
     // any probabilistic draw — mirroring how on_message treats node-to-node partitions.
     if (route_blocked(src, dst, loop_->now())) {
       injector_->note_partition_drop();
-      if (MetricsRegistry* m = loop_->metrics()) {
-        static const NameId kDrops = intern_name("net.faults.drops");
-        m->add(kDrops);
-      }
       return;
     }
     const FaultInjector::Verdict v =
         injector_->on_message(src.node, dst.node, category, loop_->now());
-    if (MetricsRegistry* m = loop_->metrics()) {
-      // Mirrored at the verdict site so net.faults.* matches FaultCounters exactly.
-      static const NameId kDrops = intern_name("net.faults.drops");
-      static const NameId kDuplicates = intern_name("net.faults.duplicates");
-      static const NameId kDelayed = intern_name("net.faults.delayed");
-      if (v.drop) {
-        m->add(kDrops);
-      }
-      if (v.duplicate) {
-        m->add(kDuplicates);
-      }
-      if (v.extra_delay > Duration::zero()) {
-        m->add(kDelayed);
-      }
-    }
     if (v.drop) {
       // Silent loss: unlike the failed-node path, nobody is told. Recovering from it is the
       // reliability layer's job (QueuePair RC retransmit, controller peer-op retries).
@@ -328,7 +299,6 @@ void Network::rdma_read(Endpoint initiator, uint32_t target, const RdmaKey& key,
     const bool blocked = route_blocked(initiator, Endpoint{target, Loc::kHost}, loop_->now());
     const FaultInjector::RdmaVerdict v =
         injector_->on_rdma(initiator.node, target, loop_->now(), blocked);
-    note_rdma_faults(loop_, v);
     if (v.abort) {
       loop_->schedule_after(v.delay, [done = std::move(done)]() mutable {
         done(ErrorCode::kTimeout);
@@ -384,7 +354,6 @@ void Network::rdma_write(Endpoint initiator, uint32_t target, const RdmaKey& key
     const bool blocked = route_blocked(initiator, Endpoint{target, Loc::kHost}, loop_->now());
     const FaultInjector::RdmaVerdict v =
         injector_->on_rdma(initiator.node, target, loop_->now(), blocked);
-    note_rdma_faults(loop_, v);
     if (v.abort) {
       loop_->schedule_after(v.delay, [done = std::move(done)]() mutable {
         done(Status(ErrorCode::kTimeout));
@@ -440,8 +409,6 @@ void Network::rdma_third_party(Endpoint initiator, RdmaSide src, RdmaSide dst, u
         initiator.node, src.node, loop_->now(), route_blocked(initiator, src_ep, loop_->now()));
     const FaultInjector::RdmaVerdict v2 = injector_->on_rdma(
         src.node, dst.node, loop_->now(), route_blocked(src_ep, dst_ep, loop_->now()));
-    note_rdma_faults(loop_, v1);
-    note_rdma_faults(loop_, v2);
     const Duration delay = v1.delay + v2.delay;
     if (v1.abort || v2.abort) {
       loop_->schedule_after(delay, [done = std::move(done)]() mutable {

@@ -6,8 +6,36 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/sim/metrics.h"
 
 namespace fractos {
+
+EventLoop::~EventLoop() {
+  set_metrics(nullptr);
+  for (MetricsPublisher* pub : publishers_) {
+    pub->loop_ = nullptr;  // its owner outlives this loop; nothing is left to remove it from
+  }
+}
+
+void EventLoop::set_metrics(MetricsRegistry* metrics) {
+  if (metrics_ != nullptr) {
+    metrics_->detach();
+  }
+  metrics_ = metrics;
+  if (metrics_ != nullptr) {
+    metrics_->attach(this);
+  }
+}
+
+void EventLoop::remove_publisher(MetricsPublisher* pub) {
+  auto it = std::find(publishers_.begin(), publishers_.end(), pub);
+  FRACTOS_CHECK(it != publishers_.end());
+  if (metrics_ != nullptr) {
+    metrics_->fold(*pub);
+  }
+  *it = publishers_.back();
+  publishers_.pop_back();
+}
 
 void EventLoop::schedule_at(Time when, Callback cb) {
   FRACTOS_DCHECK(static_cast<bool>(cb));

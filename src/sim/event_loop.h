@@ -24,10 +24,10 @@
 #include "src/sim/inline_fn.h"
 #include "src/sim/span.h"
 #include "src/sim/time.h"
-#include "src/sim/trace.h"
 
 namespace fractos {
 
+class MetricsPublisher;
 class MetricsRegistry;
 
 class EventLoop {
@@ -35,6 +35,7 @@ class EventLoop {
   using Callback = InlineFn;
 
   EventLoop() = default;
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -81,15 +82,6 @@ class EventLoop {
   size_t pending() const { return pending_; }
   uint64_t steps() const { return steps_; }
 
-  // --- tracing (see src/sim/trace.h) ---
-  void set_tracer(TraceFn tracer) { tracer_ = std::move(tracer); }
-  bool tracing() const { return tracer_ != nullptr; }
-  void trace(std::string_view actor, std::string_view event) {
-    if (tracer_ != nullptr) {
-      tracer_(now(), actor, event);
-    }
-  }
-
   // --- structured spans & metrics (see src/sim/span.h, src/sim/metrics.h) ---
   //
   // While any SpanTracer is alive, every scheduled Event captures the ambient SpanContext
@@ -98,8 +90,16 @@ class EventLoop {
   // registry cannot shift a single simulated timestamp.
   void set_span_tracer(SpanTracer* tracer) { span_tracer_ = tracer; }
   SpanTracer* span_tracer() const { return span_tracer_; }
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  // Detaches the current registry (freezing its window) and attaches `metrics`, whose
+  // window starts now.
+  void set_metrics(MetricsRegistry* metrics);
   MetricsRegistry* metrics() const { return metrics_; }
+
+  // The publishers of always-on counters (MetricsPublisher registers and removes itself;
+  // a removal folds the publisher's delta into the attached registry).
+  void add_publisher(MetricsPublisher* pub) { publishers_.push_back(pub); }
+  void remove_publisher(MetricsPublisher* pub);
+  const std::vector<MetricsPublisher*>& publishers() const { return publishers_; }
 
  private:
   struct Event {
@@ -156,9 +156,9 @@ class EventLoop {
   uint64_t steps_ = 0;
   uint64_t next_seq_ = 0;
 
-  TraceFn tracer_;
   SpanTracer* span_tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
+  std::vector<MetricsPublisher*> publishers_;
 };
 
 }  // namespace fractos

@@ -2,11 +2,91 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
+
+#include "src/base/assert.h"
+#include "src/sim/event_loop.h"
 
 namespace fractos {
 
+void MetricSink::emit(std::string_view key, uint64_t value) {
+  if (value == 0) {
+    return;
+  }
+  const NameId id = intern_name(key);
+  if (id >= acc_->size()) {
+    acc_->resize(id + 1, 0);
+  }
+  (*acc_)[id] += sign_ * static_cast<int64_t>(value);
+}
+
+MetricsPublisher::MetricsPublisher(EventLoop* loop, Fn fn) : loop_(loop), fn_(std::move(fn)) {
+  FRACTOS_CHECK(loop_ != nullptr);
+  loop_->add_publisher(this);
+}
+
+MetricsPublisher::~MetricsPublisher() {
+  if (loop_ != nullptr) {
+    loop_->remove_publisher(this);
+  }
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  if (loop_ != nullptr) {
+    loop_->set_metrics(nullptr);
+  }
+}
+
+void MetricsRegistry::attach(EventLoop* loop) {
+  FRACTOS_CHECK_MSG(loop_ == nullptr, "a MetricsRegistry is attached to one loop at a time");
+  loop_ = loop;
+  pull(&pulled_, -1);
+}
+
+void MetricsRegistry::detach() {
+  pulled_ = pulled_now();
+  loop_ = nullptr;
+}
+
+void MetricsRegistry::fold(const MetricsPublisher& pub) {
+  MetricSink departed(&pulled_, +1);
+  pub.publish(departed);
+}
+
+void MetricsRegistry::pull(std::vector<int64_t>* acc, int64_t sign) const {
+  MetricSink sink(acc, sign);
+  for (const MetricsPublisher* pub : loop_->publishers()) {
+    pub->publish(sink);
+  }
+}
+
+std::vector<int64_t> MetricsRegistry::pulled_now() const {
+  std::vector<int64_t> out = pulled_;
+  if (loop_ != nullptr) {
+    pull(&out, +1);
+  }
+  return out;
+}
+
+int64_t MetricsRegistry::value(const std::string& key) const {
+  auto it = scalars_.find(key);
+  int64_t v = it == scalars_.end() ? 0 : it->second;
+  const std::vector<int64_t> pulled = pulled_now();
+  const NameId id = intern_name(key);
+  if (id < pulled.size()) {
+    v += pulled[id];
+  }
+  return v;
+}
+
 std::map<std::string, int64_t> MetricsRegistry::snapshot() const {
   std::map<std::string, int64_t> out(scalars_.begin(), scalars_.end());
+  const std::vector<int64_t> pulled = pulled_now();
+  for (NameId id = 0; id < pulled.size(); ++id) {
+    if (pulled[id] != 0) {
+      out[interned_name(id)] += pulled[id];
+    }
+  }
   char suffix[16];
   for (const auto& [key, hist] : hists_) {
     out[key + ".count"] = static_cast<int64_t>(hist.count());

@@ -1,10 +1,10 @@
 // Structured span tracing for the simulated cluster.
 //
-// Where trace.h records free-form (actor, string) lines, a SpanTracer records a *forest* of
-// spans — {trace_id, span_id, parent, actor, kind, t_start, t_end, attrs} — so tools can
-// attribute every nanosecond of a request to fabric hops, controller compute, translation,
-// queueing, or device time (the paper's Figure-8-style disaggregation-tax breakdown; see
-// src/sim/tax_report.h).
+// The simulator's one tracer. A SpanTracer records a *forest* of spans — {trace_id, span_id,
+// parent, actor, kind, t_start, t_end, attrs} — so tools can attribute every nanosecond of a
+// request to fabric hops, controller compute, translation, queueing, or device time (the
+// paper's Figure-8-style disaggregation-tax breakdown; see src/sim/tax_report.h). Counters
+// live in the other observability layer, MetricsRegistry (src/sim/metrics.h).
 //
 // Context propagation is ambient: the single-threaded event loop makes a global
 // (trace_id, span_id) pair safe. A SpanScope installs a context for the current stack frame;
@@ -13,10 +13,10 @@
 // same way — so a context set at the top of a request flows through timers, wire deliveries,
 // and continuation chains without any call site threading it by hand.
 //
-// Zero-cost discipline (same as trace.h): with no SpanTracer alive, every instrumentation
-// site is one branch on an inline global counter; no string is built, no context is copied,
-// and no simulated-time event is ever scheduled by the tracer itself. Spans are stamped with
-// simulated time only, so identical seeds serialize to byte-identical traces.
+// Zero-cost discipline: with no SpanTracer alive, every instrumentation site is one branch on
+// an inline global counter; no string is built, no context is copied, and no simulated-time
+// event is ever scheduled by the tracer itself. Spans are stamped with simulated time only,
+// so identical seeds serialize to byte-identical traces.
 //
 // Actor and name strings are interned (src/sim/intern.h): a Span stores two 4-byte ids, and
 // hot sites that fire per message/IO pass pre-interned NameIds so a traced run never

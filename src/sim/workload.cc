@@ -81,8 +81,21 @@ Duration ArrivalSchedule::next() {
 }
 
 OpenLoopEngine::OpenLoopEngine(EventLoop* loop, Duration horizon)
-    : loop_(loop), horizon_(horizon) {
-  FRACTOS_CHECK(loop != nullptr);
+    : loop_(loop),
+      horizon_(horizon),
+      publisher_(loop, [this](MetricSink& out) {
+        for (const Tenant& t : tenants_) {
+          const std::string tp = "tenant." + t.spec.name + ".";
+          out.emit(tp + "offered", t.slo.offered);
+          out.emit(tp + "issued", t.slo.issued);
+          out.emit(tp + "completed", t.slo.completed);
+          out.emit(tp + "failed", t.slo.failed);
+          out.emit(tp + "shed", t.slo.shed);
+          out.emit(tp + "shed_client", t.slo.shed_client);
+          out.emit(tp + "deferrals", t.slo.deferrals);
+          out.emit(tp + "ecn_marks", t.slo.ecn_marks);
+        }
+      }) {
   FRACTOS_CHECK(horizon > Duration::zero());
   actor_id_ = intern_name("openloop");
 }
@@ -99,23 +112,13 @@ size_t OpenLoopEngine::add_tenant(TenantSpec spec, IssueFn issue) {
   }
   Tenant t(std::move(spec), std::move(issue));
   t.name_id = intern_name(t.spec.name);
-  const std::string tp = "tenant." + t.spec.name + ".";
-  t.keys.offered = intern_name(tp + "offered");
-  t.keys.issued = intern_name(tp + "issued");
-  t.keys.completed = intern_name(tp + "completed");
-  t.keys.failed = intern_name(tp + "failed");
-  t.keys.shed = intern_name(tp + "shed");
-  t.keys.shed_client = intern_name(tp + "shed_client");
-  t.keys.deferrals = intern_name(tp + "deferrals");
-  t.keys.ecn_marks = intern_name(tp + "ecn_marks");
-  t.keys.latency_ns = intern_name(tp + "latency_ns");
+  t.latency_key = intern_name("tenant." + t.spec.name + ".latency_ns");
   tenants_.push_back(std::move(t));
   return tenants_.size() - 1;
 }
 
 void OpenLoopEngine::on_ecn_mark(uint32_t src_node, uint32_t dst_node) {
   const Time now = loop_->now();
-  MetricsRegistry* mr = loop_->metrics();
   for (Tenant& t : tenants_) {
     if (!t.spec.ecn_backpressure) {
       continue;
@@ -131,9 +134,6 @@ void OpenLoopEngine::on_ecn_mark(uint32_t src_node, uint32_t dst_node) {
       continue;
     }
     ++t.slo.ecn_marks;
-    if (mr != nullptr) {
-      mr->add(t.keys.ecn_marks);
-    }
     // Multiplicative decrease, at most once per epoch: a congested switch emits a mark per
     // queued message, and reacting to every one would slam the scale to the floor on the
     // first burst.
@@ -179,10 +179,6 @@ void OpenLoopEngine::schedule_next_arrival(size_t i) {
 void OpenLoopEngine::handle_arrival(size_t i, Time scheduled) {
   Tenant& t = tenants_[i];
   ++t.slo.offered;
-  MetricsRegistry* mr = loop_->metrics();
-  if (mr != nullptr) {
-    mr->add(t.keys.offered);
-  }
   if (t.spec.ecn_backpressure) {
     const Time now = loop_->now();
     recover(t, now);
@@ -193,17 +189,11 @@ void OpenLoopEngine::handle_arrival(size_t i, Time scheduled) {
         if (t.deferred >= t.spec.defer_limit) {
           // The pacing backlog is full: shed here, before the request touches the system.
           ++t.slo.shed_client;
-          if (mr != nullptr) {
-            mr->add(t.keys.shed_client);
-          }
           return;
         }
         ++t.deferred;
         ++deferred_total_;
         ++t.slo.deferrals;
-        if (mr != nullptr) {
-          mr->add(t.keys.deferrals);
-        }
         loop_->schedule_at(admit_at, [this, i, scheduled]() {
           --tenants_[i].deferred;
           --deferred_total_;
@@ -219,9 +209,6 @@ void OpenLoopEngine::handle_arrival(size_t i, Time scheduled) {
 void OpenLoopEngine::issue_request(size_t i, Time scheduled) {
   Tenant& t = tenants_[i];
   ++t.slo.issued;
-  if (MetricsRegistry* mr = loop_->metrics()) {
-    mr->add(t.keys.issued);
-  }
   ++t.outstanding;
   ++outstanding_total_;
   uint64_t span_id = 0;
@@ -247,25 +234,17 @@ void OpenLoopEngine::complete(size_t i, Time scheduled, uint64_t span_id, Status
   --outstanding_total_;
   const Time now = loop_->now();
   const Duration lat = now - scheduled;
-  MetricsRegistry* mr = loop_->metrics();
   if (s.ok()) {
     ++t.slo.completed;
     t.slo.latency_us.add(lat);
-    if (mr != nullptr) {
-      mr->add(t.keys.completed);
-      mr->observe(t.keys.latency_ns, static_cast<uint64_t>(lat.ns()));
+    if (MetricsRegistry* mr = loop_->metrics()) {
+      mr->observe(t.latency_key, static_cast<uint64_t>(lat.ns()));
     }
   } else if (s.error() == ErrorCode::kOverloaded) {
     ++t.slo.shed;
     t.slo.shed_latency_us.add(lat);
-    if (mr != nullptr) {
-      mr->add(t.keys.shed);
-    }
   } else {
     ++t.slo.failed;
-    if (mr != nullptr) {
-      mr->add(t.keys.failed);
-    }
   }
   if (span_id != 0) {
     if (SpanTracer* st = loop_->span_tracer()) {

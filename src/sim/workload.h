@@ -35,6 +35,7 @@
 #include "src/base/result.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/intern.h"
+#include "src/sim/metrics.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 
@@ -238,18 +239,9 @@ class OpenLoopEngine {
     uint32_t outstanding = 0;
     bool done_generating = false;
 
-    // Pre-interned tenant.<name>.* metric keys (touched only when a registry is attached).
-    struct Keys {
-      NameId offered = kInvalidNameId;
-      NameId issued = kInvalidNameId;
-      NameId completed = kInvalidNameId;
-      NameId failed = kInvalidNameId;
-      NameId shed = kInvalidNameId;
-      NameId shed_client = kInvalidNameId;
-      NameId deferrals = kInvalidNameId;
-      NameId ecn_marks = kInvalidNameId;
-      NameId latency_ns = kInvalidNameId;  // histogram, integer nanoseconds
-    } keys;
+    // tenant.<name>.latency_ns, the pushed histogram (integer nanoseconds); the counters
+    // in `slo` are pulled as tenant.<name>.* by the engine's publisher.
+    NameId latency_key = kInvalidNameId;
 
     Tenant(TenantSpec s, IssueFn fn)
         : spec(std::move(s)), schedule(spec.arrivals, spec.seed), issue(std::move(fn)) {}
@@ -271,6 +263,7 @@ class OpenLoopEngine {
   uint64_t deferred_total_ = 0;
   bool running_ = false;
   NameId actor_id_ = kInvalidNameId;  // "openloop", the span actor
+  MetricsPublisher publisher_;        // last, so it goes first at destruction
 };
 
 }  // namespace fractos

@@ -16,6 +16,7 @@
 
 #include "src/services/block_adaptor.h"
 #include "src/services/fs.h"
+#include "src/sim/event_loop.h"
 #include "src/sim/metrics.h"
 
 namespace {
@@ -88,6 +89,110 @@ TEST(MetricsGolden, SnapshotMatchesGoldenFile) {
 
 TEST(MetricsGolden, SnapshotIsDeterministic) {
   EXPECT_EQ(run_recorded_workload(), run_recorded_workload());
+}
+
+// A component with one always-on counter, published under `key`.
+struct Counted {
+  Counted(EventLoop* loop, std::string k)
+      : key(std::move(k)), publisher(loop, [this](MetricSink& out) { out.emit(key, n); }) {}
+  std::string key;
+  uint64_t n = 0;
+  MetricsPublisher publisher;
+};
+
+// The pull window: each case below fails against a registry that simply reads the
+// publishers' cumulative values.
+TEST(MetricsPullWindow, AttachedMidRunReportsOnlyTheWindow) {
+  EventLoop loop;
+  Counted c(&loop, "t.ops");
+  c.n = 5;  // before the window
+  MetricsRegistry m;
+  loop.set_metrics(&m);
+  c.n += 3;
+  loop.set_metrics(nullptr);
+  c.n += 10;  // after the window
+  EXPECT_EQ(m.value("t.ops"), 3);
+  EXPECT_EQ(m.serialize(), "t.ops 3\n");
+}
+
+TEST(MetricsPullWindow, ValueIsLiveWhileAttached) {
+  EventLoop loop;
+  Counted c(&loop, "t.ops");
+  c.n = 10;
+  MetricsRegistry m;
+  loop.set_metrics(&m);
+  c.n += 4;
+  EXPECT_EQ(m.value("t.ops"), 4);
+  c.n += 2;
+  EXPECT_EQ(m.snapshot().at("t.ops"), 6);
+  loop.set_metrics(nullptr);
+  EXPECT_EQ(m.value("t.ops"), 6);
+}
+
+TEST(MetricsPullWindow, PublishersOfOneKeySum) {
+  EventLoop loop;
+  Counted a(&loop, "t.ops");
+  Counted b(&loop, "t.ops");
+  a.n = 2;
+  MetricsRegistry m;
+  loop.set_metrics(&m);
+  a.n += 2;
+  b.n += 3;
+  loop.set_metrics(nullptr);
+  EXPECT_EQ(m.value("t.ops"), 5);
+}
+
+TEST(MetricsPullWindow, PublisherDestroyedWhileAttachedKeepsItsDelta) {
+  EventLoop loop;
+  auto early = std::make_unique<Counted>(&loop, "t.ops");
+  early->n = 7;
+  MetricsRegistry m;
+  loop.set_metrics(&m);
+  early->n += 2;
+  early.reset();
+  EXPECT_EQ(m.value("t.ops"), 2);
+  // A publisher born inside the window counts from zero, and keeps its delta too.
+  auto late = std::make_unique<Counted>(&loop, "t.ops");
+  late->n = 4;
+  late.reset();
+  loop.set_metrics(nullptr);
+  EXPECT_EQ(m.value("t.ops"), 6);
+}
+
+TEST(MetricsPullWindow, CounterThatDidNotMoveProducesNoKey) {
+  EventLoop loop;
+  Counted idle(&loop, "t.idle");
+  Counted busy(&loop, "t.busy");
+  idle.n = 9;
+  MetricsRegistry m;
+  loop.set_metrics(&m);
+  ++busy.n;
+  loop.set_metrics(nullptr);
+  EXPECT_EQ(m.snapshot().count("t.idle"), 0u);
+  EXPECT_EQ(m.serialize(), "t.busy 1\n");
+}
+
+TEST(MetricsPullWindow, RegistryDestroyedWhileAttachedDetaches) {
+  EventLoop loop;
+  Counted c(&loop, "t.ops");
+  {
+    MetricsRegistry m;
+    loop.set_metrics(&m);
+    ++c.n;
+  }
+  EXPECT_EQ(loop.metrics(), nullptr);
+  ++c.n;  // nothing attached: no registry to touch
+}
+
+TEST(MetricsPullWindow, LoopMayGoBeforeItsPublishersAndRegistry) {
+  auto loop = std::make_unique<EventLoop>();
+  Counted c(loop.get(), "t.ops");
+  MetricsRegistry m;
+  loop->set_metrics(&m);
+  ++c.n;
+  loop.reset();  // ends the attachment; `c` and `m` outlive the loop
+  ++c.n;
+  EXPECT_EQ(m.value("t.ops"), 1);
 }
 
 TEST(MetricsRegistryTest, HistogramsExpandIntoSortedBuckets) {

@@ -1,9 +1,12 @@
-// Tests for the tracing facility and the Controller operation counters.
+// Tests for what the observability layers see of the Controllers — their spans (one
+// kController span per handled syscall, actor "ctrl-<addr>") and their operation counters.
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "src/core/system.h"
-#include "src/sim/trace.h"
+#include "src/sim/span.h"
 
 namespace fractos {
 namespace {
@@ -19,61 +22,94 @@ class TraceStatsTest : public ::testing::Test {
     b_ = &sys_.spawn("b", n1_, *c1_);
   }
 
+  // Runs `body` inside a fresh trace root, so every Controller step it causes is a span.
+  template <typename Fn>
+  void traced(Fn&& body) {
+    const uint64_t root = tracer_.start_trace("test", "root", sys_.loop().now());
+    SpanScope scope(tracer_.context_of(root));
+    body();
+  }
+
+  // Number of syscall/peer spans `actor` handled under the name `name`.
+  size_t handled(std::string_view actor, std::string_view name) const {
+    size_t n = 0;
+    for (const Span& s : tracer_.spans()) {
+      if (s.kind == SpanKind::kController && s.actor() == actor && s.name() == name) {
+        ++n;
+      }
+    }
+    return n;
+  }
+
   System sys_;
+  SpanTracer tracer_;
   uint32_t n0_ = 0, n1_ = 0;
   Controller *c0_ = nullptr, *c1_ = nullptr;
   Process *a_ = nullptr, *b_ = nullptr;
 };
 
 TEST_F(TraceStatsTest, TracerSeesTheLifeOfAnRpc) {
-  TraceRecorder rec;
-  sys_.loop().set_tracer(rec.fn());
+  sys_.loop().set_span_tracer(&tracer_);
+  const ControllerStats before0 = c0_->stats();
+  const ControllerStats before1 = c1_->stats();
 
-  int handled = 0;
-  const CapId ep = sys_.await_ok(b_->serve({}, [&](Process::Received) { ++handled; }));
-  const CapId ep_a = sys_.bootstrap_grant(*b_, ep, *a_).value();
-  ASSERT_TRUE(sys_.await(a_->request_invoke(ep_a)).ok());
-  sys_.loop().run();
-  EXPECT_EQ(handled, 1);
+  int handled_rpcs = 0;
+  traced([&]() {
+    const CapId ep = sys_.await_ok(b_->serve({}, [&](Process::Received) { ++handled_rpcs; }));
+    const CapId ep_a = sys_.bootstrap_grant(*b_, ep, *a_).value();
+    ASSERT_TRUE(sys_.await(a_->request_invoke(ep_a)).ok());
+    sys_.loop().run();
+  });
+  sys_.loop().set_span_tracer(nullptr);
+  EXPECT_EQ(handled_rpcs, 1);
 
-  // Exact-match assertions pin the complete event text: a wording change (or an event that
-  // merely shares a prefix) fails loudly instead of slipping past a substring check.
-  EXPECT_TRUE(rec.contains_exact("syscall RequestCreate from pid 2", "ctrl-2"));
-  EXPECT_TRUE(rec.contains_exact("syscall RequestInvoke from pid 1"));
-  // The invocation crosses from ctrl-1 (a's controller) to ctrl-2, which delivers it; the
-  // actor filter pins each event to the controller that must have emitted it.
-  EXPECT_TRUE(rec.contains_exact("syscall RequestInvoke from pid 1", "ctrl-1"));
-  EXPECT_TRUE(rec.contains_exact("deliver request to pid 2 (0 caps)", "ctrl-2"));
-  EXPECT_FALSE(rec.contains_exact("deliver request to pid 2 (0 caps)", "ctrl-1"));
-  EXPECT_EQ(rec.count_exact("deliver request to pid 2 (0 caps)"),
-            rec.count_exact("deliver request to pid 2 (0 caps)", "ctrl-2"));
-  // Substring matching still works for prefix queries, but never claims an exact event.
-  EXPECT_TRUE(rec.contains("deliver request"));
-  EXPECT_FALSE(rec.contains_exact("deliver request"));
-  // Events are time-ordered.
-  for (size_t i = 1; i < rec.entries.size(); ++i) {
-    EXPECT_LE(rec.entries[i - 1].when.ns(), rec.entries[i].when.ns());
+  // b (pid 2, the only Process on ctrl-2) creates its endpoint at ctrl-2.
+  EXPECT_EQ(handled("ctrl-2", "RequestCreate"), 1u);
+  EXPECT_EQ(handled("ctrl-1", "RequestCreate"), 0u);
+  // a (pid 1, the only Process on ctrl-1) invokes at ctrl-1...
+  EXPECT_EQ(handled("ctrl-1", "RequestInvoke"), 1u);
+  EXPECT_EQ(handled("ctrl-2", "RequestInvoke"), 0u);
+  // ...and only ctrl-2, b's Controller, delivers the request.
+  EXPECT_EQ(c1_->stats().deliveries - before1.deliveries, 1u);
+  EXPECT_EQ(c0_->stats().deliveries - before0.deliveries, 0u);
+  // Controller spans open as their messages arrive, so they are time-ordered.
+  Time last;
+  for (const Span& s : tracer_.spans()) {
+    if (s.kind == SpanKind::kController) {
+      EXPECT_LE(last.ns(), s.t_start.ns());
+      last = s.t_start;
+    }
   }
 }
 
 TEST_F(TraceStatsTest, TracerSeesRevocationAndFailure) {
-  TraceRecorder rec;
-  sys_.loop().set_tracer(rec.fn());
-  const CapId mem = sys_.await_ok(a_->memory_create(a_->alloc(64), 64, Perms::kRead));
-  ASSERT_TRUE(sys_.await(a_->cap_revoke(mem)).ok());
-  sys_.loop().run();
-  // The revocation runs at the owner (ctrl-1); the failure translation at b's controller.
-  EXPECT_TRUE(rec.contains_exact("revoked 1 object(s), 0 monitor fire(s)", "ctrl-1"));
-  EXPECT_FALSE(rec.contains_exact("revoked 1 object(s), 0 monitor fire(s)", "ctrl-2"));
+  sys_.loop().set_span_tracer(&tracer_);
+  const ControllerStats before0 = c0_->stats();
+  const ControllerStats before1 = c1_->stats();
+  traced([&]() {
+    const CapId mem = sys_.await_ok(a_->memory_create(a_->alloc(64), 64, Perms::kRead));
+    ASSERT_TRUE(sys_.await(a_->cap_revoke(mem)).ok());
+    sys_.loop().run();
+  });
+  sys_.loop().set_span_tracer(nullptr);
+  // The revocation runs at the owner (ctrl-1): one object revoked and reclaimed, no monitor
+  // fired; ctrl-2 revokes nothing.
+  EXPECT_EQ(handled("ctrl-1", "CapRevoke"), 1u);
+  EXPECT_EQ(c0_->stats().revocations - before0.revocations, 1u);
+  EXPECT_EQ(c0_->stats().objects_reclaimed - before0.objects_reclaimed, 1u);
+  EXPECT_EQ(c0_->stats().monitor_fires - before0.monitor_fires, 0u);
+  EXPECT_EQ(c1_->stats().revocations - before1.revocations, 0u);
 
+  // The failure translation runs at b's Controller (ctrl-2) only.
   sys_.fail_process(*b_);
   sys_.loop().run();
-  EXPECT_TRUE(rec.contains_exact("process 2 failed; translating to revocations", "ctrl-2"));
-  EXPECT_FALSE(rec.contains_exact("process 2 failed; translating to revocations", "ctrl-1"));
+  EXPECT_EQ(c1_->stats().process_failures - before1.process_failures, 1u);
+  EXPECT_EQ(c0_->stats().process_failures - before0.process_failures, 0u);
 }
 
 TEST_F(TraceStatsTest, TracingDisabledByDefaultAndCostsNothing) {
-  EXPECT_FALSE(sys_.loop().tracing());
+  EXPECT_EQ(sys_.loop().span_tracer(), nullptr);
+  EXPECT_EQ(sys_.loop().metrics(), nullptr);
   EXPECT_TRUE(sys_.await(a_->null_op()).ok());  // no crash, nothing to observe
 }
 
