@@ -14,8 +14,10 @@
 // guard when comparing engines. After the soaks, an "objtable" ledger times ObjectTable
 // insert and resolve in ns/op and records the heap bytes per object of a 50-object table; a
 // "capspace" ledger times CapSpace install, get and purge at 10^6 entries and records the
-// heap bytes per capability and per ObjectTable object; and a "host" member records the
-// whole run's wall time and peak RSS. None of these is gated.
+// heap bytes per capability and per ObjectTable object; a "layers" ledger times one
+// Switch::traverse and one Controller dispatch of a decoded envelope, and counts the heap
+// blocks of one control frame from encode to decode; and a "host" member records the whole
+// run's wall time and peak RSS. None of these is gated.
 // Emits BENCH_simspeed.json (override: FRACTOS_BENCH_JSON).
 
 #include <chrono>
@@ -28,8 +30,10 @@
 
 #include "bench/bench_util.h"
 #include "src/apps/face_verify.h"
+#include "src/base/alloc_count.h"
 #include "src/cap/cap_space.h"
 #include "src/cap/object_table.h"
+#include "src/fabric/switch.h"
 #include "src/sim/rng.h"
 
 namespace fractos {
@@ -356,8 +360,117 @@ CapSpaceLedger capspace_ledger() {
   return l;
 }
 
+// --- Per-layer ledger -----------------------------------------------------------------------
+//
+// The layers perfbench's --trace probes do not isolate. This binary links the counting
+// operator new (src/base/alloc_count.h), which forwards to malloc like the default one.
+
+struct LayerLedger {
+  double switch_traverse_ns = 0;
+  double controller_dispatch_ns = 0;
+  double allocs_per_control_frame = 0;
+};
+
+// The perfbench wire probe's frame: a RequestInvoke with one 8-byte immediate and two
+// capability arguments.
+Envelope probe_invoke() {
+  RequestInvokeMsg m;
+  m.cid = 42;
+  m.imms.push_back(ImmExtent{48, std::vector<uint8_t>(8, 0x5a)});
+  m.caps = {7, 9};
+  return make_envelope(1234, std::move(m));
+}
+
+// One egress-port admission, on its own: 8 ports, a 1100-byte message every 100 ns, so the
+// ports queue without ever pausing.
+double switch_traverse_ns() {
+  constexpr int kOps = 2'000'000;
+  Switch sw(0, "tor", SwitchParams{});
+  Time at;
+  int64_t queued_ns = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kOps; ++i) {
+    queued_ns += sw.traverse(static_cast<uint32_t>(i & 7), at, 1100).queued.ns();
+    at = at + Duration::nanos(100);
+  }
+  const double ns = wall_ms_since(t0) * 1e6 / kOps;
+  FRACTOS_CHECK(sw.port_stats(0).messages == kOps / 8 && queued_ns >= 0);
+  return ns;
+}
+
+// The Controller's dispatch of one envelope, apart from any invoke: DeliverAck frames (9
+// bytes, no reply) fed to the Controller side of a Process channel through the channel's
+// raw-bytes entry, so no fabric leg is timed — only the decode, the cost model, the core's
+// queue and the handler.
+double controller_dispatch_ns() {
+  constexpr int kBatches = 4000;
+  constexpr int kBatch = 64;
+  System sys;
+  const uint32_t node = sys.add_node("n0");
+  Controller& ctl = sys.add_controller(node, Loc::kHost);
+  constexpr ProcessId kPid = 9999;
+  Channel& chan = ctl.attach_process(kPid, node, /*heap_pool=*/0);
+  const std::vector<uint8_t> ack = encode_envelope(make_envelope(1, DeliverAckMsg{}));
+  const uint64_t syscalls0 = ctl.stats().syscalls;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int b = 0; b < kBatches; ++b) {
+    for (int i = 0; i < kBatch; ++i) {
+      chan.inject_raw_for_test(ack);
+    }
+    sys.loop().run();
+  }
+  const double ns = wall_ms_since(t0) * 1e6 / (kBatches * kBatch);
+  FRACTOS_CHECK(ctl.stats().syscalls - syscalls0 == uint64_t{kBatches} * kBatch);
+  return ns;
+}
+
+// Heap blocks per control frame, encode -> QueuePair send -> delivery -> decode, on a clean
+// fabric once the event loop is warm.
+double allocs_per_control_frame() {
+  constexpr int kFrames = 10'000;
+  EventLoop loop;
+  Network net(&loop);
+  net.add_node("a");
+  net.add_node("b");
+  Channel a(&net, Endpoint{0, Loc::kHost});
+  Channel b(&net, Endpoint{1, Loc::kHost});
+  Channel::connect(a, b);
+  uint64_t decoded = 0;  // the handler runs only for a frame that decoded
+  b.set_handler([&decoded](Envelope&&) { ++decoded; });
+  const Envelope env = probe_invoke();
+  auto frame = [&]() {
+    a.send(Traffic::kControl, env);
+    loop.run();
+  };
+  // Warm-up: one no-op event in each timer-wheel bucket (2048 of 128 ns; a bucket keeps its
+  // capacity once it has held an event, as every bucket has in a long run), then frames.
+  for (int64_t ns = 0; ns < 2 * 2048 * 128; ns += 64) {
+    loop.schedule_after(Duration::nanos(ns), []() {});
+  }
+  loop.run();
+  for (int i = 0; i < 64; ++i) {
+    frame();
+  }
+  const uint64_t blocks = heap_allocations_during([&]() {
+    for (int i = 0; i < kFrames; ++i) {
+      frame();
+    }
+  });
+  FRACTOS_CHECK(decoded == 64 + kFrames);
+  return static_cast<double>(blocks) / kFrames;
+}
+
+LayerLedger layer_ledger() {
+  LayerLedger l;
+  l.switch_traverse_ns = switch_traverse_ns();
+  l.controller_dispatch_ns = controller_dispatch_ns();
+  l.allocs_per_control_frame = allocs_per_control_frame();
+  return l;
+}
+
 void write_json(const std::vector<SoakResult>& soaks, const ObjTableLedger& objtable,
-                const CapSpaceLedger& capspace, const std::string& host) {
+                const CapSpaceLedger& capspace, const LayerLedger& layers,
+                const std::string& host) {
   char buf[512];
   std::string out;
   uint64_t total_events = 0;
@@ -392,6 +505,12 @@ void write_json(const std::vector<SoakResult>& soaks, const ObjTableLedger& objt
                 "\"heap_bytes_per_object\": %.1f},\n",
                 capspace.install_ns_n1m, capspace.get_ns_n1m, capspace.purge_ns_n1m,
                 capspace.heap_bytes_per_cap, capspace.heap_bytes_per_object);
+  out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "  \"layers\": {\"switch_traverse_ns\": %.1f, "
+                "\"controller_dispatch_ns\": %.1f, \"allocs_per_control_frame\": %.2f},\n",
+                layers.switch_traverse_ns, layers.controller_dispatch_ns,
+                layers.allocs_per_control_frame);
   out += buf;
   out += "  " + host + "\n}\n";
   bench::emit_bench_json("bench_simspeed", "BENCH_simspeed.json", out);
@@ -440,6 +559,13 @@ int main() {
   c.row({"heap bytes per ObjectTable object", fmt(capspace.heap_bytes_per_object, 1)});
   c.print();
 
-  write_json(soaks, objtable, capspace, bench::host_json(run_start));
+  const LayerLedger layers = layer_ledger();
+  Table l("layers — per-layer ledger", {"measure", "value"});
+  l.row({"Switch::traverse ns/op", fmt(layers.switch_traverse_ns, 1)});
+  l.row({"Controller dispatch ns/envelope", fmt(layers.controller_dispatch_ns, 1)});
+  l.row({"heap blocks per control frame", fmt(layers.allocs_per_control_frame, 2)});
+  l.print();
+
+  write_json(soaks, objtable, capspace, layers, bench::host_json(run_start));
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "src/apps/cloud_inference.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -15,8 +16,24 @@ SimGpu::Kernel make_inference_kernel(Duration compute) {
     const uint64_t in = args[0];
     const uint64_t out = args[1];
     const uint64_t n = args[2];
-    for (uint64_t i = 0; i < n; ++i) {
-      mem[out + i] = static_cast<uint8_t>(mem[in + i] ^ 0x5A);
+    FRACTOS_CHECK(in <= mem.size() && n <= mem.size() - in);
+    FRACTOS_CHECK(out <= mem.size() && n <= mem.size() - out);
+    const uint8_t* src = mem.data() + in;
+    uint8_t* dst = mem.data() + out;
+    uint64_t i = 0;
+    // Eight bytes at a time, unless the output starts inside the input: then each byte must
+    // see the ones already written before it, as the byte-order definition above says.
+    if (out <= in || out >= in + n) {
+      constexpr uint64_t kMask = 0x5A5A5A5A5A5A5A5Aull;
+      for (; i + 8 <= n; i += 8) {
+        uint64_t word;
+        std::memcpy(&word, src + i, sizeof(word));
+        word ^= kMask;
+        std::memcpy(dst + i, &word, sizeof(word));
+      }
+    }
+    for (; i < n; ++i) {
+      dst[i] = static_cast<uint8_t>(src[i] ^ 0x5A);
     }
     return compute;
   };
@@ -173,7 +190,11 @@ void CloudInference::finish_slot(size_t i, Status st) {
 void CloudInference::verify_output(size_t s, uint32_t input_id, Promise<Result<bool>> promise) {
   Slot& slot = slots_[s];
   const uint64_t rb = params_.request_bytes;
-  frontend_->write_mem(slot.host_addr, std::vector<uint8_t>(rb, 0));
+  // The slot is cleared in place before the read, so stale bytes from an earlier request
+  // can never pass the comparison; the comparison reads the slot in place too.
+  PoolBytes& mem = sys_->net().node(frontend_node_).pool(frontend_->heap_pool());
+  FRACTOS_CHECK(slot.host_addr <= mem.size() && rb <= mem.size() - slot.host_addr);
+  std::fill_n(mem.begin() + static_cast<ptrdiff_t>(slot.host_addr), rb, uint8_t{0});
   FsClient::read(*frontend_, output_file_fsmode_, slot.out_off, rb, slot.host_mem)
       .on_ready([this, s, input_id, promise](Status rs) {
         Slot& sl = slots_[s];
@@ -182,9 +203,13 @@ void CloudInference::verify_output(size_t s, uint32_t input_id, Promise<Result<b
           promise.set(rs.error());
           return;
         }
-        const auto got = frontend_->read_mem(sl.host_addr, params_.request_bytes);
+        const std::vector<uint8_t>& want = expected_outputs_[input_id];
+        const PoolBytes& mem = sys_->net().node(frontend_node_).pool(frontend_->heap_pool());
+        const uint8_t* got = mem.data() + sl.host_addr;
+        const bool sized = want.size() == params_.request_bytes;
+        const bool same = sized && std::equal(want.begin(), want.end(), got);
         slot_pool_.release(s);
-        promise.set(got == expected_outputs_[input_id]);
+        promise.set(same);
       });
 }
 

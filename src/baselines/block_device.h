@@ -13,7 +13,7 @@
 
 #include "src/base/result.h"
 #include "src/devices/nvme.h"
-#include "src/fabric/payload.h"
+#include "src/wire/payload.h"
 
 namespace fractos {
 

@@ -44,7 +44,7 @@ void NfsServer::on_rpc(QueuePair* qp, const Payload& bytes) {
   Decoder d(bytes.bytes());
   const uint8_t op = d.get_u8();
   const uint64_t seq = d.get_u64();
-  auto respond = [qp, seq](uint8_t status, const std::vector<uint8_t>& payload, Traffic cat) {
+  auto respond = [qp, seq](uint8_t status, std::span<const uint8_t> payload, Traffic cat) {
     Encoder e;
     e.put_u8(kReply);
     e.put_u64(seq);

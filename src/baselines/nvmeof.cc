@@ -45,7 +45,7 @@ void NvmeofTarget::on_command(QueuePair* qp, const Payload& bytes) {
         e.put_u8(r.ok() ? 0 : static_cast<uint8_t>(r.error()));
         // The capsule format embeds data in the completion message, so the baseline pays an
         // encode copy here — the disaggregation tax FractOS's RDMA path avoids.
-        e.put_bytes(r.ok() ? r.value().bytes() : std::vector<uint8_t>{});
+        e.put_bytes(r.ok() ? r.value().bytes() : std::span<const uint8_t>());
         qp->send(Traffic::kData, e.take());
       });
     });

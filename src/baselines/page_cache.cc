@@ -111,7 +111,7 @@ void PageCache::read(uint64_t off, uint64_t size, std::function<void(Result<Payl
           done(r.error());
           return;
         }
-        const std::vector<uint8_t>& bytes = r.value().bytes();
+        const std::span<const uint8_t> bytes = r.value().bytes();
         for (uint64_t p = fetch_first; (p - fetch_first + 1) * params_.page_bytes <= fetch_size;
              ++p) {
           const uint64_t start = (p - fetch_first) * params_.page_bytes;
@@ -122,9 +122,7 @@ void PageCache::read(uint64_t off, uint64_t size, std::function<void(Result<Payl
         // Serve from the fetched run directly: a request larger than the cache capacity may
         // already have evicted its own head pages.
         const uint64_t start = off - fetch_off;
-        done(Payload(std::vector<uint8_t>(
-            bytes.begin() + static_cast<ptrdiff_t>(start),
-            bytes.begin() + static_cast<ptrdiff_t>(start + size))));
+        done(Payload::copy_of(bytes.data() + start, size));
       });
 }
 
@@ -139,7 +137,7 @@ void PageCache::write(uint64_t off, Payload data, std::function<void(Status)> do
   // issued immediately; the caller completes at memcpy speed. This is the "absorbs writes"
   // behaviour of Fig. 10.
   const uint64_t page_bytes = params_.page_bytes;
-  const std::vector<uint8_t>& src = data.bytes();
+  const std::span<const uint8_t> src = data.bytes();
   const uint64_t size = src.size();
   uint64_t pos = 0;
   while (pos < size) {

@@ -6,7 +6,9 @@
 #define SRC_CORE_CHANNEL_H_
 
 #include <functional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "src/fabric/queue_pair.h"
 #include "src/wire/message.h"
@@ -15,11 +17,13 @@ namespace fractos {
 
 class Channel {
  public:
-  using Handler = std::function<void(Envelope)>;
+  // Takes the decoded envelope by rvalue reference: the handler moves what it keeps, and
+  // nothing between the decoder and the handler copies it.
+  using Handler = std::function<void(Envelope&&)>;
   using SeveredHandler = std::function<void()>;
 
   Channel(Network* net, Endpoint local) : qp_(net, local) {
-    qp_.set_receive_handler([this](Payload bytes) { on_bytes(bytes); });
+    qp_.set_receive_handler([this](Payload bytes) { on_bytes(bytes.bytes()); });
   }
 
   static void connect(Channel& a, Channel& b) { QueuePair::connect(a.qp_, b.qp_); }
@@ -34,12 +38,11 @@ class Channel {
   }
 
   void send(Traffic category, const Envelope& env) {
-    qp_.send(category, encode_envelope(env));
+    send_encoded(category, encode_envelope(env));
   }
 
-  // Pre-encoded variant: retry loops (controller peer-op resends) encode an Envelope once
-  // with encode() and re-send the same refcounted frame on every attempt.
-  static Payload encode(const Envelope& env) { return Payload(encode_envelope(env)); }
+  // Pre-encoded variant: a frame encoded once with encode_envelope() (one block) can be sent
+  // again and again — controller peer-op resends re-send the same refcounted frame.
   void send_encoded(Traffic category, Payload frame) { qp_.send(category, std::move(frame)); }
 
   void sever() { qp_.sever(); }
@@ -52,11 +55,11 @@ class Channel {
 
   // Test hook: feeds raw bytes to the receive path as if they arrived on the wire (the
   // Process API always encodes, so hostile raw frames can only be injected this way).
-  void inject_raw_for_test(std::vector<uint8_t> bytes) { on_bytes(Payload(std::move(bytes))); }
+  void inject_raw_for_test(const std::vector<uint8_t>& bytes) { on_bytes(bytes); }
 
  private:
-  void on_bytes(const Payload& bytes) {
-    auto env = decode_envelope(bytes.bytes());
+  void on_bytes(std::span<const uint8_t> bytes) {
+    Result<Envelope> env = decode_envelope(bytes);
     if (!env.ok()) {
       // Bytes on a channel come from an UNTRUSTED Process (or a peer with a bug): a trusted
       // Controller must never abort on malformed input — drop it and count it.
@@ -64,7 +67,7 @@ class Channel {
       return;
     }
     if (handler_ != nullptr) {
-      handler_(std::move(env).value());
+      handler_(std::move(env.value()));
     }
   }
 

@@ -69,7 +69,7 @@ Channel& Controller::attach_process(ProcessId pid, uint32_t proc_node, PoolId he
   state->heap_pool = heap_pool;
   state->chan = std::make_unique<Channel>(net_, config_.endpoint);
   Channel& chan = *state->chan;
-  chan.set_handler([this, pid](Envelope env) { on_process_msg(pid, std::move(env)); });
+  chan.set_handler([this, pid](Envelope&& env) { on_process_msg(pid, std::move(env)); });
   chan.set_severed_handler([this, pid]() {
     // "A Process failure is detected by the owner Controller when their channel is severed."
     if (!failed_) {
@@ -86,7 +86,7 @@ Channel& Controller::connect_peer(ControllerAddr peer, Endpoint peer_ep) {
   p.endpoint = peer_ep;
   p.chan = std::make_unique<Channel>(net_, config_.endpoint);
   Channel& chan = *p.chan;
-  chan.set_handler([this, peer](Envelope env) { on_peer_msg(peer, std::move(env)); });
+  chan.set_handler([this, peer](Envelope&& env) { on_peer_msg(peer, std::move(env)); });
   chan.set_severed_handler([this, peer]() { on_peer_severed(peer); });
   peers_.emplace(peer, std::move(p));
   return chan;
@@ -180,7 +180,7 @@ Duration Controller::cost_of(const Envelope& env) const {
   }
 }
 
-void Controller::on_process_msg(ProcessId pid, Envelope env) {
+void Controller::on_process_msg(ProcessId pid, Envelope&& env) {
   if (failed_) {
     return;
   }
@@ -206,7 +206,7 @@ void Controller::on_process_msg(ProcessId pid, Envelope env) {
   });
 }
 
-void Controller::on_peer_msg(ControllerAddr peer, Envelope env) {
+void Controller::on_peer_msg(ControllerAddr peer, Envelope&& env) {
   if (failed_) {
     return;
   }
@@ -275,7 +275,7 @@ void Controller::on_peer_msg(ControllerAddr peer, Envelope env) {
   });
 }
 
-void Controller::charge(Duration cost, std::function<void()> fn) {
+void Controller::charge(Duration cost, EventLoop::Callback fn) {
   exec_->run(cost, std::move(fn));
 }
 
@@ -1203,47 +1203,45 @@ ErrorCode Controller::deliver_locally(ObjectIndex idx, const std::vector<ImmExte
                                       const std::vector<WireCap>& extra_caps) {
   // deliver_locally is called with a ref whose owner is this Controller; the generation was
   // checked when building the ObjectRef view.
-  ObjectTable::ResolvedRequest req;
-  if (tcache_.enabled()) {
-    if (const ObjectTable::ResolvedRequest* cached = tcache_.lookup(idx)) {
-      req = *cached;  // copy out: the delivery below consumes the merged args
-    } else {
-      auto resolved = table_.resolve_request(idx, table_.reboot_count());
-      if (!resolved.ok()) {
-        return resolved.error();
-      }
-      req = std::move(resolved).value();
-      tcache_.put(idx, req);
-    }
-  } else {
+  const ObjectTable::ResolvedRequest* req = tcache_.enabled() ? tcache_.lookup(idx) : nullptr;
+  ObjectTable::ResolvedRequest fresh;  // the resolution, when the cache did not serve it
+  if (req == nullptr) {
     auto resolved = table_.resolve_request(idx, table_.reboot_count());
     if (!resolved.ok()) {
       return resolved.error();
     }
-    req = std::move(resolved).value();
+    fresh = std::move(resolved).value();
+    if (tcache_.enabled()) {
+      tcache_.put(idx, fresh);
+    }
+    req = &fresh;
   }
-  if (Status s = check_imm_overlap(req.args.imms, extra_imms); !s.ok()) {
+  if (Status s = check_imm_overlap(req->args.imms, extra_imms); !s.ok()) {
     return s.error();
   }
-  auto pit = procs_.find(req.provider);
+  auto pit = procs_.find(req->provider);
   if (pit == procs_.end() || !pit->second->alive) {
     return ErrorCode::kChannelClosed;
   }
   ProcState& provider = *pit->second;
 
+  // The delivery is built straight from the resolution (cached or fresh) and the invoke's
+  // own arguments, with no intermediate merged copy.
   DeliverRequestMsg d;
-  d.endpoint_cid = req.endpoint_cid;
-  d.imms = std::move(req.args.imms);
+  d.endpoint_cid = req->endpoint_cid;
+  d.imms.reserve(req->args.imms.size() + extra_imms.size());
+  d.imms.insert(d.imms.end(), req->args.imms.begin(), req->args.imms.end());
   d.imms.insert(d.imms.end(), extra_imms.begin(), extra_imms.end());
-  std::vector<WireCap> all_caps = std::move(req.args.caps);
-  all_caps.insert(all_caps.end(), extra_caps.begin(), extra_caps.end());
-  for (const WireCap& wc : all_caps) {
-    CapEntry entry{wc.ref, wc.kind, wc.perms, wc.mem, wc.tracked};
-    auto cid = provider.caps.install(entry);
-    if (!cid.ok()) {
-      return cid.error();
+  d.caps.reserve(req->args.caps.size() + extra_caps.size());
+  for (const std::vector<WireCap>* caps : {&req->args.caps, &extra_caps}) {
+    for (const WireCap& wc : *caps) {
+      CapEntry entry{wc.ref, wc.kind, wc.perms, wc.mem, wc.tracked};
+      auto cid = provider.caps.install(entry);
+      if (!cid.ok()) {
+        return cid.error();
+      }
+      d.caps.push_back(DeliveredCap{cid.value(), wc.kind, wc.perms, wc.mem.size});
     }
-    d.caps.push_back(DeliveredCap{cid.value(), wc.kind, wc.perms, wc.mem.size});
   }
   push_delivery(provider, std::move(d));
   return ErrorCode::kOk;
@@ -1642,6 +1640,7 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
   }
   RevokeBroadcastMsg bc;
   bc.cleanup_id = next_op_id_++;
+  const uint64_t cleanup_id = bc.cleanup_id;
   bc.revoked.reserve(result.invalidated.size());
   for (ObjectIndex idx : result.invalidated) {
     bc.revoked.push_back(ObjectRef{seat, idx, t->reboot_count()});
@@ -1654,12 +1653,15 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
   // capability revocation is based on a broadcast", Section 4). Off the critical path; the
   // invalidated stubs are erased only once every live peer has acknowledged (two-phase
   // cleanup — "after ensuring no other Controllers have capabilities referencing it").
+  //
+  // The body is encoded once; each peer's frame is that encoding under the peer's own seq.
+  const Payload body = encode_envelope(make_envelope(0, std::move(bc)));
   size_t live_peers = 0;
   for (auto& [peer_addr, peer] : peers_) {
     if (peer.chan->severed()) {
       continue;
     }
-    send_peer(peer_addr, make_envelope(next_seq_++, bc));
+    peer.chan->send_encoded(Traffic::kControl, with_seq(body, next_seq_++));
     ++live_peers;
   }
   if (live_peers == 0) {
@@ -1669,8 +1671,7 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
     op.indices.assign(result.invalidated.begin(), result.invalidated.end());
     log_mutation(seat, std::move(op));
   } else {
-    pending_cleanups_.emplace(bc.cleanup_id,
-                              PendingCleanup{result.invalidated, live_peers, seat});
+    pending_cleanups_.emplace(cleanup_id, PendingCleanup{result.invalidated, live_peers, seat});
   }
   if (fire_monitors) {
     for (const auto& fire : result.fires) {
@@ -1739,13 +1740,14 @@ Future<Result<PeerReplyMsg>> Controller::call_peer(ControllerAddr peer, uint64_t
       pending_op_spans_.emplace(op_id, span);
     }
   }
-  pr->chan->send(Traffic::kControl, env);
+  Payload frame = encode_envelope(env);
+  pr->chan->send_encoded(Traffic::kControl, frame);
   if (!net_->lossy()) {
     // Clean fabric: the reply always arrives (or the peer's sever completes the op), so no
     // timers are armed and simulated time is untouched — the pre-existing fast path.
     return inner;
   }
-  schedule_peer_resend(peer, op_id, Channel::encode(env), 1);
+  schedule_peer_resend(peer, op_id, std::move(frame), 1);
   Future<Result<PeerReplyMsg>> bounded =
       with_timeout(*net_->loop(), config_.peer_op_deadline, std::move(inner));
   // Scheduled after with_timeout's own deadline event (same instant, later sequence number):
@@ -1824,17 +1826,19 @@ void Controller::flush_peer_batch(ControllerAddr peer) {
   if (MetricsRegistry* m = net_->loop()->metrics()) {
     m->observe(batch_occupancy_key_, batch.ops.size());
   }
-  std::vector<uint64_t> op_ids;
-  op_ids.reserve(batch.ops.size());
-  for (const RemoteDeriveMsg& op : batch.ops) {
-    op_ids.push_back(op.op_id);
+  std::vector<uint64_t> op_ids;  // what a resend checks; a clean fabric never resends
+  if (net_->lossy()) {
+    op_ids.reserve(batch.ops.size());
+    for (const RemoteDeriveMsg& op : batch.ops) {
+      op_ids.push_back(op.op_id);
+    }
   }
   RemoteDeriveBatchMsg msg;
   msg.ops = std::move(batch.ops);
-  Envelope env = make_envelope(next_seq_++, std::move(msg));
-  pr->chan->send(Traffic::kControl, env);
+  Payload frame = encode_envelope(make_envelope(next_seq_++, std::move(msg)));
+  pr->chan->send_encoded(Traffic::kControl, frame);
   if (net_->lossy()) {
-    schedule_batch_resend(peer, std::move(op_ids), Channel::encode(env), 1);
+    schedule_batch_resend(peer, std::move(op_ids), std::move(frame), 1);
   }
 }
 

@@ -264,8 +264,8 @@ class Controller {
   };
 
   // --- dispatch ---
-  void on_process_msg(ProcessId pid, Envelope env);
-  void on_peer_msg(ControllerAddr peer, Envelope env);
+  void on_process_msg(ProcessId pid, Envelope&& env);
+  void on_peer_msg(ControllerAddr peer, Envelope&& env);
   Duration cost_of(const Envelope& env) const;
 
   // --- syscall handlers ---
@@ -375,7 +375,7 @@ class Controller {
   void bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, uint64_t total,
                            std::function<void(Status)> done);
   // Charges additional compute, then runs `fn`.
-  void charge(Duration cost, std::function<void()> fn);
+  void charge(Duration cost, EventLoop::Callback fn);
   // The pulled metrics: ctrl.<addr>.* from stats_, cap.<addr>.xlate_* from tcache_.
   void publish_metrics(MetricSink& out) const;
   // Called from inside a charge() callback that just paid `cost` of capability/request

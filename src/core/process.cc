@@ -9,39 +9,52 @@
 namespace fractos {
 
 Process::Args& Process::Args::imm_u64(uint32_t offset, uint64_t v) {
-  std::vector<uint8_t> bytes(8);
+  uint8_t bytes[8];
   for (size_t i = 0; i < 8; ++i) {
     bytes[i] = static_cast<uint8_t>(v >> (8 * i));
   }
-  return imm(offset, std::move(bytes));
+  imms.push_back(ImmExtent{offset, SmallBytes(bytes, sizeof(bytes))});
+  return *this;
 }
 
 Process::Args& Process::Args::imm_str(uint32_t offset, const std::string& s) {
   return imm(offset, std::vector<uint8_t>(s.begin(), s.end()));
 }
 
+namespace {
+
+// The bytes [offset, offset + size) of the argument buffer, if one extent holds all of them
+// (extents are non-overlapping).
+const uint8_t* find_imm(const std::vector<ImmExtent>& imms, uint32_t offset, uint32_t size) {
+  for (const auto& e : imms) {
+    if (offset >= e.offset && offset + size <= e.end()) {
+      return e.bytes.data() + (offset - e.offset);
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 std::optional<uint64_t> Process::Received::imm_u64(uint32_t offset) const {
-  auto bytes = imm_bytes(offset, 8);
-  if (!bytes.has_value()) {
+  const uint8_t* bytes = find_imm(imms, offset, 8);
+  if (bytes == nullptr) {
     return std::nullopt;
   }
   uint64_t v = 0;
   for (size_t i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>((*bytes)[i]) << (8 * i);
+    v |= static_cast<uint64_t>(bytes[i]) << (8 * i);
   }
   return v;
 }
 
 std::optional<std::vector<uint8_t>> Process::Received::imm_bytes(uint32_t offset,
                                                                  uint32_t size) const {
-  // Extents are non-overlapping; find the one containing [offset, offset+size).
-  for (const auto& e : imms) {
-    if (offset >= e.offset && offset + size <= e.end()) {
-      const uint32_t start = offset - e.offset;
-      return std::vector<uint8_t>(e.bytes.begin() + start, e.bytes.begin() + start + size);
-    }
+  const uint8_t* bytes = find_imm(imms, offset, size);
+  if (bytes == nullptr) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return std::vector<uint8_t>(bytes, bytes + size);
 }
 
 std::optional<std::string> Process::Received::imm_str(uint32_t offset) const {
@@ -63,7 +76,7 @@ Process::Process(Network* net, ProcessId pid, std::string name, uint32_t node, P
       chan_(net, Endpoint{node, Loc::kHost}) {
   (void)controller_ep;  // the System wires the channel to the Controller side
   name_id_ = intern_name(name_);
-  chan_.set_handler([this](Envelope env) { on_envelope(std::move(env)); });
+  chan_.set_handler([this](Envelope&& env) { on_envelope(std::move(env)); });
 }
 
 // --- syscall plumbing ---------------------------------------------------------------------------
@@ -208,7 +221,7 @@ Future<Result<CapId>> Process::serve(Args initial_args, Handler handler) {
 }
 
 void Process::on_endpoint(CapId endpoint_cid, Handler handler) {
-  handlers_[endpoint_cid] = std::move(handler);
+  handlers_[endpoint_cid] = std::make_shared<const Handler>(std::move(handler));
 }
 
 Future<Result<Process::Received>> Process::call(CapId target, Args args) {
@@ -236,7 +249,7 @@ Future<Result<Process::Received>> Process::call(CapId target, Args args) {
 
 // --- delivery / replies ------------------------------------------------------------------------
 
-void Process::on_envelope(Envelope env) {
+void Process::on_envelope(Envelope&& env) {
   switch (env.type) {
     case MsgType::kSyscallReply: {
       const auto& r = std::get<SyscallReplyMsg>(env.body);
@@ -263,9 +276,9 @@ void Process::on_envelope(Envelope env) {
       r.caps = std::move(d.caps);
       auto it = handlers_.find(r.endpoint);
       if (it != handlers_.end()) {
-        // Copy the handler: it may erase itself (one-shot endpoints).
-        Handler h = it->second;
-        h(std::move(r));
+        // Hold a reference while it runs: it may erase itself (one-shot endpoints).
+        const std::shared_ptr<const Handler> h = it->second;
+        (*h)(std::move(r));
       } else if (default_handler_ != nullptr) {
         default_handler_(std::move(r));
       }
@@ -313,7 +326,7 @@ uint64_t Process::alloc(uint64_t size, uint64_t align) {
   return addr;
 }
 
-void Process::write_mem(uint64_t addr, const std::vector<uint8_t>& bytes) {
+void Process::write_mem(uint64_t addr, std::span<const uint8_t> bytes) {
   auto& pool = net_->node(node_).pool(heap_pool_);
   FRACTOS_CHECK(addr + bytes.size() <= pool.size());
   std::copy(bytes.begin(), bytes.end(), pool.begin() + static_cast<ptrdiff_t>(addr));

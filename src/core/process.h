@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -133,7 +134,7 @@ class Process {
   uint64_t heap_size() const;
   // Bump allocation out of the heap pool (the runtime's malloc stand-in).
   uint64_t alloc(uint64_t size, uint64_t align = 64);
-  void write_mem(uint64_t addr, const std::vector<uint8_t>& bytes);
+  void write_mem(uint64_t addr, std::span<const uint8_t> bytes);
   std::vector<uint8_t> read_mem(uint64_t addr, uint64_t size) const;
 
   // Models application compute on the node's host core.
@@ -144,7 +145,7 @@ class Process {
   void fail();
 
  private:
-  void on_envelope(Envelope env);
+  void on_envelope(Envelope&& env);
   uint64_t send_syscall(Envelope env);  // returns the seq used
   Future<Result<CapId>> cap_syscall(Envelope env);
   Future<Status> status_syscall(Envelope env);
@@ -161,8 +162,11 @@ class Process {
   std::unordered_map<uint64_t, uint64_t> pending_spans_;
   uint64_t next_alloc_ = 0;
   bool failed_ = false;
-  std::unordered_map<uint64_t, std::function<void(const SyscallReplyMsg&)>> pending_;
-  std::unordered_map<CapId, Handler> handlers_;
+  // The continuation of each in-flight syscall, keyed by envelope seq. A continuation holds
+  // one Promise, so it is stored inline.
+  using ReplyFn = BasicInlineFn<void(const SyscallReplyMsg&), 16, alignof(void*)>;
+  std::unordered_map<uint64_t, ReplyFn> pending_;
+  std::unordered_map<CapId, std::shared_ptr<const Handler>> handlers_;
   Handler default_handler_;
   std::function<void(uint64_t, bool)> monitor_handler_;
   std::function<void(ErrorCode)> invoke_error_handler_;

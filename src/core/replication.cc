@@ -37,6 +37,7 @@ ReplicationGroup::ReplicationGroup(Controller* host, ControllerAddr seat,
   keys_.elections = intern_name(prefix + "elections");
   keys_.snapshots_sent = intern_name(prefix + "snapshots_sent");
   keys_.snapshots_installed = intern_name(prefix + "snapshots_installed");
+  keys_.snapshots_refused = intern_name(prefix + "snapshots_refused");
   keys_.divergence = intern_name(prefix + "divergence");
   keys_.term = intern_name(prefix + "term");
 }
@@ -180,7 +181,7 @@ void ReplicationGroup::tick() {
   // de-phase instead of colliding at the same tick forever.
   const Duration stagger =
       Duration::nanos(params_.election_stagger.ns() * static_cast<int64_t>(rank_of_self()));
-  if (now - last_append_time_ >= params_.lease + stagger &&
+  if (!snapshot_refused_ && now - last_append_time_ >= params_.lease + stagger &&
       now - last_candidacy_ >= params_.lease + stagger) {
     become_candidate();
   }
@@ -545,14 +546,30 @@ void ReplicationGroup::on_snapshot(ControllerAddr from, const ReplSnapshotMsg& m
   term_ = m.term;
   leader_ = m.leader;
   last_append_time_ = loop()->now();
-  const Status s = state().restore_snapshot(m.blob);
-  FRACTOS_CHECK_MSG(s.ok(), "replication: malformed snapshot blob");
+  if (!state().restore_snapshot(m.blob).ok()) {
+    // A blob the table refuses comes from a peer with a bug, or a hostile one; it must not
+    // take this Controller down. restore_snapshot left the replica empty, so this member
+    // stays tainted (every append is answered with need_snapshot) and does not stand for
+    // election until a good snapshot replaces the table.
+    tainted_ = true;
+    snapshot_refused_ = true;
+    bump(keys_.snapshots_refused);
+    ReplAppendReplyMsg r;
+    r.seat = seat_;
+    r.from = self_;
+    r.term = term_;
+    r.ok = false;
+    r.need_snapshot = true;
+    send(from, r);
+    return;
+  }
   log_.clear();
   log_start_ = m.last_index;
   snap_last_term_ = m.last_term;
   commit_index_ = m.last_index;
   applied_index_ = m.last_index;
   tainted_ = false;
+  snapshot_refused_ = false;
   bump(keys_.snapshots_installed);
   ReplAppendReplyMsg r;
   r.seat = seat_;

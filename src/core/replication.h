@@ -22,6 +22,9 @@
 //     commits on a majority — "no committed grant is ever lost" holds because a client
 //     only ever observes committed state. If the leader is deposed with eagerly applied
 //     but uncommitted entries, it marks itself tainted and rejoins via full snapshot.
+//   * A snapshot blob the follower's table refuses (a buggy or hostile peer) is answered
+//     with need_snapshot, never a crash: the follower stays tainted, counts the refusal
+//     (repl.*.snapshots_refused) and does not stand for election until a good snapshot lands.
 //   * A takeover leader commits a no-op barrier entry before serving (committing the whole
 //     prefix it inherited), then re-issues revocation broadcasts for every object that is
 //     invalidated but not yet erased — completing any revocation the dead leader started.
@@ -168,6 +171,7 @@ class ReplicationGroup {
   uint64_t applied_index_ = 0;
   bool established_ = false;  // this term's barrier entry committed
   bool tainted_ = false;      // eagerly applied entries lost leadership before committing
+  bool snapshot_refused_ = false;  // the last snapshot was refused: the replica is empty
 
   // Leader bookkeeping.
   std::unordered_map<ControllerAddr, uint64_t> next_;
@@ -192,6 +196,7 @@ class ReplicationGroup {
     NameId elections = kInvalidNameId;
     NameId snapshots_sent = kInvalidNameId;
     NameId snapshots_installed = kInvalidNameId;
+    NameId snapshots_refused = kInvalidNameId;
     NameId divergence = kInvalidNameId;
     NameId term = kInvalidNameId;
   } keys_;

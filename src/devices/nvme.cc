@@ -90,7 +90,7 @@ void SimNvme::read_bytes(uint64_t off, uint64_t size, std::vector<uint8_t>& out)
   }
 }
 
-void SimNvme::write_bytes(uint64_t off, const std::vector<uint8_t>& data) {
+void SimNvme::write_bytes(uint64_t off, std::span<const uint8_t> data) {
   uint64_t pos = 0;
   while (pos < data.size()) {
     const uint64_t abs = off + pos;

@@ -11,13 +11,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
-#include "src/fabric/payload.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/metrics.h"
+#include "src/wire/payload.h"
 
 namespace fractos {
 
@@ -67,7 +68,7 @@ class SimNvme {
   // Sparse block store.
   std::vector<uint8_t>& block_for(uint64_t block_idx);
   void read_bytes(uint64_t off, uint64_t size, std::vector<uint8_t>& out) const;
-  void write_bytes(uint64_t off, const std::vector<uint8_t>& data);
+  void write_bytes(uint64_t off, std::span<const uint8_t> data);
 
   EventLoop* loop_;
   Params params_;

@@ -213,7 +213,7 @@ void Network::transfer_then(Endpoint src, Endpoint dst, Traffic category, uint64
 }
 
 void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload,
-                   std::function<void(Payload)> deliver, std::function<void()> dropped) {
+                   DeliverFn deliver, DroppedFn dropped) {
   FRACTOS_CHECK(src.node < nodes_.size() && dst.node < nodes_.size());
   if (nodes_[src.node]->failed() || nodes_[dst.node]->failed()) {
     if (dropped != nullptr) {
@@ -222,29 +222,11 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
     return;
   }
 
+  Time arrival;
   if (injector_ == nullptr) {
     // Clean fabric: no fault draws, just the modeled transfer.
-    const uint64_t payload_bytes = payload.size();
-    const uint32_t dst_node = dst.node;
-    transfer_then(src, dst, category, payload_bytes, LinkClass::kBulk,
-                  [this, dst_node, payload = std::move(payload), deliver = std::move(deliver),
-                   dropped = std::move(dropped)]() mutable {
-                    // Failure is re-checked at delivery: a node that failed while the
-                    // message was in flight never sees it.
-                    if (nodes_[dst_node]->failed()) {
-                      if (dropped != nullptr) {
-                        dropped();
-                      }
-                      return;
-                    }
-                    deliver(std::move(payload));
-                  });
-    return;
-  }
-
-  Duration extra_delay = Duration::zero();
-  bool duplicate = false;
-  {
+    arrival = schedule_transfer(src, dst, category, payload.size());
+  } else {
     // A blocked topology link (spine/ToR flap) eats the message deterministically, before
     // any probabilistic draw — mirroring how on_message treats node-to-node partitions.
     if (route_blocked(src, dst, loop_->now())) {
@@ -258,29 +240,27 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
       // reliability layer's job (QueuePair RC retransmit, controller peer-op retries).
       return;
     }
-    duplicate = v.duplicate;
-    extra_delay = v.extra_delay;
-  }  // injector verdict scope
-
-  Time arrival = schedule_transfer(src, dst, category, payload.size());
-  arrival = arrival + extra_delay;
-  if (duplicate) {
-    // A duplicated message is charged twice on the wire and delivered twice; receiver-side
-    // dedup (QueuePair sequence numbers) is what keeps it invisible to the layers above.
-    // Both copies alias the same Payload rep — duplication costs a refcount bump, not bytes.
-    const Time dup_arrival = schedule_transfer(src, dst, category, payload.size());
-    const uint32_t dd = dst.node;
-    loop_->schedule_at(dup_arrival, [this, dd, payload, deliver]() mutable {
-      if (!nodes_[dd]->failed()) {
-        deliver(std::move(payload));
-      }
-    });
+    arrival = schedule_transfer(src, dst, category, payload.size()) + v.extra_delay;
+    if (v.duplicate) {
+      // A duplicated message is charged twice on the wire and delivered twice; receiver-side
+      // dedup (QueuePair sequence numbers) is what keeps it invisible to the layers above.
+      // Both copies alias the same Payload rep — duplication costs a refcount bump, not
+      // bytes — and share the one move-only `deliver`.
+      const Time dup_arrival = schedule_transfer(src, dst, category, payload.size());
+      auto shared = std::make_shared<DeliverFn>(std::move(deliver));
+      deliver = [shared](Payload bytes) { (*shared)(std::move(bytes)); };
+      const uint32_t dd = dst.node;
+      loop_->schedule_at(dup_arrival, [this, dd, payload, shared]() mutable {
+        if (!nodes_[dd]->failed()) {
+          (*shared)(std::move(payload));
+        }
+      });
+    }
   }
   // Failure is re-checked at delivery: a node that failed while the message was in flight
   // never sees it.
-  const uint32_t dst_node = dst.node;
-  loop_->schedule_at(arrival, [this, dst_node, payload = std::move(payload),
-                               deliver = std::move(deliver), dropped = std::move(dropped)]() mutable {
+  auto arrive = [this, payload = std::move(payload), deliver = std::move(deliver),
+                 dropped = std::move(dropped), dst_node = dst.node]() mutable {
     if (nodes_[dst_node]->failed()) {
       if (dropped != nullptr) {
         dropped();
@@ -288,7 +268,9 @@ void Network::send(Endpoint src, Endpoint dst, Traffic category, Payload payload
       return;
     }
     deliver(std::move(payload));
-  });
+  };
+  static_assert(sizeof(arrive) <= InlineFn::kInlineBytes, "a message event must not allocate");
+  loop_->schedule_at(arrival, std::move(arrive));
 }
 
 void Network::rdma_read(Endpoint initiator, uint32_t target, const RdmaKey& key, PoolId pool,
@@ -336,8 +318,7 @@ void Network::rdma_read_impl(Endpoint initiator, uint32_t target, const RdmaKey&
     const PoolBytes& mem = t.pool(pool);
     // The one origin copy: pool bytes into a fresh Payload rep. Every downstream hop shares
     // this rep.
-    Payload data(std::vector<uint8_t>(mem.begin() + static_cast<ptrdiff_t>(addr),
-                                      mem.begin() + static_cast<ptrdiff_t>(addr + size)));
+    Payload data = Payload::copy_of(mem.data() + addr, size);
     // Response leg carries the payload.
     transfer_then(tgt_ep, initiator, Traffic::kData, size, cls,
                   [done = std::move(done), data = std::move(data)]() mutable {

@@ -38,7 +38,7 @@ QueuePair::QueuePair(Network* net, Endpoint local) : net_(net), local_(local) {
   FRACTOS_CHECK(net != nullptr);
 }
 
-QueuePair::~QueuePair() { *alive_ = false; }
+QueuePair::~QueuePair() { anchor_.clear(); }
 
 void QueuePair::connect(QueuePair& a, QueuePair& b) {
   FRACTOS_CHECK(a.peer_ == nullptr && b.peer_ == nullptr);
@@ -54,24 +54,22 @@ Endpoint QueuePair::remote() const {
 void QueuePair::send(Traffic category, Payload payload) {
   FRACTOS_CHECK(peer_ != nullptr);
   if (severed_) {
-    ++dropped_;
-    bump(net_, qp_names().dropped);
+    note_dropped(1);
     return;
   }
   if (!reliable()) {
     // Clean fabric or datagram service: one transfer, no protocol state. The dropped
-    // callback only fires for sends eaten by node failure.
-    QueuePair* peer = peer_;
-    net_->send(local_, peer->local_, category, std::move(payload),
-               [peer, palive = peer->alive_](Payload bytes) {
-                 if (*palive) {
-                   peer->deliver(std::move(bytes));
+    // callback only fires for sends eaten by node failure. Both callbacks are one anchor
+    // wide, so the send allocates nothing.
+    net_->send(local_, peer_->local_, category, std::move(payload),
+               [peer = peer_->anchor_](Payload bytes) {
+                 if (QueuePair* qp = peer.get()) {
+                   qp->deliver(std::move(bytes));
                  }
                },
-               [this, alive = alive_]() {
-                 if (*alive) {
-                   ++dropped_;
-                   bump(net_, qp_names().dropped);
+               [self = anchor_]() {
+                 if (QueuePair* qp = self.get()) {
+                   qp->note_dropped(1);
                  }
                });
     return;
@@ -95,13 +93,12 @@ void QueuePair::transmit(uint64_t seq) {
     bump(net_, qp_names().retransmits);
   }
 
-  QueuePair* peer = peer_;
   // `p.payload` is copied per transmission — a refcount bump, not a byte copy, so a burst of
   // retransmits of a 256 KiB frame costs nothing beyond the modeled wire time.
-  net_->send(local_, peer->local_, p.category, p.payload,
-             [peer, seq, palive = peer->alive_](Payload bytes) {
-               if (*palive) {
-                 peer->on_wire_data(seq, std::move(bytes));
+  net_->send(local_, peer_->local_, p.category, p.payload,
+             [peer = peer_->anchor_, seq](Payload bytes) {
+               if (QueuePair* qp = peer.get()) {
+                 qp->on_wire_data(seq, std::move(bytes));
                }
              });
   arm_retransmit(seq, p.attempts);
@@ -111,30 +108,30 @@ void QueuePair::arm_retransmit(uint64_t seq, uint32_t attempt) {
   // Exponential backoff, capped at 64x so a long outage retries at a steady cadence instead
   // of overshooting the budget horizon.
   const Duration delay = rto_ * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 6u));
-  net_->loop()->schedule_after(delay, [this, seq, attempt, alive = alive_]() {
-    if (!*alive || severed_) {
+  net_->loop()->schedule_after(delay, [self = anchor_, seq, attempt]() {
+    QueuePair* qp = self.get();
+    if (qp == nullptr || qp->severed_) {
       return;
     }
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end() || it->second.attempts != attempt) {
+    auto it = qp->unacked_.find(seq);
+    if (it == qp->unacked_.end() || it->second.attempts != attempt) {
       return;  // ACKed meanwhile, or a newer timer owns this seq.
     }
     // Only head retries count toward the budget (RoCE retry_cnt: consecutive retries of the
     // head WQE, reset on any ACK progress). A trailing entry is waiting out head-of-line
     // recovery; severing on its attempt count would kill a healthy pair under a burst.
-    if (it == unacked_.begin() && ++consecutive_head_retries_ >= retry_budget_) {
-      exhaust_retries();
+    if (it == qp->unacked_.begin() && ++qp->consecutive_head_retries_ >= qp->retry_budget_) {
+      qp->exhaust_retries();
       return;
     }
-    transmit(seq);
+    qp->transmit(seq);
   });
 }
 
 void QueuePair::exhaust_retries() {
   // RoCE RC retry_cnt exhaustion: the connection moves to the error state. Everything still
   // unACKed is lost.
-  dropped_ += unacked_.size();
-  bump(net_, qp_names().dropped, static_cast<int64_t>(unacked_.size()));
+  note_dropped(static_cast<int64_t>(unacked_.size()));
   net_->note_rc_exhausted();
   unacked_.clear();
   sever();
@@ -165,13 +162,12 @@ void QueuePair::send_ack(uint64_t cumulative) {
   }
   ++acks_sent_;
   bump(net_, qp_names().acks_sent);
-  QueuePair* peer = peer_;
   // One shared ACK frame for the lifetime of the program: every ACK aliases the same rep.
   static const Payload kAckFrame = Payload::zeros(kAckBytes);
-  net_->send(local_, peer->local_, Traffic::kControl, kAckFrame,
-             [peer, cumulative, palive = peer->alive_](Payload) {
-               if (*palive) {
-                 peer->on_ack(cumulative);
+  net_->send(local_, peer_->local_, Traffic::kControl, kAckFrame,
+             [peer = peer_->anchor_, cumulative](Payload) {
+               if (QueuePair* qp = peer.get()) {
+                 qp->on_ack(cumulative);
                }
              });
 }
@@ -206,20 +202,23 @@ void QueuePair::deliver(Payload payload) {
   on_receive_(std::move(payload));
 }
 
+void QueuePair::note_dropped(int64_t n) {
+  dropped_ += static_cast<uint64_t>(n);
+  bump(net_, qp_names().dropped, n);
+}
+
 void QueuePair::sever() {
   if (severed_) {
     return;
   }
   severed_ = true;
-  dropped_ += unacked_.size();
-  bump(net_, qp_names().dropped, static_cast<int64_t>(unacked_.size()));
+  note_dropped(static_cast<int64_t>(unacked_.size()));
   unacked_.clear();
   if (peer_ != nullptr && !peer_->severed_) {
-    QueuePair* peer = peer_;
-    const Duration delay = net_->wire_latency(local_, peer->local_);
-    net_->loop()->schedule_after(delay, [peer, palive = peer->alive_]() {
-      if (*palive) {
-        peer->peer_severed();
+    const Duration delay = net_->wire_latency(local_, peer_->local_);
+    net_->loop()->schedule_after(delay, [peer = peer_->anchor_]() {
+      if (QueuePair* qp = peer.get()) {
+        qp->peer_severed();
       }
     });
   }
@@ -230,8 +229,7 @@ void QueuePair::peer_severed() {
     return;
   }
   severed_ = true;
-  dropped_ += unacked_.size();
-  bump(net_, qp_names().dropped, static_cast<int64_t>(unacked_.size()));
+  note_dropped(static_cast<int64_t>(unacked_.size()));
   unacked_.clear();
   if (on_severed_ != nullptr) {
     on_severed_();

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "src/fabric/network.h"
@@ -101,7 +100,37 @@ class QueuePair {
   void send_ack(uint64_t cumulative);
   void on_ack(uint64_t cumulative);
   void deliver(Payload payload);
+  void note_dropped(int64_t n);
   void peer_severed();
+
+  // What every callback the pair parks in the event loop (deliveries, ACKs, retransmit
+  // timers, sever propagation) holds instead of `this`: a counted cell that ~QueuePair
+  // clears. Controller::restart() destroys channels mid-simulation, and a callback firing
+  // into a destroyed pair must be a no-op, not a use-after-free. One pointer wide, so a
+  // message's callbacks fit Network::DeliverFn inline.
+  class Anchor {
+   public:
+    explicit Anchor(QueuePair* qp) : cell_(new Cell{qp, 1}) {}
+    Anchor(const Anchor& other) : cell_(other.cell_) { ++cell_->refs; }
+    Anchor(Anchor&& other) noexcept : cell_(other.cell_) { other.cell_ = nullptr; }
+    Anchor& operator=(const Anchor&) = delete;
+    Anchor& operator=(Anchor&&) = delete;
+    ~Anchor() {
+      if (cell_ != nullptr && --cell_->refs == 0) {
+        delete cell_;
+      }
+    }
+    // The pair, or nullptr once it is destroyed.
+    QueuePair* get() const { return cell_->qp; }
+    void clear() { cell_->qp = nullptr; }
+
+   private:
+    struct Cell {
+      QueuePair* qp;
+      size_t refs;
+    };
+    Cell* cell_;
+  };
 
   Network* net_;
   Endpoint local_;
@@ -129,10 +158,7 @@ class QueuePair {
   uint64_t duplicates_suppressed_ = 0;
   uint64_t acks_sent_ = 0;
 
-  // Guards every callback the pair parks in the event loop (deliveries, ACKs, retransmit
-  // timers, sever propagation): Controller::restart() destroys channels mid-simulation, and
-  // a timer firing into a destroyed pair must be a no-op, not a use-after-free.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  Anchor anchor_{this};
 };
 
 }  // namespace fractos

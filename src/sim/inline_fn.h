@@ -1,5 +1,5 @@
 // InlineFn: the event loop's callback type — a move-only, type-erased void() callable tuned
-// for the scheduler hot path.
+// for the scheduler hot path — and BasicInlineFn, its general form.
 //
 // std::function costs the hot path twice: callables larger than its tiny SBO (16 bytes on
 // libstdc++) heap-allocate on every schedule, and its copyability requirement forbids
@@ -14,6 +14,7 @@
 #define SRC_SIM_INLINE_FN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -64,18 +65,26 @@ inline void pool_free(void* block) {
 
 }  // namespace internal_inline_fn
 
-class InlineFn {
- public:
-  // Inline capacity. Sized so a capture of a handful of pointers/handles plus one
-  // std::function-typed completion fits without touching the pool.
-  static constexpr size_t kInlineBytes = 64;
+// The general form: a move-only callable with signature `Sig` that stores callables of up to
+// `InlineBytes` (aligned to at most `Align`) inside the object. InlineFn is the event loop's
+// instance; smaller instances type-erase per-message callbacks that ride inside an event's
+// own inline capture (Network::DeliverFn), so a message costs no allocation at all.
+template <typename Sig, size_t InlineBytes, size_t Align = alignof(std::max_align_t)>
+class BasicInlineFn;
 
-  InlineFn() = default;
+template <typename R, typename... Args, size_t InlineBytes, size_t Align>
+class BasicInlineFn<R(Args...), InlineBytes, Align> {
+ public:
+  static constexpr size_t kInlineBytes = InlineBytes;
+
+  BasicInlineFn() = default;
+  BasicInlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor): "no callback"
 
   template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): callbacks convert implicitly
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, BasicInlineFn> &&
+                                        !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
+                                        std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  BasicInlineFn(F&& f) {  // NOLINT(google-explicit-constructor): callbacks convert implicitly
     using D = std::decay_t<F>;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
@@ -91,21 +100,22 @@ class InlineFn {
     }
   }
 
-  InlineFn(InlineFn&& other) noexcept { steal(other); }
-  InlineFn& operator=(InlineFn&& other) noexcept {
+  BasicInlineFn(BasicInlineFn&& other) noexcept { steal(other); }
+  BasicInlineFn& operator=(BasicInlineFn&& other) noexcept {
     if (this != &other) {
       reset();
       steal(other);
     }
     return *this;
   }
-  InlineFn(const InlineFn&) = delete;
-  InlineFn& operator=(const InlineFn&) = delete;
-  ~InlineFn() { reset(); }
+  BasicInlineFn(const BasicInlineFn&) = delete;
+  BasicInlineFn& operator=(const BasicInlineFn&) = delete;
+  ~BasicInlineFn() { reset(); }
 
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
   explicit operator bool() const { return ops_ != nullptr; }
+  bool operator==(std::nullptr_t) const { return ops_ == nullptr; }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -117,8 +127,10 @@ class InlineFn {
   }
 
  private:
+  static_assert(InlineBytes >= sizeof(void*), "the storage must hold a block pointer");
+
   struct Ops {
-    void (*invoke)(void* storage);
+    R (*invoke)(void* storage, Args&&... args);
     // Move-constructs dst's storage from src's and destroys the src object. nullptr means
     // "relocatable by memcpy of the whole storage" — true for trivially-copyable inline
     // callables and for all pool/heap-backed ones (their storage is just a pointer), which
@@ -129,7 +141,7 @@ class InlineFn {
 
   template <typename D>
   static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+    return sizeof(D) <= InlineBytes && alignof(D) <= Align &&
            std::is_nothrow_move_constructible_v<D>;
   }
   template <typename D>
@@ -148,7 +160,7 @@ class InlineFn {
 
   template <typename D>
   static constexpr Ops kInlineOps = {
-      [](void* s) { (*inline_obj<D>(s))(); },
+      [](void* s, Args&&... args) -> R { return (*inline_obj<D>(s))(std::forward<Args>(args)...); },
       memcpy_relocatable<D>() ? nullptr
                               : +[](void* dst, void* src) noexcept {
                                   D* obj = inline_obj<D>(src);
@@ -161,7 +173,7 @@ class InlineFn {
 
   template <typename D>
   static constexpr Ops kHeapOps = {
-      [](void* s) { (*heap_obj<D>(s))(); },
+      [](void* s, Args&&... args) -> R { return (*heap_obj<D>(s))(std::forward<Args>(args)...); },
       nullptr,  // storage holds a pointer: memcpy relocates it
       [](void* s) {
         D* obj = heap_obj<D>(s);
@@ -175,21 +187,25 @@ class InlineFn {
       },
   };
 
-  void steal(InlineFn& other) noexcept {
+  void steal(BasicInlineFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       if (ops_->relocate != nullptr) {
         ops_->relocate(storage_, other.storage_);
       } else {
-        std::memcpy(storage_, other.storage_, kInlineBytes);
+        std::memcpy(storage_, other.storage_, InlineBytes);
       }
       other.ops_ = nullptr;
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(Align) unsigned char storage_[InlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+// The event loop's callback. Inline capacity is sized so a capture of a handful of
+// pointers/handles plus one std::function-typed completion fits without touching the pool.
+using InlineFn = BasicInlineFn<void(), 64>;
 
 }  // namespace fractos
 

@@ -1,41 +1,56 @@
 #include "src/wire/buffer.h"
 
+#include <algorithm>
+
 namespace fractos {
 
-void Encoder::put_bytes(const std::vector<uint8_t>& bytes) {
+void Encoder::put_bytes(std::span<const uint8_t> bytes) {
   put_u32(static_cast<uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  put_raw(bytes.data(), bytes.size());
 }
 
-void Encoder::put_string(const std::string& s) {
+void Encoder::put_string(std::string_view s) {
   put_u32(static_cast<uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  put_raw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
-void Encoder::put_raw(const uint8_t* data, size_t len) { buf_.insert(buf_.end(), data, data + len); }
+void Encoder::put_raw(const uint8_t* data, size_t len) {
+  if (len != 0) {
+    std::memcpy(grow(len), data, len);
+  }
+}
 
-std::vector<uint8_t> Decoder::get_bytes() {
+std::vector<uint8_t> Encoder::take() {
+  buf_.resize(size_);
+  size_ = 0;
+  return std::move(buf_);
+}
+
+void Encoder::expand(size_t n) {
+  // Doubling, from a first block that holds any control frame's fixed fields.
+  buf_.resize(std::max({size_ + n, 2 * buf_.size(), size_t{64}}));
+}
+
+std::span<const uint8_t> Decoder::get_span() {
   const uint32_t n = get_u32();
-  if (!ok_ || pos_ + n > len_) {
+  if (!ok_ || len_ - pos_ < n) {
     ok_ = false;
     pos_ = len_;
     return {};
   }
-  std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + n);
+  const std::span<const uint8_t> out(data_ + pos_, n);
   pos_ += n;
   return out;
+}
+
+std::vector<uint8_t> Decoder::get_bytes() {
+  const std::span<const uint8_t> s = get_span();
+  return std::vector<uint8_t>(s.begin(), s.end());
 }
 
 std::string Decoder::get_string() {
-  const uint32_t n = get_u32();
-  if (!ok_ || pos_ + n > len_) {
-    ok_ = false;
-    pos_ = len_;
-    return {};
-  }
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return out;
+  const std::span<const uint8_t> s = get_span();
+  return std::string(reinterpret_cast<const char*>(s.data()), s.size());
 }
 
 }  // namespace fractos

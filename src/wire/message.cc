@@ -1,10 +1,29 @@
 #include "src/wire/message.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/base/assert.h"
 
 namespace fractos {
+
+namespace {
+
+// Reserves room for `n` decoded elements, but never more than the rest of the buffer can
+// hold at `min_bytes` of wire per element: a forged count cannot make the decoder reserve
+// more than the frame could carry.
+template <typename T>
+void reserve_decoded(std::vector<T>& v, uint32_t n, const Decoder& d, size_t min_bytes) {
+  v.reserve(std::min<size_t>(n, d.remaining() / min_bytes));
+}
+
+// Wire sizes of the fixed-size elements, for reserve_decoded.
+constexpr size_t kRefBytes = 4 + 8 + 4;
+constexpr size_t kWireCapBytes = kRefBytes + 1 + 1 + (4 + 4 + 8 + 8) + 1;
+constexpr size_t kImmMinBytes = 4 + 4;  // offset + length prefix, no bytes
+
+}  // namespace
 
 // The shared field codecs are public (declared in message.h): the ObjectTable snapshot
 // encoding reuses them so a field has exactly one wire format.
@@ -49,11 +68,11 @@ void encode_imms(Encoder& e, const std::vector<ImmExtent>& imms) {
 std::vector<ImmExtent> decode_imms(Decoder& d) {
   const uint32_t n = d.get_u32();
   std::vector<ImmExtent> imms;
+  reserve_decoded(imms, n, d, kImmMinBytes);
   for (uint32_t i = 0; i < n && d.ok(); ++i) {
-    ImmExtent imm;
+    ImmExtent& imm = imms.emplace_back();
     imm.offset = d.get_u32();
-    imm.bytes = d.get_bytes();
-    imms.push_back(std::move(imm));
+    imm.bytes = d.get_span();
   }
   return imms;
 }
@@ -116,10 +135,12 @@ ReplicatedOp decode_repl_op(Decoder& d) {
   op.sub_process = d.get_u64();
   op.imms = decode_imms(d);
   const uint32_t ncaps = d.get_u32();
+  reserve_decoded(op.caps, ncaps, d, kWireCapBytes);
   for (uint32_t i = 0; i < ncaps && d.ok(); ++i) {
     op.caps.push_back(decode_wire_cap(d));
   }
   const uint32_t nidx = d.get_u32();
+  reserve_decoded(op.indices, nidx, d, 8);
   for (uint32_t i = 0; i < nidx && d.ok(); ++i) {
     op.indices.push_back(d.get_u64());
   }
@@ -167,6 +188,7 @@ RemoteDeriveMsg decode_remote_derive(Decoder& d) {
   m.requester = d.get_u64();
   m.imms = decode_imms(d);
   const uint32_t n = d.get_u32();
+  reserve_decoded(m.caps, n, d, kWireCapBytes);
   for (uint32_t i = 0; i < n && d.ok(); ++i) {
     m.caps.push_back(decode_wire_cap(d));
   }
@@ -400,15 +422,40 @@ NameId msg_type_span_name(MsgType t) {
   return id;
 }
 
-std::vector<uint8_t> encode_envelope(const Envelope& env) {
-  Encoder e;
-  e.put_u8(static_cast<uint8_t>(env.type));
-  e.put_u64(env.seq);
-  std::visit(BodyEncoder{e}, env.body);
-  return e.take();
+namespace {
+// The envelope header: type, then seq.
+constexpr size_t kSeqOffset = 1;
+// A scratch encoder that grew past this is dropped after use, so one snapshot-sized frame
+// does not pin its buffer for the rest of the run.
+constexpr size_t kScratchKeepBytes = 64 * 1024;
+}  // namespace
+
+Payload encode_envelope(const Envelope& env) {
+  // Every frame is encoded into one reused scratch buffer, then copied once into its own
+  // exact-size block: after warm-up the block is the frame's only allocation.
+  static Encoder scratch;
+  scratch.clear();
+  scratch.put_u8(static_cast<uint8_t>(env.type));
+  scratch.put_u64(env.seq);
+  std::visit(BodyEncoder{scratch}, env.body);
+  Payload frame = Payload::copy_of(scratch.data().data(), scratch.size());
+  if (scratch.capacity() > kScratchKeepBytes) {
+    scratch = Encoder();
+  }
+  return frame;
 }
 
-Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
+Payload with_seq(const Payload& frame, uint64_t seq) {
+  FRACTOS_CHECK(frame.size() >= kSeqOffset + sizeof(seq));
+  return Payload::build(frame.size(), [&](uint8_t* out) {
+    std::memcpy(out, frame.data(), frame.size());
+    for (size_t i = 0; i < sizeof(seq); ++i) {
+      out[kSeqOffset + i] = static_cast<uint8_t>(seq >> (8 * i));  // little-endian, as put_u64
+    }
+  });
+}
+
+Result<Envelope> decode_envelope(std::span<const uint8_t> buf) {
   Decoder d(buf);
   Envelope env;
   env.type = static_cast<MsgType>(d.get_u8());
@@ -451,6 +498,7 @@ Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
       m.base = d.get_u32();
       m.imms = decode_imms(d);
       const uint32_t n = d.get_u32();
+      reserve_decoded(m.caps, n, d, sizeof(CapId));
       for (uint32_t i = 0; i < n && d.ok(); ++i) {
         m.caps.push_back(d.get_u32());
       }
@@ -462,6 +510,7 @@ Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
       m.cid = d.get_u32();
       m.imms = decode_imms(d);
       const uint32_t n = d.get_u32();
+      reserve_decoded(m.caps, n, d, sizeof(CapId));
       for (uint32_t i = 0; i < n && d.ok(); ++i) {
         m.caps.push_back(d.get_u32());
       }
@@ -501,6 +550,7 @@ Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
       m.endpoint_cid = d.get_u32();
       m.imms = decode_imms(d);
       const uint32_t n = d.get_u32();
+      reserve_decoded(m.caps, n, d, 4 + 1 + 1 + 8);
       for (uint32_t i = 0; i < n && d.ok(); ++i) {
         DeliveredCap c;
         c.cid = d.get_u32();
@@ -553,6 +603,7 @@ Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
       m.target = decode_ref(d);
       m.imms = decode_imms(d);
       const uint32_t n = d.get_u32();
+      reserve_decoded(m.caps, n, d, kWireCapBytes);
       for (uint32_t i = 0; i < n && d.ok(); ++i) {
         m.caps.push_back(decode_wire_cap(d));
       }
@@ -572,6 +623,7 @@ Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf) {
       RevokeBroadcastMsg m;
       m.cleanup_id = d.get_u64();
       const uint32_t n = d.get_u32();
+      reserve_decoded(m.revoked, n, d, kRefBytes);
       for (uint32_t i = 0; i < n && d.ok(); ++i) {
         m.revoked.push_back(decode_ref(d));
       }
@@ -686,68 +738,68 @@ Envelope envelope_of(uint64_t seq, MsgType type, MsgBody body) {
 }  // namespace
 
 Envelope make_envelope(uint64_t seq, NullOpMsg m) {
-  return envelope_of(seq, MsgType::kNullOp, m);
+  return envelope_of(seq, MsgType::kNullOp, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, MemoryCreateMsg m) {
-  return envelope_of(seq, MsgType::kMemoryCreate, m);
+  return envelope_of(seq, MsgType::kMemoryCreate, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, MemoryDiminishMsg m) {
-  return envelope_of(seq, MsgType::kMemoryDiminish, m);
+  return envelope_of(seq, MsgType::kMemoryDiminish, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, MemoryCopyMsg m) {
-  return envelope_of(seq, MsgType::kMemoryCopy, m);
+  return envelope_of(seq, MsgType::kMemoryCopy, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RequestCreateMsg m) {
   return envelope_of(seq, MsgType::kRequestCreate, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RequestInvokeMsg m) {
-  return envelope_of(seq, MsgType::kRequestInvoke, m);
+  return envelope_of(seq, MsgType::kRequestInvoke, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, CapCreateRevtreeMsg m) {
-  return envelope_of(seq, MsgType::kCapCreateRevtree, m);
+  return envelope_of(seq, MsgType::kCapCreateRevtree, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, CapRevokeMsg m) {
-  return envelope_of(seq, MsgType::kCapRevoke, m);
+  return envelope_of(seq, MsgType::kCapRevoke, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, MonitorMsg m, bool delegate_mode) {
   return envelope_of(seq, delegate_mode ? MsgType::kMonitorDelegate : MsgType::kMonitorReceive,
-                     m);
+                     std::move(m));
 }
 Envelope make_envelope(uint64_t seq, SyscallReplyMsg m) {
-  return envelope_of(seq, MsgType::kSyscallReply, m);
+  return envelope_of(seq, MsgType::kSyscallReply, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, DeliverRequestMsg m) {
   return envelope_of(seq, MsgType::kDeliverRequest, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, DeliverAckMsg m) {
-  return envelope_of(seq, MsgType::kDeliverAck, m);
+  return envelope_of(seq, MsgType::kDeliverAck, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, MonitorCallbackMsg m) {
-  return envelope_of(seq, MsgType::kMonitorCallback, m);
+  return envelope_of(seq, MsgType::kMonitorCallback, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RemoteInvokeMsg m) {
   return envelope_of(seq, MsgType::kRemoteInvoke, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RemoteInvokeErrorMsg m) {
-  return envelope_of(seq, MsgType::kRemoteInvokeError, m);
+  return envelope_of(seq, MsgType::kRemoteInvokeError, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RemoteDeriveMsg m) {
   return envelope_of(seq, MsgType::kRemoteDerive, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, PeerReplyMsg m) {
-  return envelope_of(seq, MsgType::kPeerReply, m);
+  return envelope_of(seq, MsgType::kPeerReply, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RevokeBroadcastMsg m) {
   return envelope_of(seq, MsgType::kRevokeBroadcast, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RevokeAckMsg m) {
-  return envelope_of(seq, MsgType::kRevokeAck, m);
+  return envelope_of(seq, MsgType::kRevokeAck, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RegisterMonitorMsg m) {
-  return envelope_of(seq, MsgType::kRegisterMonitor, m);
+  return envelope_of(seq, MsgType::kRegisterMonitor, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, MonitorFiredMsg m) {
-  return envelope_of(seq, MsgType::kMonitorFired, m);
+  return envelope_of(seq, MsgType::kMonitorFired, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, RemoteDeriveBatchMsg m) {
   return envelope_of(seq, MsgType::kRemoteDeriveBatch, std::move(m));
@@ -759,16 +811,16 @@ Envelope make_envelope(uint64_t seq, ReplAppendMsg m) {
   return envelope_of(seq, MsgType::kReplAppend, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, ReplAppendReplyMsg m) {
-  return envelope_of(seq, MsgType::kReplAppendReply, m);
+  return envelope_of(seq, MsgType::kReplAppendReply, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, ReplVoteMsg m) {
-  return envelope_of(seq, MsgType::kReplVote, m);
+  return envelope_of(seq, MsgType::kReplVote, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, ReplVoteReplyMsg m) {
-  return envelope_of(seq, MsgType::kReplVoteReply, m);
+  return envelope_of(seq, MsgType::kReplVoteReply, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, ReplLeaderAnnounceMsg m) {
-  return envelope_of(seq, MsgType::kReplLeaderAnnounce, m);
+  return envelope_of(seq, MsgType::kReplLeaderAnnounce, std::move(m));
 }
 Envelope make_envelope(uint64_t seq, ReplSnapshotMsg m) {
   return envelope_of(seq, MsgType::kReplSnapshot, std::move(m));

@@ -25,6 +25,8 @@
 #include "src/cap/types.h"
 #include "src/sim/intern.h"
 #include "src/wire/buffer.h"
+#include "src/wire/payload.h"
+#include "src/wire/small_bytes.h"
 
 namespace fractos {
 
@@ -74,9 +76,11 @@ NameId msg_type_span_name(MsgType t);
 
 // An immediate-argument extent of a Request: bytes at a fixed offset in the argument buffer
 // (Table 1: "(offset, size, addr)" triples; the addr'ed bytes are captured at create time).
+// Extents of up to SmallBytes::kInlineBytes bytes live inside the object, so decoding,
+// merging and copying them allocates nothing per extent.
 struct ImmExtent {
   uint32_t offset = 0;
-  std::vector<uint8_t> bytes;
+  SmallBytes bytes;
 
   uint32_t end() const { return offset + static_cast<uint32_t>(bytes.size()); }
   bool operator==(const ImmExtent&) const = default;
@@ -430,11 +434,16 @@ struct Envelope {
   MsgBody body;
 };
 
-// Serializes an envelope; the result's size() is what the fabric charges to the wire.
-std::vector<uint8_t> encode_envelope(const Envelope& env);
+// Serializes an envelope into one exact-size block; the result's size() is what the fabric
+// charges to the wire.
+Payload encode_envelope(const Envelope& env);
+
+// A copy of the encoded envelope `frame` with its seq replaced by `seq` — every other byte is
+// shared. One broadcast body encoded once goes to each peer under that peer's seq.
+Payload with_seq(const Payload& frame, uint64_t seq);
 
 // Parses an envelope; fails (kInvalidArgument) on truncated or malformed input.
-Result<Envelope> decode_envelope(const std::vector<uint8_t>& buf);
+Result<Envelope> decode_envelope(std::span<const uint8_t> buf);
 
 // Convenience constructors that keep type/body consistent.
 Envelope make_envelope(uint64_t seq, NullOpMsg m);

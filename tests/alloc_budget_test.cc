@@ -1,0 +1,144 @@
+// Allocation budgets of the control path (DESIGN.md §4e, "Frame lifecycle"):
+//
+//  * encoding a control frame allocates one block, the frame itself;
+//  * decoding allocates no block per immediate of up to SmallBytes::kInlineBytes bytes;
+//  * a clean-fabric QueuePair send and delivery of a pre-built Payload allocates nothing.
+//
+// This binary links fractos_alloc_count, which replaces the global operator new/delete with
+// counting forwarders (src/base/alloc_count.h), so the budgets count every C++ heap block.
+// Under a sanitizer every functional check still runs; only the budgets are skipped.
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "src/base/alloc_count.h"
+#include "src/fabric/queue_pair.h"
+#include "src/wire/message.h"
+
+namespace fractos {
+namespace {
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+constexpr const char* kBudgetsSkipped =
+    "a sanitizer runtime allocates around the code under test; budgets not checked";
+
+// A RequestInvoke with these immediates and two capability arguments.
+Envelope invoke_with(std::vector<ImmExtent> imms) {
+  RequestInvokeMsg m;
+  m.cid = 42;
+  m.imms = std::move(imms);
+  m.caps = {7, 9};
+  return make_envelope(1234, std::move(m));
+}
+
+// The perfbench wire probe's frame: one 8-byte immediate.
+Envelope probe_invoke() { return invoke_with({ImmExtent{48, std::vector<uint8_t>(8, 0x5a)}}); }
+
+TEST(AllocBudget, EncodingAControlFrameAllocatesOneBlock) {
+  const Envelope env = probe_invoke();
+  const Payload first = encode_envelope(env);  // the first encode sizes the scratch buffer
+  Payload frame;
+  const uint64_t blocks = heap_allocations_during([&]() { frame = encode_envelope(env); });
+  EXPECT_EQ(frame.to_vector(), first.to_vector());
+  EXPECT_EQ(frame.size(), 1 + 8 + 4 + 4 + (4 + 4 + 8) + 4 + 2 * 4);
+  if (kSanitized) {
+    GTEST_SKIP() << kBudgetsSkipped;
+  }
+  EXPECT_LE(blocks, 1u);
+}
+
+TEST(AllocBudget, DecodingAllocatesNoBlockPerSmallImmediate) {
+  // The probe frame, the same frame with eight small immediates (8 bytes each, and one of
+  // exactly SmallBytes::kInlineBytes), and the probe frame with one immediate one byte too
+  // long to stay inline.
+  std::vector<ImmExtent> many;
+  for (uint32_t i = 0; i < 7; ++i) {
+    many.push_back(ImmExtent{8 * i, std::vector<uint8_t>(8, static_cast<uint8_t>(i))});
+  }
+  many.push_back(ImmExtent{56, std::vector<uint8_t>(SmallBytes::kInlineBytes, 0xee)});
+  const Payload one_frame = encode_envelope(probe_invoke());
+  const Payload many_frame = encode_envelope(invoke_with(many));
+  const std::vector<uint8_t> long_bytes(SmallBytes::kInlineBytes + 1, 0x5a);
+  const Payload long_frame = encode_envelope(invoke_with({ImmExtent{48, long_bytes}}));
+
+  auto decode_counting = [](const Payload& frame, Result<Envelope>& out) {
+    return heap_allocations_during([&]() { out = decode_envelope(frame.bytes()); });
+  };
+  Result<Envelope> one = ErrorCode::kInternal;
+  Result<Envelope> lots = ErrorCode::kInternal;
+  Result<Envelope> longer = ErrorCode::kInternal;
+  const uint64_t one_blocks = decode_counting(one_frame, one);
+  const uint64_t many_blocks = decode_counting(many_frame, lots);
+  const uint64_t long_blocks = decode_counting(long_frame, longer);
+  ASSERT_TRUE(one.ok() && lots.ok() && longer.ok());
+  EXPECT_EQ(one.value().body, probe_invoke().body);
+  EXPECT_EQ(lots.value().body, invoke_with(many).body);
+  EXPECT_EQ(std::get<RequestInvokeMsg>(longer.value().body).imms[0].bytes.size(),
+            SmallBytes::kInlineBytes + 1);
+  if (kSanitized) {
+    GTEST_SKIP() << kBudgetsSkipped;
+  }
+  EXPECT_LE(one_blocks, 2u);  // the imms vector and the caps vector
+  EXPECT_EQ(many_blocks, one_blocks);
+  EXPECT_EQ(long_blocks, one_blocks + 1);  // only a long immediate takes a block of its own
+}
+
+TEST(AllocBudget, CleanFabricQueuePairSendAndDeliveryAllocateNothing) {
+  EventLoop loop;
+  Network net(&loop);
+  net.add_node("a");
+  net.add_node("b");
+  QueuePair a(&net, Endpoint{0, Loc::kHost});
+  QueuePair b(&net, Endpoint{1, Loc::kHost});
+  QueuePair::connect(a, b);
+  uint64_t delivered = 0;
+  uint64_t bytes = 0;
+  b.set_receive_handler([&](Payload p) {
+    ++delivered;
+    bytes += p.size();
+  });
+  const Payload frame = encode_envelope(probe_invoke());
+  auto send_and_deliver = [&]() {
+    a.send(Traffic::kControl, frame);
+    loop.run();
+  };
+  // Warm-up: one no-op event in each bucket of the event loop's timer wheel (2048 buckets
+  // of 128 ns; a bucket keeps its capacity once it has held an event, as every bucket has
+  // in any long run), then a few messages.
+  for (int64_t ns = 0; ns < 2 * 2048 * 128; ns += 64) {
+    loop.schedule_after(Duration::nanos(ns), []() {});
+  }
+  loop.run();
+  constexpr int kWarmup = 8;
+  for (int i = 0; i < kWarmup; ++i) {
+    send_and_deliver();
+  }
+  constexpr int kSends = 64;
+  const uint64_t blocks = heap_allocations_during([&]() {
+    for (int i = 0; i < kSends; ++i) {
+      send_and_deliver();
+    }
+  });
+  EXPECT_EQ(delivered, static_cast<uint64_t>(kWarmup + kSends));
+  EXPECT_EQ(bytes, delivered * frame.size());
+  EXPECT_EQ(a.dropped(), 0u);
+  if (kSanitized) {
+    GTEST_SKIP() << kBudgetsSkipped;
+  }
+  EXPECT_EQ(blocks, 0u);
+}
+
+}  // namespace
+}  // namespace fractos

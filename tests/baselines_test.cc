@@ -144,7 +144,7 @@ TEST_F(NvmeofTest, RemoteReadWriteRoundTrip) {
   initiator_->read(4096, 8192, [&](Result<Payload> rr) { r = std::move(rr); });
   loop_.run();
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().bytes(), data);
+  EXPECT_EQ(r.value().to_vector(), data);
 }
 
 TEST_F(NvmeofTest, ReadLatencyIsRttPlusDevice) {

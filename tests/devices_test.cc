@@ -135,7 +135,7 @@ TEST_F(NvmeTest, WriteThenReadRoundTripsData) {
   nvme_.read(5000, data.size(), [&](Result<Payload> r) { got = std::move(r); });
   loop_.run();
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().bytes(), data);
+  EXPECT_EQ(got.value().to_vector(), data);
 }
 
 TEST_F(NvmeTest, UnwrittenBlocksReadZero) {

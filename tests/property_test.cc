@@ -365,99 +365,309 @@ RemoteDeriveMsg random_derive_msg(Rng& rng) {
   return m;
 }
 
+constexpr int kNumMsgTypes = static_cast<int>(MsgType::kReplSnapshot) + 1;
+
+ErrorCode random_status(Rng& rng) {
+  return rng.next_bool() ? ErrorCode::kOk : ErrorCode::kRevoked;
+}
+
+ReplicatedOp random_repl_op(Rng& rng) {
+  ReplicatedOp op;
+  op.kind = static_cast<ReplicatedOp::Kind>(rng.next_below(13));
+  op.requester = rng.next_u64() % 1000;
+  op.base = rng.next_u64() % 100000;
+  op.result_index = rng.next_u64() % 100000;
+  op.mem = MemoryDesc{static_cast<uint32_t>(rng.next_below(8)),
+                      static_cast<uint32_t>(rng.next_below(8)), rng.next_u64() % 100000,
+                      rng.next_u64() % 100000};
+  op.perms = static_cast<Perms>(rng.next_below(4));
+  op.offset = rng.next_u64() % 100000;
+  op.size = rng.next_u64() % 100000;
+  op.cid = static_cast<CapId>(rng.next_below(1000));
+  op.callback_id = rng.next_u64();
+  op.sub_controller = static_cast<ControllerAddr>(rng.next_below(100));
+  op.sub_process = rng.next_u64() % 1000;
+  op.imms = random_imms(rng);
+  for (uint64_t i = 0; i < rng.next_below(3); ++i) {
+    op.caps.push_back(random_cap(rng));
+  }
+  for (uint64_t i = 0; i < rng.next_below(4); ++i) {
+    op.indices.push_back(rng.next_u64() % 100000);
+  }
+  return op;
+}
+
+// A well-formed envelope of `type` with every field drawn from `rng`.
+Envelope random_envelope(Rng& rng, MsgType type) {
+  const uint64_t seq = rng.next_u64();
+  switch (type) {
+    case MsgType::kNullOp:
+      return make_envelope(seq, NullOpMsg{});
+    case MsgType::kMemoryCreate: {
+      MemoryCreateMsg m;
+      m.pool = static_cast<uint32_t>(rng.next_below(8));
+      m.addr = rng.next_u64() % 100000;
+      m.size = rng.next_u64() % 100000;
+      m.perms = static_cast<Perms>(rng.next_below(4));
+      return make_envelope(seq, m);
+    }
+    case MsgType::kMemoryDiminish: {
+      MemoryDiminishMsg m;
+      m.cid = static_cast<CapId>(rng.next_below(1000));
+      m.offset = rng.next_u64() % 100000;
+      m.size = rng.next_u64() % 100000;
+      m.drop_perms = static_cast<Perms>(rng.next_below(4));
+      return make_envelope(seq, m);
+    }
+    case MsgType::kMemoryCopy: {
+      MemoryCopyMsg m;
+      m.src = static_cast<CapId>(rng.next_below(1000));
+      m.dst = static_cast<CapId>(rng.next_below(1000));
+      m.src_off = rng.next_u64() % 100000;
+      m.dst_off = rng.next_u64() % 100000;
+      m.length = rng.next_u64() % 100000;
+      return make_envelope(seq, m);
+    }
+    case MsgType::kRequestCreate: {
+      RequestCreateMsg m;
+      m.has_base = rng.next_bool();
+      m.base = static_cast<CapId>(rng.next_below(1000));
+      m.imms = random_imms(rng);
+      for (uint64_t i = 0; i < rng.next_below(5); ++i) {
+        m.caps.push_back(static_cast<CapId>(rng.next_below(1000)));
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kRequestInvoke: {
+      RequestInvokeMsg m;
+      m.cid = static_cast<CapId>(rng.next_below(1000));
+      m.imms = random_imms(rng);
+      for (uint64_t i = 0; i < rng.next_below(5); ++i) {
+        m.caps.push_back(static_cast<CapId>(rng.next_below(1000)));
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kCapCreateRevtree:
+      return make_envelope(seq, CapCreateRevtreeMsg{static_cast<CapId>(rng.next_below(1000))});
+    case MsgType::kCapRevoke:
+      return make_envelope(seq, CapRevokeMsg{static_cast<CapId>(rng.next_below(1000))});
+    case MsgType::kMonitorDelegate:
+    case MsgType::kMonitorReceive: {
+      MonitorMsg m;
+      m.cid = static_cast<CapId>(rng.next_below(1000));
+      m.callback_id = rng.next_u64();
+      return make_envelope(seq, m, type == MsgType::kMonitorDelegate);
+    }
+    case MsgType::kSyscallReply: {
+      SyscallReplyMsg m;
+      m.call_seq = rng.next_u64();
+      m.status = random_status(rng);
+      m.cid = static_cast<CapId>(rng.next_below(1000));
+      return make_envelope(seq, m);
+    }
+    case MsgType::kDeliverRequest: {
+      DeliverRequestMsg m;
+      m.endpoint_cid = static_cast<CapId>(rng.next_below(1000));
+      m.imms = random_imms(rng);
+      for (uint64_t i = 0; i < rng.next_below(4); ++i) {
+        m.caps.push_back(DeliveredCap{static_cast<CapId>(rng.next_below(1000)),
+                                      rng.next_bool() ? ObjectKind::kMemory
+                                                      : ObjectKind::kRequest,
+                                      static_cast<Perms>(rng.next_below(4)),
+                                      rng.next_u64() % 100000});
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kDeliverAck:
+      return make_envelope(seq, DeliverAckMsg{});
+    case MsgType::kMonitorCallback: {
+      MonitorCallbackMsg m;
+      m.callback_id = rng.next_u64();
+      m.delegate_mode = rng.next_bool();
+      return make_envelope(seq, m);
+    }
+    case MsgType::kRemoteInvoke: {
+      RemoteInvokeMsg m;
+      m.target = random_ref(rng);
+      m.imms = random_imms(rng);
+      for (uint64_t i = 0; i < rng.next_below(4); ++i) {
+        m.caps.push_back(random_cap(rng));
+      }
+      m.origin = static_cast<ControllerAddr>(rng.next_below(100));
+      m.invoke_id = rng.next_u64();
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kRemoteInvokeError: {
+      RemoteInvokeErrorMsg m;
+      m.invoke_id = rng.next_u64();
+      m.status = random_status(rng);
+      return make_envelope(seq, m);
+    }
+    case MsgType::kRemoteDerive:
+      return make_envelope(seq, random_derive_msg(rng));
+    case MsgType::kPeerReply: {
+      PeerReplyMsg m;
+      m.op_id = rng.next_u64();
+      m.status = random_status(rng);
+      m.result = random_cap(rng);
+      return make_envelope(seq, m);
+    }
+    case MsgType::kRevokeBroadcast: {
+      RevokeBroadcastMsg m;
+      m.cleanup_id = rng.next_u64();
+      for (uint64_t i = 0; i < rng.next_below(8); ++i) {
+        m.revoked.push_back(random_ref(rng));
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kRevokeAck:
+      return make_envelope(seq, RevokeAckMsg{rng.next_u64()});
+    case MsgType::kRegisterMonitor: {
+      RegisterMonitorMsg m;
+      m.target = random_ref(rng);
+      m.delegate_mode = rng.next_bool();
+      m.callback_id = rng.next_u64();
+      m.subscriber_controller = static_cast<ControllerAddr>(rng.next_below(100));
+      m.subscriber_process = rng.next_u64() % 1000;
+      return make_envelope(seq, m);
+    }
+    case MsgType::kMonitorFired: {
+      MonitorFiredMsg m;
+      m.process = rng.next_u64() % 1000;
+      m.callback_id = rng.next_u64();
+      m.delegate_mode = rng.next_bool();
+      return make_envelope(seq, m);
+    }
+    case MsgType::kRemoteDeriveBatch: {
+      RemoteDeriveBatchMsg m;
+      const uint64_t n = 1 + rng.next_below(6);
+      for (uint64_t i = 0; i < n; ++i) {
+        m.ops.push_back(random_derive_msg(rng));
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kPeerReplyBatch: {
+      PeerReplyBatchMsg m;
+      const uint64_t n = 1 + rng.next_below(6);
+      for (uint64_t i = 0; i < n; ++i) {
+        PeerReplyMsg r;
+        r.op_id = rng.next_u64();
+        r.status = random_status(rng);
+        r.result = random_cap(rng);
+        m.replies.push_back(r);
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kReplAppend: {
+      ReplAppendMsg m;
+      m.seat = static_cast<ControllerAddr>(rng.next_below(100));
+      m.leader = static_cast<ControllerAddr>(rng.next_below(100));
+      m.term = rng.next_u64() % 1000;
+      m.prev_index = rng.next_u64() % 100000;
+      m.prev_term = rng.next_u64() % 1000;
+      m.commit_index = rng.next_u64() % 100000;
+      for (uint64_t i = 0; i < rng.next_below(4); ++i) {
+        ReplLogEntry entry;
+        entry.index = rng.next_u64() % 100000;
+        entry.term = rng.next_u64() % 1000;
+        entry.op = random_repl_op(rng);
+        m.entries.push_back(std::move(entry));
+      }
+      return make_envelope(seq, std::move(m));
+    }
+    case MsgType::kReplAppendReply: {
+      ReplAppendReplyMsg m;
+      m.seat = static_cast<ControllerAddr>(rng.next_below(100));
+      m.from = static_cast<ControllerAddr>(rng.next_below(100));
+      m.term = rng.next_u64() % 1000;
+      m.ok = rng.next_bool();
+      m.match_index = rng.next_u64() % 100000;
+      m.need_snapshot = rng.next_bool();
+      return make_envelope(seq, m);
+    }
+    case MsgType::kReplVote: {
+      ReplVoteMsg m;
+      m.seat = static_cast<ControllerAddr>(rng.next_below(100));
+      m.candidate = static_cast<ControllerAddr>(rng.next_below(100));
+      m.term = rng.next_u64() % 1000;
+      m.last_log_index = rng.next_u64() % 100000;
+      m.last_log_term = rng.next_u64() % 1000;
+      return make_envelope(seq, m);
+    }
+    case MsgType::kReplVoteReply: {
+      ReplVoteReplyMsg m;
+      m.seat = static_cast<ControllerAddr>(rng.next_below(100));
+      m.from = static_cast<ControllerAddr>(rng.next_below(100));
+      m.term = rng.next_u64() % 1000;
+      m.granted = rng.next_bool();
+      return make_envelope(seq, m);
+    }
+    case MsgType::kReplLeaderAnnounce: {
+      ReplLeaderAnnounceMsg m;
+      m.seat = static_cast<ControllerAddr>(rng.next_below(100));
+      m.leader = static_cast<ControllerAddr>(rng.next_below(100));
+      m.term = rng.next_u64() % 1000;
+      return make_envelope(seq, m);
+    }
+    case MsgType::kReplSnapshot: {
+      ReplSnapshotMsg m;
+      m.seat = static_cast<ControllerAddr>(rng.next_below(100));
+      m.leader = static_cast<ControllerAddr>(rng.next_below(100));
+      m.term = rng.next_u64() % 1000;
+      m.last_index = rng.next_u64() % 100000;
+      m.last_term = rng.next_u64() % 1000;
+      m.blob = std::vector<uint8_t>(rng.next_below(300));
+      for (auto& b : m.blob) {
+        b = rng.next_byte();
+      }
+      return make_envelope(seq, std::move(m));
+    }
+  }
+  ADD_FAILURE() << "no generator for message type " << static_cast<int>(type);
+  return make_envelope(seq, NullOpMsg{});
+}
+
 TEST(PropertyWire, GeneratedEnvelopesRoundTrip) {
   Rng rng(9090);
   for (int trial = 0; trial < 500; ++trial) {
-    Envelope env;
-    const uint64_t seq = rng.next_u64();
-    switch (rng.next_below(8)) {
-      case 0: {
-        RequestCreateMsg m;
-        m.has_base = rng.next_bool();
-        m.base = static_cast<CapId>(rng.next_below(1000));
-        m.imms = random_imms(rng);
-        for (uint64_t i = 0; i < rng.next_below(5); ++i) {
-          m.caps.push_back(static_cast<CapId>(rng.next_below(1000)));
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 1: {
-        RemoteInvokeMsg m;
-        m.target = random_ref(rng);
-        m.imms = random_imms(rng);
-        for (uint64_t i = 0; i < rng.next_below(4); ++i) {
-          m.caps.push_back(random_cap(rng));
-        }
-        m.origin = static_cast<ControllerAddr>(rng.next_below(100));
-        m.invoke_id = rng.next_u64();
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 2: {
-        env = make_envelope(seq, random_derive_msg(rng));
-        break;
-      }
-      case 3: {
-        DeliverRequestMsg m;
-        m.endpoint_cid = static_cast<CapId>(rng.next_below(1000));
-        m.imms = random_imms(rng);
-        for (uint64_t i = 0; i < rng.next_below(4); ++i) {
-          m.caps.push_back(DeliveredCap{static_cast<CapId>(rng.next_below(1000)),
-                                        rng.next_bool() ? ObjectKind::kMemory
-                                                        : ObjectKind::kRequest,
-                                        static_cast<Perms>(rng.next_below(4)),
-                                        rng.next_u64() % 100000});
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 4: {
-        RevokeBroadcastMsg m;
-        for (uint64_t i = 0; i < rng.next_below(8); ++i) {
-          m.revoked.push_back(random_ref(rng));
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 5: {
-        RemoteDeriveBatchMsg m;
-        const uint64_t n = 1 + rng.next_below(6);
-        for (uint64_t i = 0; i < n; ++i) {
-          m.ops.push_back(random_derive_msg(rng));
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      case 6: {
-        PeerReplyBatchMsg m;
-        const uint64_t n = 1 + rng.next_below(6);
-        for (uint64_t i = 0; i < n; ++i) {
-          PeerReplyMsg r;
-          r.op_id = rng.next_u64();
-          r.status = rng.next_bool() ? ErrorCode::kOk : ErrorCode::kRevoked;
-          r.result = random_cap(rng);
-          m.replies.push_back(r);
-        }
-        env = make_envelope(seq, std::move(m));
-        break;
-      }
-      default: {
-        MemoryCopyMsg m;
-        m.src = static_cast<CapId>(rng.next_below(1000));
-        m.dst = static_cast<CapId>(rng.next_below(1000));
-        m.src_off = rng.next_u64() % 100000;
-        m.dst_off = rng.next_u64() % 100000;
-        m.length = rng.next_u64() % 100000;
-        env = make_envelope(seq, m);
-        break;
-      }
-    }
+    const Envelope env = random_envelope(rng, static_cast<MsgType>(rng.next_below(kNumMsgTypes)));
     auto decoded = decode_envelope(encode_envelope(env));
     ASSERT_TRUE(decoded.ok()) << "trial " << trial;
+    EXPECT_EQ(decoded.value().type, env.type) << "trial " << trial;
     EXPECT_EQ(decoded.value().seq, env.seq);
     EXPECT_EQ(decoded.value().body, env.body) << "trial " << trial;
   }
+}
+
+// The frame bytes themselves are pinned: encoded size is what the fabric charges to the
+// wire, so a codec change that moves any byte or any frame's length moves simulated results.
+// The digest is FNV-1a over (length, bytes) of 20 generated envelopes of every MsgType; it
+// was recorded before the codec's allocation-lean rewrite and must never move silently.
+TEST(PropertyWire, FrameBytesArePinned) {
+  constexpr uint64_t kGoldenDigest = 0x25ace17b8a0a05ceull;
+  constexpr uint64_t kGoldenBytes = 51001;
+  Rng rng(4242);
+  uint64_t digest = 0xcbf29ce484222325ull;
+  auto fold = [&digest](uint8_t b) {
+    digest ^= b;
+    digest *= 0x100000001b3ull;
+  };
+  uint64_t total_bytes = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (int t = 0; t < kNumMsgTypes; ++t) {
+      const std::vector<uint8_t> frame =
+          encode_envelope(random_envelope(rng, static_cast<MsgType>(t)));
+      for (size_t i = 0; i < sizeof(uint64_t); ++i) {
+        fold(static_cast<uint8_t>(static_cast<uint64_t>(frame.size()) >> (8 * i)));
+      }
+      for (uint8_t b : frame) {
+        fold(b);
+      }
+      total_bytes += frame.size();
+    }
+  }
+  EXPECT_EQ(total_bytes, kGoldenBytes);
+  EXPECT_EQ(digest, kGoldenDigest) << std::hex << "digest 0x" << digest;
 }
 
 // --- determinism: identical runs produce identical simulated histories ------------------------

@@ -293,6 +293,61 @@ TEST(Replication, InitialSnapshotCatchesUpNonEmptySeat) {
   sys.loop().set_metrics(nullptr);
 }
 
+// A snapshot blob the follower's table refuses must not abort its Controller: the follower
+// answers need_snapshot, stays tainted and counts the refusal, and the leader's reply
+// snapshot (a good one) restores it to the seat's digest.
+TEST(Replication, CorruptSnapshotIsRefusedAndReplaced) {
+  MetricsRegistry metrics;
+  SystemConfig cfg;
+  cfg.replication_group_size = 3;
+  System sys(cfg);
+  sys.loop().set_metrics(&metrics);
+  sys.add_node("seat");
+  sys.add_node("r1");
+  sys.add_node("r2");
+  Controller& c1 = sys.add_controller(0, Loc::kHost);
+  Controller& c2 = sys.add_controller(1, Loc::kHost);
+  Controller& c3 = sys.add_controller(2, Loc::kHost);
+  const ControllerAddr seat = c1.addr();
+
+  Process& p = sys.spawn("p", 0, c1, 1 << 20);
+  const CapId buf = sys.await_ok(p.memory_create(p.alloc(8192), 8192, Perms::kReadWrite));
+  ASSERT_NE(sys.await_ok(p.memory_diminish(buf, 0, 4096, Perms::kRead)), kInvalidCap);
+  sys.replicate_controller(c1, {&c2, &c3});
+  sys.loop().run_until_time(sys.loop().now() + Duration::millis(1));
+  const uint64_t d1 = c1.seat_state_digest(seat);
+  ASSERT_EQ(d1, c2.seat_state_digest(seat));
+
+  ReplicationGroup* g2 = c2.replication_group(seat);
+  ASSERT_NE(g2, nullptr);
+  ReplSnapshotMsg bad;
+  bad.seat = seat;
+  bad.leader = seat;
+  bad.term = g2->term();
+  bad.last_index = g2->commit_index();
+  bad.last_term = g2->term();
+  bad.blob = c1.table().serialize_snapshot();
+  ASSERT_GT(bad.blob.size(), 24u);
+  bad.blob.resize(bad.blob.size() - 5);  // truncated inside the last object
+  g2->on_snapshot(seat, bad);
+  const std::string key = "repl.ctrl-2.s" + std::to_string(seat) + ".";
+  EXPECT_TRUE(g2->tainted());
+  EXPECT_EQ(metrics.value(key + "snapshots_refused"), 1);
+  EXPECT_NE(c2.seat_state_digest(seat), d1);
+
+  // The need_snapshot answer draws a fresh snapshot from the leader (a heartbeat answered
+  // while the follower is still tainted may draw one more).
+  sys.loop().run_until_time(sys.loop().now() + Duration::millis(1));
+  EXPECT_FALSE(g2->tainted());
+  EXPECT_EQ(c2.seat_state_digest(seat), d1);
+  EXPECT_GE(metrics.value(key + "snapshots_installed"), 2);
+  EXPECT_EQ(metrics.value(key + "snapshots_refused"), 1);
+
+  stop_groups(sys, seat);
+  sys.loop().run();
+  sys.loop().set_metrics(nullptr);
+}
+
 // Leader death: the surviving members elect the lowest-ranked replica within the lease
 // bound, the new leader finishes establishing (barrier commit), announces itself, and an
 // unreplicated fourth Controller's processes keep using the seat's capabilities through it.

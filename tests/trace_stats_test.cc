@@ -173,10 +173,11 @@ TEST(ChannelHardeningTest, MalformedBytesAreDroppedNotFatal) {
 
   b.inject_raw_for_test({0xde, 0xad, 0xbe, 0xef});          // garbage
   Envelope env = make_envelope(2, NullOpMsg{});
-  auto corrupted = encode_envelope(env);
+  std::vector<uint8_t> corrupted = encode_envelope(env);
   corrupted[0] = 0xee;                                      // invalid message type
   b.inject_raw_for_test(std::move(corrupted));
-  auto truncated = encode_envelope(make_envelope(3, MemoryCreateMsg{0, 0, 64, Perms::kRead}));
+  std::vector<uint8_t> truncated =
+      encode_envelope(make_envelope(3, MemoryCreateMsg{0, 0, 64, Perms::kRead}));
   truncated.resize(truncated.size() / 2);                   // cut mid-payload
   b.inject_raw_for_test(std::move(truncated));
   EXPECT_EQ(b.malformed_dropped(), 3u);

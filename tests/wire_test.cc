@@ -198,6 +198,20 @@ TEST_F(EnvelopeRoundTrip, RevokeBroadcast) {
   expect_round_trip(make_envelope(23, m));
 }
 
+// A broadcast encodes its body once and restamps the seq per peer: every restamped frame
+// must be byte-identical to encoding the envelope under that seq.
+TEST(EnvelopeRestamp, WithSeqEqualsEncodingUnderThatSeq) {
+  RevokeBroadcastMsg m;
+  m.cleanup_id = 77;
+  m.revoked = {ObjectRef{1, 2, 3}, ObjectRef{4, 5, 6}};
+  const Payload body = encode_envelope(make_envelope(0, m));
+  for (uint64_t seq : {uint64_t{1}, uint64_t{0x0102030405060708}, ~uint64_t{0}}) {
+    const Payload restamped = with_seq(body, seq);
+    EXPECT_EQ(restamped.to_vector(), encode_envelope(make_envelope(seq, m)).to_vector());
+  }
+  EXPECT_EQ(body.to_vector(), encode_envelope(make_envelope(0, m)).to_vector());  // untouched
+}
+
 TEST_F(EnvelopeRoundTrip, RegisterMonitorAndFired) {
   RegisterMonitorMsg rm;
   rm.target = ObjectRef{1, 10, 1};
