@@ -56,7 +56,7 @@ void Controller::publish_metrics(MetricSink& out) const {
 Controller::~Controller() {
   // Peer ops still in flight at teardown complete with kChannelClosed; their futures would
   // otherwise trip the broken-promise detector.
-  fail_pending_ops(ErrorCode::kChannelClosed);
+  links_.fail_all(ErrorCode::kChannelClosed);
 }
 
 // --- wiring ----------------------------------------------------------------------------------
@@ -77,18 +77,6 @@ Channel& Controller::attach_process(ProcessId pid, uint32_t proc_node, PoolId he
     }
   });
   procs_.emplace(pid, std::move(state));
-  return chan;
-}
-
-Channel& Controller::connect_peer(ControllerAddr peer, Endpoint peer_ep) {
-  FRACTOS_CHECK(!peers_.contains(peer));
-  Peer p;
-  p.endpoint = peer_ep;
-  p.chan = std::make_unique<Channel>(net_, config_.endpoint);
-  Channel& chan = *p.chan;
-  chan.set_handler([this, peer](Envelope&& env) { on_peer_msg(peer, std::move(env)); });
-  chan.set_severed_handler([this, peer]() { on_peer_severed(peer); });
-  peers_.emplace(peer, std::move(p));
   return chan;
 }
 
@@ -237,11 +225,11 @@ void Controller::on_peer_msg(ControllerAddr peer, Envelope&& env) {
         peer_remote_derive_batch(peer, std::get<RemoteDeriveBatchMsg>(env.body));
         break;
       case MsgType::kPeerReply:
-        peer_reply(std::get<PeerReplyMsg>(env.body));
+        links_.on_reply(peer, std::get<PeerReplyMsg>(env.body));
         break;
       case MsgType::kPeerReplyBatch:
         for (const PeerReplyMsg& r : std::get<PeerReplyBatchMsg>(env.body).replies) {
-          peer_reply(r);
+          links_.on_reply(peer, r);
         }
         break;
       case MsgType::kRevokeBroadcast:
@@ -270,7 +258,7 @@ void Controller::on_peer_msg(ControllerAddr peer, Envelope&& env) {
         peer_leader_announce(std::get<ReplLeaderAnnounceMsg>(env.body));
         break;
       default:
-        FRACTOS_CHECK_MSG(false, "unexpected message on peer channel");
+        ++stats_.rejected_msgs;  // a peer's envelope of a type peers do not send
     }
   });
 }
@@ -330,22 +318,6 @@ Status Controller::translation_cache_audit() const {
   return bad == ErrorCode::kOk ? ok_status() : Status(bad);
 }
 
-void Controller::close_peer_op_span(uint64_t op_id, const char* error) {
-  auto it = pending_op_spans_.find(op_id);
-  if (it == pending_op_spans_.end()) {
-    return;
-  }
-  const uint64_t span = it->second;
-  pending_op_spans_.erase(it);
-  if (SpanTracer* t = net_->loop()->span_tracer()) {
-    if (error != nullptr) {
-      t->end_error(span, net_->loop()->now(), error);
-    } else {
-      t->end(span, net_->loop()->now());
-    }
-  }
-}
-
 // --- syscall handlers ----------------------------------------------------------------------------
 
 void Controller::handle_syscall(ProcState& p, const Envelope& env) {
@@ -389,7 +361,7 @@ void Controller::handle_syscall(ProcState& p, const Envelope& env) {
       break;
     }
     default:
-      FRACTOS_CHECK_MSG(false, "unexpected message on process channel");
+      ++stats_.rejected_msgs;  // a Process's envelope of a type Processes do not send
   }
 }
 
@@ -507,7 +479,7 @@ void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDimi
   rd.drop_perms = m.drop_perms;
   const ProcessId pid = p.pid;
   const ControllerAddr owner = route_owner(e.ref.owner);
-  call_peer_derive(owner, std::move(rd))
+  links_.call_derive(owner, std::move(rd))
       .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
         auto it = procs_.find(pid);
         if (it == procs_.end() || !it->second->alive) {
@@ -890,7 +862,7 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
   const Duration extra = cap_serialize_cost(rd.caps);
   charge(extra, [this, pid, seq, owner, extra, rd = std::move(rd)]() mutable {
     note_translation(extra);
-    call_peer_derive(owner, std::move(rd))
+    links_.call_derive(owner, std::move(rd))
         .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
           auto it = procs_.find(pid);
           if (it == procs_.end() || !it->second->alive) {
@@ -952,8 +924,7 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
   // before make_wire_caps so no tracked delegation children are minted for a doomed invoke.
   // A replicated seat is reachable through its acting leader after the seat itself dies.
   if (e.ref.owner != addr()) {
-    Peer* pr = find_peer(route_owner(e.ref.owner));
-    if (pr == nullptr || pr->chan->severed()) {
+    if (links_.live(route_owner(e.ref.owner)) == nullptr) {
       if (gated) {
         admission_release(p);
       }
@@ -1023,7 +994,7 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
   reply(p, seq, ErrorCode::kOk);  // accepted; remote failures surface via the error channel
   charge(extra, [this, owner, extra, ri = std::move(ri)]() mutable {
     note_translation(extra);
-    send_peer(owner, make_envelope(next_seq_++, std::move(ri)));
+    links_.send(owner, make_envelope(next_seq_++, std::move(ri)));
   });
 }
 
@@ -1074,7 +1045,7 @@ void Controller::sc_cap_create_revtree(ProcState& p, uint64_t seq,
   rd.requester = p.pid;
   const ProcessId pid = p.pid;
   const ControllerAddr owner = route_owner(e.ref.owner);
-  call_peer_derive(owner, std::move(rd))
+  links_.call_derive(owner, std::move(rd))
       .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
         auto it = procs_.find(pid);
         if (it == procs_.end() || !it->second->alive) {
@@ -1134,7 +1105,7 @@ void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m
   rd.requester = p.pid;
   const ProcessId pid = p.pid;
   const ControllerAddr owner = route_owner(e.ref.owner);
-  call_peer_derive(owner, std::move(rd))
+  links_.call_derive(owner, std::move(rd))
       .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
         auto it = procs_.find(pid);
         if (it != procs_.end() && it->second->alive) {
@@ -1188,7 +1159,7 @@ void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
   rm.subscriber_process = p.pid;
   const uint64_t op_id = next_op_id_++;
   const ProcessId pid = p.pid;
-  call_peer(route_owner(e.ref.owner), op_id, make_envelope(op_id, rm))
+  links_.call(route_owner(e.ref.owner), op_id, make_envelope(op_id, rm))
       .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
         auto it = procs_.find(pid);
         if (it != procs_.end() && it->second->alive) {
@@ -1313,7 +1284,7 @@ void Controller::peer_remote_invoke(ControllerAddr origin, const RemoteInvokeMsg
       RemoteInvokeErrorMsg err;
       err.invoke_id = m.invoke_id;
       err.status = status;
-      send_peer(origin, make_envelope(next_seq_++, err));
+      links_.send(origin, make_envelope(next_seq_++, err));
     }
     return;
   }
@@ -1326,14 +1297,14 @@ void Controller::peer_remote_invoke(ControllerAddr origin, const RemoteInvokeMsg
       RemoteInvokeErrorMsg err;
       err.invoke_id = m.invoke_id;
       err.status = status;
-      send_peer(origin, make_envelope(next_seq_++, err));
+      links_.send(origin, make_envelope(next_seq_++, err));
     }
   });
 }
 
 void Controller::peer_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m) {
   exec_remote_derive(origin, m, [this, origin](const PeerReplyMsg& r) {
-    send_peer(origin, make_envelope(next_seq_++, r));
+    links_.send(origin, make_envelope(next_seq_++, r));
   });
 }
 
@@ -1354,7 +1325,7 @@ void Controller::peer_remote_derive_batch(ControllerAddr origin, const RemoteDer
                        [this, origin, out, remaining, i](const PeerReplyMsg& r) {
                          out->replies[i] = r;
                          if (--*remaining == 0) {
-                           send_peer(origin, make_envelope(next_seq_++, std::move(*out)));
+                           links_.send(origin, make_envelope(next_seq_++, std::move(*out)));
                          }
                        });
   }
@@ -1364,14 +1335,9 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
                                     std::function<void(const PeerReplyMsg&)> done) {
   // Idempotency: a resent request whose first copy already executed is answered from the
   // reply cache — revokes and derivations must not run twice.
-  const uint64_t dedup_key = peer_op_key(origin, m.op_id);
-  if (net_->lossy()) {
-    auto cached = completed_peer_ops_.find(dedup_key);
-    if (cached != completed_peer_ops_.end()) {
-      ++stats_.peer_dedup_hits;
-      done(cached->second);
-      return;
-    }
+  if (const PeerReplyMsg* cached = links_.find_completed(origin, m.op_id)) {
+    done(*cached);
+    return;
   }
   PeerReplyMsg r;
   r.op_id = m.op_id;
@@ -1383,13 +1349,13 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     r.status = (m.base.owner == addr() || repl_groups_.count(m.base.owner) != 0)
                    ? ErrorCode::kNotLeader
                    : ErrorCode::kInvalidArgument;
-    cache_completed_peer_op(dedup_key, r);
+    links_.remember(origin, r);
     done(r);
     return;
   }
   if (m.base.reboot_count != t->reboot_count()) {
     r.status = ErrorCode::kStaleCapability;
-    cache_completed_peer_op(dedup_key, r);
+    links_.remember(origin, r);
     done(r);
     return;
   }
@@ -1467,7 +1433,7 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     }
   }
   if (r.status != ErrorCode::kOk) {
-    cache_completed_peer_op(dedup_key, r);
+    links_.remember(origin, r);
     done(r);
     return;
   }
@@ -1477,7 +1443,7 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
   const bool is_revoke = op.kind == ReplicatedOp::Kind::kRevoke;
   auto revoked_state = std::make_shared<ObjectTable::RevokeResult>(std::move(revoked));
   commit_mutation(seat, std::move(op),
-                  [this, seat, dedup_key, r, is_revoke, revoked_state,
+                  [this, origin, seat, r, is_revoke, revoked_state,
                    done = std::move(done)](ErrorCode ec) mutable {
                     if (ec != ErrorCode::kOk) {
                       // Unknown outcome (deposed mid-commit): do NOT cache — the op may be
@@ -1490,24 +1456,9 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
                     if (is_revoke) {
                       apply_revoke_for(seat, *revoked_state);
                     }
-                    cache_completed_peer_op(dedup_key, r);
+                    links_.remember(origin, r);
                     done(r);
                   });
-}
-
-void Controller::peer_reply(const PeerReplyMsg& m) {
-  auto it = pending_ops_.find(m.op_id);
-  if (it == pending_ops_.end()) {
-    // The op already completed (first reply won, the deadline fired, or this Controller
-    // failed): resend-induced duplicates and post-timeout stragglers land here.
-    ++stats_.late_replies_ignored;
-    return;
-  }
-  Promise<Result<PeerReplyMsg>> promise = std::move(it->second);
-  pending_ops_.erase(it);
-  pending_op_peer_.erase(m.op_id);
-  close_peer_op_span(m.op_id, nullptr);
-  promise.set(Result<PeerReplyMsg>(m));
 }
 
 void Controller::peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m) {
@@ -1520,7 +1471,7 @@ void Controller::peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadc
   if (!m.revoked.empty()) {
     note_peer_generation(m.revoked.front().owner, m.revoked.front().reboot_count);
   }
-  send_peer(origin, make_envelope(next_seq_++, RevokeAckMsg{m.cleanup_id}));
+  links_.send(origin, make_envelope(next_seq_++, RevokeAckMsg{m.cleanup_id}));
 }
 
 void Controller::peer_revoke_ack(const RevokeAckMsg& m) {
@@ -1546,8 +1497,8 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
                                        const RegisterMonitorMsg& m) {
   // The subscriber keys this op by the envelope seq, which resends reuse — so it doubles as
   // the dedup key (double-registering a monitor would double its fire count).
-  const uint64_t dedup_key = peer_op_key(origin, seq);
-  if (replay_completed_peer_op(origin, dedup_key)) {
+  if (const PeerReplyMsg* cached = links_.find_completed(origin, seq)) {
+    links_.send(origin, make_envelope(next_seq_++, *cached));
     return;
   }
   PeerReplyMsg r;
@@ -1562,8 +1513,8 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
   }
   r.status = s.ok() ? ErrorCode::kOk : s.error();
   if (!s.ok()) {
-    cache_completed_peer_op(dedup_key, r);
-    send_peer(origin, make_envelope(next_seq_++, r));
+    links_.remember(origin, r);
+    links_.send(origin, make_envelope(next_seq_++, r));
     return;
   }
   ReplicatedOp op;
@@ -1574,12 +1525,12 @@ void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
   op.sub_controller = m.subscriber_controller;
   op.sub_process = m.subscriber_process;
   commit_mutation(m.target.owner, std::move(op),
-                  [this, origin, dedup_key, r](ErrorCode ec) mutable {
+                  [this, origin, r](ErrorCode ec) mutable {
                     r.status = ec;
                     if (ec == ErrorCode::kOk) {
-                      cache_completed_peer_op(dedup_key, r);
+                      links_.remember(origin, r);
                     }
-                    send_peer(origin, make_envelope(next_seq_++, r));
+                    links_.send(origin, make_envelope(next_seq_++, r));
                   });
 }
 
@@ -1655,15 +1606,7 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
   // cleanup — "after ensuring no other Controllers have capabilities referencing it").
   //
   // The body is encoded once; each peer's frame is that encoding under the peer's own seq.
-  const Payload body = encode_envelope(make_envelope(0, std::move(bc)));
-  size_t live_peers = 0;
-  for (auto& [peer_addr, peer] : peers_) {
-    if (peer.chan->severed()) {
-      continue;
-    }
-    peer.chan->send_encoded(Traffic::kControl, with_seq(body, next_seq_++));
-    ++live_peers;
-  }
+  const size_t live_peers = links_.broadcast(encode_envelope(make_envelope(0, std::move(bc))));
   if (live_peers == 0) {
     stats_.objects_reclaimed += t->erase_objects(result.invalidated);
     ReplicatedOp op;
@@ -1697,287 +1640,18 @@ void Controller::dispatch_monitor_fire(const ObjectTable::MonitorFire& fire) {
   mf.process = fire.sub.process;
   mf.callback_id = fire.sub.callback_id;
   mf.delegate_mode = fire.delegate_mode;
-  send_peer(fire.sub.controller, make_envelope(next_seq_++, mf));
-}
-
-Controller::Peer* Controller::find_peer(ControllerAddr peer) {
-  auto it = peers_.find(peer);
-  if (it != peers_.end()) {
-    return &it->second;
-  }
-  if (peer_connector_ == nullptr || failed_ || peer_connector_(peer) == nullptr) {
-    return nullptr;
-  }
-  it = peers_.find(peer);
-  FRACTOS_CHECK(it != peers_.end());
-  return &it->second;
-}
-
-void Controller::send_peer(ControllerAddr peer, const Envelope& env, Traffic cat) {
-  Peer* p = find_peer(peer);
-  if (p == nullptr || p->chan->severed()) {
-    return;  // peer unreachable; stale capabilities will surface at use
-  }
-  p->chan->send(cat, env);
-}
-
-Future<Result<PeerReplyMsg>> Controller::call_peer(ControllerAddr peer, uint64_t op_id,
-                                                   Envelope env) {
-  Promise<Result<PeerReplyMsg>> promise;
-  Future<Result<PeerReplyMsg>> inner = promise.future();
-  Peer* pr = failed_ ? nullptr : find_peer(peer);
-  if (pr == nullptr || pr->chan->severed()) {
-    promise.set(ErrorCode::kChannelClosed);
-    return inner;
-  }
-  pending_ops_.emplace(op_id, promise);
-  pending_op_peer_.emplace(op_id, peer);
-  if (span_tracing_active() && net_->loop()->span_tracer() != nullptr) {
-    static const NameId kPeerOp = intern_name("peer-op");
-    const uint64_t span = net_->loop()->span_tracer()->begin(name_id_, SpanKind::kController,
-                                                             kPeerOp, net_->loop()->now());
-    if (span != 0) {
-      pending_op_spans_.emplace(op_id, span);
-    }
-  }
-  Payload frame = encode_envelope(env);
-  pr->chan->send_encoded(Traffic::kControl, frame);
-  if (!net_->lossy()) {
-    // Clean fabric: the reply always arrives (or the peer's sever completes the op), so no
-    // timers are armed and simulated time is untouched — the pre-existing fast path.
-    return inner;
-  }
-  schedule_peer_resend(peer, op_id, std::move(frame), 1);
-  Future<Result<PeerReplyMsg>> bounded =
-      with_timeout(*net_->loop(), config_.peer_op_deadline, std::move(inner));
-  // Scheduled after with_timeout's own deadline event (same instant, later sequence number):
-  // the consumer sees kTimeout first, so dropping the promise here only triggers a guarded
-  // no-op broken-promise delivery.
-  net_->loop()->schedule_after(config_.peer_op_deadline,
-                               [this, op_id]() { forget_peer_op(op_id); });
-  return bounded;
-}
-
-Future<Result<PeerReplyMsg>> Controller::call_peer_derive(ControllerAddr peer,
-                                                          RemoteDeriveMsg rd) {
-  const uint64_t op_id = rd.op_id;
-  if (config_.peer_op_batch_max == 0) {
-    return call_peer(peer, op_id, make_envelope(op_id, std::move(rd)));
-  }
-  // Batched path: identical promise/span/timeout bookkeeping to call_peer, but the wire
-  // send is deferred to flush_peer_batch.
-  Promise<Result<PeerReplyMsg>> promise;
-  Future<Result<PeerReplyMsg>> inner = promise.future();
-  Peer* pr = failed_ ? nullptr : find_peer(peer);
-  if (pr == nullptr || pr->chan->severed()) {
-    promise.set(ErrorCode::kChannelClosed);
-    return inner;
-  }
-  pending_ops_.emplace(op_id, promise);
-  pending_op_peer_.emplace(op_id, peer);
-  if (span_tracing_active() && net_->loop()->span_tracer() != nullptr) {
-    static const NameId kPeerOp = intern_name("peer-op");
-    const uint64_t span = net_->loop()->span_tracer()->begin(name_id_, SpanKind::kController,
-                                                             kPeerOp, net_->loop()->now());
-    if (span != 0) {
-      pending_op_spans_.emplace(op_id, span);
-    }
-  }
-  PendingBatch& batch = pending_batches_[peer];
-  batch.ops.push_back(std::move(rd));
-  if (batch.ops.size() >= config_.peer_op_batch_max) {
-    flush_peer_batch(peer);
-  } else if (!batch.flush_scheduled) {
-    batch.flush_scheduled = true;
-    net_->loop()->schedule_after(config_.peer_op_batch_delay,
-                                 [this, peer]() { flush_peer_batch(peer); });
-  }
-  if (!net_->lossy()) {
-    return inner;
-  }
-  Future<Result<PeerReplyMsg>> bounded =
-      with_timeout(*net_->loop(), config_.peer_op_deadline, std::move(inner));
-  net_->loop()->schedule_after(config_.peer_op_deadline,
-                               [this, op_id]() { forget_peer_op(op_id); });
-  return bounded;
-}
-
-void Controller::flush_peer_batch(ControllerAddr peer) {
-  auto bit = pending_batches_.find(peer);
-  if (bit == pending_batches_.end()) {
-    return;
-  }
-  PendingBatch batch = std::move(bit->second);
-  pending_batches_.erase(bit);
-  if (failed_) {
-    return;
-  }
-  // Drop members whose promise is already gone (severed peer or deadline before flush);
-  // their futures have already been completed through the error channel.
-  std::erase_if(batch.ops,
-                [this](const RemoteDeriveMsg& op) { return !pending_ops_.contains(op.op_id); });
-  if (batch.ops.empty()) {
-    return;
-  }
-  Peer* pr = find_peer(peer);
-  if (pr == nullptr || pr->chan->severed()) {
-    return;  // on_peer_severed already failed every member op
-  }
-  if (MetricsRegistry* m = net_->loop()->metrics()) {
-    m->observe(batch_occupancy_key_, batch.ops.size());
-  }
-  std::vector<uint64_t> op_ids;  // what a resend checks; a clean fabric never resends
-  if (net_->lossy()) {
-    op_ids.reserve(batch.ops.size());
-    for (const RemoteDeriveMsg& op : batch.ops) {
-      op_ids.push_back(op.op_id);
-    }
-  }
-  RemoteDeriveBatchMsg msg;
-  msg.ops = std::move(batch.ops);
-  Payload frame = encode_envelope(make_envelope(next_seq_++, std::move(msg)));
-  pr->chan->send_encoded(Traffic::kControl, frame);
-  if (net_->lossy()) {
-    schedule_batch_resend(peer, std::move(op_ids), std::move(frame), 1);
-  }
-}
-
-void Controller::schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t> op_ids,
-                                       Payload frame, uint32_t attempt) {
-  if (attempt > kPeerOpRetryBudget) {
-    return;
-  }
-  const Duration delay =
-      kPeerOpRto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
-  net_->loop()->schedule_after(delay, [this, peer, op_ids = std::move(op_ids),
-                                       frame = std::move(frame), attempt]() mutable {
-    if (failed_) {
-      return;
-    }
-    // The whole frame is resent while ANY member is still pending; receiver-side per-op
-    // dedup replays already-executed members instead of running them twice.
-    const bool any_pending = std::any_of(
-        op_ids.begin(), op_ids.end(),
-        [this](uint64_t op_id) { return pending_ops_.contains(op_id); });
-    if (!any_pending) {
-      return;
-    }
-    ++stats_.peer_retries;
-    Peer* pr = find_peer(peer);
-    if (pr != nullptr && !pr->chan->severed()) {
-      pr->chan->send_encoded(Traffic::kControl, frame);
-    }
-    schedule_batch_resend(peer, std::move(op_ids), std::move(frame), attempt + 1);
-  });
-}
-
-void Controller::schedule_peer_resend(ControllerAddr peer, uint64_t op_id, Payload frame,
-                                      uint32_t attempt) {
-  if (attempt > kPeerOpRetryBudget) {
-    return;
-  }
-  const Duration delay =
-      kPeerOpRto * static_cast<double>(uint64_t{1} << std::min(attempt - 1, 16u));
-  net_->loop()->schedule_after(delay, [this, peer, op_id, frame = std::move(frame),
-                                       attempt]() mutable {
-    if (failed_ || !pending_ops_.contains(op_id)) {
-      return;  // answered, timed out, or this Controller failed
-    }
-    ++stats_.peer_retries;
-    Peer* pr = find_peer(peer);
-    if (pr != nullptr && !pr->chan->severed()) {
-      pr->chan->send_encoded(Traffic::kControl, frame);
-    }
-    schedule_peer_resend(peer, op_id, std::move(frame), attempt + 1);
-  });
-}
-
-void Controller::forget_peer_op(uint64_t op_id) {
-  auto it = pending_ops_.find(op_id);
-  if (it == pending_ops_.end()) {
-    return;
-  }
-  ++stats_.peer_op_timeouts;
-  pending_ops_.erase(it);
-  pending_op_peer_.erase(op_id);
-  close_peer_op_span(op_id, "timeout");
+  links_.send(fire.sub.controller, make_envelope(next_seq_++, mf));
 }
 
 void Controller::on_peer_severed(ControllerAddr peer) {
   if (failed_) {
     return;  // fail() already completed everything with kChannelClosed
   }
-  // Collect first: completing a promise runs its continuation synchronously, and a
-  // continuation may start new peer ops.
-  std::vector<uint64_t> ops;
-  for (const auto& [op_id, target] : pending_op_peer_) {
-    if (target == peer) {
-      ops.push_back(op_id);
-    }
-  }
-  for (uint64_t op_id : ops) {
-    auto it = pending_ops_.find(op_id);
-    if (it == pending_ops_.end()) {
-      continue;
-    }
-    Promise<Result<PeerReplyMsg>> promise = std::move(it->second);
-    pending_ops_.erase(it);
-    pending_op_peer_.erase(op_id);
-    close_peer_op_span(op_id, "channel-closed");
-    promise.set(ErrorCode::kChannelClosed);
-  }
+  links_.on_severed(peer);
   // Replication: a dead leader's followers start a (rank-staggered) election immediately
   // rather than waiting out the lease.
   for (auto& [seat, group] : repl_groups_) {
     group->on_peer_severed(peer);
-  }
-}
-
-bool Controller::replay_completed_peer_op(ControllerAddr origin, uint64_t key) {
-  if (!net_->lossy()) {
-    return false;
-  }
-  auto it = completed_peer_ops_.find(key);
-  if (it == completed_peer_ops_.end()) {
-    return false;
-  }
-  ++stats_.peer_dedup_hits;
-  send_peer(origin, make_envelope(next_seq_++, it->second));
-  return true;
-}
-
-void Controller::cache_completed_peer_op(uint64_t key, const PeerReplyMsg& reply) {
-  if (!net_->lossy()) {
-    return;  // duplicates are impossible on a clean fabric; don't grow state for nothing
-  }
-  // Deterministic TTL eviction on simulated time: once an entry outlives peer_op_dedup_ttl
-  // (>> peer_op_deadline), no resend of its op can still arrive, so it is dropped from the
-  // front of the FIFO. The size cap stays as the hard backstop.
-  const Time now = net_->loop()->now();
-  while (!completed_peer_ops_fifo_.empty() &&
-         now.ns() - completed_peer_ops_fifo_.front().second.ns() >=
-             config_.peer_op_dedup_ttl.ns()) {
-    completed_peer_ops_.erase(completed_peer_ops_fifo_.front().first);
-    completed_peer_ops_fifo_.pop_front();
-  }
-  if (completed_peer_ops_.emplace(key, reply).second) {
-    completed_peer_ops_fifo_.push_back({key, now});
-    if (completed_peer_ops_fifo_.size() > kCompletedPeerOpCacheCap) {
-      completed_peer_ops_.erase(completed_peer_ops_fifo_.front().first);
-      completed_peer_ops_fifo_.pop_front();
-    }
-  }
-}
-
-void Controller::fail_pending_ops(ErrorCode status) {
-  // Move the map out first: completing a promise runs its continuation synchronously, and a
-  // continuation may start new peer ops.
-  auto pending = std::move(pending_ops_);
-  pending_ops_.clear();
-  pending_op_peer_.clear();
-  for (auto& [op_id, promise] : pending) {
-    close_peer_op_span(op_id, "channel-closed");
-    promise.set(status);
   }
 }
 
@@ -2015,7 +1689,7 @@ void Controller::process_failed(ProcessId pid) {
       rd.op = RemoteDeriveMsg::Op::kRevoke;
       rd.requester = pid;
       // Fire-and-forget: the reply needs no action, so the future is dropped unconsumed.
-      call_peer_derive(route_owner(entry.ref.owner), std::move(rd));
+      links_.call_derive(route_owner(entry.ref.owner), std::move(rd));
     }
   }
   // Everything the Process registered is invalidated.
@@ -2035,9 +1709,7 @@ void Controller::fail() {
     proc->chan->sever();
     proc->alive = false;
   }
-  for (auto& [peer_addr, peer] : peers_) {
-    peer.chan->sever();
-  }
+  links_.sever_all();
   // Replication groups die with the host; their commit waiters complete through the error
   // channel (every local process is already marked dead, so the continuations no-op).
   for (auto& [seat, group] : repl_groups_) {
@@ -2045,9 +1717,8 @@ void Controller::fail() {
   }
   // Outstanding peer ops complete through the error channel rather than dangling; their
   // continuations bail out early because every local process is now marked dead.
-  fail_pending_ops(ErrorCode::kChannelClosed);
+  links_.fail_all(ErrorCode::kChannelClosed);
   pending_invokes_.clear();
-  pending_batches_.clear();
 }
 
 void Controller::restart() {
@@ -2055,10 +1726,7 @@ void Controller::restart() {
   // All Processes of a failed Controller are considered failed (Section 3.6); the reboot
   // counter bump makes every capability that references this Controller stale.
   procs_.clear();
-  peers_.clear();
-  completed_peer_ops_.clear();
-  completed_peer_ops_fifo_.clear();
-  pending_batches_.clear();
+  links_.reset();
   // Every cached translation references pre-reboot objects; the generation bump makes them
   // stale wholesale.
   tcache_.clear();
@@ -2194,11 +1862,7 @@ void Controller::on_seat_established(ControllerAddr seat) {
   ann.seat = seat;
   ann.leader = addr();
   ann.term = g.term();
-  for (auto& [peer_addr, peer] : peers_) {
-    if (!peer.chan->severed()) {
-      send_peer(peer_addr, make_envelope(next_seq_++, ann));
-    }
-  }
+  links_.broadcast(encode_envelope(make_envelope(0, ann)));
   if (seat == addr()) {
     return;  // the seat establishing itself at start(): nothing to finish
   }

@@ -33,6 +33,7 @@
 #include "src/cap/object_table.h"
 #include "src/core/channel.h"
 #include "src/core/costs.h"
+#include "src/core/peer_links.h"
 #include "src/core/replication.h"
 #include "src/core/translation_cache.h"
 #include "src/fabric/network.h"
@@ -61,6 +62,9 @@ struct ControllerStats {
   uint64_t peer_op_timeouts = 0;     // peer ops that hit their deadline unanswered
   uint64_t peer_dedup_hits = 0;      // duplicate peer requests answered from the cache
   uint64_t late_replies_ignored = 0; // peer replies that arrived after timeout/completion
+  // Envelopes dropped unhandled: a type the channel does not carry, or a peer reply from a
+  // peer other than the one its op went to.
+  uint64_t rejected_msgs = 0;
   uint64_t node_recoveries = 0;      // spurious node failures re-admitted by the monitor
   // Admission control (all zero unless set_admission_limit armed a process).
   uint64_t admission_admitted = 0;     // invokes accepted past the admission gate
@@ -114,13 +118,6 @@ class Controller {
     ControllerCosts costs;
   };
 
-  // Bound on the completed-peer-op reply cache (receiver-side dedup, lossy fabric only).
-  static constexpr size_t kCompletedPeerOpCacheCap = 4096;
-  // Peer-op resends (lossy fabric only): a request is resent with exponential backoff from
-  // kPeerOpRto, at most kPeerOpRetryBudget times, until its peer_op_deadline.
-  static constexpr Duration kPeerOpRto = Duration::micros(150);
-  static constexpr uint32_t kPeerOpRetryBudget = 3;
-
   Controller(Network* net, Config config);
   // Completes any still-pending peer operations with kChannelClosed so their futures never
   // dangle (broken-promise discipline).
@@ -138,19 +135,8 @@ class Controller {
   // process-side channel.
   Channel& attach_process(ProcessId pid, uint32_t proc_node, PoolId heap_pool);
 
-  // Creates the controller-side channel toward a peer Controller.
-  Channel& connect_peer(ControllerAddr peer, Endpoint peer_ep);
-
-  // Lazy peer meshing (SystemConfig::lazy_controller_mesh): instead of an eager full mesh —
-  // O(n^2) channels, prohibitive at 1000+ Controllers — System installs this hook and the
-  // first send toward an unconnected peer resolves it on demand. The hook performs the
-  // two-sided connect (or returns nullptr for a dead/unknown peer) and costs no simulated
-  // time; see SystemConfig::lazy_controller_mesh for the one semantic narrowing.
-  using PeerConnector = std::function<Channel*(ControllerAddr)>;
-  void set_peer_connector(PeerConnector fn) { peer_connector_ = std::move(fn); }
-
-  // Forgets a (severed) peer link so a restarted Controller can be re-meshed.
-  void drop_peer(ControllerAddr peer) { peers_.erase(peer); }
+  // The channels toward peer Controllers (System connects, drops and lazily meshes them).
+  PeerLinks& peer_links() { return links_; }
 
   // --- trusted bootstrap ---------------------------------------------------------------------
 
@@ -240,7 +226,6 @@ class Controller {
   uint64_t deliveries_queued() const { return deliveries_queued_; }
   size_t pending_cleanups() const { return pending_cleanups_.size(); }
   const ControllerStats& stats() const { return stats_; }
-  size_t completed_peer_op_cache_size() const { return completed_peer_ops_.size(); }
   const TranslationCache& translation_cache() const { return tcache_; }
   // Re-resolves every cached translation against the live table and fails if any cached
   // entry differs (a stale entry would let a revoked capability be honored). The property
@@ -289,7 +274,6 @@ class Controller {
   // with one, mutating ops defer `done` until the logged entry commits on a majority.
   void exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m,
                           std::function<void(const PeerReplyMsg&)> done);
-  void peer_reply(const PeerReplyMsg& m);
   void peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m);
   void peer_revoke_ack(const RevokeAckMsg& m);
   void peer_register_monitor(ControllerAddr origin, uint64_t seq, const RegisterMonitorMsg& m);
@@ -330,43 +314,8 @@ class Controller {
     apply_revoke_for(addr(), result);
   }
   void dispatch_monitor_fire(const ObjectTable::MonitorFire& fire);
-  void send_peer(ControllerAddr peer, const Envelope& env, Traffic cat = Traffic::kControl);
-  // Issues a RemoteDerive/RegisterMonitor-style op keyed by `op_id`: registers the pending
-  // promise, sends `env` to `peer`, and returns a future for the reply. Completes
-  // immediately with kChannelClosed if the peer is unreachable. On a lossy fabric the
-  // request is additionally resent with exponential backoff and the whole op is bounded by
-  // with_timeout(peer_op_deadline) — a lost conversation surfaces as kTimeout on the error
-  // channel instead of hanging the simulation.
-  Future<Result<PeerReplyMsg>> call_peer(ControllerAddr peer, uint64_t op_id, Envelope env);
-  // Like call_peer for RemoteDerive ops, but routes through the per-peer batcher when
-  // Config::peer_op_batch_max > 0: the op is queued and flushed as part of one
-  // kRemoteDeriveBatch frame (at batch_max occupancy or after peer_op_batch_delay). Each
-  // queued op keeps its own op_id, promise, span, and (lossy) timeout, so completion and
-  // idempotency semantics are identical to the unbatched path.
-  Future<Result<PeerReplyMsg>> call_peer_derive(ControllerAddr peer, RemoteDeriveMsg rd);
-  void flush_peer_batch(ControllerAddr peer);
-  // Lossy-fabric resend of a whole batch frame: retried while ANY member op is still
-  // pending (receiver-side dedup makes re-executed members harmless).
-  void schedule_batch_resend(ControllerAddr peer, std::vector<uint64_t> op_ids, Payload frame,
-                             uint32_t attempt);
-  // Resends carry the frame pre-encoded: one Envelope serialization per op, shared by every
-  // retransmission attempt (the Payload copy is a refcount bump).
-  void schedule_peer_resend(ControllerAddr peer, uint64_t op_id, Payload frame,
-                            uint32_t attempt);
-  // Deadline bookkeeping: drops the pending promise at op deadline (its with_timeout wrapper
-  // has already delivered kTimeout) and counts the timeout.
-  void forget_peer_op(uint64_t op_id);
-  // Peer channel severed: every pending op addressed to that peer completes kChannelClosed.
+  // Peer channel severed: its ops fail, and the replication groups learn of it.
   void on_peer_severed(ControllerAddr peer);
-  // Receiver-side idempotency (lossy fabric only): replays the cached reply for a peer
-  // request that was already executed, so request resends never double-execute.
-  bool replay_completed_peer_op(ControllerAddr origin, uint64_t key);
-  void cache_completed_peer_op(uint64_t key, const PeerReplyMsg& reply);
-  static uint64_t peer_op_key(ControllerAddr origin, uint64_t op_id) {
-    return (static_cast<uint64_t>(origin) << 48) ^ op_id;
-  }
-  // Completes every pending peer op with the given status and empties the map.
-  void fail_pending_ops(ErrorCode status);
   // The memory_copy data path.
   void do_copy(ProcState& p, uint64_t seq, const CapEntry& src, const CapEntry& dst);
   // Fig. 5: "FractOS uses double buffering for buffers larger than 16 KB"; copies up to this
@@ -389,11 +338,10 @@ class Controller {
   // a translation-cache hit (or when the feature is off), (chain_depth - 1) *
   // request_traversal on a miss.
   Duration translation_extra_cost(ObjectIndex idx) const;
-  // Closes the peer-op span registered for op_id, if any (error != nullptr marks it failed).
-  void close_peer_op_span(uint64_t op_id, const char* error);
 
   // --- replication plumbing (all no-ops / identity when no group is armed) ---
   friend class ReplicationGroup;
+  friend class PeerLinks;
   // The table this Controller may serve `owner`'s objects from: its own table (own seat,
   // unless a deposed own-seat group forbids serving), an acting-leader replica, or nullptr.
   ObjectTable* serving_table(ControllerAddr owner);
@@ -422,33 +370,9 @@ class Controller {
   ExecContext* exec_;
   ObjectTable table_;
   std::unordered_map<ProcessId, std::unique_ptr<ProcState>> procs_;
-  struct Peer {
-    std::unique_ptr<Channel> chan;
-    Endpoint endpoint;
-  };
-  // Resolves `peer` to its live entry, lazily connecting through peer_connector_ when the
-  // mesh is lazy. nullptr = unknown, unconnectable, or this Controller has failed.
-  Peer* find_peer(ControllerAddr peer);
-  std::unordered_map<ControllerAddr, Peer> peers_;
-  PeerConnector peer_connector_;
-  std::unordered_map<uint64_t, Promise<Result<PeerReplyMsg>>> pending_ops_;
-  std::unordered_map<uint64_t, ControllerAddr> pending_op_peer_;
-  // Open peer-op spans by op id (populated only while a SpanTracer is alive); a timed-out or
-  // severed op closes its span with an error attribute instead of leaking it open.
-  std::unordered_map<uint64_t, uint64_t> pending_op_spans_;
-  // Completed-peer-op reply cache for dedup (populated only on a lossy fabric). The FIFO
-  // carries insertion times: entries are evicted when older than peer_op_dedup_ttl (the
-  // deterministic, simulated-time bound) and the cap is the hard backstop.
-  std::unordered_map<uint64_t, PeerReplyMsg> completed_peer_ops_;
-  std::deque<std::pair<uint64_t, Time>> completed_peer_ops_fifo_;
+  PeerLinks links_{this};
   // Owner-side translation cache (see translation_cache.h); capacity from Config.
   TranslationCache tcache_;
-  // Per-peer outgoing RemoteDerive batcher (active only when peer_op_batch_max > 0).
-  struct PendingBatch {
-    std::vector<RemoteDeriveMsg> ops;
-    bool flush_scheduled = false;
-  };
-  std::unordered_map<ControllerAddr, PendingBatch> pending_batches_;
   std::unordered_map<uint64_t, ProcessId> pending_invokes_;
   // Two-phase revocation cleanup: invalidated objects are erased only after every peer has
   // acknowledged the broadcast (the distributed-GC "cleanup step" of Section 3.5).

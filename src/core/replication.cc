@@ -60,7 +60,7 @@ void ReplicationGroup::bump(NameId key, int64_t delta) {
 
 template <typename M>
 void ReplicationGroup::send(ControllerAddr peer, M msg) {
-  host_->send_peer(peer, make_envelope(host_->next_seq_++, std::move(msg)));
+  host_->links_.send(peer, make_envelope(host_->next_seq_++, std::move(msg)));
 }
 
 size_t ReplicationGroup::rank_of_self() const {

@@ -219,7 +219,7 @@ void System::mesh_controller(Controller& c) {
   if (config_.lazy_controller_mesh) {
     // No eager pairs: the first send toward an unconnected peer resolves through
     // lazy_connect. &c is stable (controllers_ holds unique_ptrs).
-    c.set_peer_connector(
+    c.peer_links().set_connector(
         [this, &c](ControllerAddr peer) { return lazy_connect(c, peer); });
     return;
   }
@@ -227,8 +227,8 @@ void System::mesh_controller(Controller& c) {
     if (other.get() == &c || other->failed()) {
       continue;
     }
-    Channel& mine = c.connect_peer(other->addr(), other->endpoint());
-    Channel& theirs = other->connect_peer(c.addr(), c.endpoint());
+    Channel& mine = c.peer_links().connect(other->addr());
+    Channel& theirs = other->peer_links().connect(c.addr());
     Channel::connect(mine, theirs);
     // Exchange reboot generations (the discovery service's job) for eager stale detection.
     c.note_peer_generation(other->addr(), other->table().reboot_count());
@@ -242,10 +242,10 @@ Channel* System::lazy_connect(Controller& self, ControllerAddr peer_addr) {
     return nullptr;
   }
   // A severed leftover on the other side (self failed and restarted without a
-  // restart_controller round) would fail connect_peer's uniqueness CHECK; drop it first.
-  other->drop_peer(self.addr());
-  Channel& mine = self.connect_peer(other->addr(), other->endpoint());
-  Channel& theirs = other->connect_peer(self.addr(), self.endpoint());
+  // restart_controller round) would fail connect's uniqueness CHECK; drop it first.
+  other->peer_links().drop(self.addr());
+  Channel& mine = self.peer_links().connect(other->addr());
+  Channel& theirs = other->peer_links().connect(self.addr());
   Channel::connect(mine, theirs);
   self.note_peer_generation(other->addr(), other->table().reboot_count());
   other->note_peer_generation(self.addr(), self.table().reboot_count());
@@ -322,7 +322,7 @@ void System::restart_controller(Controller& c) {
   c.restart();
   for (auto& other : controllers_) {
     if (other.get() != &c) {
-      other->drop_peer(c.addr());
+      other->peer_links().drop(c.addr());
     }
   }
   mesh_controller(c);

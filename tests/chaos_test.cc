@@ -238,6 +238,20 @@ TEST(ChaosSoak, EveryOpResolvesUnderLossyFabric) {
   constexpr int kOps = 120;
   const ChaosOutcome out = run_chaos(base_seed(), kOps);
 
+  // One digest line per seed, so the outcome of a seed matrix can be diffed between builds.
+  std::string errors;
+  for (const auto& [code, count] : out.errors) {
+    errors += std::string(errors.empty() ? "" : ",") + error_code_name(code) + ":" +
+              std::to_string(count);
+  }
+  std::printf("chaos-digest seed=%llu end_ns=%lld ok_ops=%d errors={%s} control_msgs=%llu "
+              "data_msgs=%llu injected=%llu\n",
+              static_cast<unsigned long long>(base_seed()), static_cast<long long>(out.end_ns),
+              out.ok_ops, errors.c_str(),
+              static_cast<unsigned long long>(out.traffic.messages[0]),
+              static_cast<unsigned long long>(out.traffic.messages[1]),
+              static_cast<unsigned long long>(out.faults.total_injected()));
+
   // The plan actually perturbed the run...
   EXPECT_GT(out.faults.total_injected(), 0u);
   EXPECT_GT(out.faults.dropped[0], 0u);

@@ -156,7 +156,7 @@ TEST_F(SoakTest, MixedWorkloadStaysConsistent) {
   // The peer-op dedup cache is bounded by construction (TTL eviction + hard cap), never by
   // operation count.
   for (Controller* c : sys_.controllers()) {
-    EXPECT_LE(c->completed_peer_op_cache_size(), Controller::kCompletedPeerOpCacheCap);
+    EXPECT_LE(c->peer_links().completed_size(), PeerLinks::kCompletedCacheCap);
   }
 }
 
@@ -226,7 +226,7 @@ TEST(SoakDedupCache, StaysBoundedUnderLossyPeerOpChurn) {
       }
     }
     for (Controller* c : sys.controllers()) {
-      ASSERT_LE(c->completed_peer_op_cache_size(), Controller::kCompletedPeerOpCacheCap)
+      ASSERT_LE(c->peer_links().completed_size(), PeerLinks::kCompletedCacheCap)
           << "op " << i;
     }
   }
@@ -235,8 +235,8 @@ TEST(SoakDedupCache, StaysBoundedUnderLossyPeerOpChurn) {
   // The run spanned many TTL windows, so eviction must have reclaimed the bulk of the
   // completed ops: what remains is one window's worth, far below everything that ever ran.
   EXPECT_GT(sys.loop().now().ns(), 10 * cfg.peer_op_dedup_ttl.ns());
-  EXPECT_LT(c0.completed_peer_op_cache_size(), static_cast<size_t>(completed));
-  EXPECT_LE(c0.completed_peer_op_cache_size(), Controller::kCompletedPeerOpCacheCap);
+  EXPECT_LT(c0.peer_links().completed_size(), static_cast<size_t>(completed));
+  EXPECT_LE(c0.peer_links().completed_size(), PeerLinks::kCompletedCacheCap);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <utility>
+#include <variant>
 
 #include "src/core/system.h"
 #include "src/sim/span.h"
@@ -186,6 +188,57 @@ TEST(ChannelHardeningTest, MalformedBytesAreDroppedNotFatal) {
   a.send(Traffic::kControl, make_envelope(1, NullOpMsg{}));  // real traffic still flows
   loop.run();
   EXPECT_EQ(delivered, 1);
+}
+
+// An envelope of type `t` with a default body. MsgBody lists one alternative per MsgType in
+// the enum's order, except that kMonitorDelegate and kMonitorReceive share MonitorMsg.
+template <size_t... I>
+Envelope blank_envelope(MsgType t, uint64_t seq, std::index_sequence<I...>) {
+  const size_t index = t <= MsgType::kMonitorDelegate ? static_cast<size_t>(t)
+                                                      : static_cast<size_t>(t) - 1;
+  Envelope env;
+  env.type = t;
+  env.seq = seq;
+  ((index == I ? (void)env.body.emplace<I>() : void()), ...);
+  return env;
+}
+
+Envelope blank_envelope(MsgType t, uint64_t seq) {
+  return blank_envelope(t, seq, std::make_index_sequence<std::variant_size_v<MsgBody>>());
+}
+
+bool process_sends(MsgType t) {
+  return t < MsgType::kSyscallReply || t == MsgType::kDeliverAck;
+}
+
+bool peer_sends(MsgType t) { return t >= MsgType::kRemoteInvoke; }
+
+// Well-formed envelopes of a type the channel does not carry — any reply or delivery a
+// Process sends up, any syscall or delivery a peer sends across — are dropped and counted,
+// and the Controller keeps serving.
+TEST_F(TraceStatsTest, WrongTypeEnvelopesAreDroppedAndCounted) {
+  Channel& c0_side = c0_->peer_links().connect(77);
+  Channel raw_peer(&sys_.net(), Endpoint{n1_, Loc::kHost});
+  raw_peer.set_handler([](Envelope&&) {});
+  Channel::connect(raw_peer, c0_side);
+
+  uint64_t expected = 0;
+  for (uint8_t i = 0; i <= static_cast<uint8_t>(MsgType::kReplSnapshot); ++i) {
+    const MsgType t = static_cast<MsgType>(i);
+    if (!process_sends(t)) {
+      a_->channel().send(Traffic::kControl, blank_envelope(t, 1000 + i));
+      ++expected;
+    }
+    if (!peer_sends(t)) {
+      raw_peer.send(Traffic::kControl, blank_envelope(t, 2000 + i));
+      ++expected;
+    }
+  }
+  sys_.loop().run();
+  EXPECT_EQ(c0_->stats().rejected_msgs, expected);
+  EXPECT_EQ(c0_side.malformed_dropped(), 0u);
+  EXPECT_EQ(expected, 19u + 14u);
+  EXPECT_TRUE(sys_.await(a_->null_op()).ok());
 }
 
 
