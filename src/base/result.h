@@ -39,6 +39,8 @@ enum class ErrorCode : uint8_t {
   kNotLeader,            // replicated seat: this controller cannot serve mutations right now
   kOverloaded,           // admission control shed the request before any work was done
 };
+// The highest value a decoder accepts for the enum (src/wire/buffer.h).
+constexpr ErrorCode enum_last(ErrorCode) { return ErrorCode::kOverloaded; }
 
 // Human-readable name, for logs and test diagnostics.
 const char* error_code_name(ErrorCode code);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <optional>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -53,19 +54,44 @@ const RequestArgs& empty_args() {
   return kEmpty;
 }
 
-void encode_sub(Encoder& e, const MonitorSub& s) {
-  e.put_u32(s.controller);
-  e.put_u64(s.process);
-  e.put_u64(s.callback_id);
-}
+// The snapshot blob: this header, then `count` SnapshotObjects in index order.
+struct SnapshotHeader {
+  ControllerAddr owner = kInvalidController;
+  uint32_t reboot_count = 0;
+  ObjectIndex next_index = 0;
+  uint32_t count = 0;
+  FRACTOS_WIRE_FIELDS(owner, reboot_count, next_index, count)
+};
 
-MonitorSub decode_sub(Decoder& d) {
-  MonitorSub s;
-  s.controller = d.get_u32();
-  s.process = d.get_u64();
-  s.callback_id = d.get_u64();
-  return s;
-}
+// One object as the snapshot carries it: every field of both payload kinds and of the monitor
+// state, with the defaults of the kind (or state) the object does not have.
+struct SnapshotObject {
+  ObjectIndex idx = kInvalidObject;
+  ObjectKind kind = ObjectKind::kMemory;
+  bool invalidated = false;
+  ObjectIndex parent = kInvalidObject;
+  ObjectIndex first_child = kInvalidObject;
+  ObjectIndex last_child = kInvalidObject;
+  ObjectIndex prev_sibling = kInvalidObject;
+  ObjectIndex next_sibling = kInvalidObject;
+  MemoryDesc desc;
+  Perms perms = Perms::kNone;
+  bool is_root = false;
+  ProcessId provider = kInvalidProcess;
+  CapId endpoint_cid = kInvalidCap;
+  std::optional<RequestArgs> args;
+  bool indirection = false;
+  ProcessId creator = kInvalidProcess;
+  bool delegator = false;
+  MonitorSub delegate_sub;
+  uint32_t delegatee_count = 0;
+  bool is_delegatee_child = false;
+  std::vector<MonitorSub> receive_subs;
+  FRACTOS_WIRE_FIELDS(idx, kind, invalidated, parent, first_child, last_child, prev_sibling,
+                      next_sibling, desc, perms, is_root, provider, endpoint_cid, args,
+                      indirection, creator, delegator, delegate_sub, delegatee_count,
+                      is_delegatee_child, receive_subs)
+};
 
 }  // namespace
 
@@ -684,128 +710,105 @@ std::vector<uint8_t> ObjectTable::serialize_snapshot() const {
   std::sort(objs.begin(), objs.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   Encoder e;
-  e.put_u32(owner_);
-  e.put_u32(reboot_count_);
-  e.put_u64(next_index_);
-  e.put_u32(static_cast<uint32_t>(objs.size()));
+  e.put(SnapshotHeader{owner_, reboot_count_, next_index_, static_cast<uint32_t>(objs.size())});
   for (const auto& [idx, o] : objs) {
     const MemoryPayload& mem = mem_fields(*o);
     const RequestPayload& req = req_fields(*o);
     const MonitorState& mon = monitor_fields(idx, *o);
-    e.put_u64(idx);
-    e.put_u8(static_cast<uint8_t>(o->kind));
-    e.put_bool(o->invalidated);
-    e.put_u64(o->parent);
-    e.put_u64(o->first_child);
-    e.put_u64(o->last_child);
-    e.put_u64(o->prev_sibling);
-    e.put_u64(o->next_sibling);
-    encode_mem_desc(e, mem.desc);
-    e.put_u8(static_cast<uint8_t>(mem.perms));
-    e.put_bool(o->is_root);
-    e.put_u64(req.provider);
-    e.put_u32(req.endpoint_cid);
-    const bool has_args = req.args != nullptr;
-    e.put_bool(has_args);
-    if (has_args) {
-      encode_imms(e, req.args->imms);
-      e.put_u32(static_cast<uint32_t>(req.args->caps.size()));
-      for (const WireCap& c : req.args->caps) {
-        encode_wire_cap(e, c);
-      }
-    }
-    e.put_bool(o->indirection);
-    e.put_u64(o->creator);
-    e.put_bool(mon.delegator);
-    encode_sub(e, mon.delegate_sub);
-    e.put_u32(mon.delegatee_count);
-    e.put_bool(mon.is_delegatee_child);
-    e.put_u32(static_cast<uint32_t>(mon.receive_subs.size()));
-    for (const MonitorSub& s : mon.receive_subs) {
-      encode_sub(e, s);
-    }
+    e.put(SnapshotObject{
+        idx, o->kind, o->invalidated, o->parent, o->first_child, o->last_child,
+        o->prev_sibling, o->next_sibling, mem.desc, mem.perms, o->is_root, req.provider,
+        req.endpoint_cid,
+        req.args != nullptr ? std::optional<RequestArgs>(*req.args) : std::nullopt,
+        o->indirection, o->creator, mon.delegator, mon.delegate_sub, mon.delegatee_count,
+        mon.is_delegatee_child, mon.receive_subs});
   }
   return e.take();
 }
 
 Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
+  // Destructive restore: the caller is replacing a stale or diverged replica wholesale, so a
+  // refused blob leaves an empty table (and an error to act on).
+  clear_objects();
   Decoder d(blob);
-  const ControllerAddr owner = d.get_u32();
-  const uint32_t reboot = d.get_u32();
-  const ObjectIndex next = d.get_u64();
-  const uint32_t count = d.get_u32();
-  if (!d.ok() || owner != owner_) {
+  SnapshotHeader head;
+  d.get(head);
+  if (!d.ok() || head.owner != owner_ || head.next_index == kInvalidObject) {
     return ErrorCode::kInvalidArgument;
   }
-  // Destructive restore: the caller is replacing a stale or diverged replica wholesale, so a
-  // malformed blob past this point leaves an empty table (and an error to act on).
-  clear_objects();
-  reboot_count_ = reboot;
-  next_index_ = next;
-  for (uint32_t i = 0; i < count && d.ok(); ++i) {
+  reboot_count_ = head.reboot_count;
+  next_index_ = head.next_index;
+  SnapshotObject rec;
+  for (uint32_t i = 0; i < head.count; ++i) {
+    d.get(rec);
     // Blobs come from peers: an index must be one this table could have minted (in
     // [1, next), so never the free marker kInvalidObject) and appear once.
-    const ObjectIndex idx = d.get_u64();
-    const uint8_t kind = d.get_u8();
-    if (idx == 0 || idx >= next || exists(idx) ||
-        kind > static_cast<uint8_t>(ObjectKind::kRequest)) {
+    if (!d.ok() || rec.idx == 0 || rec.idx >= next_index_ || exists(rec.idx)) {
       clear_objects();
       return ErrorCode::kInvalidArgument;
     }
-    Object o(static_cast<ObjectKind>(kind));
-    o.invalidated = d.get_bool();
-    o.parent = d.get_u64();
-    o.first_child = d.get_u64();
-    o.last_child = d.get_u64();
-    o.prev_sibling = d.get_u64();
-    o.next_sibling = d.get_u64();
-    // Fields of the other kind were serialized as defaults; they are read and dropped.
-    MemoryPayload mem;
-    mem.desc = decode_mem_desc(d);
-    mem.perms = static_cast<Perms>(d.get_u8());
-    o.is_root = d.get_bool();
-    RequestPayload req;
-    req.provider = d.get_u64();
-    req.endpoint_cid = d.get_u32();
-    if (d.get_bool()) {
-      RequestArgs args;
-      args.imms = decode_imms(d);
-      const uint32_t ncaps = d.get_u32();
-      for (uint32_t c = 0; c < ncaps && d.ok(); ++c) {
-        args.caps.push_back(decode_wire_cap(d));
-      }
-      req.args = intern_args(std::move(args));
-    }
+    Object o(rec.kind);
+    o.invalidated = rec.invalidated;
+    o.parent = rec.parent;
+    o.first_child = rec.first_child;
+    o.last_child = rec.last_child;
+    o.prev_sibling = rec.prev_sibling;
+    o.next_sibling = rec.next_sibling;
+    o.is_root = rec.is_root;
+    o.indirection = rec.indirection;
+    o.creator = rec.creator;
+    // Fields of the other kind were serialized as defaults; they are dropped.
     if (o.kind == ObjectKind::kRequest) {
-      o.req = std::move(req);
+      o.req.provider = rec.provider;
+      o.req.endpoint_cid = rec.endpoint_cid;
+      if (rec.args.has_value()) {
+        o.req.args = intern_args(std::move(*rec.args));
+      }
     } else {
-      o.mem = mem;
-    }
-    o.indirection = d.get_bool();
-    o.creator = d.get_u64();
-    MonitorState mon;
-    mon.delegator = d.get_bool();
-    mon.delegate_sub = decode_sub(d);
-    mon.delegatee_count = d.get_u32();
-    mon.is_delegatee_child = d.get_bool();
-    const uint32_t nsubs = d.get_u32();
-    for (uint32_t s = 0; s < nsubs && d.ok(); ++s) {
-      mon.receive_subs.push_back(decode_sub(d));
-    }
-    if (!d.ok()) {
-      break;
+      o.mem.desc = rec.desc;
+      o.mem.perms = rec.perms;
     }
     // delegate_sub and delegatee_count are only ever set on a delegator.
-    if (mon.delegator || mon.is_delegatee_child || !mon.receive_subs.empty()) {
-      monitor_for(idx, o) = std::move(mon);
+    if (rec.delegator || rec.is_delegatee_child || !rec.receive_subs.empty()) {
+      monitor_for(rec.idx, o) =
+          MonitorState{rec.delegator, rec.delegate_sub, rec.delegatee_count,
+                       rec.is_delegatee_child, std::move(rec.receive_subs)};
     }
-    insert_with_index(idx, std::move(o));
+    insert_with_index(rec.idx, std::move(o));
   }
-  if (!d.ok() || !d.done()) {
+  if (!d.done() || !tree_links_valid()) {
     clear_objects();
     return ErrorCode::kInvalidArgument;
   }
   return ok_status();
+}
+
+bool ObjectTable::tree_links_valid() const {
+  bool valid = true;
+  size_t parented = 0;
+  size_t listed = 0;
+  for_each_object([&](ObjectIndex idx, const Object& o) {
+    if (!valid) {
+      return;
+    }
+    if (o.parent == kInvalidObject) {
+      valid = o.prev_sibling == kInvalidObject && o.next_sibling == kInvalidObject;
+    } else {
+      ++parented;
+      valid = o.parent < idx && exists(o.parent);
+    }
+    ObjectIndex prev = kInvalidObject;
+    for (ObjectIndex c = o.first_child; valid && c != kInvalidObject;) {
+      const Object* child = find_object(c);
+      // A sibling cycle revisits a child from another predecessor, so it fails here too.
+      valid = child != nullptr && child->parent == idx && child->prev_sibling == prev;
+      ++listed;
+      prev = c;
+      c = valid ? child->next_sibling : kInvalidObject;
+    }
+    valid = valid && prev == o.last_child;
+  });
+  return valid && listed == parented;
 }
 
 uint64_t ObjectTable::digest() const {

@@ -55,6 +55,7 @@ struct RequestArgs {
   std::vector<WireCap> caps;
 
   bool empty() const { return imms.empty() && caps.empty(); }
+  FRACTOS_WIRE_FIELDS(imms, caps)
 };
 
 // A monitor subscription: who to notify (their Controller routes to the Process).
@@ -62,6 +63,7 @@ struct MonitorSub {
   ControllerAddr controller = kInvalidController;
   ProcessId process = kInvalidProcess;
   uint64_t callback_id = 0;
+  FRACTOS_WIRE_FIELDS(controller, process, callback_id)
 };
 
 class ObjectTable {
@@ -171,9 +173,10 @@ class ObjectTable {
   // Deterministic full-state serialization for follower catch-up (objects sorted by index,
   // every field verbatim). restore_snapshot replaces this table's entire contents, including
   // owner, reboot counter, and the next-index cursor. Blobs come from peers: one that is
-  // truncated or holds index 0, kInvalidObject, an index at or past its next-index cursor, a
-  // duplicate index or an unknown kind is rejected with kInvalidArgument and leaves the
-  // table empty.
+  // truncated, names another owner, has kInvalidObject as its next-index cursor, holds index
+  // 0, kInvalidObject, an index at or past that cursor, a duplicate index, an out-of-range
+  // enum or bool, or a tree link that tree_links_valid() refuses is rejected with
+  // kInvalidArgument and leaves the table empty.
   std::vector<uint8_t> serialize_snapshot() const;
   Status restore_snapshot(const std::vector<uint8_t>& blob);
 
@@ -210,6 +213,23 @@ class ObjectTable {
 
   // Total slots allocated across every shard's slabs, live or free.
   size_t slot_capacity() const;
+
+  // Walks every object (live or invalidated) in deterministic order: shard 0..N, slabs in
+  // allocation order, slots in slot order. `fn(ObjectIndex, const auto& object)`.
+  template <typename Fn>
+  void for_each_object(Fn&& fn) const {
+    for (const Shard& shard : shards_) {
+      for (size_t s = 0; s < shard.slabs.size(); ++s) {
+        const Slot* slab = shard.slabs[s].get();
+        const uint32_t slots = slab_slots(s);
+        for (uint32_t i = 0; i < slots; ++i) {
+          if (slab[i].idx != kInvalidObject) {
+            fn(slab[i].idx, slab[i].obj);
+          }
+        }
+      }
+    }
+  }
 
   static constexpr size_t kShardCount = 64;
   // A shard's slab s holds min(kFirstSlabSlots << s, kSlabSlots) slots. Slot id s << kSlabShift
@@ -317,29 +337,18 @@ class ObjectTable {
   // Drops every object, keeping owner, reboot counter and next-index cursor.
   void clear_objects();
 
-  // Walks every live slot in deterministic order: shard 0..N, slabs in allocation order,
-  // slots in slot order.
-  template <typename Fn>
-  void for_each_object(Fn&& fn) const {
-    for (const Shard& shard : shards_) {
-      for (size_t s = 0; s < shard.slabs.size(); ++s) {
-        const Slot* slab = shard.slabs[s].get();
-        const uint32_t slots = slab_slots(s);
-        for (uint32_t i = 0; i < slots; ++i) {
-          if (slab[i].idx != kInvalidObject) {
-            fn(slab[i].idx, slab[i].obj);
-          }
-        }
-      }
-    }
-  }
-
   Result<const Object*> lookup(ObjectIndex idx, uint32_t ref_reboot) const;
   Object* mutable_lookup(ObjectIndex idx);
   const Object* find_object(ObjectIndex idx) const;
   ObjectIndex insert(Object obj);
   void insert_with_index(ObjectIndex idx, Object obj);  // snapshot restore path
   void link_child(ObjectIndex parent_idx, ObjectIndex child_idx);
+  // True iff every object's parent is a restored object of a lower index (children are
+  // minted after their parent, so this also rules out cycles), a parentless object has no
+  // siblings, and each child list, walked from first_child along next_sibling, mirrors
+  // prev_sibling, names this object as parent, ends at last_child and, with the others,
+  // lists every parented object exactly once. Revocation and erasure walk these links.
+  bool tree_links_valid() const;
   void invalidate_subtree(ObjectIndex idx, RevokeResult& out);
   bool erase_one(ObjectIndex idx);
   std::shared_ptr<const RequestArgs> intern_args(RequestArgs args);

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "src/wire/buffer.h"
+
 namespace fractos {
 
 // Network-unique address of a Controller instance.
@@ -33,6 +35,8 @@ enum class ObjectKind : uint8_t {
   kMemory = 0,
   kRequest = 1,
 };
+// The highest value a decoder accepts for the enum (src/wire/buffer.h).
+constexpr ObjectKind enum_last(ObjectKind) { return ObjectKind::kRequest; }
 
 // Memory permissions. Request capabilities always carry kInvoke implicitly.
 enum class Perms : uint8_t {
@@ -41,6 +45,8 @@ enum class Perms : uint8_t {
   kWrite = 2,
   kReadWrite = 3,
 };
+// The highest value a decoder accepts for the enum (src/wire/buffer.h).
+constexpr Perms enum_last(Perms) { return Perms::kReadWrite; }
 
 inline Perms perms_intersect(Perms a, Perms b) {
   return static_cast<Perms>(static_cast<uint8_t>(a) & static_cast<uint8_t>(b));
@@ -62,6 +68,7 @@ struct ObjectRef {
   uint32_t reboot_count = 0;
 
   bool valid() const { return owner != kInvalidController && index != kInvalidObject; }
+  FRACTOS_WIRE_FIELDS(owner, index, reboot_count)
   bool operator==(const ObjectRef&) const = default;
 };
 
@@ -76,6 +83,7 @@ struct MemoryDesc {
   uint64_t addr = 0;
   uint64_t size = 0;
 
+  FRACTOS_WIRE_FIELDS(node, pool, addr, size)
   bool operator==(const MemoryDesc&) const = default;
 };
 

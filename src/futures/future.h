@@ -18,8 +18,8 @@
 //   * Future<T>::then() flattens nested futures (then returning Future<U> yields Future<U>);
 //   * void-returning continuations yield Future<Unit>;
 //   * Result-typed futures carry an error channel: and_then()/or_else() short-circuit on
-//     ErrorCode, when_any() races futures, and with_timeout() (src/futures/timeout.h) maps a
-//     deadline to ErrorCode::kTimeout;
+//     ErrorCode, and with_timeout() (src/futures/timeout.h) maps a deadline to
+//     ErrorCode::kTimeout;
 //   * broken promises are detected: if every Promise for a state dies without set(), a
 //     Result-typed future completes with ErrorCode::kBrokenPromise; a non-Result future with
 //     a continuation attached CHECK-fails (the continuation would otherwise dangle forever).
@@ -452,29 +452,6 @@ Future<std::vector<T>> when_all(std::vector<Future<T>> futures) {
     });
   }
   return promise.future();
-}
-
-template <typename T>
-struct WhenAnyResult {
-  size_t index = 0;  // which input future won the race
-  T value;
-};
-
-// Completes with the first input future to complete; later completions are dropped. With
-// several futures already ready, the lowest index wins (attachment order — deterministic).
-template <typename T>
-Future<WhenAnyResult<T>> when_any(std::vector<Future<T>> futures) {
-  FRACTOS_CHECK_MSG(!futures.empty(), "when_any of zero futures would never complete");
-  auto race = std::make_shared<Promise<WhenAnyResult<T>>>();
-  auto fut = race->future();
-  for (size_t i = 0; i < futures.size(); ++i) {
-    futures[i].on_ready([race, i](T&& v) {
-      if (!race->fulfilled()) {
-        race->set(WhenAnyResult<T>{i, std::move(v)});
-      }
-    });
-  }
-  return fut;
 }
 
 }  // namespace fractos

@@ -6,18 +6,13 @@ namespace fractos {
 
 void Encoder::put_bytes(std::span<const uint8_t> bytes) {
   put_u32(static_cast<uint32_t>(bytes.size()));
-  put_raw(bytes.data(), bytes.size());
+  if (!bytes.empty()) {
+    std::memcpy(grow(bytes.size()), bytes.data(), bytes.size());
+  }
 }
 
 void Encoder::put_string(std::string_view s) {
-  put_u32(static_cast<uint32_t>(s.size()));
-  put_raw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
-
-void Encoder::put_raw(const uint8_t* data, size_t len) {
-  if (len != 0) {
-    std::memcpy(grow(len), data, len);
-  }
+  put_bytes(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
 }
 
 std::vector<uint8_t> Encoder::take() {
@@ -34,8 +29,7 @@ void Encoder::expand(size_t n) {
 std::span<const uint8_t> Decoder::get_span() {
   const uint32_t n = get_u32();
   if (!ok_ || len_ - pos_ < n) {
-    ok_ = false;
-    pos_ = len_;
+    fail();
     return {};
   }
   const std::span<const uint8_t> out(data_ + pos_, n);

@@ -279,32 +279,6 @@ TEST(OrElseTest, RecoveryFutureIsFlattened) {
   EXPECT_EQ(f.peek().value(), 12);
 }
 
-// ---- when_any -----------------------------------------------------------------------------
-
-TEST(WhenAnyTest, FirstCompletionWinsAndLosersAreDropped) {
-  Promise<int> a, b, c;
-  auto f = when_any(std::vector<Future<int>>{a.future(), b.future(), c.future()});
-  EXPECT_FALSE(f.ready());
-  b.set(20);
-  ASSERT_TRUE(f.ready());
-  EXPECT_EQ(f.peek().index, 1u);
-  EXPECT_EQ(f.peek().value, 20);
-  a.set(10);  // late completions are silently dropped
-  c.set(30);
-  EXPECT_EQ(f.peek().index, 1u);
-  EXPECT_EQ(f.peek().value, 20);
-}
-
-TEST(WhenAnyTest, AlreadyReadyInputsResolveToLowestIndexDeterministically) {
-  Promise<int> a, b;
-  b.set(2);  // set order is b then a, but attachment order (input order) decides the winner
-  a.set(1);
-  auto f = when_any(std::vector<Future<int>>{a.future(), b.future()});
-  ASSERT_TRUE(f.ready());
-  EXPECT_EQ(f.peek().index, 0u);
-  EXPECT_EQ(f.peek().value, 1);
-}
-
 // ---- with_timeout / sleep_for (simulated clock) -------------------------------------------
 
 TEST(TimeoutTest, SleepForAdvancesSimulatedTime) {

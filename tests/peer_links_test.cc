@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/system.h"
@@ -54,6 +55,46 @@ TEST(PeerReplySender, RepliesFromAnotherPeerCannotCompleteAnOp) {
   EXPECT_EQ(entry.perms, Perms::kRead);
   EXPECT_GT(c0.stats().rejected_msgs, 0u);
   EXPECT_TRUE(sys.await(p.null_op()).ok());
+}
+
+// A peer's RemoteDerive whose op byte names no operation is malformed: the channel drops and
+// counts it, and the owner neither answers it nor derives or commits anything.
+TEST(PeerFrames, RemoteDeriveWithUnknownOpIsDroppedUnanswered) {
+  System sys;
+  sys.add_node("n0");
+  sys.add_node("n1");
+  Controller& c0 = sys.add_controller(0, Loc::kHost);
+  Process& p = sys.spawn("p", 0, c0);
+  const CapId buf = sys.await_ok(p.memory_create(p.alloc(8192), 8192, Perms::kReadWrite));
+
+  Channel& c0_side = c0.peer_links().connect(77);
+  Channel forger(&sys.net(), Endpoint{1, Loc::kHost});
+  int replies = 0;
+  forger.set_handler([&replies](Envelope&&) { ++replies; });
+  Channel::connect(forger, c0_side);
+
+  RemoteDeriveMsg rd;
+  rd.op_id = 1;
+  rd.base = c0.inspect_cap(p.pid(), buf).value().ref;
+  rd.op = RemoteDeriveMsg::Op::kRequestRefine;
+  rd.requester = p.pid();
+  const std::vector<uint8_t> refine = encode_envelope(make_envelope(1, rd));
+  rd.op = RemoteDeriveMsg::Op::kRevoke;
+  std::vector<uint8_t> forged = encode_envelope(make_envelope(1, rd));
+  const auto op_byte = std::mismatch(refine.begin(), refine.end(), forged.begin()).second;
+  ASSERT_NE(op_byte, forged.end());
+  *op_byte = static_cast<uint8_t>(RemoteDeriveMsg::Op::kRevoke) + 1;
+
+  const uint64_t derivations = c0.stats().derivations;
+  const size_t objects = c0.table().total_count();
+  c0_side.inject_raw_for_test(forged);
+  sys.loop().run();
+  EXPECT_EQ(c0_side.malformed_dropped(), 1u);
+  EXPECT_EQ(replies, 0);
+  EXPECT_EQ(c0.stats().derivations, derivations);
+  EXPECT_EQ(c0.table().total_count(), objects);
+  EXPECT_EQ(c0.table().live_count(), objects);
+  EXPECT_TRUE(sys.await(p.memory_diminish(buf, 0, 4096, Perms::kWrite)).ok());
 }
 
 SystemConfig batched_config() {

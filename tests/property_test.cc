@@ -6,10 +6,15 @@
 //    derivation path has been revoked (checked against a reference set);
 //  * random scatter/gather memory_copy plans: final buffer contents equal a reference
 //    byte-array simulation;
-//  * wire fuzz: randomly generated well-formed envelopes always round-trip bit-exactly.
+//  * wire fuzz: randomly generated well-formed envelopes always round-trip bit-exactly;
+//  * seeded mutation of those frames and of a snapshot blob: the decoders never crash, a
+//    frame that decodes re-encodes to exactly its bytes, and a snapshot either restores a
+//    table whose every object can be revoked and erased or leaves the table empty.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 
@@ -668,6 +673,135 @@ TEST(PropertyWire, FrameBytesArePinned) {
   }
   EXPECT_EQ(total_bytes, kGoldenBytes);
   EXPECT_EQ(digest, kGoldenDigest) << std::hex << "digest 0x" << digest;
+}
+
+// --- seeded mutation: hostile bytes never crash a decoder -------------------------------------
+
+// One random mutation of `bytes`: a bit flip, a byte overwrite, a truncation, an inserted
+// byte, or a forged u32 count or length prefix.
+void mutate(Rng& rng, std::vector<uint8_t>& bytes) {
+  const size_t n = bytes.size();
+  switch (rng.next_below(5)) {
+    case 0:
+      if (n != 0) {
+        bytes[rng.next_below(n)] ^= static_cast<uint8_t>(1u << rng.next_below(8));
+      }
+      break;
+    case 1:
+      if (n != 0) {
+        bytes[rng.next_below(n)] = rng.next_byte();
+      }
+      break;
+    case 2:
+      bytes.resize(rng.next_below(n + 1));
+      break;
+    case 3:
+      bytes.insert(bytes.begin() + static_cast<ptrdiff_t>(rng.next_below(n + 1)),
+                   rng.next_byte());
+      break;
+    default:
+      if (n >= sizeof(uint32_t)) {
+        constexpr uint32_t kForged[] = {0, 1, 2, 255, 0x10000, 0x7fffffff, 0xffffffff};
+        const uint32_t v = kForged[rng.next_below(std::size(kForged))];
+        std::memcpy(bytes.data() + rng.next_below(n - sizeof(v) + 1), &v, sizeof(v));
+      }
+      break;
+  }
+}
+
+void mutate_some(Rng& rng, std::vector<uint8_t>& bytes) {
+  for (uint64_t m = 1 + rng.next_below(3); m > 0; --m) {
+    mutate(rng, bytes);
+  }
+}
+
+TEST(PropertyMutation, MutatedFramesNeverCrashAndDecodeOnlyCanonically) {
+  constexpr int kFrames = 100000;
+  Rng rng(31337);
+  int accepted = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    std::vector<uint8_t> frame = encode_envelope(
+        random_envelope(rng, static_cast<MsgType>(rng.next_below(kNumMsgTypes))));
+    mutate_some(rng, frame);
+    auto decoded = decode_envelope(frame);
+    if (decoded.ok()) {
+      ++accepted;
+      ASSERT_EQ(encode_envelope(decoded.value()).to_vector(), frame) << "frame " << i;
+    }
+  }
+  // Both outcomes occur, so both oracles ran.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kFrames);
+}
+
+constexpr ControllerAddr kSnapOwner = 3;
+
+// A table with every kind of object and link a snapshot carries: memory roots, a diminished
+// view, revtree children, a request root with args and a refinement, delegate and receive
+// monitors with tracked children, a revoked subtree, and an orphan left by an erase.
+ObjectTable rich_table() {
+  ObjectTable t(kSnapOwner);
+  const uint32_t gen = t.reboot_count();
+  const ObjectIndex mem =
+      t.create_memory(1, MemoryDesc{0, 1, 0, 1 << 16}, Perms::kReadWrite).value();
+  const ObjectIndex view = t.derive_memory(2, mem, 64, 4096, Perms::kWrite).value();
+  const ObjectIndex view_child = t.create_revtree_child(2, view).value();
+  (void)t.create_revtree_child(2, view_child).value();
+  RequestArgs args;
+  args.imms = {ImmExtent{0, {1, 2, 3}}};
+  WireCap cap;
+  cap.ref = t.ref_of(mem);
+  cap.mem = MemoryDesc{0, 1, 0, 1 << 16};
+  cap.perms = Perms::kRead;
+  args.caps = {cap};
+  const ObjectIndex req = t.create_request_root(1, 7, args).value();
+  RequestArgs refinement;
+  refinement.imms = {ImmExtent{8, std::vector<uint8_t>(24, 0x5a)}};
+  const ObjectIndex derived = t.derive_request_local(2, req, refinement).value();
+  (void)t.create_revtree_child(3, derived).value();
+  const ObjectIndex watched = t.create_memory(4, MemoryDesc{0, 2, 0, 512}, Perms::kRead).value();
+  FRACTOS_CHECK(t.monitor_delegate(watched, gen, MonitorSub{5, 6, 7}).ok());
+  (void)t.prepare_delegation(watched).value();
+  (void)t.prepare_delegation(watched).value();
+  FRACTOS_CHECK(t.monitor_receive(req, gen, MonitorSub{8, 9, 10}).ok());
+  FRACTOS_CHECK(t.monitor_receive(req, gen, MonitorSub{11, 12, 13}).ok());
+  FRACTOS_CHECK(t.revoke(view, gen).ok());
+  FRACTOS_CHECK(t.erase_objects({view}) == 1);  // orphans view_child
+  return t;
+}
+
+TEST(PropertyMutation, MutatedSnapshotsNeverCrashAndLeaveUsableTables) {
+  const std::vector<uint8_t> blob = rich_table().serialize_snapshot();
+  {
+    ObjectTable t(kSnapOwner);
+    ASSERT_TRUE(t.restore_snapshot(blob).ok());
+  }
+  constexpr int kBlobs = 20000;
+  Rng rng(27182);
+  int accepted = 0;
+  for (int i = 0; i < kBlobs; ++i) {
+    std::vector<uint8_t> bytes = blob;
+    mutate_some(rng, bytes);
+    ObjectTable t(kSnapOwner);
+    if (!t.restore_snapshot(bytes).ok()) {
+      ASSERT_EQ(t.total_count(), 0u) << "blob " << i;
+      continue;
+    }
+    ++accepted;
+    std::vector<ObjectIndex> indices;
+    t.for_each_object([&indices](ObjectIndex idx, const auto&) { indices.push_back(idx); });
+    ASSERT_EQ(indices.size(), t.total_count()) << "blob " << i;
+    for (ObjectIndex idx : indices) {
+      if (!t.is_invalidated(idx)) {
+        ASSERT_TRUE(t.revoke(idx, t.reboot_count()).ok()) << "blob " << i << " object " << idx;
+      }
+    }
+    ASSERT_EQ(t.live_count(), 0u) << "blob " << i;
+    ASSERT_EQ(t.erase_objects(indices), indices.size()) << "blob " << i;
+    ASSERT_EQ(t.total_count(), 0u) << "blob " << i;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kBlobs);
 }
 
 // --- determinism: identical runs produce identical simulated histories ------------------------

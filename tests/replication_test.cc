@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,73 @@ TEST(Replication, CorruptSnapshotIsRefusedAndReplaced) {
   EXPECT_EQ(c2.seat_state_digest(seat), d1);
   EXPECT_GE(metrics.value(key + "snapshots_installed"), 2);
   EXPECT_EQ(metrics.value(key + "snapshots_refused"), 1);
+
+  stop_groups(sys, seat);
+  sys.loop().run();
+  sys.loop().set_metrics(nullptr);
+}
+
+// A peer's snapshot whose tree links name a missing object, loop or disagree is refused like
+// a truncated one: revocation would walk those links. Each blob is the leader's real snapshot
+// of a root and its diminished child with one link patched.
+TEST(Replication, SnapshotWithBrokenTreeLinkIsRefused) {
+  MetricsRegistry metrics;
+  SystemConfig cfg;
+  cfg.replication_group_size = 3;
+  System sys(cfg);
+  sys.loop().set_metrics(&metrics);
+  sys.add_node("seat");
+  sys.add_node("r1");
+  sys.add_node("r2");
+  Controller& c1 = sys.add_controller(0, Loc::kHost);
+  Controller& c2 = sys.add_controller(1, Loc::kHost);
+  Controller& c3 = sys.add_controller(2, Loc::kHost);
+  const ControllerAddr seat = c1.addr();
+
+  Process& p = sys.spawn("p", 0, c1, 1 << 20);
+  const CapId buf = sys.await_ok(p.memory_create(p.alloc(8192), 8192, Perms::kReadWrite));
+  ASSERT_NE(sys.await_ok(p.memory_diminish(buf, 0, 4096, Perms::kRead)), kInvalidCap);
+  sys.replicate_controller(c1, {&c2, &c3});
+  sys.loop().run_until_time(sys.loop().now() + Duration::millis(1));
+  ReplicationGroup* g2 = c2.replication_group(seat);
+  ASSERT_NE(g2, nullptr);
+  ASSERT_EQ(g2->state().total_count(), 2u);
+
+  // The blob: a 20-byte header, then objects 1 (the root) and 2 (its child) of equal size,
+  // each with its tree links as u64s at these offsets.
+  const std::vector<uint8_t> good = c1.table().serialize_snapshot();
+  constexpr size_t kHeader = 20;
+  const size_t object_bytes = (good.size() - kHeader) / 2;
+  ASSERT_EQ(good.size(), kHeader + 2 * object_bytes);
+  constexpr size_t kParent = 10, kFirstChild = 18, kLastChild = 26, kNextSibling = 42;
+  struct Patch {
+    int object;  // 1 or 2
+    size_t link;
+    ObjectIndex value;
+  };
+  const Patch patches[] = {
+      {1, kFirstChild, 3},                // names an index that is not in the blob
+      {2, kNextSibling, 2},               // a sibling cycle
+      {2, kParent, 2},                    // its own parent
+      {1, kLastChild, kInvalidObject},    // the child list does not end at last_child
+  };
+  const std::string key = "repl.ctrl-2.s" + std::to_string(seat) + ".";
+  int64_t refused = 0;
+  for (const Patch& patch : patches) {
+    ReplSnapshotMsg bad;
+    bad.seat = seat;
+    bad.leader = seat;
+    bad.term = g2->term();
+    bad.last_index = g2->commit_index();
+    bad.last_term = g2->term();
+    bad.blob = good;
+    std::memcpy(bad.blob.data() + kHeader + (patch.object - 1) * object_bytes + patch.link,
+                &patch.value, sizeof(patch.value));
+    g2->on_snapshot(seat, bad);
+    EXPECT_TRUE(g2->tainted()) << patch.link;
+    EXPECT_EQ(g2->state().total_count(), 0u) << patch.link;
+    EXPECT_EQ(metrics.value(key + "snapshots_refused"), ++refused) << patch.link;
+  }
 
   stop_groups(sys, seat);
   sys.loop().run();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -259,6 +260,71 @@ TEST(EnvelopeRobustness, CorruptedTypeByteRejected) {
   std::vector<uint8_t> bytes = encode_envelope(env);
   bytes[0] = 0xee;  // invalid MsgType
   EXPECT_FALSE(decode_envelope(bytes).ok());
+}
+
+// Decoding is strict: a byte past an enum's last value, or a bool other than 0 or 1, fails
+// the decode (so every frame that decodes re-encodes to the same bytes). `lo` and `hi` differ
+// only in the one-byte field under test, whose highest valid value is `last`.
+template <typename M>
+void expect_strict_byte(const M& lo, const M& hi, uint8_t last) {
+  const std::vector<uint8_t> a = encode_envelope(make_envelope(1, lo));
+  std::vector<uint8_t> frame = encode_envelope(make_envelope(1, hi));
+  ASSERT_EQ(a.size(), frame.size());
+  const size_t at = static_cast<size_t>(
+      std::mismatch(a.begin(), a.end(), frame.begin()).first - a.begin());
+  ASSERT_LT(at, a.size());
+  frame[at] = last;
+  auto decoded = decode_envelope(frame);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(encode_envelope(decoded.value()).to_vector(), frame);
+  for (uint8_t bad : {static_cast<uint8_t>(last + 1), uint8_t{0xff}}) {
+    frame[at] = bad;
+    EXPECT_EQ(decode_envelope(frame).error(), ErrorCode::kInvalidArgument) << int{bad};
+  }
+}
+
+TEST(StrictDecode, PermsPastReadWriteRejected) {
+  expect_strict_byte(MemoryCreateMsg{1, 2, 3, Perms::kNone},
+                     MemoryCreateMsg{1, 2, 3, Perms::kReadWrite}, 3);
+}
+
+TEST(StrictDecode, ObjectKindPastRequestRejected) {
+  DeliverRequestMsg lo;
+  lo.caps = {{10, ObjectKind::kMemory, Perms::kRead, 4096}};
+  DeliverRequestMsg hi = lo;
+  hi.caps[0].kind = ObjectKind::kRequest;
+  expect_strict_byte(lo, hi, 1);
+}
+
+TEST(StrictDecode, ErrorCodePastLastRejected) {
+  expect_strict_byte(SyscallReplyMsg{5, ErrorCode::kOk, 1},
+                     SyscallReplyMsg{5, ErrorCode::kOverloaded, 1},
+                     static_cast<uint8_t>(ErrorCode::kOverloaded));
+}
+
+TEST(StrictDecode, RemoteDeriveOpPastRevokeRejected) {
+  RemoteDeriveMsg lo;
+  lo.base = ObjectRef{1, 2, 3};
+  lo.op = RemoteDeriveMsg::Op::kRequestRefine;
+  RemoteDeriveMsg hi = lo;
+  hi.op = RemoteDeriveMsg::Op::kRevoke;
+  expect_strict_byte(lo, hi, 3);
+}
+
+TEST(StrictDecode, ReplicatedOpKindPastEraseObjectsRejected) {
+  ReplAppendMsg lo;
+  lo.entries.emplace_back();
+  ReplAppendMsg hi = lo;
+  hi.entries[0].op.kind = ReplicatedOp::Kind::kEraseObjects;
+  expect_strict_byte(lo, hi, static_cast<uint8_t>(ReplicatedOp::Kind::kEraseObjects));
+}
+
+TEST(StrictDecode, BoolOtherThanZeroOrOneRejected) {
+  expect_strict_byte(MonitorCallbackMsg{7, false}, MonitorCallbackMsg{7, true}, 1);
+  const std::vector<uint8_t> two = {2};
+  Decoder d(two);
+  d.get_bool();
+  EXPECT_FALSE(d.ok());
 }
 
 TEST(ImmBytesTest, SumsExtents) {
