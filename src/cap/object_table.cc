@@ -630,7 +630,7 @@ Result<ObjectIndex> ObjectTable::prepare_delegation(ObjectIndex idx) {
 
 // --- replication ---------------------------------------------------------------------------
 
-ObjectTable::ApplyOutcome ObjectTable::apply_replicated(const ReplicatedOp& op) {
+ObjectTable::ApplyOutcome ObjectTable::apply(const ReplicatedOp& op) {
   ApplyOutcome out;
   auto take_index = [&out, &op](Result<ObjectIndex> r) {
     if (!r.ok()) {

@@ -156,19 +156,23 @@ class ObjectTable {
   // `idx` unchanged.
   Result<ObjectIndex> prepare_delegation(ObjectIndex idx);
 
-  // --- replication (DESIGN.md §4h) ----------------------------------------------------------
+  // --- the one mutation path (DESIGN.md §4h) ----------------------------------------------
 
-  // Replays one committed log entry into this table. Followers converge structurally because
+  // Applies one capability mutation. The Controller mutates a table through this function
+  // alone, set_endpoint_cid and erase_objects aside: the leader applies an op, stamps its
+  // result_index from produced_index, and then commits or logs that same op; followers
+  // replay committed entries through this same code. They converge structurally because
   // insert() assigns indices sequentially — replaying the leader's op stream in log order
-  // re-derives the same indices. A mismatch against op.result_index is reported (not fatal)
-  // so the caller can count divergence.
+  // re-derives the same indices. A follower's mismatch against op.result_index is reported
+  // (not fatal) so the caller can count divergence. Monitor and revoke ops check no
+  // generation: the caller checked the capability's against this table.
   struct ApplyOutcome {
     Status status = ok_status();
     ObjectIndex produced_index = 0;  // 0 when the op yields none
     bool diverged = false;           // produced_index != op.result_index (both nonzero)
     RevokeResult revoked;            // kRevoke / kRevokeAllOf: what this apply invalidated
   };
-  ApplyOutcome apply_replicated(const ReplicatedOp& op);
+  ApplyOutcome apply(const ReplicatedOp& op);
 
   // Deterministic full-state serialization for follower catch-up (objects sorted by index,
   // every field verbatim). restore_snapshot replaces this table's entire contents, including

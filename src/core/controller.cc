@@ -21,13 +21,49 @@ NameId peer_msg_type_span_name(MsgType t) {
   return id;
 }
 
+// The op an owner-bound derive runs at the owner. A syscall on an owned capability and a
+// peer's kRemoteDerive both describe the derive as a RemoteDeriveMsg; an op leaves the fields
+// it does not use at their defaults.
+ReplicatedOp op_of(RemoteDeriveMsg m) {
+  // Indexed by RemoteDeriveMsg::Op, whose out-of-range values strict decoding refuses.
+  static constexpr ReplicatedOp::Kind kKinds[] = {
+      ReplicatedOp::Kind::kDeriveRequest,  // kRequestRefine
+      ReplicatedOp::Kind::kDeriveMemory,   // kMemoryDiminish
+      ReplicatedOp::Kind::kRevtreeChild,   // kRevtreeChild
+      ReplicatedOp::Kind::kRevoke,         // kRevoke
+  };
+  static_assert(std::size(kKinds) ==
+                static_cast<size_t>(enum_last(RemoteDeriveMsg::Op{})) + 1);
+  ReplicatedOp op;
+  op.kind = kKinds[static_cast<size_t>(m.op)];
+  op.requester = m.requester;
+  op.base = m.base.index;
+  op.offset = m.offset;
+  op.size = m.size;
+  op.perms = m.drop_perms;
+  op.imms = std::move(m.imms);
+  op.caps = std::move(m.caps);
+  return op;
+}
+
+ReplicatedOp op_of(const RegisterMonitorMsg& m) {
+  ReplicatedOp op;
+  op.kind = m.delegate_mode ? ReplicatedOp::Kind::kMonitorDelegate
+                            : ReplicatedOp::Kind::kMonitorReceive;
+  op.base = m.target.index;
+  op.callback_id = m.callback_id;
+  op.sub_controller = m.subscriber_controller;
+  op.sub_process = m.subscriber_process;
+  return op;
+}
+
 }  // namespace
 
 Controller::Controller(Network* net, Config config)
     : net_(net), config_(config), table_(config.addr),
       tcache_(config.translation_cache_entries),
       publisher_(net->loop(), [this](MetricSink& out) { publish_metrics(out); }) {
-  FRACTOS_CHECK(net != nullptr);
+  FRACTOS_CHECK(net != nullptr);  // deployment wiring (System::add_controller), not input
   exec_ = &net_->node(config_.endpoint.node).context(config_.endpoint.loc);
   name_id_ = intern_name("ctrl-" + std::to_string(config_.addr));
   // Interning is registry-free; the registry only learns these keys if a site touches them.
@@ -62,7 +98,7 @@ Controller::~Controller() {
 // --- wiring ----------------------------------------------------------------------------------
 
 Channel& Controller::attach_process(ProcessId pid, uint32_t proc_node, PoolId heap_pool) {
-  FRACTOS_CHECK(!procs_.contains(pid));
+  FRACTOS_CHECK(!procs_.contains(pid));  // System::spawn mints each pid once; not input
   auto state = std::make_unique<ProcState>(config_.cap_quota);
   state->pid = pid;
   state->node = proc_node;
@@ -375,45 +411,21 @@ void Controller::reply(ProcState& p, uint64_t seq, ErrorCode status, CapId cid) 
 
 void Controller::sc_memory_create(ProcState& p, uint64_t seq, const MemoryCreateMsg& m) {
   // The Process registers memory it physically owns: a pool on its own node.
-  if (!can_mutate_seat(addr())) {
-    reply(p, seq, ErrorCode::kNotLeader);
-    return;
-  }
   Node& node = net_->node(p.node);
   if (Status s = node.check_extent(m.pool, m.addr, m.size); !s.ok()) {
     reply(p, seq, s.error());
     return;
   }
-  MemoryDesc desc{p.node, m.pool, m.addr, m.size};
-  auto idx = table_.create_memory(p.pid, desc, m.perms);
-  if (!idx.ok()) {
-    reply(p, seq, idx.error());
-    return;
-  }
-  CapEntry entry;
-  entry.ref = table_.ref_of(idx.value());
-  entry.kind = ObjectKind::kMemory;
-  entry.perms = m.perms;
-  entry.mem = desc;
-  auto cid = p.caps.install(entry);
-  if (!cid.ok()) {
-    reply(p, seq, cid.error());
-    return;
-  }
   ReplicatedOp op;
   op.kind = ReplicatedOp::Kind::kCreateMemory;
   op.requester = p.pid;
-  op.result_index = idx.value();
-  op.mem = desc;
+  op.mem = MemoryDesc{p.node, m.pool, m.addr, m.size};
   op.perms = m.perms;
+  // A creation has no base: it targets this Controller's own seat, at its current generation.
+  const ObjectRef seat{addr(), kInvalidObject, table_.reboot_count()};
   const ProcessId pid = p.pid;
-  const CapId out = cid.value();
-  commit_mutation(addr(), std::move(op), [this, pid, seq, out](ErrorCode ec) {
-    auto it = procs_.find(pid);
-    if (it == procs_.end() || !it->second->alive) {
-      return;
-    }
-    reply(*it->second, seq, ec, ec == ErrorCode::kOk ? out : kInvalidCap);
+  serve_mutation(seat, std::move(op), [this, pid, seq](PeerReplyMsg r, bool /*settled*/) {
+    reply_with_cap(pid, seq, std::move(r));
   });
 }
 
@@ -428,78 +440,72 @@ void Controller::sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDimi
     reply(p, seq, ErrorCode::kWrongObjectKind);
     return;
   }
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    auto idx = table_.derive_memory(p.pid, e.ref.index, m.offset, m.size, m.drop_perms);
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
-    }
-    auto resolved = table_.resolve_memory(idx.value(), table_.reboot_count());
-    FRACTOS_CHECK(resolved.ok());
-    CapEntry derived;
-    derived.ref = table_.ref_of(idx.value());
-    derived.kind = ObjectKind::kMemory;
-    derived.perms = resolved.value().perms;
-    derived.mem = resolved.value().desc;
-    auto cid = p.caps.install(derived);
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kDeriveMemory;
-    op.requester = p.pid;
-    op.base = e.ref.index;
-    op.result_index = idx.value();
-    op.offset = m.offset;
-    op.size = m.size;
-    op.perms = m.drop_perms;
-    const ProcessId pid = p.pid;
-    const ErrorCode install_status = cid.ok() ? ErrorCode::kOk : cid.error();
-    const CapId out = cid.value_or(kInvalidCap);
-    commit_mutation(addr(), std::move(op),
-                    [this, pid, seq, install_status, out](ErrorCode ec) {
-                      auto it = procs_.find(pid);
-                      if (it == procs_.end() || !it->second->alive) {
-                        return;
-                      }
-                      reply(*it->second, seq, ec == ErrorCode::kOk ? install_status : ec,
-                            ec == ErrorCode::kOk ? out : kInvalidCap);
-                    });
-    return;
-  }
-  // Derivation at the owner: single message to the owning Controller (Section 3.5).
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
   rd.base = e.ref;
   rd.op = RemoteDeriveMsg::Op::kMemoryDiminish;
   rd.requester = p.pid;
   rd.offset = m.offset;
   rd.size = m.size;
   rd.drop_perms = m.drop_perms;
+  derive_at_owner(p, seq, std::move(rd));
+}
+
+void Controller::derive_at_owner(ProcState& p, uint64_t seq, RemoteDeriveMsg rd) {
   const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(e.ref.owner);
-  links_.call_derive(owner, std::move(rd))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it == procs_.end() || !it->second->alive) {
-          return;
-        }
-        ProcState& proc = *it->second;
-        if (!res.ok()) {
-          reply(proc, seq, res.error());
-          return;
-        }
-        PeerReplyMsg r = std::move(res).value();
-        if (r.status != ErrorCode::kOk) {
-          reply(proc, seq, r.status);
-          return;
-        }
-        CapEntry derived{r.result.ref, r.result.kind, r.result.perms, r.result.mem,
-                         r.result.tracked};
-        auto cid = proc.caps.install(derived);
-        reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
-      });
+  const bool yields_cap = rd.op != RemoteDeriveMsg::Op::kRevoke;
+  auto answer = [this, pid, seq, yields_cap](Result<PeerReplyMsg>&& res) {
+    if (yields_cap) {
+      reply_with_cap(pid, seq, std::move(res));
+    } else {
+      reply_with_status(pid, seq, std::move(res));
+    }
+  };
+  if (rd.base.owner == addr()) {
+    const ObjectRef target = rd.base;
+    serve_mutation(target, op_of(std::move(rd)),
+                   [answer](PeerReplyMsg r, bool /*settled*/) { answer(std::move(r)); });
+    return;
+  }
+  // Derivation at the owner: single message to the owning Controller (Section 3.5).
+  rd.op_id = next_op_id_++;
+  const ControllerAddr owner = route_owner(rd.base.owner);
+  if (rd.op != RemoteDeriveMsg::Op::kRequestRefine) {
+    links_.call_derive(owner, std::move(rd)).on_ready(std::move(answer));
+    return;
+  }
+  // A refinement's capability arguments are delegated (serialized) on the way.
+  const Duration extra = cap_serialize_cost(rd.caps);
+  charge(extra, [this, owner, extra, rd = std::move(rd), answer = std::move(answer)]() mutable {
+    note_translation(extra);
+    links_.call_derive(owner, std::move(rd)).on_ready(std::move(answer));
+  });
+}
+
+void Controller::reply_with_cap(ProcessId pid, uint64_t seq, Result<PeerReplyMsg> res) {
+  auto it = procs_.find(pid);
+  if (it == procs_.end() || !it->second->alive) {
+    return;
+  }
+  ProcState& proc = *it->second;
+  if (!res.ok()) {
+    reply(proc, seq, res.error());
+    return;
+  }
+  const PeerReplyMsg& r = res.value();
+  if (r.status != ErrorCode::kOk) {
+    reply(proc, seq, r.status);
+    return;
+  }
+  const WireCap& wc = r.result;
+  auto cid = proc.caps.install(CapEntry{wc.ref, wc.kind, wc.perms, wc.mem, wc.tracked});
+  reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
+}
+
+void Controller::reply_with_status(ProcessId pid, uint64_t seq, Result<PeerReplyMsg> res) {
+  auto it = procs_.find(pid);
+  if (it != procs_.end() && it->second->alive) {
+    reply(*it->second, seq, res.ok() ? res.value().status : res.error());
+  }
 }
 
 void Controller::sc_memory_copy(ProcState& p, uint64_t seq, const MemoryCopyMsg& m) {
@@ -653,7 +659,7 @@ void Controller::bounce_copy_chunked(Endpoint self, CapEntry src, CapEntry dst, 
 
 void Controller::set_admission_limit(ProcessId pid, uint32_t limit) {
   auto it = procs_.find(pid);
-  FRACTOS_CHECK(it != procs_.end());
+  FRACTOS_CHECK(it != procs_.end());  // an operator call on a Process it deployed; not input
   it->second->admission_limit = limit;
   if (limit == 0) {
     it->second->admission_inflight = 0;
@@ -723,19 +729,23 @@ Result<WireCap> Controller::make_wire_cap(ProcState& p, CapId cid) {
   wc.mem = e.mem;
   wc.tracked = e.tracked;
   if (e.ref.owner == addr()) {
-    // Owner-side monitor interception: delegating a monitor_delegate'd object creates a
-    // tracked per-delegation child (Section 3.6).
-    auto prepared = table_.prepare_delegation(e.ref.index);
-    if (!prepared.ok()) {
-      return prepared.error();
+    // A deposed seat can neither vouch for its objects nor log a child it mints.
+    if (!can_mutate_seat(addr())) {
+      return ErrorCode::kNotLeader;
     }
-    if (prepared.value() != e.ref.index) {
-      wc.ref = table_.ref_of(prepared.value());
+    // Owner-side monitor interception: delegating a monitor_delegate'd object creates a
+    // tracked per-delegation child (Section 3.6). Only a created child is logged.
+    ReplicatedOp op;
+    op.kind = ReplicatedOp::Kind::kPrepareDelegation;
+    op.base = e.ref.index;
+    const ObjectTable::ApplyOutcome out = table_.apply(op);
+    if (!out.status.ok()) {
+      return out.status.error();
+    }
+    if (out.produced_index != e.ref.index) {
+      wc.ref = table_.ref_of(out.produced_index);
       wc.tracked = true;
-      ReplicatedOp op;
-      op.kind = ReplicatedOp::Kind::kPrepareDelegation;
-      op.base = e.ref.index;
-      op.result_index = prepared.value();
+      op.result_index = out.produced_index;
       log_mutation(addr(), std::move(op));
     }
   }
@@ -762,127 +772,65 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
     reply(p, seq, caps.error());
     return;
   }
-  RequestArgs args;
-  args.imms = m.imms;
-  args.caps = std::move(caps).value();
-
-  if (!m.has_base) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
+  if (m.has_base) {
+    auto base = p.caps.get(m.base);
+    if (!base.ok()) {
+      reply(p, seq, base.error());
       return;
     }
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kCreateRequestRoot;
-    op.requester = p.pid;
-    op.imms = args.imms;
-    op.caps = args.caps;
-    auto idx = table_.create_request_root(p.pid, kInvalidCap, std::move(args));
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
+    if (base.value().kind != ObjectKind::kRequest) {
+      reply(p, seq, ErrorCode::kWrongObjectKind);
       return;
     }
-    CapEntry entry;
-    entry.ref = table_.ref_of(idx.value());
-    entry.kind = ObjectKind::kRequest;
-    auto cid = p.caps.install(entry);
-    if (!cid.ok()) {
-      reply(p, seq, cid.error());
-      return;
-    }
-    FRACTOS_CHECK(table_.set_endpoint_cid(idx.value(), cid.value()).ok());
-    op.result_index = idx.value();
-    op.cid = cid.value();  // followers apply the endpoint cid as part of the same entry
-    const ProcessId pid = p.pid;
-    const CapId out = cid.value();
-    commit_mutation(addr(), std::move(op), [this, pid, seq, out](ErrorCode ec) {
-      auto it = procs_.find(pid);
-      if (it == procs_.end() || !it->second->alive) {
-        return;
-      }
-      reply(*it->second, seq, ec, ec == ErrorCode::kOk ? out : kInvalidCap);
-    });
+    RemoteDeriveMsg rd;
+    rd.base = base.value().ref;
+    rd.op = RemoteDeriveMsg::Op::kRequestRefine;
+    rd.requester = p.pid;
+    rd.imms = m.imms;
+    rd.caps = std::move(caps).value();
+    derive_at_owner(p, seq, std::move(rd));
     return;
   }
-
-  auto base = p.caps.get(m.base);
-  if (!base.ok()) {
-    reply(p, seq, base.error());
+  if (!can_mutate_seat(addr())) {
+    reply(p, seq, ErrorCode::kNotLeader);
     return;
   }
-  if (base.value().kind != ObjectKind::kRequest) {
-    reply(p, seq, ErrorCode::kWrongObjectKind);
+  ReplicatedOp op;
+  op.kind = ReplicatedOp::Kind::kCreateRequestRoot;
+  op.requester = p.pid;
+  op.imms = m.imms;
+  op.caps = std::move(caps).value();
+  const ObjectTable::ApplyOutcome out = table_.apply(op);
+  if (!out.status.ok()) {
+    reply(p, seq, out.status.error());
     return;
   }
-  if (base.value().ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kDeriveRequest;
-    op.requester = p.pid;
-    op.base = base.value().ref.index;
-    op.imms = args.imms;
-    op.caps = args.caps;
-    auto idx = table_.derive_request_local(p.pid, base.value().ref.index, std::move(args));
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
-    }
-    CapEntry entry;
-    entry.ref = table_.ref_of(idx.value());
-    entry.kind = ObjectKind::kRequest;
-    auto cid = p.caps.install(entry);
-    op.result_index = idx.value();
-    const ProcessId pid = p.pid;
-    const ErrorCode install_status = cid.ok() ? ErrorCode::kOk : cid.error();
-    const CapId out = cid.value_or(kInvalidCap);
-    commit_mutation(addr(), std::move(op),
-                    [this, pid, seq, install_status, out](ErrorCode ec) {
-                      auto it = procs_.find(pid);
-                      if (it == procs_.end() || !it->second->alive) {
-                        return;
-                      }
-                      reply(*it->second, seq, ec == ErrorCode::kOk ? install_status : ec,
-                            ec == ErrorCode::kOk ? out : kInvalidCap);
-                    });
+  op.result_index = out.produced_index;
+  // The provider's endpoint cap is installed before the commit, because the root records the
+  // cid it was installed under; a commit that fails takes the cap back.
+  CapEntry endpoint_cap;
+  endpoint_cap.ref = table_.ref_of(out.produced_index);
+  endpoint_cap.kind = ObjectKind::kRequest;
+  auto cid = p.caps.install(endpoint_cap);
+  if (!cid.ok()) {
+    log_mutation(addr(), std::move(op));  // applied all the same: keep the followers in step
+    reply(p, seq, cid.error());
     return;
   }
-
-  // Derivation at the owner; capability arguments are delegated (serialized) on the way.
-  RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
-  rd.base = base.value().ref;
-  rd.op = RemoteDeriveMsg::Op::kRequestRefine;
-  rd.requester = p.pid;
-  rd.imms = std::move(args.imms);
-  rd.caps = std::move(args.caps);
+  // Unreachable failure: apply just created out.produced_index as a live root Request, the
+  // only kind of object set_endpoint_cid accepts.
+  FRACTOS_CHECK(table_.set_endpoint_cid(out.produced_index, cid.value()).ok());
+  op.cid = cid.value();  // followers apply the endpoint cid as part of the same entry
   const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(base.value().ref.owner);
-  const Duration extra = cap_serialize_cost(rd.caps);
-  charge(extra, [this, pid, seq, owner, extra, rd = std::move(rd)]() mutable {
-    note_translation(extra);
-    links_.call_derive(owner, std::move(rd))
-        .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-          auto it = procs_.find(pid);
-          if (it == procs_.end() || !it->second->alive) {
-            return;
-          }
-          ProcState& proc = *it->second;
-          if (!res.ok()) {
-            reply(proc, seq, res.error());
-            return;
-          }
-          PeerReplyMsg r = std::move(res).value();
-          if (r.status != ErrorCode::kOk) {
-            reply(proc, seq, r.status);
-            return;
-          }
-          CapEntry entry{r.result.ref, r.result.kind, r.result.perms, r.result.mem,
-                         r.result.tracked};
-          auto cid = proc.caps.install(entry);
-          reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
-        });
+  commit_mutation(addr(), std::move(op), [this, pid, seq, endpoint = cid.value()](ErrorCode ec) {
+    auto it = procs_.find(pid);
+    if (it == procs_.end() || !it->second->alive) {
+      return;
+    }
+    if (ec != ErrorCode::kOk) {
+      (void)it->second->caps.remove(endpoint);  // a revoke broadcast may have purged it first
+    }
+    reply(*it->second, seq, ec, ec == ErrorCode::kOk ? endpoint : kInvalidCap);
   });
 }
 
@@ -1005,67 +953,11 @@ void Controller::sc_cap_create_revtree(ProcState& p, uint64_t seq,
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    auto idx = table_.create_revtree_child(p.pid, e.ref.index);
-    if (!idx.ok()) {
-      reply(p, seq, idx.error());
-      return;
-    }
-    CapEntry child = e;  // same payload view, independently revocable object
-    child.ref = table_.ref_of(idx.value());
-    auto cid = p.caps.install(child);
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kRevtreeChild;
-    op.requester = p.pid;
-    op.base = e.ref.index;
-    op.result_index = idx.value();
-    const ProcessId pid = p.pid;
-    const ErrorCode install_status = cid.ok() ? ErrorCode::kOk : cid.error();
-    const CapId out = cid.value_or(kInvalidCap);
-    commit_mutation(addr(), std::move(op),
-                    [this, pid, seq, install_status, out](ErrorCode ec) {
-                      auto it = procs_.find(pid);
-                      if (it == procs_.end() || !it->second->alive) {
-                        return;
-                      }
-                      reply(*it->second, seq, ec == ErrorCode::kOk ? install_status : ec,
-                            ec == ErrorCode::kOk ? out : kInvalidCap);
-                    });
-    return;
-  }
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
-  rd.base = e.ref;
+  rd.base = entry.value().ref;
   rd.op = RemoteDeriveMsg::Op::kRevtreeChild;
   rd.requester = p.pid;
-  const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(e.ref.owner);
-  links_.call_derive(owner, std::move(rd))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it == procs_.end() || !it->second->alive) {
-          return;
-        }
-        ProcState& proc = *it->second;
-        if (!res.ok()) {
-          reply(proc, seq, res.error());
-          return;
-        }
-        PeerReplyMsg r = std::move(res).value();
-        if (r.status != ErrorCode::kOk) {
-          reply(proc, seq, r.status);
-          return;
-        }
-        CapEntry entry{r.result.ref, r.result.kind, r.result.perms, r.result.mem,
-                       r.result.tracked};
-        auto cid = proc.caps.install(entry);
-        reply(proc, seq, cid.ok() ? ErrorCode::kOk : cid.error(), cid.value_or(kInvalidCap));
-      });
+  derive_at_owner(p, seq, std::move(rd));
 }
 
 void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m) {
@@ -1074,44 +966,11 @@ void Controller::sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    auto result = table_.revoke(e.ref.index, e.ref.reboot_count);
-    if (!result.ok()) {
-      reply(p, seq, result.error());
-      return;
-    }
-    apply_revoke(result.value());
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kRevoke;
-    op.base = e.ref.index;
-    const ProcessId pid = p.pid;
-    commit_mutation(addr(), std::move(op), [this, pid, seq](ErrorCode ec) {
-      auto it = procs_.find(pid);
-      if (it != procs_.end() && it->second->alive) {
-        reply(*it->second, seq, ec);
-      }
-    });
-    return;
-  }
   RemoteDeriveMsg rd;
-  rd.op_id = next_op_id_++;
-  rd.base = e.ref;
+  rd.base = entry.value().ref;
   rd.op = RemoteDeriveMsg::Op::kRevoke;
   rd.requester = p.pid;
-  const ProcessId pid = p.pid;
-  const ControllerAddr owner = route_owner(e.ref.owner);
-  links_.call_derive(owner, std::move(rd))
-      .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it != procs_.end() && it->second->alive) {
-          reply(*it->second, seq, res.ok() ? res.value().status : res.error());
-        }
-      });
+  derive_at_owner(p, seq, std::move(rd));
 }
 
 void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
@@ -1121,50 +980,23 @@ void Controller::sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m,
     reply(p, seq, entry.error());
     return;
   }
-  const CapEntry& e = entry.value();
-  const MonitorSub sub{addr(), p.pid, m.callback_id};
-  if (e.ref.owner == addr()) {
-    if (!can_mutate_seat(addr())) {
-      reply(p, seq, ErrorCode::kNotLeader);
-      return;
-    }
-    const Status s = delegate_mode
-                         ? table_.monitor_delegate(e.ref.index, e.ref.reboot_count, sub)
-                         : table_.monitor_receive(e.ref.index, e.ref.reboot_count, sub);
-    if (!s.ok()) {
-      reply(p, seq, s.error());
-      return;
-    }
-    ReplicatedOp op;
-    op.kind = delegate_mode ? ReplicatedOp::Kind::kMonitorDelegate
-                            : ReplicatedOp::Kind::kMonitorReceive;
-    op.base = e.ref.index;
-    op.callback_id = m.callback_id;
-    op.sub_controller = addr();
-    op.sub_process = p.pid;
-    const ProcessId pid = p.pid;
-    commit_mutation(addr(), std::move(op), [this, pid, seq](ErrorCode ec) {
-      auto it = procs_.find(pid);
-      if (it != procs_.end() && it->second->alive) {
-        reply(*it->second, seq, ec);
-      }
-    });
-    return;
-  }
   RegisterMonitorMsg rm;
-  rm.target = e.ref;
+  rm.target = entry.value().ref;
   rm.delegate_mode = delegate_mode;
   rm.callback_id = m.callback_id;
   rm.subscriber_controller = addr();
   rm.subscriber_process = p.pid;
-  const uint64_t op_id = next_op_id_++;
   const ProcessId pid = p.pid;
-  links_.call(route_owner(e.ref.owner), op_id, make_envelope(op_id, rm))
+  if (rm.target.owner == addr()) {
+    serve_mutation(rm.target, op_of(rm), [this, pid, seq](PeerReplyMsg r, bool /*settled*/) {
+      reply_with_status(pid, seq, std::move(r));
+    });
+    return;
+  }
+  const uint64_t op_id = next_op_id_++;
+  links_.call(route_owner(rm.target.owner), op_id, make_envelope(op_id, rm))
       .on_ready([this, pid, seq](Result<PeerReplyMsg>&& res) {
-        auto it = procs_.find(pid);
-        if (it != procs_.end() && it->second->alive) {
-          reply(*it->second, seq, res.ok() ? res.value().status : res.error());
-        }
+        reply_with_status(pid, seq, std::move(res));
       });
 }
 
@@ -1339,126 +1171,79 @@ void Controller::exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg
     done(*cached);
     return;
   }
+  if (serve_mutation(m.base, op_of(m), answer_peer(origin, m.op_id, std::move(done)))) {
+    ++stats_.derivations;
+  }
+}
+
+Controller::OwnerDone Controller::answer_peer(ControllerAddr origin, uint64_t op_id,
+                                              std::function<void(const PeerReplyMsg&)> send) {
+  return [this, origin, op_id, send = std::move(send)](PeerReplyMsg r, bool settled) {
+    r.op_id = op_id;
+    if (settled) {
+      links_.remember(origin, r);
+    }
+    send(r);
+  };
+}
+
+bool Controller::serve_mutation(const ObjectRef& target, ReplicatedOp op, OwnerDone done) {
+  const ControllerAddr seat = target.owner;
   PeerReplyMsg r;
-  r.op_id = m.op_id;
-  ObjectTable* t = serving_table(m.base.owner);
+  ObjectTable* t = serving_table(seat);
   if (t == nullptr) {
     // Not the owner and not its acting leader (kInvalidArgument, the pre-replication
     // answer), or a group member that cannot currently lead the seat (kNotLeader — the
     // requester should re-route once a new leader announces itself).
-    r.status = (m.base.owner == addr() || repl_groups_.count(m.base.owner) != 0)
-                   ? ErrorCode::kNotLeader
-                   : ErrorCode::kInvalidArgument;
-    links_.remember(origin, r);
-    done(r);
-    return;
+    r.status = (seat == addr() || repl_groups_.count(seat) != 0) ? ErrorCode::kNotLeader
+                                                                 : ErrorCode::kInvalidArgument;
+    done(std::move(r), /*settled=*/true);
+    return false;
   }
-  if (m.base.reboot_count != t->reboot_count()) {
+  if (target.reboot_count != t->reboot_count()) {
     r.status = ErrorCode::kStaleCapability;
-    links_.remember(origin, r);
-    done(r);
-    return;
+    done(std::move(r), /*settled=*/true);
+    return false;
   }
-  ++stats_.derivations;
-  ObjectTable& tbl = *t;
-  const ControllerAddr seat = m.base.owner;
-  ReplicatedOp op;
-  op.requester = m.requester;
-  op.base = m.base.index;
-  ObjectTable::RevokeResult revoked;
-  switch (m.op) {
-    case RemoteDeriveMsg::Op::kRequestRefine: {
-      RequestArgs args;
-      args.imms = m.imms;
-      args.caps = m.caps;
-      auto idx = tbl.derive_request_local(m.requester, m.base.index, std::move(args));
-      if (!idx.ok()) {
-        r.status = idx.error();
-      } else {
-        r.result.ref = tbl.ref_of(idx.value());
-        r.result.kind = ObjectKind::kRequest;
-        op.kind = ReplicatedOp::Kind::kDeriveRequest;
-        op.result_index = idx.value();
-        op.imms = m.imms;
-        op.caps = m.caps;
-      }
-      break;
-    }
-    case RemoteDeriveMsg::Op::kMemoryDiminish: {
-      auto idx = tbl.derive_memory(m.requester, m.base.index, m.offset, m.size, m.drop_perms);
-      if (!idx.ok()) {
-        r.status = idx.error();
-      } else {
-        auto resolved = tbl.resolve_memory(idx.value(), tbl.reboot_count());
-        FRACTOS_CHECK(resolved.ok());
-        r.result.ref = tbl.ref_of(idx.value());
-        r.result.kind = ObjectKind::kMemory;
-        r.result.perms = resolved.value().perms;
-        r.result.mem = resolved.value().desc;
-        op.kind = ReplicatedOp::Kind::kDeriveMemory;
-        op.result_index = idx.value();
-        op.offset = m.offset;
-        op.size = m.size;
-        op.perms = m.drop_perms;
-      }
-      break;
-    }
-    case RemoteDeriveMsg::Op::kRevtreeChild: {
-      auto idx = tbl.create_revtree_child(m.requester, m.base.index);
-      if (!idx.ok()) {
-        r.status = idx.error();
-      } else {
-        r.result.ref = tbl.ref_of(idx.value());
-        r.result.kind = tbl.kind_of(idx.value());
-        if (r.result.kind == ObjectKind::kMemory) {
-          auto resolved = tbl.resolve_memory(idx.value(), tbl.reboot_count());
-          FRACTOS_CHECK(resolved.ok());
-          r.result.perms = resolved.value().perms;
-          r.result.mem = resolved.value().desc;
-        }
-        op.kind = ReplicatedOp::Kind::kRevtreeChild;
-        op.result_index = idx.value();
-      }
-      break;
-    }
-    case RemoteDeriveMsg::Op::kRevoke: {
-      auto result = tbl.revoke(m.base.index, m.base.reboot_count);
-      if (!result.ok()) {
-        r.status = result.error();
-      } else {
-        op.kind = ReplicatedOp::Kind::kRevoke;
-        revoked = std::move(result).value();
-      }
-      break;
+  ObjectTable::ApplyOutcome out = t->apply(op);
+  if (!out.status.ok()) {
+    r.status = out.status.error();
+    done(std::move(r), /*settled=*/true);
+    return true;
+  }
+  op.result_index = out.produced_index;
+  if (out.produced_index != 0) {
+    r.result.ref = t->ref_of(out.produced_index);
+    r.result.kind = t->kind_of(out.produced_index);
+    if (r.result.kind == ObjectKind::kMemory) {
+      auto resolved = t->resolve_memory(out.produced_index, t->reboot_count());
+      // Unreachable failure: apply just minted produced_index as a live Memory object.
+      FRACTOS_CHECK(resolved.ok());
+      r.result.perms = resolved.value().perms;
+      r.result.mem = resolved.value().desc;
     }
   }
-  if (r.status != ErrorCode::kOk) {
-    links_.remember(origin, r);
-    done(r);
-    return;
-  }
-  // Commit gate: the reply (and, for a revoke, the cleanup broadcast) is released only once
-  // the entry is durable on a majority. Without a group the continuation runs synchronously
-  // and this whole block collapses to the pre-replication order of effects.
+  // Commit gate: the reply — and so the requester's install — and, for a revoke, the cleanup
+  // broadcast and the monitor fires are released only once the entry is durable on a
+  // majority. Without a group the continuation runs synchronously.
   const bool is_revoke = op.kind == ReplicatedOp::Kind::kRevoke;
-  auto revoked_state = std::make_shared<ObjectTable::RevokeResult>(std::move(revoked));
   commit_mutation(seat, std::move(op),
-                  [this, origin, seat, r, is_revoke, revoked_state,
+                  [this, seat, is_revoke, r = std::move(r), revoked = std::move(out.revoked),
                    done = std::move(done)](ErrorCode ec) mutable {
                     if (ec != ErrorCode::kOk) {
-                      // Unknown outcome (deposed mid-commit): do NOT cache — the op may be
+                      // Unknown outcome (deposed mid-commit): not settled — the op may be
                       // retried at the next leader, and this member's eager state will be
                       // reset from a snapshot.
                       r.status = ec;
-                      done(r);
+                      done(std::move(r), /*settled=*/false);
                       return;
                     }
                     if (is_revoke) {
-                      apply_revoke_for(seat, *revoked_state);
+                      apply_revoke_for(seat, revoked);
                     }
-                    links_.remember(origin, r);
-                    done(r);
+                    done(std::move(r), /*settled=*/true);
                   });
+  return true;
 }
 
 void Controller::peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m) {
@@ -1483,11 +1268,7 @@ void Controller::peer_revoke_ack(const RevokeAckMsg& m) {
     // Every peer purged its references: the invalidated stubs can finally be reclaimed.
     const ControllerAddr seat = it->second.seat == 0 ? addr() : it->second.seat;
     if (ObjectTable* t = serving_table(seat); t != nullptr) {
-      stats_.objects_reclaimed += t->erase_objects(it->second.objects);
-      ReplicatedOp op;
-      op.kind = ReplicatedOp::Kind::kEraseObjects;
-      op.indices.assign(it->second.objects.begin(), it->second.objects.end());
-      log_mutation(seat, std::move(op));
+      erase_revoked(seat, *t, it->second.objects);
     }
     pending_cleanups_.erase(it);
   }
@@ -1495,43 +1276,16 @@ void Controller::peer_revoke_ack(const RevokeAckMsg& m) {
 
 void Controller::peer_register_monitor(ControllerAddr origin, uint64_t seq,
                                        const RegisterMonitorMsg& m) {
+  auto send = [this, origin](const PeerReplyMsg& r) {
+    links_.send(origin, make_envelope(next_seq_++, r));
+  };
   // The subscriber keys this op by the envelope seq, which resends reuse — so it doubles as
   // the dedup key (double-registering a monitor would double its fire count).
   if (const PeerReplyMsg* cached = links_.find_completed(origin, seq)) {
-    links_.send(origin, make_envelope(next_seq_++, *cached));
+    send(*cached);
     return;
   }
-  PeerReplyMsg r;
-  r.op_id = seq;  // the subscriber keyed its continuation by the envelope seq
-  const MonitorSub sub{m.subscriber_controller, m.subscriber_process, m.callback_id};
-  Status s(ErrorCode::kInvalidArgument);
-  ObjectTable* t = serving_table(m.target.owner);
-  if (t != nullptr) {
-    s = m.delegate_mode
-            ? t->monitor_delegate(m.target.index, m.target.reboot_count, sub)
-            : t->monitor_receive(m.target.index, m.target.reboot_count, sub);
-  }
-  r.status = s.ok() ? ErrorCode::kOk : s.error();
-  if (!s.ok()) {
-    links_.remember(origin, r);
-    links_.send(origin, make_envelope(next_seq_++, r));
-    return;
-  }
-  ReplicatedOp op;
-  op.kind = m.delegate_mode ? ReplicatedOp::Kind::kMonitorDelegate
-                            : ReplicatedOp::Kind::kMonitorReceive;
-  op.base = m.target.index;
-  op.callback_id = m.callback_id;
-  op.sub_controller = m.subscriber_controller;
-  op.sub_process = m.subscriber_process;
-  commit_mutation(m.target.owner, std::move(op),
-                  [this, origin, r](ErrorCode ec) mutable {
-                    r.status = ec;
-                    if (ec == ErrorCode::kOk) {
-                      links_.remember(origin, r);
-                    }
-                    links_.send(origin, make_envelope(next_seq_++, r));
-                  });
+  serve_mutation(m.target, op_of(m), answer_peer(origin, seq, send));
 }
 
 void Controller::peer_monitor_fired(const MonitorFiredMsg& m) {
@@ -1608,11 +1362,7 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
   // The body is encoded once; each peer's frame is that encoding under the peer's own seq.
   const size_t live_peers = links_.broadcast(encode_envelope(make_envelope(0, std::move(bc))));
   if (live_peers == 0) {
-    stats_.objects_reclaimed += t->erase_objects(result.invalidated);
-    ReplicatedOp op;
-    op.kind = ReplicatedOp::Kind::kEraseObjects;
-    op.indices.assign(result.invalidated.begin(), result.invalidated.end());
-    log_mutation(seat, std::move(op));
+    erase_revoked(seat, *t, result.invalidated);
   } else {
     pending_cleanups_.emplace(cleanup_id, PendingCleanup{result.invalidated, live_peers, seat});
   }
@@ -1621,6 +1371,15 @@ void Controller::apply_revoke_for(ControllerAddr seat, const ObjectTable::Revoke
       dispatch_monitor_fire(fire);
     }
   }
+}
+
+void Controller::erase_revoked(ControllerAddr seat, ObjectTable& t,
+                               const std::vector<ObjectIndex>& objects) {
+  stats_.objects_reclaimed += t.erase_objects(objects);
+  ReplicatedOp op;
+  op.kind = ReplicatedOp::Kind::kEraseObjects;
+  op.indices.assign(objects.begin(), objects.end());
+  log_mutation(seat, std::move(op));
 }
 
 void Controller::dispatch_monitor_fire(const ObjectTable::MonitorFire& fire) {
@@ -1674,13 +1433,16 @@ void Controller::process_failed(ProcessId pid) {
       continue;
     }
     if (entry.ref.owner == addr()) {
-      auto result = table_.revoke(entry.ref.index, entry.ref.reboot_count);
-      if (result.ok()) {
-        ReplicatedOp op;
-        op.kind = ReplicatedOp::Kind::kRevoke;
-        op.base = entry.ref.index;
+      if (entry.ref.reboot_count != table_.reboot_count()) {
+        continue;
+      }
+      ReplicatedOp op;
+      op.kind = ReplicatedOp::Kind::kRevoke;
+      op.base = entry.ref.index;
+      const ObjectTable::ApplyOutcome out = table_.apply(op);
+      if (out.status.ok()) {
         log_mutation(addr(), std::move(op));
-        apply_revoke(result.value());
+        apply_revoke(out.revoked);
       }
     } else {
       RemoteDeriveMsg rd;
@@ -1696,8 +1458,9 @@ void Controller::process_failed(ProcessId pid) {
   ReplicatedOp op;
   op.kind = ReplicatedOp::Kind::kRevokeAllOf;
   op.requester = pid;
+  const ObjectTable::ApplyOutcome out = table_.apply(op);
   log_mutation(addr(), std::move(op));
-  apply_revoke(table_.revoke_all_of(pid));
+  apply_revoke(out.revoked);
 }
 
 void Controller::fail() {
@@ -1722,7 +1485,7 @@ void Controller::fail() {
 }
 
 void Controller::restart() {
-  FRACTOS_CHECK(failed_);
+  FRACTOS_CHECK(failed_);  // an operator call (System::restart_controller); not input
   // All Processes of a failed Controller are considered failed (Section 3.6); the reboot
   // counter bump makes every capability that references this Controller stale.
   procs_.clear();
@@ -1743,6 +1506,7 @@ void Controller::restart() {
 
 void Controller::enable_replication(ControllerAddr seat, std::vector<ControllerAddr> members,
                                     uint32_t seat_reboot, ReplicationGroup::Params params) {
+  // Deployment wiring (System::replicate_controller), not input: a peer cannot arm a group.
   FRACTOS_CHECK_MSG(repl_groups_.find(seat) == repl_groups_.end(),
                     "controller already joined a replication group for this seat");
   auto group =

@@ -13,6 +13,10 @@
 //     mode of Fig. 5 is enabled;
 //   * performs derivation-at-owner (kRemoteDerive), immediate revocation with broadcast
 //     cleanup, monitor bookkeeping, and failure translation (process death -> revocations).
+//     A mutation of an object this Controller serves takes one path whether a local Process
+//     or a peer asked for it (serve_mutation): the Controller builds one ReplicatedOp, applies
+//     it through ObjectTable::apply, commits or logs that same op, and installs a derived
+//     capability only once the commit is durable.
 //
 // Every operation charges calibrated compute on the Controller's ExecContext, which is a host
 // core or a SmartNIC ARM core depending on deployment (Section 6 evaluates both).
@@ -263,15 +267,23 @@ class Controller {
   void sc_cap_create_revtree(ProcState& p, uint64_t seq, const CapCreateRevtreeMsg& m);
   void sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m);
   void sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m, bool delegate_mode);
+  // Runs `p`'s owner-bound derive or revoke: through serve_mutation when this Controller owns
+  // the base, else as one kRemoteDerive to the owner (Section 3.5). Either way syscall `seq`
+  // is answered by reply_with_cap, or by reply_with_status for a revoke.
+  void derive_at_owner(ProcState& p, uint64_t seq, RemoteDeriveMsg rd);
+  // Answers syscall `seq` of `pid` (if it is still alive) from an owner's reply: installs the
+  // derived capability and replies with its cid, or replies with the error.
+  void reply_with_cap(ProcessId pid, uint64_t seq, Result<PeerReplyMsg> res);
+  // Same, for ops that yield no capability: replies with the status alone.
+  void reply_with_status(ProcessId pid, uint64_t seq, Result<PeerReplyMsg> res);
 
   // --- peer handlers ---
   void peer_remote_invoke(ControllerAddr origin, const RemoteInvokeMsg& m);
   void peer_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m);
   void peer_remote_derive_batch(ControllerAddr origin, const RemoteDeriveBatchMsg& m);
-  // Executes one owner-bound derive op (or replays its cached reply) and hands the reply to
-  // `done`; dedup is internal, so batch members stay individually idempotent. Without a
-  // replication group `done` runs synchronously (the pre-replication code path, verbatim);
-  // with one, mutating ops defer `done` until the logged entry commits on a majority.
+  // Executes one owner-bound derive op through serve_mutation (or replays its cached reply)
+  // and hands the reply to `done`; dedup is internal, so batch members stay individually
+  // idempotent.
   void exec_remote_derive(ControllerAddr origin, const RemoteDeriveMsg& m,
                           std::function<void(const PeerReplyMsg&)> done);
   void peer_revoke_broadcast(ControllerAddr origin, const RevokeBroadcastMsg& m);
@@ -279,6 +291,24 @@ class Controller {
   void peer_register_monitor(ControllerAddr origin, uint64_t seq, const RegisterMonitorMsg& m);
   void peer_monitor_fired(const MonitorFiredMsg& m);
   void peer_invoke_error(const RemoteInvokeErrorMsg& m);
+
+  // --- the one mutation path ---
+  // Gets an owner's reply and whether its outcome is settled: false when the commit failed,
+  // so the op's fate is unknown and a retry may run it at the next leader.
+  using OwnerDone = std::function<void(PeerReplyMsg, bool settled)>;
+  // The owner side of every capability mutation, for a syscall on an object this Controller
+  // owns and for a peer's kRemoteDerive or kRegisterMonitor alike. Serves `op` from
+  // `target.owner`'s table (kNotLeader or kInvalidArgument when this Controller may not),
+  // refuses a `target.reboot_count` other than the table's (kStaleCapability), applies `op`
+  // through ObjectTable::apply, builds the derived capability (when the op yields one) from
+  // the table, and commits the very op it applied. A committed revoke sends its cleanup
+  // broadcast and fires its monitors before `done`. Without a group `done` runs
+  // synchronously. Returns false when the op never reached the table.
+  bool serve_mutation(const ObjectRef& target, ReplicatedOp op, OwnerDone done);
+  // The peer side of serve_mutation's reply: stamps `op_id`, caches a settled reply for
+  // dedup, and hands it to `send`.
+  OwnerDone answer_peer(ControllerAddr origin, uint64_t op_id,
+                        std::function<void(const PeerReplyMsg&)> send);
 
   // --- helpers ---
   void reply(ProcState& p, uint64_t seq, ErrorCode status, CapId cid = kInvalidCap);
@@ -313,6 +343,10 @@ class Controller {
   void apply_revoke(const ObjectTable::RevokeResult& result) {
     apply_revoke_for(addr(), result);
   }
+  // Reclaims revoked `objects` from `seat`'s table `t` once no peer references them, and
+  // logs the erase.
+  void erase_revoked(ControllerAddr seat, ObjectTable& t,
+                     const std::vector<ObjectIndex>& objects);
   void dispatch_monitor_fire(const ObjectTable::MonitorFire& fire);
   // Peer channel severed: its ops fail, and the replication groups learn of it.
   void on_peer_severed(ControllerAddr peer);
@@ -347,9 +381,9 @@ class Controller {
   ObjectTable* serving_table(ControllerAddr owner);
   const ObjectTable* serving_table(ControllerAddr owner) const;
   bool can_mutate_seat(ControllerAddr seat) const;
-  // Commit gate for one capability mutation already applied to the serving table: without a
-  // group, `done(kOk)` runs synchronously (bit-identical off path); with one, `done` runs
-  // when the entry commits (or fails with kNotLeader/kTimeout).
+  // Commit gate for one capability mutation the serving table has just applied (the very op
+  // passed here): without a group, `done(kOk)` runs synchronously (bit-identical off path);
+  // with one, `done` runs when the entry commits (or fails with kNotLeader/kTimeout).
   void commit_mutation(ControllerAddr seat, ReplicatedOp op, std::function<void(ErrorCode)> done);
   // Fire-and-forget variant for mutations whose replies are not commit-gated (delegation
   // bookkeeping, erase sweeps, failure translation) — keeps the log a total order of every

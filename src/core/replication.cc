@@ -629,7 +629,7 @@ void ReplicationGroup::apply_committed() {
     FRACTOS_DCHECK(e.index == applied_index_ + 1);
     ++applied_index_;
     if (e.op.kind != ReplicatedOp::Kind::kNoop) {
-      const ObjectTable::ApplyOutcome out = state().apply_replicated(e.op);
+      const ObjectTable::ApplyOutcome out = state().apply(e.op);
       if (out.diverged) {
         bump(keys_.divergence);
       }

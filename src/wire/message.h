@@ -368,10 +368,11 @@ struct MonitorFiredMsg {
 // --- Replication plane (controller <-> controller, DESIGN.md §4h) --------------------------
 
 // One capability-metadata mutation, exactly as the seat's ObjectTable executes it. The
-// replicated log is a sequence of these; followers replay committed entries through
-// ObjectTable::apply_replicated, which re-derives the same object indices (insert() assigns
-// them sequentially), so replicas converge structurally — `result_index` lets the follower
-// audit that its apply produced the index the leader observed.
+// replicated log is a sequence of these; the leader applies each through ObjectTable::apply
+// before logging it, and followers replay committed entries through the same function, which
+// re-derives the same object indices (insert() assigns them sequentially), so replicas
+// converge structurally — `result_index` lets the follower audit that its apply produced the
+// index the leader observed.
 struct ReplicatedOp {
   enum class Kind : uint8_t {
     kNoop = 0,          // leader-change barrier entry; mutates nothing

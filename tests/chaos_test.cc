@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -234,6 +235,20 @@ uint64_t base_seed() {
   return 0xC0FFEE;
 }
 
+// The committed chaos-digest line of `seed` in tests/golden/chaos_digests.txt, or "" when the
+// seed is not listed there.
+std::string golden_chaos_digest(uint64_t seed) {
+  std::ifstream in(std::string(FRACTOS_GOLDEN_DIR) + "/chaos_digests.txt");
+  EXPECT_TRUE(in.good()) << "missing tests/golden/chaos_digests.txt";
+  const std::string prefix = "chaos-digest seed=" + std::to_string(seed) + " ";
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) {
+      return line;
+    }
+  }
+  return "";
+}
+
 TEST(ChaosSoak, EveryOpResolvesUnderLossyFabric) {
   constexpr int kOps = 120;
   const ChaosOutcome out = run_chaos(base_seed(), kOps);
@@ -244,13 +259,22 @@ TEST(ChaosSoak, EveryOpResolvesUnderLossyFabric) {
     errors += std::string(errors.empty() ? "" : ",") + error_code_name(code) + ":" +
               std::to_string(count);
   }
-  std::printf("chaos-digest seed=%llu end_ns=%lld ok_ops=%d errors={%s} control_msgs=%llu "
-              "data_msgs=%llu injected=%llu\n",
-              static_cast<unsigned long long>(base_seed()), static_cast<long long>(out.end_ns),
-              out.ok_ops, errors.c_str(),
-              static_cast<unsigned long long>(out.traffic.messages[0]),
-              static_cast<unsigned long long>(out.traffic.messages[1]),
-              static_cast<unsigned long long>(out.faults.total_injected()));
+  char digest[256];
+  std::snprintf(digest, sizeof(digest),
+                "chaos-digest seed=%llu end_ns=%lld ok_ops=%d errors={%s} control_msgs=%llu "
+                "data_msgs=%llu injected=%llu",
+                static_cast<unsigned long long>(base_seed()), static_cast<long long>(out.end_ns),
+                out.ok_ops, errors.c_str(),
+                static_cast<unsigned long long>(out.traffic.messages[0]),
+                static_cast<unsigned long long>(out.traffic.messages[1]),
+                static_cast<unsigned long long>(out.faults.total_injected()));
+  std::printf("%s\n", digest);
+  // Same seed, same bytes under faults: a seed with a committed digest must reproduce it.
+  if (const std::string golden = golden_chaos_digest(base_seed()); !golden.empty()) {
+    EXPECT_EQ(std::string(digest), golden)
+        << "the chaos outcome of this seed moved; if intended, re-record "
+           "tests/golden/chaos_digests.txt";
+  }
 
   // The plan actually perturbed the run...
   EXPECT_GT(out.faults.total_injected(), 0u);

@@ -416,5 +416,110 @@ TEST(CoreQuota, CapSpaceQuotaSurfacesAsResourceExhausted) {
   EXPECT_EQ(r.error(), ErrorCode::kResourceExhausted);
 }
 
+// --- one mutation path -------------------------------------------------------------------------
+
+// What one run of the derivation script saw: every step's status, the capability entry each
+// successful derivation installed, the owner's table digest after each step, and the monitor
+// callbacks the requester received.
+struct DerivationRun {
+  std::vector<ErrorCode> statuses;
+  std::vector<CapEntry> entries;
+  std::vector<uint64_t> digests;
+  std::vector<std::pair<uint64_t, bool>> fires;
+  size_t requester_caps = 0;
+};
+
+// A Process on Controller 0 owns a Memory object (monitor_delegate'd, and delegated once, so
+// a tracked capability to it exists) and a Request endpoint. A requester, attached to that
+// same Controller or to its peer, derives from both, subscribes monitors and revokes.
+DerivationRun run_derivation_script(bool requester_on_owner) {
+  System sys;
+  sys.add_node("owner");
+  sys.add_node("peer");
+  Controller& c0 = sys.add_controller(0, Loc::kHost);
+  Controller& c1 = sys.add_controller(1, Loc::kHost);
+  Process& owner = sys.spawn("owner", 0, c0);
+  Process& req = requester_on_owner ? sys.spawn("requester", 0, c0)
+                                    : sys.spawn("requester", 1, c1);
+  Controller& rc = requester_on_owner ? c0 : c1;
+  DerivationRun run;
+  req.set_monitor_handler([&](uint64_t cb, bool mode) { run.fires.emplace_back(cb, mode); });
+
+  const CapId mem = sys.await_ok(owner.memory_create(owner.alloc(8192), 8192,
+                                                     Perms::kReadWrite));
+  EXPECT_TRUE(sys.await(owner.monitor_delegate(mem, 1)).ok());
+  std::optional<Process::Received> got;
+  const CapId ep = sys.await_ok(owner.serve(Process::Args{}.imm(0, {1, 2, 3, 4}),
+                                            [&](Process::Received r) { got = r; }));
+  EXPECT_TRUE(sys.await(owner.request_invoke(ep, Process::Args{}.cap(mem))).ok());
+  EXPECT_TRUE(sys.loop().run_until([&]() { return got.has_value(); }));
+  const CapId mem_r = sys.bootstrap_grant(owner, mem, req).value();
+  const CapId ep_r = sys.bootstrap_grant(owner, ep, req).value();
+  const CapId tracked_r = sys.bootstrap_grant(owner, got->cap(0), req).value();
+  EXPECT_TRUE(rc.inspect_cap(req.pid(), tracked_r).value().tracked);
+
+  // A derivation's status, its installed entry, and the owner's digest afterwards.
+  auto derived = [&](Future<Result<CapId>> f) {
+    const Result<CapId> r = sys.await(std::move(f));
+    run.statuses.push_back(r.ok() ? ErrorCode::kOk : r.error());
+    if (r.ok()) {
+      run.entries.push_back(rc.inspect_cap(req.pid(), r.value()).value());
+    }
+    run.digests.push_back(c0.table().digest());
+    return r.value_or(kInvalidCap);
+  };
+  // A status-only op's status. Monitor subscriptions name the requester's Controller, so the
+  // owner's digest is compared again only once the monitored objects are erased.
+  auto status = [&](Future<Status> f) {
+    const Status s = sys.await(std::move(f));
+    run.statuses.push_back(s.ok() ? ErrorCode::kOk : s.error());
+  };
+
+  const CapId view = derived(req.memory_diminish(mem_r, 1024, 4096, Perms::kWrite));
+  derived(req.memory_diminish(mem_r, 8000, 4096, Perms::kNone));  // out of range
+  const CapId mem_child = derived(req.cap_create_revtree(mem_r));
+  derived(req.cap_create_revtree(ep_r));
+  derived(req.cap_create_revtree(tracked_r));
+  const CapId refined = derived(req.request_derive(ep_r, Process::Args{}.imm(8, {5, 6})));
+  derived(req.request_derive(refined, Process::Args{}.imm(2, {7, 7})));  // overlaps
+  status(req.monitor_delegate(view, 11));
+  status(req.monitor_delegate(view, 12));  // already delegated
+  status(req.monitor_receive(mem_child, 13));
+  status(req.cap_revoke(mem_r));
+  status(req.cap_revoke(mem_child));  // already gone
+  sys.loop().run();
+  run.digests.push_back(c0.table().digest());
+  status(req.cap_revoke(ep_r));
+  sys.loop().run();
+  run.digests.push_back(c0.table().digest());
+  run.requester_caps = rc.cap_space_size(req.pid());
+  return run;
+}
+
+// A syscall on a capability its own Controller owns runs the same owner routine as a peer's
+// RemoteDerive or RegisterMonitor: the same statuses, the same capabilities (built from the
+// owner's table, `tracked` included), the same owner table.
+TEST(CoreDerivation, LocalAndRemoteRequestersGetTheSameResults) {
+  const DerivationRun local = run_derivation_script(/*requester_on_owner=*/true);
+  const DerivationRun remote = run_derivation_script(/*requester_on_owner=*/false);
+  EXPECT_EQ(local.statuses, remote.statuses);
+  ASSERT_EQ(local.entries.size(), remote.entries.size());
+  for (size_t i = 0; i < local.entries.size(); ++i) {
+    const CapEntry& a = local.entries[i];
+    const CapEntry& b = remote.entries[i];
+    EXPECT_EQ(a.ref, b.ref) << "entry " << i;
+    EXPECT_EQ(a.kind, b.kind) << "entry " << i;
+    EXPECT_EQ(a.perms, b.perms) << "entry " << i;
+    EXPECT_EQ(a.mem, b.mem) << "entry " << i;
+    EXPECT_EQ(a.tracked, b.tracked) << "entry " << i;
+  }
+  EXPECT_EQ(local.digests, remote.digests);
+  EXPECT_EQ(local.fires, remote.fires);
+  EXPECT_EQ(local.requester_caps, remote.requester_caps);
+  // The script hit both successes and refusals.
+  EXPECT_EQ(local.entries.size(), 5u);
+  EXPECT_EQ(local.fires.size(), 1u);
+}
+
 }  // namespace
 }  // namespace fractos

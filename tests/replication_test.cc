@@ -515,10 +515,22 @@ TEST(Replication, PartitionedMinorityLeaderRefusesToServe) {
   // appended, but the append can reach no follower — the commit gate times out and the
   // client learns the outcome is unknown. (kNotLeader if the lease lapsed first.)
   sys.loop().run_until_time(Time::from_ns(2'500'000));
-  const Result<CapId> orphan = sys.await(p.memory_diminish(buf, 0, 4096, Perms::kRead));
+  const size_t caps_before = c1.cap_space_size(p.pid());
+  Future<Result<CapId>> orphan_view = p.memory_diminish(buf, 0, 4096, Perms::kRead);
+  Future<Result<CapId>> orphan_endpoint = p.request_create();
+  const Result<CapId> orphan = sys.await(std::move(orphan_view));
   ASSERT_FALSE(orphan.ok());
   EXPECT_TRUE(orphan.error() == ErrorCode::kTimeout || orphan.error() == ErrorCode::kNotLeader)
       << error_code_name(orphan.error());
+  // A root create installs its endpoint cap before the commit (the root records the cid);
+  // the failed commit takes it back.
+  const Result<CapId> orphan_root = sys.await(std::move(orphan_endpoint));
+  ASSERT_FALSE(orphan_root.ok());
+  EXPECT_TRUE(orphan_root.error() == ErrorCode::kTimeout ||
+              orphan_root.error() == ErrorCode::kNotLeader)
+      << error_code_name(orphan_root.error());
+  // Observable only once durable: the Process holds neither orphaned capability.
+  EXPECT_EQ(c1.cap_space_size(p.pid()), caps_before);
 
   // Deep in the partition: the minority leader's lease has expired, the majority side has
   // elected a successor, and the old leader refuses mutations outright.
@@ -548,6 +560,138 @@ TEST(Replication, PartitionedMinorityLeaderRefusesToServe) {
   stop_groups(sys, seat);
   sys.loop().run();
   sys.loop().set_metrics(nullptr);
+}
+
+// A revoke on a replicated seat is commit-gated like every other mutation: one that never
+// commits sends no cleanup broadcast, so a holder on another Controller keeps its committed
+// capability, through the partition and after the heal.
+TEST(Replication, UncommittedRevokeLeavesPeerHoldersTheirCaps) {
+  SystemConfig cfg;
+  cfg.replication_group_size = 3;
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.flaps.push_back({0, 1, Time::from_ns(2'000'000), Time::from_ns(8'000'000)});
+  plan.flaps.push_back({0, 2, Time::from_ns(2'000'000), Time::from_ns(8'000'000)});
+  cfg.faults = plan;
+  System sys(cfg);
+  sys.add_node("seat");
+  sys.add_node("r1");
+  sys.add_node("r2");
+  sys.add_node("holder");
+  Controller& c1 = sys.add_controller(0, Loc::kHost);
+  Controller& c2 = sys.add_controller(1, Loc::kHost);
+  Controller& c3 = sys.add_controller(2, Loc::kHost);
+  Controller& c4 = sys.add_controller(3, Loc::kHost);
+  const ControllerAddr seat = c1.addr();
+  sys.replicate_controller(c1, {&c2, &c3});
+
+  Process& p = sys.spawn("p", 0, c1, 1 << 20);
+  Process& h = sys.spawn("h", 3, c4, 1 << 20);
+  const CapId buf = sys.await_ok(p.memory_create(p.alloc(8192), 8192, Perms::kReadWrite));
+  const CapId held = sys.bootstrap_grant(p, buf, h).value();
+
+  // The seat is cut off from both replicas but not from the holder's Controller: a cleanup
+  // broadcast would reach it.
+  sys.loop().run_until_time(Time::from_ns(2'500'000));
+  const Status revoked = sys.await(p.cap_revoke(buf));
+  ASSERT_FALSE(revoked.ok());
+  EXPECT_TRUE(revoked.error() == ErrorCode::kTimeout || revoked.error() == ErrorCode::kNotLeader)
+      << error_code_name(revoked.error());
+  sys.loop().run_until_time(Time::from_ns(6'500'000));
+  EXPECT_TRUE(c4.inspect_cap(h.pid(), held).ok());
+
+  // Heal: the revoke committed nowhere, so the successor still serves the object.
+  sys.loop().run_until_time(Time::from_ns(14'000'000));
+  EXPECT_TRUE(c4.inspect_cap(h.pid(), held).ok());
+  EXPECT_EQ(c2.seat_state_digest(seat), c1.seat_state_digest(seat));
+
+  stop_groups(sys, seat);
+  sys.loop().run();
+}
+
+// A root request_create whose endpoint cap does not fit the Process's quota has still applied
+// its op to the seat's table; the op is logged all the same, so the followers apply it too and
+// the next mutation's index agrees on every member.
+TEST(Replication, RefusedEndpointInstallKeepsReplicasInStep) {
+  MetricsRegistry metrics;
+  SystemConfig cfg;
+  cfg.replication_group_size = 3;
+  cfg.cap_quota = 2;
+  System sys(cfg);
+  sys.loop().set_metrics(&metrics);
+  sys.add_node("seat");
+  sys.add_node("r1");
+  sys.add_node("r2");
+  Controller& c1 = sys.add_controller(0, Loc::kHost);
+  Controller& c2 = sys.add_controller(1, Loc::kHost);
+  Controller& c3 = sys.add_controller(2, Loc::kHost);
+  const ControllerAddr seat = c1.addr();
+  sys.replicate_controller(c1, {&c2, &c3});
+
+  Process& p = sys.spawn("p", 0, c1, 1 << 20);
+  const CapId a = sys.await_ok(p.memory_create(p.alloc(4096), 4096, Perms::kReadWrite));
+  sys.await_ok(p.memory_create(p.alloc(4096), 4096, Perms::kReadWrite));
+  const Result<CapId> refused = sys.await(p.request_create());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error(), ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(sys.await(p.cap_revoke(a)).ok());
+  sys.await_ok(p.memory_create(p.alloc(4096), 4096, Perms::kReadWrite));
+
+  sys.loop().run_until_time(sys.loop().now() + Duration::millis(2));
+  const uint64_t d = c1.seat_state_digest(seat);
+  EXPECT_EQ(d, c2.seat_state_digest(seat));
+  EXPECT_EQ(d, c3.seat_state_digest(seat));
+  for (const Controller* c : {&c2, &c3}) {
+    EXPECT_EQ(metrics.value("repl.ctrl-" + std::to_string(c->addr()) + ".s" +
+                            std::to_string(seat) + ".divergence"),
+              0);
+  }
+
+  stop_groups(sys, seat);
+  sys.loop().run();
+  sys.loop().set_metrics(nullptr);
+}
+
+// Delegating a monitor_delegate'd object mints a tracked child at its owner. A deposed seat
+// cannot log one, so it refuses the delegation instead of leaving an unlogged object in its
+// table that would set its state apart from the replicas' after the heal.
+TEST(Replication, DeposedSeatMintsNoDelegationChild) {
+  SystemConfig cfg;
+  cfg.replication_group_size = 3;
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.flaps.push_back({0, 1, Time::from_ns(2'000'000), Time::from_ns(8'000'000)});
+  plan.flaps.push_back({0, 2, Time::from_ns(2'000'000), Time::from_ns(8'000'000)});
+  cfg.faults = plan;
+  System sys(cfg);
+  sys.add_node("seat");
+  sys.add_node("r1");
+  sys.add_node("r2");
+  Controller& c1 = sys.add_controller(0, Loc::kHost);
+  Controller& c2 = sys.add_controller(1, Loc::kHost);
+  Controller& c3 = sys.add_controller(2, Loc::kHost);
+  const ControllerAddr seat = c1.addr();
+  sys.replicate_controller(c1, {&c2, &c3});
+
+  Process& p = sys.spawn("p", 0, c1, 1 << 20);
+  const CapId buf = sys.await_ok(p.memory_create(p.alloc(8192), 8192, Perms::kReadWrite));
+  ASSERT_TRUE(sys.await(p.monitor_delegate(buf, 5)).ok());
+
+  sys.loop().run_until_time(Time::from_ns(6'500'000));
+  ASSERT_FALSE(c1.serves_seat(seat));
+  const size_t objects = c1.table().total_count();
+  const Result<CapId> refused = sys.await(p.request_create(Process::Args{}.cap(buf)));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error(), ErrorCode::kNotLeader);
+  EXPECT_EQ(c1.table().total_count(), objects);
+
+  sys.loop().run_until_time(Time::from_ns(14'000'000));
+  const uint64_t d = c2.seat_state_digest(seat);
+  EXPECT_EQ(d, c3.seat_state_digest(seat));
+  EXPECT_EQ(d, c1.seat_state_digest(seat));
+
+  stop_groups(sys, seat);
+  sys.loop().run();
 }
 
 // Leader killed while the surviving members' link is flapping: candidacies stall (votes are
