@@ -64,7 +64,9 @@ struct SnapshotHeader {
 };
 
 // One object as the snapshot carries it: every field of both payload kinds and of the monitor
-// state, with the defaults of the kind (or state) the object does not have.
+// state, with the defaults of the kind (or state) the object does not have. The tree links keep
+// their non-circular form: last_child is carried and a first child's prev_sibling is unset
+// (ObjectTable::wire_links).
 struct SnapshotObject {
   ObjectIndex idx = kInvalidObject;
   ObjectKind kind = ObjectKind::kMemory;
@@ -107,7 +109,7 @@ ObjectTable::Object::Object(ObjectKind k) {
   if (kind == ObjectKind::kRequest) {
     new (&req) RequestPayload();
   } else {
-    new (&mem) MemoryPayload();
+    new (&mem) MemoryDesc();
   }
 }
 
@@ -134,7 +136,7 @@ void ObjectTable::Object::take_payload(Object& o) {
   if (kind == ObjectKind::kRequest) {
     new (&req) RequestPayload(std::move(o.req));
   } else {
-    new (&mem) MemoryPayload(o.mem);
+    new (&mem) MemoryDesc(o.mem);
   }
 }
 
@@ -152,8 +154,9 @@ const ObjectTable::Slot* ObjectTable::find_slot(ObjectIndex idx) const {
 void ObjectTable::grow_slabs(Shard& shard) {
   const uint32_t slab = static_cast<uint32_t>(shard.slabs.size());
   const uint32_t slots = slab_slots(slab);
-  // Slot ids must fit in 32 bits, and the all-ones id is DenseIndex::kAbsent.
-  FRACTOS_CHECK(slab + 1 < (1u << (32 - kSlabShift)));
+  // Unreachable from input: restore_snapshot refuses a blob of more than kMaxShardSlots
+  // objects, and insert() would first need ~2^32 objects (~320 GB of slots) in one shard.
+  FRACTOS_CHECK(slab < kMaxShardSlabs);
   shard.slabs.push_back(std::make_unique<Slot[]>(slots));
   // Newly minted slots enter the freelist back-to-front so allocation proceeds front-to-back
   // within the slab (deterministic iteration order).
@@ -173,6 +176,7 @@ ObjectTable::Slot& ObjectTable::claim_slot(Shard& shard, ObjectIndex idx, Object
   slot.idx = idx;
   slot.obj = std::move(obj);
   [[maybe_unused]] const uint32_t prior = index_.put(idx, slot_id);
+  // insert() mints past every index present; restore_snapshot refuses a duplicate first.
   FRACTOS_DCHECK(prior == DenseIndex::kAbsent);
   ++total_;
   return slot;
@@ -220,16 +224,19 @@ const ObjectTable::Object* ObjectTable::find_object(ObjectIndex idx) const {
 void ObjectTable::link_child(ObjectIndex parent_idx, ObjectIndex child_idx) {
   Object* parent = mutable_lookup(parent_idx);
   Object* child = mutable_lookup(child_idx);
+  // Callers pass a base they just looked up live and the child they just inserted.
   FRACTOS_DCHECK(parent != nullptr && child != nullptr);
   child->parent = parent_idx;
-  child->prev_sibling = parent->last_child;
   child->next_sibling = kInvalidObject;
-  if (parent->last_child != kInvalidObject) {
-    mutable_lookup(parent->last_child)->next_sibling = child_idx;
-  } else {
+  if (parent->first_child == kInvalidObject) {
     parent->first_child = child_idx;
+    child->prev_sibling = child_idx;  // an only child is its own last sibling
+    return;
   }
-  parent->last_child = child_idx;
+  Object* first = mutable_lookup(parent->first_child);
+  child->prev_sibling = first->prev_sibling;
+  mutable_lookup(first->prev_sibling)->next_sibling = child_idx;
+  first->prev_sibling = child_idx;
 }
 
 std::shared_ptr<const RequestArgs> ObjectTable::intern_args(RequestArgs args) {
@@ -275,7 +282,8 @@ Result<ObjectIndex> ObjectTable::create_memory(ProcessId creator, MemoryDesc des
   }
   Object obj(ObjectKind::kMemory);
   obj.creator = creator;
-  obj.mem = MemoryPayload{desc, perms};
+  obj.mem = desc;
+  obj.perms = perms;
   return insert(std::move(obj));
 }
 
@@ -290,15 +298,15 @@ Result<ObjectIndex> ObjectTable::derive_memory(ProcessId creator, ObjectIndex ba
   if (b.kind != ObjectKind::kMemory) {
     return ErrorCode::kWrongObjectKind;
   }
-  if (offset > b.mem.desc.size || size > b.mem.desc.size - offset || size == 0) {
+  if (offset > b.mem.size || size > b.mem.size - offset || size == 0) {
     return ErrorCode::kOutOfRange;
   }
   Object obj(ObjectKind::kMemory);
   obj.creator = creator;
-  obj.mem.desc = b.mem.desc;
-  obj.mem.desc.addr += offset;
-  obj.mem.desc.size = size;
-  obj.mem.perms = perms_drop(b.mem.perms, drop_perms);
+  obj.mem = b.mem;
+  obj.mem.addr += offset;
+  obj.mem.size = size;
+  obj.perms = perms_drop(b.perms, drop_perms);
   const ObjectIndex idx = insert(std::move(obj));
   link_child(base, idx);
   return idx;
@@ -316,7 +324,7 @@ Result<ObjectIndex> ObjectTable::create_request_root(ProcessId provider, CapId e
   obj.creator = provider;
   obj.is_root = true;
   obj.req.provider = provider;
-  obj.req.endpoint_cid = endpoint_cid;
+  obj.endpoint_cid = endpoint_cid;
   obj.req.args = intern_args(std::move(args));
   return insert(std::move(obj));
 }
@@ -326,7 +334,7 @@ Status ObjectTable::set_endpoint_cid(ObjectIndex idx, CapId endpoint_cid) {
   if (o == nullptr || o->kind != ObjectKind::kRequest || !o->is_root) {
     return ErrorCode::kInvalidArgument;
   }
-  o->req.endpoint_cid = endpoint_cid;
+  o->endpoint_cid = endpoint_cid;
   return ok_status();
 }
 
@@ -343,6 +351,7 @@ Result<ObjectIndex> ObjectTable::derive_request_local(ProcessId creator, ObjectI
   std::vector<ImmExtent> existing;
   for (ObjectIndex cur = base; cur != kInvalidObject;) {
     const Object* o = find_object(cur);
+    // Parent links never dangle: erase_one orphans children, and restore checks every link.
     FRACTOS_CHECK(o != nullptr);
     const RequestArgs& layer = args_of(*o);
     existing.insert(existing.end(), layer.imms.begin(), layer.imms.end());
@@ -370,6 +379,7 @@ Result<ObjectIndex> ObjectTable::create_revtree_child(ProcessId creator, ObjectI
   obj.indirection = true;
   if (b.kind == ObjectKind::kMemory) {
     obj.mem = b.mem;
+    obj.perms = b.perms;
   }
   const ObjectIndex idx = insert(std::move(obj));
   link_child(base, idx);
@@ -390,7 +400,7 @@ Result<ObjectTable::ResolvedMemory> ObjectTable::resolve_memory(ObjectIndex idx,
   }
   // Derived memory objects carry their effective extent, so no chain walk is needed; parents
   // were already checked live at derivation time and invalidate their subtree on revoke.
-  return ResolvedMemory{o.mem.desc, o.mem.perms};
+  return ResolvedMemory{o.mem, o.perms};
 }
 
 Result<ObjectTable::ResolvedRequest> ObjectTable::resolve_request(ObjectIndex idx,
@@ -408,6 +418,7 @@ Result<ObjectTable::ResolvedRequest> ObjectTable::resolve_request(ObjectIndex id
   const Object* head = nullptr;
   while (cur != kInvalidObject) {
     const Object* o = find_object(cur);
+    // Parent links never dangle: erase_one orphans children, and restore checks every link.
     FRACTOS_CHECK(o != nullptr);
     if (o->invalidated) {
       return ErrorCode::kRevoked;
@@ -422,7 +433,7 @@ Result<ObjectTable::ResolvedRequest> ObjectTable::resolve_request(ObjectIndex id
     return ErrorCode::kInternal;  // derivation is always at the owner, so heads are roots
   }
   out.provider = head->req.provider;
-  out.endpoint_cid = head->req.endpoint_cid;
+  out.endpoint_cid = head->endpoint_cid;
   // Merge args base-first (chain was collected leaf-to-head).
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const RequestArgs& layer = args_of(**it);
@@ -477,6 +488,7 @@ void ObjectTable::invalidate_subtree(ObjectIndex root, RevokeResult& out) {
     for (ObjectIndex c = o->first_child; c != kInvalidObject;) {
       children.push_back(c);
       const Object* child = find_object(c);
+      // Child links never dangle: erase_one unlinks, and restore checks every link.
       FRACTOS_DCHECK(child != nullptr);
       c = child->next_sibling;
     }
@@ -522,6 +534,7 @@ bool ObjectTable::erase_one(ObjectIndex idx) {
   // Orphan surviving children: they keep their subtrees but lose the dangling parent link.
   for (ObjectIndex c = o.first_child; c != kInvalidObject;) {
     Object* child = mutable_lookup(c);
+    // Child links never dangle: erase_one unlinks, and restore checks every link.
     FRACTOS_DCHECK(child != nullptr);
     const ObjectIndex next = child->next_sibling;
     child->parent = kInvalidObject;
@@ -529,19 +542,20 @@ bool ObjectTable::erase_one(ObjectIndex idx) {
     child->next_sibling = kInvalidObject;
     c = next;
   }
-  // Unlink from the parent's child list in O(1).
+  // Unlink from the parent's child list in O(1). The list's prev links are circular, so the
+  // first child's names the last one.
   if (o.parent != kInvalidObject) {
     Object* parent = mutable_lookup(o.parent);
     if (parent != nullptr) {
-      if (o.prev_sibling != kInvalidObject) {
-        mutable_lookup(o.prev_sibling)->next_sibling = o.next_sibling;
-      } else {
+      if (parent->first_child == idx) {
         parent->first_child = o.next_sibling;
+      } else {
+        mutable_lookup(o.prev_sibling)->next_sibling = o.next_sibling;
       }
       if (o.next_sibling != kInvalidObject) {
         mutable_lookup(o.next_sibling)->prev_sibling = o.prev_sibling;
-      } else {
-        parent->last_child = o.prev_sibling;
+      } else if (parent->first_child != kInvalidObject) {
+        mutable_lookup(parent->first_child)->prev_sibling = o.prev_sibling;  // new last
       }
     }
   }
@@ -692,14 +706,25 @@ ObjectTable::ApplyOutcome ObjectTable::apply(const ReplicatedOp& op) {
 
 // The snapshot and digest carry every field of both payload kinds (and of the monitor state),
 // with the defaults of the kind an object is not, exactly as when every object held all of them.
-const ObjectTable::MemoryPayload& ObjectTable::mem_fields(const Object& o) {
-  static const MemoryPayload kNone;
+const MemoryDesc& ObjectTable::mem_fields(const Object& o) {
+  static const MemoryDesc kNone;
   return o.kind == ObjectKind::kMemory ? o.mem : kNone;
 }
 
 const ObjectTable::RequestPayload& ObjectTable::req_fields(const Object& o) {
   static const RequestPayload kNone;
   return o.kind == ObjectKind::kRequest ? o.req : kNone;
+}
+
+ObjectTable::WireLinks ObjectTable::wire_links(ObjectIndex idx, const Object& o) const {
+  WireLinks out;
+  if (o.first_child != kInvalidObject) {
+    out.last_child = find_object(o.first_child)->prev_sibling;
+  }
+  if (o.parent != kInvalidObject && find_object(o.parent)->first_child != idx) {
+    out.prev_sibling = o.prev_sibling;
+  }
+  return out;
 }
 
 std::vector<uint8_t> ObjectTable::serialize_snapshot() const {
@@ -712,13 +737,15 @@ std::vector<uint8_t> ObjectTable::serialize_snapshot() const {
   Encoder e;
   e.put(SnapshotHeader{owner_, reboot_count_, next_index_, static_cast<uint32_t>(objs.size())});
   for (const auto& [idx, o] : objs) {
-    const MemoryPayload& mem = mem_fields(*o);
+    const WireLinks links = wire_links(idx, *o);
     const RequestPayload& req = req_fields(*o);
     const MonitorState& mon = monitor_fields(idx, *o);
+    // perms is kNone on a Request object and endpoint_cid kInvalidCap on a Memory one: no
+    // path sets the other kind's field, and restore drops it.
     e.put(SnapshotObject{
-        idx, o->kind, o->invalidated, o->parent, o->first_child, o->last_child,
-        o->prev_sibling, o->next_sibling, mem.desc, mem.perms, o->is_root, req.provider,
-        req.endpoint_cid,
+        idx, o->kind, o->invalidated, o->parent, o->first_child, links.last_child,
+        links.prev_sibling, o->next_sibling, mem_fields(*o), o->perms, o->is_root, req.provider,
+        o->endpoint_cid,
         req.args != nullptr ? std::optional<RequestArgs>(*req.args) : std::nullopt,
         o->indirection, o->creator, mon.delegator, mon.delegate_sub, mon.delegatee_count,
         mon.is_delegatee_child, mon.receive_subs});
@@ -733,11 +760,16 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
   Decoder d(blob);
   SnapshotHeader head;
   d.get(head);
-  if (!d.ok() || head.owner != owner_ || head.next_index == kInvalidObject) {
+  // More objects than one shard can hold could run a shard out of slot ids.
+  if (!d.ok() || head.owner != owner_ || head.next_index == kInvalidObject ||
+      head.count > kMaxShardSlots) {
     return ErrorCode::kInvalidArgument;
   }
   reboot_count_ = head.reboot_count;
   next_index_ = head.next_index;
+  // Each parent's wire last_child: the slot keeps it as its first child's prev_sibling,
+  // which the blob leaves unset (wire_links).
+  std::vector<std::pair<ObjectIndex, ObjectIndex>> last_children;
   SnapshotObject rec;
   for (uint32_t i = 0; i < head.count; ++i) {
     d.get(rec);
@@ -751,7 +783,6 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
     o.invalidated = rec.invalidated;
     o.parent = rec.parent;
     o.first_child = rec.first_child;
-    o.last_child = rec.last_child;
     o.prev_sibling = rec.prev_sibling;
     o.next_sibling = rec.next_sibling;
     o.is_root = rec.is_root;
@@ -760,13 +791,16 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
     // Fields of the other kind were serialized as defaults; they are dropped.
     if (o.kind == ObjectKind::kRequest) {
       o.req.provider = rec.provider;
-      o.req.endpoint_cid = rec.endpoint_cid;
+      o.endpoint_cid = rec.endpoint_cid;
       if (rec.args.has_value()) {
         o.req.args = intern_args(std::move(*rec.args));
       }
     } else {
-      o.mem.desc = rec.desc;
-      o.mem.perms = rec.perms;
+      o.mem = rec.desc;
+      o.perms = rec.perms;
+    }
+    if (rec.first_child != kInvalidObject || rec.last_child != kInvalidObject) {
+      last_children.emplace_back(rec.idx, rec.last_child);
     }
     // delegate_sub and delegatee_count are only ever set on a delegator.
     if (rec.delegator || rec.is_delegatee_child || !rec.receive_subs.empty()) {
@@ -776,7 +810,16 @@ Status ObjectTable::restore_snapshot(const std::vector<uint8_t>& blob) {
     }
     insert_with_index(rec.idx, std::move(o));
   }
-  if (!d.done() || !tree_links_valid()) {
+  bool valid = d.done();
+  for (size_t i = 0; valid && i < last_children.size(); ++i) {
+    const auto [parent, last] = last_children[i];
+    Object* first = mutable_lookup(find_object(parent)->first_child);
+    valid = first != nullptr && first->prev_sibling == kInvalidObject;
+    if (valid) {
+      first->prev_sibling = last;
+    }
+  }
+  if (!valid || !tree_links_valid()) {
     clear_objects();
     return ErrorCode::kInvalidArgument;
   }
@@ -797,16 +840,20 @@ bool ObjectTable::tree_links_valid() const {
       ++parented;
       valid = o.parent < idx && exists(o.parent);
     }
+    // The first child's prev_sibling must name the last child, checked once the walk ends;
+    // every later child's names its predecessor.
     ObjectIndex prev = kInvalidObject;
     for (ObjectIndex c = o.first_child; valid && c != kInvalidObject;) {
       const Object* child = find_object(c);
-      // A sibling cycle revisits a child from another predecessor, so it fails here too.
-      valid = child != nullptr && child->parent == idx && child->prev_sibling == prev;
+      // A sibling cycle revisits a child from another predecessor, or the first child, so it
+      // fails here too.
+      valid = child != nullptr && child->parent == idx &&
+              (prev == kInvalidObject || (c != o.first_child && child->prev_sibling == prev));
       ++listed;
       prev = c;
       c = valid ? child->next_sibling : kInvalidObject;
     }
-    valid = valid && prev == o.last_child;
+    valid = valid && (prev == kInvalidObject || find_object(o.first_child)->prev_sibling == prev);
   });
   return valid && listed == parented;
 }
@@ -822,7 +869,7 @@ uint64_t ObjectTable::digest() const {
   // the object *states* agree.
   uint64_t sum = 0;
   for_each_object([&](ObjectIndex idx, const Object& o) {
-    const MemoryPayload& mem = mem_fields(o);
+    const MemoryDesc& mem = mem_fields(o);
     const RequestPayload& req = req_fields(o);
     const MonitorState& mon = monitor_fields(idx, o);
     uint64_t h = 0xcbf29ce484222325ull;
@@ -831,15 +878,15 @@ uint64_t ObjectTable::digest() const {
     h = fold(h, o.invalidated ? 1 : 0);
     h = fold(h, o.parent);
     h = fold(h, o.first_child);
-    h = fold(h, o.last_child);
-    h = fold(h, mem.desc.node);
-    h = fold(h, mem.desc.pool);
-    h = fold(h, mem.desc.addr);
-    h = fold(h, mem.desc.size);
-    h = fold(h, static_cast<uint64_t>(mem.perms));
+    h = fold(h, wire_links(idx, o).last_child);
+    h = fold(h, mem.node);
+    h = fold(h, mem.pool);
+    h = fold(h, mem.addr);
+    h = fold(h, mem.size);
+    h = fold(h, static_cast<uint64_t>(o.perms));
     h = fold(h, o.is_root ? 1 : 0);
     h = fold(h, req.provider);
-    h = fold(h, req.endpoint_cid);
+    h = fold(h, o.endpoint_cid);
     h = fold(h, req.args ? hash_args(*req.args) : 0);
     h = fold(h, o.indirection ? 1 : 0);
     h = fold(h, o.creator);
@@ -899,6 +946,7 @@ void ObjectTable::clear_objects() {
 // --- introspection -------------------------------------------------------------------------
 
 ObjectRef ObjectTable::ref_of(ObjectIndex idx) const {
+  // Callers name an object they just minted or looked up, never an index from input.
   FRACTOS_DCHECK(exists(idx));
   return ObjectRef{owner_, idx, reboot_count_};
 }
@@ -912,6 +960,7 @@ bool ObjectTable::exists(ObjectIndex idx) const { return find_slot(idx) != nullp
 
 ObjectKind ObjectTable::kind_of(ObjectIndex idx) const {
   const Object* o = find_object(idx);
+  // The one caller names the object apply() just minted, never an index from input.
   FRACTOS_CHECK(o != nullptr);
   return o->kind;
 }
@@ -968,25 +1017,31 @@ Status check_imm_overlap(const std::vector<ImmExtent>& existing,
     uint32_t end;
     bool is_added;
   };
-  std::vector<Ev> evs;
-  evs.reserve(existing.size() + added.size());
+  // Short lists (the common case: a handful of extents per Request) sort in place on the
+  // stack; only longer ones take a heap block.
+  constexpr size_t kInlineExtents = 8;
+  const size_t n = existing.size() + added.size();
+  Ev inline_evs[kInlineExtents] = {};
+  std::vector<Ev> heap_evs(n > kInlineExtents ? n : 0);
+  Ev* const evs = n > kInlineExtents ? heap_evs.data() : inline_evs;
+  size_t filled = 0;
   for (const ImmExtent& e : existing) {
-    evs.push_back(Ev{e.offset, e.end(), false});
+    evs[filled++] = Ev{e.offset, e.end(), false};
   }
   for (const ImmExtent& e : added) {
-    evs.push_back(Ev{e.offset, e.end(), true});
+    evs[filled++] = Ev{e.offset, e.end(), true};
   }
-  std::sort(evs.begin(), evs.end(), [](const Ev& a, const Ev& b) { return a.off < b.off; });
+  std::sort(evs, evs + n, [](const Ev& a, const Ev& b) { return a.off < b.off; });
 
   uint64_t max_end_existing = 0;  // max end among extents with strictly lower offset
   uint64_t max_end_added = 0;
   size_t i = 0;
-  while (i < evs.size()) {
+  while (i < n) {
     // Process one equal-offset group.
     size_t j = i;
     size_t nonzero_added = 0;
     size_t nonzero_existing = 0;
-    while (j < evs.size() && evs[j].off == evs[i].off) {
+    while (j < n && evs[j].off == evs[i].off) {
       const Ev& c = evs[j];
       // Against strictly-lower offsets: overlap iff some prior extent ends past c.off.
       if (c.is_added) {

@@ -21,7 +21,7 @@
 // grouped into shards selected by a hash of the ObjectIndex. A shard's slabs grow
 // geometrically from 16 to 1024 slots, so a shard's first use value-initialises ~1.5 KB rather
 // than ~200 KB (256 Controllers of ~47 objects each: 1.7 GB peak RSS before, ~0.2 GB after).
-// A slot holds only the hot fields (96 B): kind and flags, the tree links, the creator, and
+// A slot holds only the hot fields (80 B): kind, packed flags, the tree links, the creator, and
 // one payload shared by the memory and request kinds. Monitor state, which few objects ever
 // carry, sits in a cold side table keyed by ObjectIndex.
 // Slabs never move, so Object* stays valid across inserts (no rehash storms) and freed slots
@@ -37,6 +37,7 @@
 #define SRC_CAP_OBJECT_TABLE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -177,10 +178,11 @@ class ObjectTable {
   // Deterministic full-state serialization for follower catch-up (objects sorted by index,
   // every field verbatim). restore_snapshot replaces this table's entire contents, including
   // owner, reboot counter, and the next-index cursor. Blobs come from peers: one that is
-  // truncated, names another owner, has kInvalidObject as its next-index cursor, holds index
-  // 0, kInvalidObject, an index at or past that cursor, a duplicate index, an out-of-range
-  // enum or bool, or a tree link that tree_links_valid() refuses is rejected with
-  // kInvalidArgument and leaves the table empty.
+  // truncated, names another owner, has kInvalidObject as its next-index cursor, counts more
+  // objects than one shard can hold, holds index 0, kInvalidObject, an index at or past that
+  // cursor, a duplicate index, an out-of-range enum or bool, a first child whose prev_sibling
+  // is set, or a tree link that tree_links_valid() refuses is rejected with kInvalidArgument
+  // and leaves the table empty.
   std::vector<uint8_t> serialize_snapshot() const;
   Status restore_snapshot(const std::vector<uint8_t>& blob);
 
@@ -242,39 +244,46 @@ class ObjectTable {
   static constexpr size_t kSlabSlots = 1024;
   static constexpr uint32_t kSlabShift = 10;
   static_assert(kSlabSlots == size_t{1} << kSlabShift);
+  // Slot ids are 32 bits and the all-ones id is DenseIndex::kAbsent, so a shard holds at most
+  // kMaxShardSlabs slabs: the small ones, whose slots sum to kSlabSlots - kFirstSlabSlots,
+  // then full ones.
+  static constexpr uint32_t kMaxShardSlabs = (1u << (32 - kSlabShift)) - 1;
+  static constexpr uint64_t kMaxShardSlots =
+      uint64_t{kMaxShardSlabs - std::countr_zero(kSlabSlots / kFirstSlabSlots)} * kSlabSlots +
+      (kSlabSlots - kFirstSlabSlots);
 
   // Bytes of one slab slot, index included.
   static constexpr size_t slot_bytes() { return sizeof(Slot); }
 
  private:
-  // Kind-specific payloads. An object is only ever one kind, so the two share storage in the
-  // hot slot below.
-  struct MemoryPayload {
-    MemoryDesc desc;  // the effective extent of this view
-    Perms perms = Perms::kNone;
-  };
+  // The Request payload; the Memory one is a bare MemoryDesc, the effective extent of the view.
+  // An object is only ever one kind, so the two share storage in the hot slot below.
   struct RequestPayload {
     // This layer's refinement (roots: initial args); interned, nullptr means empty.
     std::shared_ptr<const RequestArgs> args;
     ProcessId provider = kInvalidProcess;  // roots only
-    CapId endpoint_cid = kInvalidCap;      // roots only
   };
 
   // The hot slot: what resolution, derivation and revocation touch on every call. Monitor
-  // state lives in the cold `monitors_` table (few objects are ever monitored).
+  // state lives in the cold `monitors_` table (few objects are ever monitored). The flags are
+  // bits of one byte, and the two narrow per-kind fields sit in the padding after it.
   struct ObjectHeader {
     ObjectKind kind = ObjectKind::kMemory;  // selects the live member of Object's payload
-    bool invalidated = false;
-    bool is_root = false;      // Request root
-    bool indirection = false;  // revtree child: adds no args of its own
-    bool monitored = false;    // has an entry in monitors_
+    bool invalidated : 1 = false;
+    bool is_root : 1 = false;      // Request root
+    bool indirection : 1 = false;  // revtree child: adds no args of its own
+    bool monitored : 1 = false;    // has an entry in monitors_
+    Perms perms = Perms::kNone;        // kMemory only: this view's permissions
+    CapId endpoint_cid = kInvalidCap;  // kRequest roots only
 
-    // Derivation/revocation tree (local to this table), as intrusive links: children hang off
-    // `first_child`..`last_child` and chain through the sibling pointers. New children append
-    // at the tail, so traversal order matches the creation order the old child vectors had.
+    // Derivation/revocation tree (local to this table), as intrusive links. Children chain
+    // from `first_child` along null-terminated `next_sibling` links; `prev_sibling` is
+    // circular: the first child's names the last child, so appending at the tail is O(1)
+    // without a last-child field. New children append at the tail, so traversal order
+    // matches the creation order the old child vectors had. The snapshot and digest carry
+    // the old, non-circular form with a last_child link (wire_links).
     ObjectIndex parent = kInvalidObject;
     ObjectIndex first_child = kInvalidObject;
-    ObjectIndex last_child = kInvalidObject;
     ObjectIndex prev_sibling = kInvalidObject;
     ObjectIndex next_sibling = kInvalidObject;
 
@@ -284,7 +293,7 @@ class ObjectTable {
 
   struct Object : ObjectHeader {
     union {
-      MemoryPayload mem;   // kind == kMemory
+      MemoryDesc mem;      // kind == kMemory
       RequestPayload req;  // kind == kRequest
     };
 
@@ -349,16 +358,24 @@ class ObjectTable {
   void link_child(ObjectIndex parent_idx, ObjectIndex child_idx);
   // True iff every object's parent is a restored object of a lower index (children are
   // minted after their parent, so this also rules out cycles), a parentless object has no
-  // siblings, and each child list, walked from first_child along next_sibling, mirrors
-  // prev_sibling, names this object as parent, ends at last_child and, with the others,
-  // lists every parented object exactly once. Revocation and erasure walk these links.
+  // siblings, and each child list, walked from first_child along next_sibling, names this
+  // object as parent, revisits no child, mirrors prev_sibling (the first child's naming the
+  // list's last) and, with the others, lists every parented object exactly once.
+  // Revocation and erasure walk these links.
   bool tree_links_valid() const;
+  // The links as the snapshot and digest carry them: the child list's last child, and
+  // prev_sibling with a first child's wrap-around link cleared.
+  struct WireLinks {
+    ObjectIndex last_child = kInvalidObject;
+    ObjectIndex prev_sibling = kInvalidObject;
+  };
+  WireLinks wire_links(ObjectIndex idx, const Object& o) const;
   void invalidate_subtree(ObjectIndex idx, RevokeResult& out);
   bool erase_one(ObjectIndex idx);
   std::shared_ptr<const RequestArgs> intern_args(RequestArgs args);
   const RequestArgs& args_of(const Object& o) const;
   // The payload of `o` as the snapshot and digest see it: defaults for the other kind.
-  static const MemoryPayload& mem_fields(const Object& o);
+  static const MemoryDesc& mem_fields(const Object& o);
   static const RequestPayload& req_fields(const Object& o);
   // Monitor state of `o` (stored under `idx`); a default state if it has none.
   const MonitorState& monitor_fields(ObjectIndex idx, const Object& o) const;

@@ -356,7 +356,7 @@ Status Controller::translation_cache_audit() const {
 
 // --- syscall handlers ----------------------------------------------------------------------------
 
-void Controller::handle_syscall(ProcState& p, const Envelope& env) {
+void Controller::handle_syscall(ProcState& p, Envelope& env) {
   ++stats_.syscalls;
   switch (env.type) {
     case MsgType::kNullOp:
@@ -834,7 +834,7 @@ void Controller::sc_request_create(ProcState& p, uint64_t seq, const RequestCrea
   });
 }
 
-void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvokeMsg& m) {
+void Controller::sc_request_invoke(ProcState& p, uint64_t seq, RequestInvokeMsg& m) {
   // Admission gate first, before any capability resolution or delegation minting: a shed
   // request must cost the Controller nothing but this branch and the refusal reply — that is
   // what makes shedding a defense against overload rather than another queue.
@@ -911,7 +911,7 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
     // stamp it into the translation tax bucket, then deliver.
     const ObjectRef target = e.ref;
     const ProcessId pid = p.pid;
-    charge(extra, [this, pid, seq, target, extra, imms = m.imms,
+    charge(extra, [this, pid, seq, target, extra, imms = std::move(m.imms),
                    wcaps = std::move(caps).value()]() {
       static const NameId kXlateMiss = intern_name("xlate-miss");
       record_translation_span(extra, kXlateMiss);
@@ -932,7 +932,7 @@ void Controller::sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvo
   // capabilities ride along, so a pre-arranged RPC is exactly one cross-node message.
   RemoteInvokeMsg ri;
   ri.target = e.ref;
-  ri.imms = m.imms;
+  ri.imms = std::move(m.imms);
   ri.caps = std::move(caps).value();
   ri.origin = addr();
   ri.invoke_id = next_op_id_++;

@@ -258,12 +258,13 @@ class Controller {
   Duration cost_of(const Envelope& env) const;
 
   // --- syscall handlers ---
-  void handle_syscall(ProcState& p, const Envelope& env);
+  // Takes `env` mutable so handlers can move decoded fields onward instead of copying them.
+  void handle_syscall(ProcState& p, Envelope& env);
   void sc_memory_create(ProcState& p, uint64_t seq, const MemoryCreateMsg& m);
   void sc_memory_diminish(ProcState& p, uint64_t seq, const MemoryDiminishMsg& m);
   void sc_memory_copy(ProcState& p, uint64_t seq, const MemoryCopyMsg& m);
   void sc_request_create(ProcState& p, uint64_t seq, const RequestCreateMsg& m);
-  void sc_request_invoke(ProcState& p, uint64_t seq, const RequestInvokeMsg& m);
+  void sc_request_invoke(ProcState& p, uint64_t seq, RequestInvokeMsg& m);
   void sc_cap_create_revtree(ProcState& p, uint64_t seq, const CapCreateRevtreeMsg& m);
   void sc_cap_revoke(ProcState& p, uint64_t seq, const CapRevokeMsg& m);
   void sc_monitor(ProcState& p, uint64_t seq, const MonitorMsg& m, bool delegate_mode);

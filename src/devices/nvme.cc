@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -67,12 +68,10 @@ std::vector<uint8_t>& SimNvme::block_for(uint64_t block_idx) {
   return it->second;
 }
 
-void SimNvme::read_bytes(uint64_t off, uint64_t size, std::vector<uint8_t>& out) const {
-  // Append per block instead of zero-filling up front: a pre-zeroed buffer writes every byte
-  // twice on the (common) all-blocks-present path, and these reads are the storage soaks'
+void SimNvme::read_bytes(uint64_t off, uint64_t size, uint8_t* out) const {
+  // Copy or zero per block rather than zero-filling up front: a pre-zeroed buffer writes every
+  // byte twice on the (common) all-blocks-present path, and these reads are the storage soaks'
   // single largest memory touch.
-  out.clear();
-  out.reserve(size);
   uint64_t pos = 0;
   while (pos < size) {
     const uint64_t abs = off + pos;
@@ -81,10 +80,9 @@ void SimNvme::read_bytes(uint64_t off, uint64_t size, std::vector<uint8_t>& out)
     const uint64_t n = std::min(size - pos, params_.block_bytes - in_block);
     auto it = blocks_.find(block);
     if (it != blocks_.end()) {
-      out.insert(out.end(), it->second.begin() + static_cast<ptrdiff_t>(in_block),
-                 it->second.begin() + static_cast<ptrdiff_t>(in_block + n));
+      std::memcpy(out + pos, it->second.data() + in_block, n);
     } else {
-      out.insert(out.end(), n, 0);
+      std::memset(out + pos, 0, n);
     }
     pos += n;
   }
@@ -109,9 +107,8 @@ void SimNvme::read(uint64_t off, uint64_t size, std::function<void(Result<Payloa
     loop_->post([done = std::move(done), s]() { done(s.error()); });
     return;
   }
-  std::vector<uint8_t> raw;
-  read_bytes(off, size, raw);
-  Payload data(std::move(raw));  // the one copy: block store -> Payload rep
+  // The one copy: block store -> Payload block.
+  Payload data = Payload::build(size, [&](uint8_t* out) { read_bytes(off, size, out); });
   const Duration service = params_.read_latency + transfer_time(size, params_.read_bw_bpns);
   Time start;
   const Time finish = schedule_on_channel(service, &start);
@@ -161,8 +158,8 @@ void SimNvme::write(uint64_t off, Payload data, std::function<void(Status)> done
 
 std::vector<uint8_t> SimNvme::peek(uint64_t off, uint64_t size) const {
   FRACTOS_CHECK(check_range(off, size).ok());
-  std::vector<uint8_t> out;
-  read_bytes(off, size, out);
+  std::vector<uint8_t> out(size);
+  read_bytes(off, size, out.data());
   return out;
 }
 

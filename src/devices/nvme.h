@@ -67,7 +67,8 @@ class SimNvme {
 
   // Sparse block store.
   std::vector<uint8_t>& block_for(uint64_t block_idx);
-  void read_bytes(uint64_t off, uint64_t size, std::vector<uint8_t>& out) const;
+  // Writes bytes [off, off + size) to `out`, each once; never-written blocks read as zeros.
+  void read_bytes(uint64_t off, uint64_t size, uint8_t* out) const;
   void write_bytes(uint64_t off, std::span<const uint8_t> data);
 
   EventLoop* loop_;

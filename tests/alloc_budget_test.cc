@@ -2,7 +2,9 @@
 //
 //  * encoding a control frame allocates one block, the frame itself;
 //  * decoding allocates no block per immediate of up to SmallBytes::kInlineBytes bytes;
-//  * a clean-fabric QueuePair send and delivery of a pre-built Payload allocates nothing.
+//  * a clean-fabric QueuePair send and delivery of a pre-built Payload allocates nothing;
+//  * an NVMe read allocates one block, the Payload its bytes are copied into;
+//  * checking a Request's immediates for overlap allocates nothing for up to 8 extents.
 //
 // This binary links fractos_alloc_count, which replaces the global operator new/delete with
 // counting forwarders (src/base/alloc_count.h), so the budgets count every C++ heap block.
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "src/base/alloc_count.h"
+#include "src/cap/object_table.h"
+#include "src/devices/nvme.h"
 #include "src/fabric/queue_pair.h"
 #include "src/wire/message.h"
 
@@ -45,6 +49,16 @@ Envelope invoke_with(std::vector<ImmExtent> imms) {
 
 // The perfbench wire probe's frame: one 8-byte immediate.
 Envelope probe_invoke() { return invoke_with({ImmExtent{48, std::vector<uint8_t>(8, 0x5a)}}); }
+
+// Warm-up: one no-op event in each bucket of the event loop's timer wheel (2048 buckets of
+// 128 ns; a bucket keeps its capacity once it has held an event, as every bucket has in any
+// long run).
+void warm_timer_wheel(EventLoop& loop) {
+  for (int64_t ns = 0; ns < 2 * 2048 * 128; ns += 64) {
+    loop.schedule_after(Duration::nanos(ns), []() {});
+  }
+  loop.run();
+}
 
 TEST(AllocBudget, EncodingAControlFrameAllocatesOneBlock) {
   const Envelope env = probe_invoke();
@@ -114,14 +128,8 @@ TEST(AllocBudget, CleanFabricQueuePairSendAndDeliveryAllocateNothing) {
     a.send(Traffic::kControl, frame);
     loop.run();
   };
-  // Warm-up: one no-op event in each bucket of the event loop's timer wheel (2048 buckets
-  // of 128 ns; a bucket keeps its capacity once it has held an event, as every bucket has
-  // in any long run), then a few messages.
-  for (int64_t ns = 0; ns < 2 * 2048 * 128; ns += 64) {
-    loop.schedule_after(Duration::nanos(ns), []() {});
-  }
-  loop.run();
-  constexpr int kWarmup = 8;
+  warm_timer_wheel(loop);
+  constexpr int kWarmup = 8;  // then a few messages
   for (int i = 0; i < kWarmup; ++i) {
     send_and_deliver();
   }
@@ -134,6 +142,61 @@ TEST(AllocBudget, CleanFabricQueuePairSendAndDeliveryAllocateNothing) {
   EXPECT_EQ(delivered, static_cast<uint64_t>(kWarmup + kSends));
   EXPECT_EQ(bytes, delivered * frame.size());
   EXPECT_EQ(a.dropped(), 0u);
+  if (kSanitized) {
+    GTEST_SKIP() << kBudgetsSkipped;
+  }
+  EXPECT_EQ(blocks, 0u);
+}
+
+TEST(AllocBudget, NvmeReadAllocatesOneBlockForItsBytes) {
+  EventLoop loop;
+  SimNvme nvme(&loop);
+  // 64 KiB spanning 17 blocks, the last of them never written (it reads as zeros).
+  constexpr uint64_t kOff = 1000;
+  constexpr uint64_t kSize = 64 << 10;
+  std::vector<uint8_t> written(kSize - 3000);
+  for (size_t i = 0; i < written.size(); ++i) {
+    written[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  nvme.poke(kOff, written);
+  std::vector<uint8_t> expected = written;
+  expected.resize(kSize, 0);
+  Payload got;
+  auto read_once = [&]() {
+    nvme.read(kOff, kSize, [&](Result<Payload> r) { got = std::move(r).value(); });
+    loop.run();
+  };
+  warm_timer_wheel(loop);
+  read_once();
+  got = Payload();
+  const uint64_t blocks = heap_allocations_during(read_once);
+  EXPECT_EQ(got.to_vector(), expected);
+  EXPECT_EQ(nvme.peek(kOff, kSize), expected);
+  if (kSanitized) {
+    GTEST_SKIP() << kBudgetsSkipped;
+  }
+  EXPECT_EQ(blocks, 1u);
+}
+
+TEST(AllocBudget, ImmOverlapCheckOfAFewExtentsAllocatesNothing) {
+  const std::vector<ImmExtent> existing = {{0, {1, 2, 3, 4}}, {8, {1}}, {12, {}}};
+  const std::vector<ImmExtent> disjoint = {{4, {5}}, {16, {6, 7}}, {12, {}}};
+  const std::vector<ImmExtent> overlapping = {{4, {5}}, {9, {6}}, {2, {}}};
+  std::vector<ImmExtent> nine;  // one past the inline array: still checked, on the heap
+  for (uint32_t i = 0; i < 9; ++i) {
+    nine.push_back(ImmExtent{2 * i, std::vector<uint8_t>{1, 2}});
+  }
+  Status ok = ErrorCode::kInternal;
+  Status overlap = ok_status();
+  const uint64_t blocks = heap_allocations_during([&]() {
+    ok = check_imm_overlap(existing, disjoint);
+    overlap = check_imm_overlap(existing, overlapping);
+  });
+  EXPECT_TRUE(ok.ok());
+  EXPECT_EQ(overlap.error(), ErrorCode::kArgumentOverlap);
+  EXPECT_TRUE(check_imm_overlap({}, nine).ok());
+  nine.push_back(ImmExtent{17, std::vector<uint8_t>{3}});
+  EXPECT_EQ(check_imm_overlap({}, nine).error(), ErrorCode::kArgumentOverlap);
   if (kSanitized) {
     GTEST_SKIP() << kBudgetsSkipped;
   }

@@ -6,6 +6,7 @@
 
 #include <cstring>
 
+#include "src/base/assert.h"
 #include "src/base/heap_usage.h"
 #include "src/cap/cap_space.h"
 #include "src/cap/dense_index.h"
@@ -547,6 +548,12 @@ TEST(ObjectTableSnapshot, HostileBlobsAreRejectedWithoutAborting) {
   ASSERT_TRUE(ObjectTable(1).restore_snapshot(snapshot_of_copies({1, 5}, 6)).ok());
   std::vector<uint8_t> bad_kind = snapshot_of_copies({1, 5}, 6);
   bad_kind[kSnapHeaderBytes + 8] = 2;  // neither kMemory nor kRequest
+  // More objects than one shard can hold: restoring them all could run a shard out of slot
+  // ids, which grow_slabs would CHECK-fail on.
+  std::vector<uint8_t> too_many = snapshot_of_copies({1}, 6);
+  static_assert(ObjectTable::kMaxShardSlots < 0xffffffffu);
+  poke<uint32_t>(too_many, kSnapCountOffset,
+                 static_cast<uint32_t>(ObjectTable::kMaxShardSlots + 1));
   const std::vector<std::vector<uint8_t>> hostile = {
       snapshot_of_copies({0}, 6),               // index 0 is never minted
       snapshot_of_copies({kInvalidObject}, 6),  // the slot free marker
@@ -556,6 +563,7 @@ TEST(ObjectTableSnapshot, HostileBlobsAreRejectedWithoutAborting) {
       snapshot_of_copies({5, 5}, 6),  // duplicate
       snapshot_of_copies({1, 2, 3, 2}, 6),
       bad_kind,
+      too_many,  // refused before any object is decoded
   };
   for (size_t i = 0; i < hostile.size(); ++i) {
     ObjectTable t(/*owner=*/1);
@@ -702,6 +710,102 @@ TEST(ObjectTableGolden, ScriptedTableDigestAndSnapshotArePinned) {
   ASSERT_TRUE(restored.restore_snapshot(snap).ok());
   EXPECT_EQ(restored.digest(), t.digest());
   EXPECT_EQ(restored.serialize_snapshot(), snap);
+}
+
+// A parent of `children` derived Memory children, each with one grandchild; child `erased` is
+// then revoked and erased with its grandchild, and one more child is appended. With
+// `linked == false` the erased child is minted as a root instead: the same indices, counts
+// and free slots, but a parent whose child list never held it. Returns the parent.
+ObjectIndex build_siblings(ObjectTable& t, size_t children, size_t erased, bool linked) {
+  const ObjectIndex parent =
+      t.create_memory(kProc, MemoryDesc{0, 0, 0, 1 << 20}, Perms::kReadWrite).value();
+  ObjectIndex gone = kInvalidObject;
+  for (size_t i = 0; i < children; ++i) {
+    const ObjectIndex c =
+        linked || i != erased
+            ? t.derive_memory(kProc, parent, i * 4096, 4096, Perms::kNone).value()
+            : t.create_memory(kProc, MemoryDesc{0, 0, i * 4096, 4096}, Perms::kReadWrite)
+                  .value();
+    FRACTOS_CHECK(t.derive_memory(kOther, c, 0, 64, Perms::kWrite).ok());
+    if (i == erased) {
+      gone = c;
+    }
+  }
+  auto r = t.revoke(gone, t.reboot_count());
+  FRACTOS_CHECK(r.ok() && t.erase_objects(r.value().invalidated) == 2);
+  FRACTOS_CHECK(t.derive_memory(kProc, parent, 0, 64, Perms::kRead).ok());
+  return parent;
+}
+
+// Erasing the first, a middle, the last or the only child unlinks it from the sibling list
+// (whose prev links wrap around from the first child to the last): the walk, the snapshot
+// and the digest then equal those of a table whose list never held that child, before and
+// after a revoke of the parent.
+TEST(ObjectTableSiblings, ErasedChildLeavesTheListOfATableBuiltWithoutIt) {
+  struct Case {
+    size_t children;
+    size_t erased;
+  };
+  for (const Case c : {Case{4, 0}, Case{4, 1}, Case{4, 2}, Case{4, 3}, Case{1, 0}}) {
+    SCOPED_TRACE(testing::Message() << c.children << " children, erased " << c.erased);
+    ObjectTable erased(/*owner=*/1);
+    ObjectTable without(/*owner=*/1);
+    const ObjectIndex parent = build_siblings(erased, c.children, c.erased, true);
+    ASSERT_EQ(build_siblings(without, c.children, c.erased, false), parent);
+    EXPECT_EQ(erased.digest(), without.digest());
+    EXPECT_EQ(erased.serialize_snapshot(), without.serialize_snapshot());
+
+    ObjectTable restored(/*owner=*/1);
+    ASSERT_TRUE(restored.restore_snapshot(erased.serialize_snapshot()).ok());
+    EXPECT_EQ(restored.digest(), erased.digest());
+    EXPECT_EQ(restored.serialize_snapshot(), erased.serialize_snapshot());
+
+    // Pre-order: the parent, each surviving child (index 2 + 2i) then its grandchild, and
+    // the child appended after the erase.
+    std::vector<ObjectIndex> walk = {parent};
+    for (size_t i = 0; i < c.children; ++i) {
+      if (i != c.erased) {
+        walk.push_back(2 + 2 * i);
+        walk.push_back(3 + 2 * i);
+      }
+    }
+    walk.push_back(2 + 2 * c.children);
+    for (ObjectTable* t : {&erased, &without, &restored}) {
+      auto r = t->revoke(parent, t->reboot_count());
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.value().invalidated, walk);
+    }
+    EXPECT_EQ(erased.digest(), without.digest());
+    EXPECT_EQ(restored.digest(), erased.digest());
+    EXPECT_EQ(erased.serialize_snapshot(), without.serialize_snapshot());
+  }
+}
+
+// In a blob a first child's prev_sibling is unset (the slot's wrap-around link to the last
+// child is not carried), and a restore refuses one that is set, to any value.
+TEST(ObjectTableSnapshot, FirstChildWithPrevSiblingIsRefused) {
+  ObjectTable t(/*owner=*/1);
+  const ObjectIndex parent = t.create_memory(kProc, MemoryDesc{0, 0, 0, 4096}, Perms::kRead).value();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(t.derive_memory(kProc, parent, 0, 64, Perms::kNone).ok());
+  }
+  // Objects 1 (the parent) to 4 (its last child) have records of equal size, the first
+  // child's prev_sibling 34 bytes into object 2's.
+  const std::vector<uint8_t> good = t.serialize_snapshot();
+  const size_t object_bytes = (good.size() - kSnapHeaderBytes) / 4;
+  ASSERT_EQ(good.size(), kSnapHeaderBytes + 4 * object_bytes);
+  const size_t first_prev = kSnapHeaderBytes + object_bytes + 34;
+  ObjectIndex wire_prev = 0;
+  std::memcpy(&wire_prev, good.data() + first_prev, sizeof(wire_prev));
+  EXPECT_EQ(wire_prev, kInvalidObject);
+  ASSERT_TRUE(ObjectTable(1).restore_snapshot(good).ok());
+  for (const ObjectIndex bad : {ObjectIndex{4}, ObjectIndex{2}, ObjectIndex{3}, parent}) {
+    std::vector<uint8_t> blob = good;
+    poke<uint64_t>(blob, first_prev, bad);
+    ObjectTable r(/*owner=*/1);
+    EXPECT_EQ(r.restore_snapshot(blob).error(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_EQ(r.total_count(), 0u) << bad;
+  }
 }
 
 class CapSpaceTest : public ::testing::Test {
@@ -936,7 +1040,7 @@ TEST_F(CapSpaceTest, SparseAndExtremeRefsInstallAndPurgeInBoundedMemory) {
 }
 
 // The capability layer's per-entry footprint at 10^6 live objects and caps (DESIGN.md §4g).
-static_assert(ObjectTable::slot_bytes() <= 104, "ObjectTable hot slot grew");
+static_assert(ObjectTable::slot_bytes() <= 80, "ObjectTable hot slot grew");
 static_assert(CapSpace::slot_bytes() <= 56, "CapSpace entry grew");
 
 }  // namespace

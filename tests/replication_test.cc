@@ -381,7 +381,8 @@ TEST(Replication, SnapshotWithBrokenTreeLinkIsRefused) {
   constexpr size_t kHeader = 20;
   const size_t object_bytes = (good.size() - kHeader) / 2;
   ASSERT_EQ(good.size(), kHeader + 2 * object_bytes);
-  constexpr size_t kParent = 10, kFirstChild = 18, kLastChild = 26, kNextSibling = 42;
+  constexpr size_t kParent = 10, kFirstChild = 18, kLastChild = 26, kPrevSibling = 34,
+                   kNextSibling = 42;
   struct Patch {
     int object;  // 1 or 2
     size_t link;
@@ -392,6 +393,7 @@ TEST(Replication, SnapshotWithBrokenTreeLinkIsRefused) {
       {2, kNextSibling, 2},               // a sibling cycle
       {2, kParent, 2},                    // its own parent
       {1, kLastChild, kInvalidObject},    // the child list does not end at last_child
+      {2, kPrevSibling, 2},               // a first child's prev_sibling is set (to itself)
   };
   const std::string key = "repl.ctrl-2.s" + std::to_string(seat) + ".";
   int64_t refused = 0;
