@@ -5,10 +5,12 @@ Usage: bench/check_bench_json.py <committed BENCH_<name>.json> <current json>
 
 The simulation is deterministic, so apart from "host" members (wall time and peak RSS,
 which depend on the machine) the current output must equal the committed file exactly.
-On a difference the script prints the first differing JSON path and fails. It then
-re-asserts the claims of the bench named by the committed file, so a stale baseline
-cannot hide a claim regression. Improvements land by re-running the bench from a Release
-build and committing the new baseline.
+BENCH_simspeed.json is the one file whose rows mix wall-clock fields into deterministic
+ones; it is compared through its projection onto the soak fingerprint (events, requests,
+sim_now_ns and sim_steps per soak). On a difference the script prints the first differing
+JSON path and fails. It then re-asserts the claims of the bench named by the committed
+file, so a stale baseline cannot hide a claim regression. Improvements land by re-running
+the bench from a Release build and committing the new baseline.
 """
 
 import json
@@ -23,6 +25,18 @@ def drop_host(doc):
     if isinstance(doc, list):
         return [drop_host(v) for v in doc]
     return doc
+
+
+def soak_fingerprint(doc):
+    """Per simspeed soak, the fields that no engine change may move."""
+    keys = ("events", "requests", "sim_now_ns", "sim_steps")
+    return {s["name"]: {k: s[k] for k in keys} for s in doc["soaks"]}
+
+
+# The part of each file that is gated; files not listed are gated whole, "host" aside.
+PROJECTIONS = {
+    "BENCH_simspeed.json": soak_fingerprint,
+}
 
 
 def first_difference(want, got, path="$"):
@@ -90,11 +104,17 @@ def claims_memtier(doc):
         "translation placement ordering broke")
 
 
+def claims_simspeed(doc):
+    for name, fields in doc.items():
+        print(f"soak {name}: {fields}")
+
+
 CLAIMS = {
     "BENCH_scaleout.json": claims_scaleout,
     "BENCH_capability.json": claims_capability,
     "BENCH_openloop.json": claims_openloop,
     "BENCH_memtier.json": claims_memtier,
+    "BENCH_simspeed.json": claims_simspeed,
 }
 
 
@@ -107,7 +127,8 @@ def main(argv):
     with open(current_path) as f:
         current = json.load(f)
     print(f"host: {current.get('host')} (not gated)")
-    want, got = drop_host(committed), drop_host(current)
+    project = PROJECTIONS.get(os.path.basename(committed_path), drop_host)
+    want, got = project(committed), project(current)
     diff = first_difference(want, got)
     if diff is not None:
         path, was, now = diff

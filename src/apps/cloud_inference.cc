@@ -145,13 +145,7 @@ void CloudInference::ingest() {
     slot.host_mem =
         sys_->await_ok(frontend_->memory_create(slot.host_addr, rb, Perms::kReadWrite));
 
-    slot.respond_ep = sys_->await_ok(frontend_->serve({}, [this, s](Process::Received) {
-      finish_slot(s, ok_status());
-    }));
-    slot.error_ep = sys_->await_ok(frontend_->serve({}, [this, s](Process::Received r) {
-      finish_slot(s, Status(static_cast<ErrorCode>(
-                        r.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
-    }));
+    slot.done = Completion::serve(sys_, *frontend_);
 
     // Step d of Fig. 2: the output-write Request. Hidden service composition — the write
     // child came from the FS, reads from GPU memory, and continues into the application.
@@ -160,31 +154,21 @@ void CloudInference::ingest() {
                                        .imm_u64(0, slot.out_off)
                                        .imm_u64(8, rb)
                                        .cap(slot.gpu_out_mem)
-                                       .cap(slot.respond_ep)
-                                       .cap(slot.error_ep)));
+                                       .cap(slot.done.ok())
+                                       .cap(slot.done.err())));
     // Step b/c: the kernel Request whose success continuation IS the output write.
     Process::Args kargs =
         GpuClient::pack_args({slot.gpu_in_addr, slot.gpu_out_addr, rb});
-    kargs.cap(write_req).cap(slot.error_ep);
+    kargs.cap(write_req).cap(slot.done.err());
     slot.kernel_req = sys_->await_ok(frontend_->request_derive(kernel_ep_, std::move(kargs)));
   }
 }
 
 CloudInference::~CloudInference() {
   slot_pool_.close();
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    finish_slot(i, Status(ErrorCode::kAborted));
+  for (const Slot& slot : slots_) {
+    slot.done.close();
   }
-}
-
-void CloudInference::finish_slot(size_t i, Status st) {
-  Slot& sl = slots_[i];
-  if (!sl.completion.has_value()) {
-    return;
-  }
-  Promise<Status> done = std::move(*sl.completion);
-  sl.completion.reset();
-  done.set(st);
 }
 
 void CloudInference::verify_output(size_t s, uint32_t input_id, Promise<Result<bool>> promise) {
@@ -218,8 +202,7 @@ Future<Result<bool>> CloudInference::infer_distributed(uint32_t input_id) {
   FRACTOS_CHECK(input_id < input_files_.size());
   slot_pool_.acquire().and_then([this, input_id, promise](size_t s) {
     Slot& slot = slots_[s];
-    Promise<Status> completion;
-    completion.future().on_ready([this, s, input_id, promise](Status st) {
+    slot.done.arm().on_ready([this, s, input_id, promise](Status st) {
       if (!st.ok()) {
         slot_pool_.release(s);
         promise.set(st.error());
@@ -227,20 +210,13 @@ Future<Result<bool>> CloudInference::infer_distributed(uint32_t input_id) {
       }
       verify_output(s, input_id, promise);
     });
-    slot.completion = std::move(completion);
     // Step a of Fig. 2: one message to the input SSD; everything after runs without us.
-    frontend_
-        ->request_invoke(input_files_[input_id].read_eps[0],
-                         Process::Args{}
-                             .imm_u64(0, 0)
-                             .imm_u64(8, params_.request_bytes)
-                             .cap(slot.gpu_in_mem)
-                             .cap(slot.kernel_req))
-        .on_ready([this, s](Status st) {
-          if (!st.ok()) {
-            finish_slot(s, st);
-          }
-        });
+    slot.done.watch(frontend_->request_invoke(input_files_[input_id].read_eps[0],
+                                              Process::Args{}
+                                                  .imm_u64(0, 0)
+                                                  .imm_u64(8, params_.request_bytes)
+                                                  .cap(slot.gpu_in_mem)
+                                                  .cap(slot.kernel_req)));
   }).or_else([promise](ErrorCode e) { promise.set(e); });
   return promise.future();
 }

@@ -25,11 +25,11 @@
 #define SRC_APPS_CLOUD_INFERENCE_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/futures/slot_pool.h"
+#include "src/services/completion.h"
 #include "src/services/fs.h"
 #include "src/services/gpu_adaptor.h"
 
@@ -72,17 +72,13 @@ class CloudInference {
     CapId gpu_in_mem = kInvalidCap;
     CapId gpu_out_mem = kInvalidCap;
     CapId kernel_req = kInvalidCap;   // pre-derived: kernel -> output write -> respond
-    CapId respond_ep = kInvalidCap;
-    CapId error_ep = kInvalidCap;
+    Completion done;                  // the chain's respond/error pair
     uint64_t out_off = 0;             // this slot's region in the output file
-    std::optional<Promise<Status>> completion;
     // Centralized mode staging in frontend memory.
     uint64_t host_addr = 0;
     CapId host_mem = kInvalidCap;
   };
 
-  // Completes the slot's pending promise (if any) with `st`.
-  void finish_slot(size_t i, Status st);
   // Reads the output region back (FS mode) and compares against the transformed input.
   void verify_output(size_t slot, uint32_t input_id, Promise<Result<bool>> promise);
   std::vector<uint8_t> input_content(uint32_t input_id) const;

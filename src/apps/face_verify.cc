@@ -122,9 +122,6 @@ FaceVerifyFractos::FaceVerifyFractos(System* sys, FaceVerifyCluster* cluster, Lo
       sys->bootstrap_grant(gpu_adaptor_->process(), gpu_adaptor_->init_endpoint(), *frontend_)
           .value();
 
-  setup_gpu(ctrl_loc);
-  (void)gpu_init;
-
   // GPU session + per-slot buffers and pre-derived kernel Requests ("a small pool of
   // pre-allocated GPU memory buffers").
   session_ = sys->await_ok(GpuClient::init(*frontend_, gpu_init));
@@ -149,25 +146,17 @@ FaceVerifyFractos::FaceVerifyFractos(System* sys, FaceVerifyCluster* cluster, Lo
     slot.result_mem =
         sys->await_ok(frontend_->memory_create(slot.result_addr, 4096, Perms::kReadWrite));
 
-    slot.respond_ep = sys->await_ok(frontend_->serve({}, [this, s](Process::Received) {
-      finish_slot(s, ok_status());
-    }));
-    slot.error_ep = sys->await_ok(frontend_->serve({}, [this, s](Process::Received r) {
-      finish_slot(s, Status(static_cast<ErrorCode>(
-                        r.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
-    }));
+    slot.done = Completion::serve(sys, *frontend_);
 
     // The pre-derived kernel Request: args baked in, result copy-back pair + success/error
     // continuations attached. The storage adaptor will invoke it verbatim (step b of Fig. 2).
     Process::Args kargs = GpuClient::pack_args({slot.gpu_probe_addr, slot.gpu_db_addr,
                                                 slot.gpu_result_addr, params_.images_per_batch,
                                                 params_.image_bytes});
-    kargs.cap(res.mem).cap(slot.result_mem).cap(slot.respond_ep).cap(slot.error_ep);
+    kargs.cap(res.mem).cap(slot.result_mem).cap(slot.done.ok()).cap(slot.done.err());
     slot.kernel_req = sys->await_ok(frontend_->request_derive(kernel_ep, std::move(kargs)));
   }
 }
-
-void FaceVerifyFractos::setup_gpu(Loc ctrl_loc) { (void)ctrl_loc; }
 
 void FaceVerifyFractos::ingest_database() {
   const uint64_t batch_bytes = params_.image_bytes * params_.images_per_batch;
@@ -186,19 +175,9 @@ void FaceVerifyFractos::ingest_database() {
 
 FaceVerifyFractos::~FaceVerifyFractos() {
   slot_pool_.close();
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    finish_slot(i, Status(ErrorCode::kAborted));
+  for (const Slot& slot : slots_) {
+    slot.done.close();
   }
-}
-
-void FaceVerifyFractos::finish_slot(size_t i, Status st) {
-  Slot& sl = slots_[i];
-  if (!sl.completion.has_value()) {
-    return;
-  }
-  Promise<Status> done = std::move(*sl.completion);
-  sl.completion.reset();
-  done.set(st);
 }
 
 Future<Result<bool>> FaceVerifyFractos::verify(uint32_t batch, bool tamper) {
@@ -255,8 +234,7 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
 
   // Completion: the GPU adaptor copied the verdict bytes into our result buffer and invoked
   // the respond Request.
-  Promise<Status> completion;
-  completion.future().on_ready([this, s, tamper, promise](Status st) {
+  slot.done.arm().on_ready([this, s, tamper, promise](Status st) {
     Slot& sl = slots_[s];
     if (!st.ok()) {
       slot_pool_.release(s);
@@ -274,7 +252,6 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
     slot_pool_.release(s);
     promise.set(all);
   });
-  slot.completion = std::move(completion);
 
   // Probe upload and file open proceed in parallel; the storage read is invoked when both
   // are done. From there the execution is fully decentralized: storage -> GPU -> frontend.
@@ -290,27 +267,21 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
     }
     Slot& sl = slots_[s];
     if (!join->failure.ok() || !join->open_result.ok()) {
-      finish_slot(s, join->failure.ok() ? Status(join->open_result.error()) : join->failure);
+      sl.done.resolve(join->failure.ok() ? Status(join->open_result.error()) : join->failure);
       return;
     }
     const auto& f = join->open_result.value();
     if (f.read_eps.empty()) {
-      finish_slot(s, Status(ErrorCode::kInternal));
+      sl.done.resolve(Status(ErrorCode::kInternal));
       return;
     }
     // Step a of Fig. 2: invoke the storage read with the GPU buffer as destination and the
     // (pre-derived) kernel Request as continuation.
-    frontend_
-        ->request_invoke(f.read_eps[0], Process::Args{}
-                                            .imm_u64(0, 0)
-                                            .imm_u64(8, batch_bytes)
-                                            .cap(sl.gpu_db_mem)
-                                            .cap(sl.kernel_req))
-        .on_ready([this, s](Status st) {
-          if (!st.ok()) {
-            finish_slot(s, st);
-          }
-        });
+    sl.done.watch(frontend_->request_invoke(f.read_eps[0], Process::Args{}
+                                                               .imm_u64(0, 0)
+                                                               .imm_u64(8, batch_bytes)
+                                                               .cap(sl.gpu_db_mem)
+                                                               .cap(sl.kernel_req)));
   };
 
   frontend_->memory_copy(slot.probe_mem, slot.gpu_probe_mem, batch_bytes)

@@ -21,7 +21,6 @@
 #define SRC_APPS_FACE_VERIFY_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "src/baselines/nvmeof.h"
 #include "src/baselines/page_cache.h"
 #include "src/baselines/rcuda.h"
+#include "src/services/completion.h"
 #include "src/services/fs.h"
 #include "src/services/gpu_adaptor.h"
 
@@ -100,8 +100,7 @@ class FaceVerifyFractos {
     CapId gpu_probe_mem = kInvalidCap;   // frontend-held caps
     CapId gpu_db_mem = kInvalidCap;
     CapId kernel_req = kInvalidCap;      // pre-derived kernel Request for this slot
-    CapId respond_ep = kInvalidCap;      // per-slot respond endpoint
-    CapId error_ep = kInvalidCap;
+    Completion done;                     // the kernel Request's respond/error pair
     uint64_t result_addr = 0;            // frontend result landing buffer
     CapId result_mem = kInvalidCap;
     uint64_t probe_addr = 0;             // frontend probe staging
@@ -110,12 +109,8 @@ class FaceVerifyFractos {
     // Staging is a host-side write_mem with no simulated cost, so skipping a redundant
     // re-stage of the same bytes changes nothing simulated — only wall-clock memcpy.
     int64_t staged_batch = -1;
-    std::optional<Promise<Status>> completion;
   };
 
-  void setup_gpu(Loc ctrl_loc);
-  // Completes the slot's pending promise (if any) with `st`.
-  void finish_slot(size_t i, Status st);
   void run_on_slot(size_t slot, uint32_t batch, bool tamper, Promise<Result<bool>> promise);
 
   System* sys_;

@@ -347,17 +347,30 @@ Result<ObjectIndex> ObjectTable::derive_request_local(ProcessId creator, ObjectI
   if (base_obj.value()->kind != ObjectKind::kRequest) {
     return ErrorCode::kWrongObjectKind;
   }
-  // Collect the existing imm extents along the chain to validate immutability locally.
-  std::vector<ImmExtent> existing;
-  for (ObjectIndex cur = base; cur != kInvalidObject;) {
-    const Object* o = find_object(cur);
-    // Parent links never dangle: erase_one orphans children, and restore checks every link.
-    FRACTOS_CHECK(o != nullptr);
-    const RequestArgs& layer = args_of(*o);
-    existing.insert(existing.end(), layer.imms.begin(), layer.imms.end());
-    cur = o->parent;
-  }
-  if (Status s = check_imm_overlap(existing, refinement.imms); !s.ok()) {
+  // Validate immutability locally against the bounds of the imm extents along the chain;
+  // their bytes stay where they are. A short chain's bounds fit on the stack.
+  auto for_each_layer = [this, base](auto&& fn) {
+    for (ObjectIndex cur = base; cur != kInvalidObject;) {
+      const Object* o = find_object(cur);
+      // Parent links never dangle: erase_one orphans children, and restore checks every link.
+      FRACTOS_CHECK(o != nullptr);
+      fn(args_of(*o).imms);
+      cur = o->parent;
+    }
+  };
+  size_t n = 0;
+  for_each_layer([&n](const std::vector<ImmExtent>& imms) { n += imms.size(); });
+  constexpr size_t kInlineBounds = 8;
+  ImmBounds inline_bounds[kInlineBounds];
+  std::vector<ImmBounds> heap_bounds(n > kInlineBounds ? n : 0);
+  ImmBounds* const bounds = n > kInlineBounds ? heap_bounds.data() : inline_bounds;
+  size_t filled = 0;
+  for_each_layer([bounds, &filled](const std::vector<ImmExtent>& imms) {
+    for (const ImmExtent& e : imms) {
+      bounds[filled++] = ImmBounds{e.offset, e.end()};
+    }
+  });
+  if (Status s = check_imm_overlap_bounds({bounds, n}, refinement.imms); !s.ok()) {
     return s.error();
   }
   Object obj(ObjectKind::kRequest);
@@ -567,22 +580,6 @@ bool ObjectTable::erase_one(ObjectIndex idx) {
   shard_of(idx).free_slots.push_back(index_.erase(idx));
   --total_;
   return true;
-}
-
-size_t ObjectTable::sweep_invalidated() {
-  std::vector<ObjectIndex> dead;
-  for_each_object([&dead](ObjectIndex idx, const Object& obj) {
-    if (obj.invalidated) {
-      dead.push_back(idx);
-    }
-  });
-  size_t swept = 0;
-  for (ObjectIndex idx : dead) {
-    if (erase_one(idx)) {
-      ++swept;
-    }
-  }
-  return swept;
 }
 
 size_t ObjectTable::erase_objects(const std::vector<ObjectIndex>& indices) {
@@ -1002,8 +999,13 @@ size_t ObjectTable::slot_capacity() const {
 
 // --- imm overlap ---------------------------------------------------------------------------
 
-Status check_imm_overlap(const std::vector<ImmExtent>& existing,
-                         const std::vector<ImmExtent>& added) {
+namespace {
+
+uint32_t end_of(const ImmExtent& e) { return e.end(); }
+uint32_t end_of(const ImmBounds& b) { return b.end; }
+
+template <typename Existing>
+Status check_overlap(const Existing& existing, const std::vector<ImmExtent>& added) {
   // Sort + sweep over both sets at once; only added-vs-existing and added-vs-added pairs are
   // checked (pre-existing overlaps between `existing` extents are never this call's fault).
   // Matches the pairwise predicate `a.offset < b.end() && b.offset < a.end()` exactly,
@@ -1025,8 +1027,8 @@ Status check_imm_overlap(const std::vector<ImmExtent>& existing,
   std::vector<Ev> heap_evs(n > kInlineExtents ? n : 0);
   Ev* const evs = n > kInlineExtents ? heap_evs.data() : inline_evs;
   size_t filled = 0;
-  for (const ImmExtent& e : existing) {
-    evs[filled++] = Ev{e.offset, e.end(), false};
+  for (const auto& e : existing) {
+    evs[filled++] = Ev{e.offset, end_of(e), false};
   }
   for (const ImmExtent& e : added) {
     evs[filled++] = Ev{e.offset, e.end(), true};
@@ -1072,6 +1074,18 @@ Status check_imm_overlap(const std::vector<ImmExtent>& existing,
     i = j;
   }
   return ok_status();
+}
+
+}  // namespace
+
+Status check_imm_overlap(const std::vector<ImmExtent>& existing,
+                         const std::vector<ImmExtent>& added) {
+  return check_overlap(existing, added);
+}
+
+Status check_imm_overlap_bounds(std::span<const ImmBounds> existing,
+                                const std::vector<ImmExtent>& added) {
+  return check_overlap(existing, added);
 }
 
 }  // namespace fractos

@@ -40,6 +40,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -133,10 +134,6 @@ class ObjectTable {
   // Failure translation: revokes every live object created by `creator` (and, transitively,
   // everything derived from them).
   RevokeResult revoke_all_of(ProcessId creator);
-
-  // Cleanup step: physically removes invalidated objects (run after the broadcast; "neither
-  // security nor performance critical"). Returns how many were reclaimed.
-  size_t sweep_invalidated();
 
   // Targeted cleanup: erases exactly these (invalidated) objects, once every peer has
   // acknowledged the revocation broadcast.
@@ -396,11 +393,20 @@ class ObjectTable {
   std::unordered_map<uint64_t, std::vector<std::weak_ptr<const RequestArgs>>> args_pool_;
 };
 
+// Where an immediate extent lies: all that the overlap check reads of it.
+struct ImmBounds {
+  uint32_t offset = 0;
+  uint32_t end = 0;
+};
+
 // Validates that refinement extents do not overlap already-written extents or each other
 // (the paper's immutability rule: "Request arguments that have already been initialized
 // cannot be changed"). `existing` is checked against `added`, and `added` against itself.
 Status check_imm_overlap(const std::vector<ImmExtent>& existing,
                          const std::vector<ImmExtent>& added);
+// The same check, given only where the existing extents lie.
+Status check_imm_overlap_bounds(std::span<const ImmBounds> existing,
+                                const std::vector<ImmExtent>& added);
 
 }  // namespace fractos
 

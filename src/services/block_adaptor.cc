@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/services/completion.h"
 
 namespace fractos {
 
@@ -27,26 +28,16 @@ BlockAdaptor::BlockAdaptor(System* sys, uint32_t node, Controller& controller, S
   }));
 }
 
-void BlockAdaptor::fail_op(const Process::Received& r, ErrorCode code) {
-  std::vector<CapId> reqs;
-  for (const auto& c : r.caps) {
-    if (c.kind == ObjectKind::kRequest) {
-      reqs.push_back(c.cid);
-    }
-  }
-  if (reqs.size() >= 2) {
-    proc_->request_invoke(reqs[1], Process::Args{}.imm_u64(0, static_cast<uint64_t>(code)));
-  }
-}
-
 void BlockAdaptor::handle_mgmt(Process::Received r) {
   if (r.num_caps() < 1) {
     return;
   }
   const CapId reply = r.cap(r.num_caps() - 1);
   const uint64_t size = r.imm_u64(0).value_or(0);
+  // `size` is checked before its rounding, which wraps to 0 near 2^64.
   const uint64_t aligned = (size + 4095) & ~4095ull;
-  if (size == 0 || next_lba_ + aligned > nvme_->capacity()) {
+  if (size == 0 || size > nvme_->capacity() - next_lba_ ||
+      next_lba_ + aligned > nvme_->capacity()) {
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
     return;
   }
@@ -86,32 +77,20 @@ void BlockAdaptor::handle_mgmt(Process::Received r) {
 }
 
 void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
+  const IoRequest req(r);
   auto vit = volumes_.find(vol_id);
   if (vit == volumes_.end()) {
-    fail_op(r, ErrorCode::kRevoked);
+    req.fail_op(*proc_, ErrorCode::kRevoked);
     return;
   }
   const Volume& vol = vit->second;
-  const uint64_t off = r.imm_u64(0).value_or(~0ull);
-  const uint64_t size = r.imm_u64(8).value_or(0);
-  CapId dst = kInvalidCap;
-  uint64_t dst_size = 0;
-  CapId cont = kInvalidCap;
-  for (const auto& c : r.caps) {
-    if (c.kind == ObjectKind::kMemory && dst == kInvalidCap) {
-      dst = c.cid;
-      dst_size = c.mem_size;
-    } else if (c.kind == ObjectKind::kRequest && cont == kInvalidCap) {
-      cont = c.cid;
-    }
-  }
-  if (dst == kInvalidCap || cont == kInvalidCap || size == 0 || size > params_.slot_bytes ||
-      off + size > vol.size || dst_size < size) {
-    fail_op(r, ErrorCode::kInvalidArgument);
+  if (!req.fits(vol.size) || req.size > params_.slot_bytes) {
+    req.fail_op(*proc_, ErrorCode::kInvalidArgument);
     return;
   }
-  const uint64_t device_off = vol.base + off;
-  slot_pool_.acquire().and_then([this, device_off, size, dst, cont, r](size_t slot_idx) {
+  const uint64_t device_off = vol.base + req.off;
+  slot_pool_.acquire().and_then([this, device_off, size = req.size, dst = req.mem,
+                                 req](size_t slot_idx) {
     const Slot slot = slots_[slot_idx];
     // Stream the read: device DMA of sub-chunk k+1 overlaps the network copy of sub-chunk k
     // (each lands at its own offset inside the staging slot).
@@ -125,19 +104,19 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
     };
     auto rs = std::make_shared<ReadState>();
     auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, rs, slot, size, cont, r]() {
+    auto finish_check = [this, rs, slot, size, req]() {
       if (rs->failed) {
         if (rs->device_in_flight == 0 && rs->copies_in_flight == 0) {
           rs->failed = false;  // report once
           slot_pool_.release(slot.idx);
-          fail_op(r, rs->error);
+          req.fail_op(*proc_, rs->error);
         }
         return;
       }
       if (rs->copied == size) {
         slot_pool_.release(slot.idx);
         // Invoke the continuation VERBATIM (decentralized control flow).
-        proc_->request_invoke(cont);
+        proc_->request_invoke(req.cont);
       }
     };
     *pump = [this, rs, finish_check, slot, device_off, size, dst,
@@ -182,36 +161,24 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
       }
     };
     (*pump)();
-  }).or_else([this, r](ErrorCode e) { fail_op(r, e); });
+  }).or_else([this, req](ErrorCode e) { req.fail_op(*proc_, e); });
 }
 
 void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
+  const IoRequest req(r);
   auto vit = volumes_.find(vol_id);
   if (vit == volumes_.end()) {
-    fail_op(r, ErrorCode::kRevoked);
+    req.fail_op(*proc_, ErrorCode::kRevoked);
     return;
   }
   const Volume& vol = vit->second;
-  const uint64_t off = r.imm_u64(0).value_or(~0ull);
-  const uint64_t size = r.imm_u64(8).value_or(0);
-  CapId src = kInvalidCap;
-  uint64_t src_size = 0;
-  CapId cont = kInvalidCap;
-  for (const auto& c : r.caps) {
-    if (c.kind == ObjectKind::kMemory && src == kInvalidCap) {
-      src = c.cid;
-      src_size = c.mem_size;
-    } else if (c.kind == ObjectKind::kRequest && cont == kInvalidCap) {
-      cont = c.cid;
-    }
-  }
-  if (src == kInvalidCap || cont == kInvalidCap || size == 0 || size > params_.slot_bytes ||
-      off + size > vol.size || src_size < size) {
-    fail_op(r, ErrorCode::kInvalidArgument);
+  if (!req.fits(vol.size) || req.size > params_.slot_bytes) {
+    req.fail_op(*proc_, ErrorCode::kInvalidArgument);
     return;
   }
-  const uint64_t device_off = vol.base + off;
-  slot_pool_.acquire().and_then([this, device_off, size, src, cont, r](size_t slot_idx) {
+  const uint64_t device_off = vol.base + req.off;
+  slot_pool_.acquire().and_then([this, device_off, size = req.size, src = req.mem,
+                                 req](size_t slot_idx) {
     const Slot slot = slots_[slot_idx];
     // Stream the write: the network pull of sub-chunk k+1 overlaps the device program of
     // sub-chunk k.
@@ -225,18 +192,18 @@ void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
     };
     auto ws = std::make_shared<WriteState>();
     auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, ws, slot, size, cont, r]() {
+    auto finish_check = [this, ws, slot, size, req]() {
       if (ws->failed) {
         if (!ws->wire_busy && ws->writes_in_flight == 0) {
           ws->failed = false;
           slot_pool_.release(slot.idx);
-          fail_op(r, ws->error);
+          req.fail_op(*proc_, ws->error);
         }
         return;
       }
       if (ws->written == size) {
         slot_pool_.release(slot.idx);
-        proc_->request_invoke(cont);
+        proc_->request_invoke(req.cont);
       }
     };
     *pump = [this, ws, finish_check, slot, device_off, size, src,
@@ -279,7 +246,7 @@ void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
           });
     };
     (*pump)();
-  }).or_else([this, r](ErrorCode e) { fail_op(r, e); });
+  }).or_else([this, req](ErrorCode e) { req.fail_op(*proc_, e); });
 }
 
 void BlockAdaptor::handle_delete(uint32_t vol_id, Process::Received r) {
@@ -334,41 +301,10 @@ namespace {
 
 // Shared by read/write: invoke `ep` with [mem, ok, err] continuations and resolve on either.
 Future<Status> block_io(Process& proc, CapId ep, uint64_t off, uint64_t size, CapId mem) {
-  Promise<Status> promise;
-  auto ok_f = proc.request_create({});
-  auto err_f = proc.request_create({});
-  when_all(std::vector<Future<Result<CapId>>>{std::move(ok_f), std::move(err_f)})
-      .on_ready([&proc, ep, off, size, mem, promise](std::vector<Result<CapId>>&& eps) {
-        if (!eps[0].ok() || !eps[1].ok()) {
-          promise.set(Status(ErrorCode::kResourceExhausted));
-          return;
-        }
-        const CapId ok_ep = eps[0].value();
-        const CapId err_ep = eps[1].value();
-        proc.on_endpoint(ok_ep, [&proc, ok_ep, err_ep, promise](Process::Received) {
-          proc.remove_endpoint(ok_ep);
-          proc.remove_endpoint(err_ep);
-          promise.set(ok_status());
-        });
-        proc.on_endpoint(err_ep, [&proc, ok_ep, err_ep, promise](Process::Received rr) {
-          proc.remove_endpoint(ok_ep);
-          proc.remove_endpoint(err_ep);
-          promise.set(Status(static_cast<ErrorCode>(
-              rr.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
-        });
-        proc.request_invoke(ep, Process::Args{}
-                                    .imm_u64(0, off)
-                                    .imm_u64(8, size)
-                                    .cap(mem)
-                                    .cap(ok_ep)
-                                    .cap(err_ep))
-            .on_ready([promise](Status s) {
-              if (!s.ok()) {
-                promise.set(s);
-              }
-            });
-      });
-  return promise.future();
+  return Completion::once(proc, [&proc, ep, off, size, mem](CapId ok, CapId err) {
+    return proc.request_invoke(
+        ep, Process::Args{}.imm_u64(0, off).imm_u64(8, size).cap(mem).cap(ok).cap(err));
+  });
 }
 
 }  // namespace

@@ -75,9 +75,6 @@ class BlockAdaptor {
   void handle_write(uint32_t vol_id, Process::Received r);
   void handle_delete(uint32_t vol_id, Process::Received r);
 
-  // Fails an op through the optional error continuation.
-  void fail_op(const Process::Received& r, ErrorCode code);
-
   System* sys_;
   Process* proc_;
   SimNvme* nvme_;

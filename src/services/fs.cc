@@ -8,30 +8,28 @@
 namespace fractos {
 
 // In-flight state of one FS-mode I/O: chunks of at most stream_chunk bytes, up to
-// pipeline_depth in flight (each holding one staging slot), so the block-device leg of one
+// pipeline_depth in flight (each holding one staging slot), so the storage leg of one
 // chunk overlaps the client-copy leg of another.
 struct FsIoState {
   bool is_write = false;
-  uint64_t off = 0;
-  uint64_t size = 0;
-  uint64_t issued = 0;     // bytes whose chunks have been started
-  uint64_t completed = 0;  // bytes fully transferred
+  IoRequest req;            // off/size/mem, the continuation (invoked verbatim) and error
+  uint64_t issued = 0;      // bytes whose chunks have been started
+  uint64_t completed = 0;   // bytes fully transferred
   uint32_t in_flight = 0;
   bool failed = false;
   ErrorCode error = ErrorCode::kInternal;
   bool finished = false;
-  uint64_t extent_bytes = 0;
-  std::vector<BlockClient::Volume> extents;
-  CapId mem = kInvalidCap;   // client buffer
-  CapId cont = kInvalidCap;  // success continuation (invoked verbatim)
-  CapId err = kInvalidCap;   // optional error continuation
-  // Stage-1 legs (the block-device side) run one at a time within an op, so chunk
-  // completions stagger and the stage-2 leg (the client side) overlaps the next chunk's
-  // stage 1 — concurrent same-link transfers would otherwise fair-share and all complete
-  // together, defeating the pipeline.
+  std::vector<BlockClient::Volume> extents;  // volumes: the file's, as of the op's start
+  uint64_t base = 0;                         // backend: the file's region
+  // Stage-1 legs run one at a time within an op, so chunk completions stagger and the
+  // stage-2 leg of one chunk overlaps the next chunk's stage 1 — concurrent same-link
+  // transfers would otherwise fair-share and all complete together, defeating the pipeline.
+  // Stage 1 is the storage leg of a read and the client leg of a write.
   bool stage1_busy = false;
   std::deque<std::function<void()>> stage1_waiting;
   uint64_t span = 0;  // kService span covering the whole op (0 when tracing is off)
+
+  explicit FsIoState(const Process::Received& r) : req(r) {}
 
   void acquire_stage1(std::function<void()> fn) {
     if (stage1_busy) {
@@ -61,32 +59,32 @@ std::unique_ptr<FsService> FsService::bootstrap(System* sys, uint32_t node,
 std::unique_ptr<FsService> FsService::bootstrap(System* sys, uint32_t node,
                                                 Controller& controller, Process& block_proc,
                                                 CapId block_mgmt_ep, Params params) {
-  std::unique_ptr<FsService> fs(new FsService(sys, node, controller, params));
-  const CapId mgmt = sys->bootstrap_grant(block_proc, block_mgmt_ep, *fs->proc_).value();
-  fs->init_endpoints(mgmt);
+  std::unique_ptr<FsService> fs(
+      new FsService(sys, node, controller, params, "fs-service", nullptr));
+  fs->block_mgmt_ = sys->bootstrap_grant(block_proc, block_mgmt_ep, *fs->proc_).value();
+  fs->serve_endpoints();
   return fs;
 }
 
-FsService::FsService(System* sys, uint32_t node, Controller& controller, Params params)
-    : sys_(sys), params_(params), slot_pool_(params.staging_slots) {
+FsService::FsService(System* sys, uint32_t node, Controller& controller, Params params,
+                     const std::string& name, std::unique_ptr<Backend> backend)
+    : sys_(sys),
+      params_(params),
+      backend_(std::move(backend)),
+      slot_pool_(params.staging_slots) {
   const uint64_t heap = params_.staging_slots * params_.slot_bytes + (1 << 20);
-  proc_ = &sys->spawn("fs-service", node, controller, heap);
+  proc_ = &sys->spawn(name, node, controller, heap);
   slot_pool_.instrument(&sys->loop(), "fs." + std::to_string(node));
   slots_.resize(params_.staging_slots);
-  for (uint32_t i = 0; i < params_.staging_slots; ++i) {
-    Slot& slot = slots_[i];
+  for (Slot& slot : slots_) {
     slot.addr = proc_->alloc(params_.slot_bytes);
     slot.mem =
         sys->await_ok(proc_->memory_create(slot.addr, params_.slot_bytes, Perms::kReadWrite));
-    // Block-RPC completion endpoints, one pair per slot, reused for every chunk that uses
-    // the slot (no per-operation object churn).
-    slot.ok_ep = sys->await_ok(proc_->serve({}, [this, i](Process::Received) {
-      finish_slot(i, ok_status());
-    }));
-    slot.err_ep = sys->await_ok(proc_->serve({}, [this, i](Process::Received rr) {
-      finish_slot(i, Status(static_cast<ErrorCode>(
-                        rr.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
-    }));
+    if (backend_ == nullptr) {
+      // One block-RPC completion pair per slot, reused for every chunk that uses the slot
+      // (no per-operation object churn).
+      slot.done = Completion::serve(sys, *proc_);
+    }
   }
 }
 
@@ -94,87 +92,88 @@ FsService::~FsService() {
   // Close first: queued acquires fail with kAborted and releases stop waking waiters, so the
   // chunk failures below cannot re-enter the pool and start new work mid-teardown.
   slot_pool_.close();
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    finish_slot(i, Status(ErrorCode::kAborted));
+  for (const Slot& slot : slots_) {
+    slot.done.close();
   }
 }
 
-void FsService::init_endpoints(CapId block_mgmt) {
-  block_mgmt_ = block_mgmt;
+void FsService::serve_endpoints() {
   create_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
     handle_create(std::move(r));
   }));
   open_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
     handle_open(std::move(r));
   }));
-  unlink_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
-    handle_unlink(std::move(r));
-  }));
+  if (backend_ == nullptr) {
+    unlink_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
+      handle_unlink(std::move(r));
+    }));
+  }
 }
 
-void FsService::finish_slot(size_t slot, Status s) {
-  if (!slots_[slot].pending.has_value()) {
-    return;
-  }
-  Promise<Status> done = std::move(*slots_[slot].pending);
-  slots_[slot].pending.reset();
-  done.set(s);
-}
-
-void FsService::fail_op(const Process::Received& r, ErrorCode code) {
-  std::vector<CapId> reqs;
-  for (const auto& c : r.caps) {
-    if (c.kind == ObjectKind::kRequest) {
-      reqs.push_back(c.cid);
-    }
-  }
-  if (reqs.size() >= 2) {
-    proc_->request_invoke(reqs[1], Process::Args{}.imm_u64(0, static_cast<uint64_t>(code)));
-  }
+void FsService::reply(CapId to, uint64_t status) {
+  proc_->request_invoke(to, Process::Args{}.imm_u64(0, status));
 }
 
 void FsService::handle_create(Process::Received r) {
   if (r.num_caps() < 1) {
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
+  const CapId to = r.cap(r.num_caps() - 1);
   const uint64_t size = r.imm_u64(0).value_or(0);
   auto name = r.imm_str(8);
-  if (!name.has_value() || size == 0 || files_.contains(*name)) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+  // A size whose last extent ends past 2^64 would wrap create_extents' extent count to 0.
+  if (!name.has_value() || size == 0 || size > ~0ull - (params_.extent_bytes - 1) ||
+      files_.contains(*name) || creating_.contains(*name)) {
+    reply(to, 1);
     return;
   }
-  const uint64_t n_extents = (size + params_.extent_bytes - 1) / params_.extent_bytes;
-  // Allocate one block-device volume per extent, sequentially (plain member recursion — no
-  // self-referential lambdas).
+  if (backend_ != nullptr) {
+    const std::optional<uint64_t> base = backend_->allocate(size);
+    if (base.has_value()) {
+      File& f = files_[*name];
+      f.size = size;
+      f.base = *base;
+    }
+    reply(to, base.has_value() ? 0 : 1);
+    return;
+  }
+  // One block-device volume per extent, made one after another. The name stays reserved
+  // until the create replies, so a second create of it in the meantime gets status 1.
+  creating_.insert(*name);
   auto file = std::make_shared<File>();
   file->size = size;
-  create_extents(std::move(file), *name, size, n_extents, 0, reply);
+  create_extents(std::move(file), *name, 0, to);
 }
 
-void FsService::create_extents(std::shared_ptr<File> file, const std::string& name,
-                               uint64_t size, uint64_t n_extents, uint64_t i, CapId reply) {
+void FsService::create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t i,
+                               CapId to) {
+  const uint64_t n_extents = (file->size + params_.extent_bytes - 1) / params_.extent_bytes;
   if (i == n_extents) {
+    creating_.erase(name);
     files_[name] = *file;
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
+    reply(to, 0);
     return;
   }
-  const uint64_t remaining = size - i * params_.extent_bytes;
-  const uint64_t vol_size = std::min(params_.extent_bytes, remaining);
+  const uint64_t vol_size = std::min(params_.extent_bytes, file->size - i * params_.extent_bytes);
   BlockClient::create_volume(*proc_, block_mgmt_, vol_size)
-      .on_ready([this, file = std::move(file), name, size, n_extents, i,
-                 reply](Result<BlockClient::Volume>&& v) mutable {
+      .on_ready([this, file = std::move(file), name, i, to](Result<BlockClient::Volume>&& v) {
         if (!v.ok()) {
-          proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+          // Destroy the volumes this create already made before refusing it.
+          auto made = std::make_shared<std::vector<BlockClient::Volume>>(file->extents);
+          destroy_extents(std::move(made), 0, [this, name, to]() {
+            creating_.erase(name);
+            reply(to, 1);
+          });
           return;
         }
         file->extents.push_back(v.value());
-        create_extents(std::move(file), name, size, n_extents, i + 1, reply);
+        create_extents(file, name, i + 1, to);
       });
 }
 
 void FsService::reply_open(const File& f, CapId close_ep, std::vector<CapId> read_eps,
-                           std::vector<CapId> write_eps, CapId reply) {
+                           std::vector<CapId> write_eps, CapId to) {
   Process::Args args;
   args.imm_u64(0, 0)
       .imm_u64(8, f.size)
@@ -188,30 +187,32 @@ void FsService::reply_open(const File& f, CapId close_ep, std::vector<CapId> rea
   for (CapId c : write_eps) {
     args.cap(c);
   }
-  proc_->request_invoke(reply, std::move(args));
+  proc_->request_invoke(to, std::move(args));
 }
 
 void FsService::handle_open(Process::Received r) {
   if (r.num_caps() < 1) {
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
+  const CapId to = r.cap(r.num_caps() - 1);
   const bool rw = r.imm_u64(0).value_or(0) != 0;
   const bool dax = r.imm_u64(8).value_or(0) != 0;
   auto name = r.imm_str(16);
   auto fit = name.has_value() ? files_.find(*name) : files_.end();
-  if (fit == files_.end()) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+  // A backend's device cannot delegate authority over sub-ranges to a third party, so it
+  // has no DAX mode: that composition is exactly what FractOS adds.
+  if (fit == files_.end() || (dax && backend_ != nullptr)) {
+    reply(to, 1);
     return;
   }
   if (dax) {
-    open_dax_mode(*name, fit->second, rw, reply);
+    open_dax_mode(*name, fit->second, rw, to);
   } else {
-    open_fs_mode(*name, fit->second, rw, reply);
+    open_fs_mode(*name, rw, to);
   }
 }
 
-void FsService::open_fs_mode(const std::string& name, File& f, bool rw, CapId reply) {
+void FsService::open_fs_mode(const std::string& name, bool rw, CapId to) {
   const uint32_t open_id = next_open_++;
   std::vector<Future<Result<CapId>>> eps;
   eps.push_back(proc_->serve({}, [this, open_id](Process::Received rr) {
@@ -225,17 +226,16 @@ void FsService::open_fs_mode(const std::string& name, File& f, bool rw, CapId re
   eps.push_back(proc_->serve({}, [this, open_id](Process::Received rr) {
     handle_close(open_id, std::move(rr));
   }));
-  (void)f;
-  when_all(std::move(eps)).on_ready([this, open_id, name, rw, reply](
+  when_all(std::move(eps)).on_ready([this, open_id, name, rw, to](
                                         std::vector<Result<CapId>>&& cids) {
     auto fit = files_.find(name);
     if (fit == files_.end()) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+      reply(to, 1);
       return;
     }
     for (const auto& c : cids) {
       if (!c.ok()) {
-        proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+        reply(to, 1);
         return;
       }
     }
@@ -250,11 +250,11 @@ void FsService::open_fs_mode(const std::string& name, File& f, bool rw, CapId re
     if (rw) {
       write_eps.push_back(o.write_ep);
     }
-    reply_open(fit->second, o.close_ep, {o.read_ep}, write_eps, reply);
+    reply_open(fit->second, o.close_ep, {o.read_ep}, write_eps, to);
   });
 }
 
-void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId reply) {
+void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId to) {
   // Lazily build the cached revocation-tree children over the block adaptor's per-volume
   // endpoints; children live at the BLOCK Controller (derivation at the owner), so revoking
   // a volume kills them, and revoking a child leaves the volume usable by the FS.
@@ -272,10 +272,10 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId r
     }
   }
   when_all(std::move(derivations))
-      .on_ready([this, name, rw, need_read, need_write, reply](std::vector<Result<CapId>>&& kids) {
+      .on_ready([this, name, rw, need_read, need_write, to](std::vector<Result<CapId>>&& kids) {
         auto fit = files_.find(name);
         if (fit == files_.end()) {
-          proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+          reply(to, 1);
           return;
         }
         File& file = fit->second;
@@ -283,7 +283,7 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId r
         size_t k = 0;
         for (const auto& kid : kids) {
           if (!kid.ok()) {
-            proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+            reply(to, 1);
             return;
           }
         }
@@ -300,10 +300,10 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId r
         const uint32_t open_id = next_open_++;
         proc_->serve({}, [this, open_id](Process::Received rr) {
           handle_close(open_id, std::move(rr));
-        }).on_ready([this, open_id, name, rw, reply](Result<CapId>&& close_ep) {
+        }).on_ready([this, open_id, name, rw, to](Result<CapId>&& close_ep) {
           auto fit2 = files_.find(name);
           if (!close_ep.ok() || fit2 == files_.end()) {
-            proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+            reply(to, 1);
             return;
           }
           File& file = fit2->second;
@@ -315,56 +315,37 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId r
           opens_[open_id] = o;
           ++file.dax_refs;
           reply_open(file, o.close_ep, file.dax_read, rw ? file.dax_write : std::vector<CapId>{},
-                     reply);
+                     to);
         });
       });
 }
 
 void FsService::handle_io(uint32_t open_id, bool is_write, Process::Received r) {
+  auto st = std::make_shared<FsIoState>(r);
+  const IoRequest& req = st->req;
   auto oit = opens_.find(open_id);
   if (oit == opens_.end()) {
-    fail_op(r, ErrorCode::kRevoked);
+    req.fail_op(*proc_, ErrorCode::kRevoked);
     return;
   }
   const Open& o = oit->second;
   auto fit = files_.find(o.name);
   if (fit == files_.end()) {
-    fail_op(r, ErrorCode::kNotFound);
+    req.fail_op(*proc_, ErrorCode::kNotFound);
     return;
   }
   if (is_write && !o.rw) {
-    fail_op(r, ErrorCode::kPermissionDenied);
+    req.fail_op(*proc_, ErrorCode::kPermissionDenied);
     return;
   }
   const File& f = fit->second;
-  const uint64_t off = r.imm_u64(0).value_or(~0ull);
-  const uint64_t size = r.imm_u64(8).value_or(0);
-  CapId mem = kInvalidCap;
-  uint64_t mem_size = 0;
-  std::vector<CapId> reqs;
-  for (const auto& c : r.caps) {
-    if (c.kind == ObjectKind::kMemory && mem == kInvalidCap) {
-      mem = c.cid;
-      mem_size = c.mem_size;
-    } else if (c.kind == ObjectKind::kRequest) {
-      reqs.push_back(c.cid);
-    }
-  }
-  if (mem == kInvalidCap || reqs.empty() || size == 0 || off + size > f.size ||
-      mem_size < size) {
-    fail_op(r, ErrorCode::kInvalidArgument);
+  if (!req.fits(f.size)) {
+    req.fail_op(*proc_, ErrorCode::kInvalidArgument);
     return;
   }
-
-  auto st = std::make_shared<FsIoState>();
   st->is_write = is_write;
-  st->off = off;
-  st->size = size;
-  st->extent_bytes = params_.extent_bytes;
   st->extents = f.extents;
-  st->mem = mem;
-  st->cont = reqs[0];
-  st->err = reqs.size() >= 2 ? reqs[1] : kInvalidCap;
+  st->base = f.base;
   struct FsNames {
     NameId writes = intern_name("fs.writes");
     NameId reads = intern_name("fs.reads");
@@ -376,7 +357,7 @@ void FsService::handle_io(uint32_t open_id, bool is_write, Process::Received r) 
   static const FsNames names;
   if (MetricsRegistry* m = sys_->loop().metrics()) {
     m->add(is_write ? names.writes : names.reads);
-    m->add(is_write ? names.write_bytes : names.read_bytes, static_cast<int64_t>(size));
+    m->add(is_write ? names.write_bytes : names.read_bytes, static_cast<int64_t>(req.size));
   }
   if (span_tracing_active()) {
     if (SpanTracer* t = sys_->loop().span_tracer()) {
@@ -400,14 +381,11 @@ void FsService::io_pump(std::shared_ptr<FsIoState> st) {
         }
         st->span = 0;
       }
-      if (st->err != kInvalidCap) {
-        proc_->request_invoke(st->err,
-                              Process::Args{}.imm_u64(0, static_cast<uint64_t>(st->error)));
-      }
+      st->req.fail_op(*proc_, st->error);
     }
     return;
   }
-  if (st->completed == st->size) {
+  if (st->completed == st->req.size) {
     st->finished = true;
     if (st->span != 0) {
       if (SpanTracer* t = sys_->loop().span_tracer()) {
@@ -415,14 +393,17 @@ void FsService::io_pump(std::shared_ptr<FsIoState> st) {
       }
       st->span = 0;
     }
-    proc_->request_invoke(st->cont);
+    proc_->request_invoke(st->req.cont);
     return;
   }
-  while (!st->failed && st->issued < st->size && st->in_flight < params_.pipeline_depth) {
-    const uint64_t pos = st->off + st->issued;
-    const uint64_t eoff = pos % st->extent_bytes;
-    const uint64_t chunk = std::min({st->size - st->issued, st->extent_bytes - eoff,
-                                     params_.slot_bytes, params_.stream_chunk});
+  while (!st->failed && st->issued < st->req.size && st->in_flight < params_.pipeline_depth) {
+    uint64_t chunk =
+        std::min({st->req.size - st->issued, params_.slot_bytes, params_.stream_chunk});
+    if (backend_ == nullptr) {
+      // A chunk is one block RPC, so it stays inside one extent's volume.
+      const uint64_t eoff = (st->req.off + st->issued) % params_.extent_bytes;
+      chunk = std::min(chunk, params_.extent_bytes - eoff);
+    }
     const uint64_t op_off = st->issued;
     st->issued += chunk;
     ++st->in_flight;
@@ -442,9 +423,6 @@ void FsService::io_pump(std::shared_ptr<FsIoState> st) {
 
 void FsService::run_chunk(std::shared_ptr<FsIoState> st, size_t slot_idx, uint64_t op_off,
                           uint64_t chunk) {
-  const uint64_t pos = st->off + op_off;
-  const uint64_t extent = pos / st->extent_bytes;
-  const uint64_t eoff = pos % st->extent_bytes;
   auto chunk_finished = [this, st, slot_idx, chunk](Status s) {
     slot_pool_.release(slot_idx);
     --st->in_flight;
@@ -458,67 +436,68 @@ void FsService::run_chunk(std::shared_ptr<FsIoState> st, size_t slot_idx, uint64
     }
     io_pump(st);
   };
-  if (extent >= st->extents.size()) {
-    sys_->loop().post([chunk_finished]() { chunk_finished(ErrorCode::kOutOfRange); });
-    return;
-  }
-  const BlockClient::Volume& vol = st->extents[extent];
 
   if (st->is_write) {
-    // Client -> FS staging (network transfer 1, the serialized stage), then block write
+    // Client -> FS staging (network transfer 1, the serialized stage), then the storage leg
     // (transfer 2 + device), overlapping the next chunk's stage 1.
-    st->acquire_stage1([this, st, slot_idx, vol, eoff, op_off, chunk, chunk_finished]() {
-      proc_->memory_copy(st->mem, slots_[slot_idx].mem, chunk, op_off, 0)
-          .on_ready([this, st, slot_idx, vol, eoff, chunk, chunk_finished](Status cs) {
+    st->acquire_stage1([this, st, slot_idx, op_off, chunk, chunk_finished]() {
+      proc_->memory_copy(st->req.mem, slots_[slot_idx].mem, chunk, op_off, 0)
+          .on_ready([this, st, slot_idx, op_off, chunk, chunk_finished](Status cs) {
             st->release_stage1();
             if (!cs.ok()) {
               chunk_finished(cs);
               return;
             }
-            Slot& sl = slots_[slot_idx];
-            Promise<Status> block_done;
-            block_done.future().on_ready(chunk_finished);
-            sl.pending = std::move(block_done);
-            proc_->request_invoke(vol.write_ep, Process::Args{}
-                                                    .imm_u64(0, eoff)
-                                                    .imm_u64(8, chunk)
-                                                    .cap(sl.mem)
-                                                    .cap(sl.ok_ep)
-                                                    .cap(sl.err_ep));
+            storage_leg(*st, slot_idx, op_off, chunk, chunk_finished);
           });
     });
     return;
   }
 
-  // Read: block read into FS staging (transfer 1 + device), then FS -> client (transfer 2).
-  st->acquire_stage1([this, st, slot_idx, vol, eoff, op_off, chunk, chunk_finished]() {
-    Slot& sl = slots_[slot_idx];
-    Promise<Status> block_done;
-    block_done.future().on_ready([this, st, slot_idx, op_off, chunk, chunk_finished](Status bs) {
-      st->release_stage1();
-      if (!bs.ok()) {
-        chunk_finished(bs);
-        return;
-      }
-      proc_->memory_copy(slots_[slot_idx].mem, st->mem, chunk, 0, op_off)
-          .on_ready([chunk_finished](Status cs) { chunk_finished(cs); });
-    });
-    sl.pending = std::move(block_done);
-    proc_->request_invoke(vol.read_ep, Process::Args{}
-                                           .imm_u64(0, eoff)
-                                           .imm_u64(8, chunk)
-                                           .cap(sl.mem)
-                                           .cap(sl.ok_ep)
-                                           .cap(sl.err_ep));
+  // Read: the storage leg into FS staging (transfer 1 + device), then FS -> client
+  // (transfer 2).
+  st->acquire_stage1([this, st, slot_idx, op_off, chunk, chunk_finished]() {
+    storage_leg(*st, slot_idx, op_off, chunk,
+                [this, st, slot_idx, op_off, chunk, chunk_finished](Status bs) {
+                  st->release_stage1();
+                  if (!bs.ok()) {
+                    chunk_finished(bs);
+                    return;
+                  }
+                  proc_->memory_copy(slots_[slot_idx].mem, st->req.mem, chunk, 0, op_off)
+                      .on_ready([chunk_finished](Status cs) { chunk_finished(cs); });
+                });
   });
 }
 
+void FsService::storage_leg(const FsIoState& st, size_t slot_idx, uint64_t op_off,
+                            uint64_t chunk, std::function<void(Status)> done) {
+  const uint64_t pos = st.req.off + op_off;
+  Slot& sl = slots_[slot_idx];
+  if (backend_ != nullptr) {
+    backend_->transfer(*proc_, st.is_write, st.base + pos, chunk, sl.addr, std::move(done));
+    return;
+  }
+  // handle_io checked the op against the file's size, which its extents cover.
+  const BlockClient::Volume& vol = st.extents[pos / params_.extent_bytes];
+  sl.done.arm().on_ready(std::move(done));
+  // A refused RPC (the file was unlinked and its volumes revoked) fails the chunk, so it
+  // gives its slot back instead of waiting for a completion that will never come.
+  sl.done.watch(proc_->request_invoke(st.is_write ? vol.write_ep : vol.read_ep,
+                                      Process::Args{}
+                                          .imm_u64(0, pos % params_.extent_bytes)
+                                          .imm_u64(8, chunk)
+                                          .cap(sl.mem)
+                                          .cap(sl.done.ok())
+                                          .cap(sl.done.err())));
+}
+
 void FsService::handle_close(uint32_t open_id, Process::Received r) {
-  const CapId reply = r.num_caps() >= 1 ? r.cap(r.num_caps() - 1) : kInvalidCap;
+  const CapId to = r.num_caps() >= 1 ? r.cap(r.num_caps() - 1) : kInvalidCap;
   auto oit = opens_.find(open_id);
   if (oit == opens_.end()) {
-    if (reply != kInvalidCap) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+    if (to != kInvalidCap) {
+      reply(to, 1);
     }
     return;
   }
@@ -547,10 +526,10 @@ void FsService::handle_close(uint32_t open_id, Process::Received r) {
     }
   }
   proc_->remove_endpoint(o.close_ep);
-  when_all(std::move(revokes)).on_ready([this, o, reply](std::vector<Status>&&) {
+  when_all(std::move(revokes)).on_ready([this, o, to](std::vector<Status>&&) {
     proc_->cap_revoke(o.close_ep);
-    if (reply != kInvalidCap) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
+    if (to != kInvalidCap) {
+      reply(to, 0);
     }
   });
 }
@@ -559,33 +538,32 @@ void FsService::handle_unlink(Process::Received r) {
   if (r.num_caps() < 1) {
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
+  const CapId to = r.cap(r.num_caps() - 1);
   auto name = r.imm_str(0);
   auto fit = name.has_value() ? files_.find(*name) : files_.end();
   if (fit == files_.end()) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+    reply(to, 1);
     return;
   }
-  const File file = fit->second;
+  auto extents = std::make_shared<std::vector<BlockClient::Volume>>(fit->second.extents);
   files_.erase(fit);
 
   // Destroy the backing volumes: the block adaptor revokes the per-volume endpoints, which
   // recursively kills every cached DAX child and every client-held delegation of them.
-  destroy_extents(std::make_shared<std::vector<BlockClient::Volume>>(file.extents), 0, reply);
+  destroy_extents(std::move(extents), 0, [this, to]() { reply(to, 0); });
 }
 
 void FsService::destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>> extents,
-                                size_t i, CapId reply) {
+                                size_t i, std::function<void()> done) {
   if (i == extents->size()) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
+    done();
     return;
   }
   BlockClient::destroy(*proc_, (*extents)[i])
-      .on_ready([this, extents = std::move(extents), i, reply](Status) mutable {
-        destroy_extents(std::move(extents), i + 1, reply);
+      .on_ready([this, extents = std::move(extents), i, done = std::move(done)](Status) mutable {
+        destroy_extents(std::move(extents), i + 1, std::move(done));
       });
 }
-
 
 // --- client helpers ----------------------------------------------------------------------------
 
@@ -640,142 +618,93 @@ Future<Result<FsClient::OpenFile>> FsClient::open(Process& proc, CapId open_ep,
 namespace {
 
 // Shared sync-I/O driver for FS-mode (single target endpoint) and DAX (per-extent
-// endpoints + client-side chunking with diminished views).
-Future<Status> fs_client_io(Process& proc, const FsClient::OpenFile& f, bool is_write,
-                            uint64_t off, uint64_t size, CapId mem) {
-  struct IoState {
-    Process* proc;
-    FsClient::OpenFile file;
-    bool is_write;
-    uint64_t off, size, done = 0;
-    CapId mem;
-    CapId ok_ep = kInvalidCap, err_ep = kInvalidCap;
-    Promise<Status> promise;
-  };
-  auto st = std::make_shared<IoState>();
-  st->proc = &proc;
-  st->file = f;
-  st->is_write = is_write;
-  st->off = off;
-  st->size = size;
-  st->mem = mem;
-  // The per-chunk completion callback. Deliberately NOT a member of IoState: it captures the
-  // state, so storing it inside the state would form a reference cycle that leaks whenever an
-  // operation is abandoned (e.g. its endpoint was revoked mid-flight).
-  auto chunk_done = std::make_shared<std::function<void(Status)>>();
-  Promise<Status> promise = st->promise;
+// endpoints + client-side chunking with diminished views). One completion pair serves the
+// whole op, armed once per chunk.
+struct FsClientIo {
+  Process* proc;
+  FsClient::OpenFile file;
+  bool is_write;
+  uint64_t off, size, done = 0;
+  CapId mem;
+  // Weak: each chunk's armed continuation holds this state, and the pair holds that
+  // continuation, so a strong handle here would keep an abandoned op alive for good.
+  Completion::Weak pair;
+  Promise<Status> promise;
+};
 
-  const std::vector<CapId>& eps = is_write ? f.write_eps : f.read_eps;
-  if (eps.empty() || size == 0 || off + size > f.size) {
-    promise.set(Status(ErrorCode::kInvalidArgument));
-    return promise.future();
+void fs_client_finish(const std::shared_ptr<FsClientIo>& st, Status s) {
+  st->pair.lock().close();
+  st->promise.set(s);
+}
+
+void fs_client_step(const std::shared_ptr<FsClientIo>& st) {
+  if (st->done == st->size) {
+    fs_client_finish(st, ok_status());
+    return;
   }
-
-  auto finish = [st](Status s) {
-    st->proc->remove_endpoint(st->ok_ep);
-    st->proc->remove_endpoint(st->err_ep);
-    st->promise.set(s);
+  uint64_t target_off = st->off + st->done;
+  uint64_t chunk = st->size - st->done;
+  size_t ep_index = 0;
+  if (st->file.dax) {
+    ep_index = target_off / st->file.extent_bytes;
+    const uint64_t eoff = target_off % st->file.extent_bytes;
+    chunk = std::min(chunk, st->file.extent_bytes - eoff);
+    target_off = eoff;
+  }
+  const std::vector<CapId>& eps = st->is_write ? st->file.write_eps : st->file.read_eps;
+  if (ep_index >= eps.size()) {
+    fs_client_finish(st, ErrorCode::kOutOfRange);
+    return;
+  }
+  const Completion pair = st->pair.lock();
+  pair.arm().on_ready([st, chunk](Status s) {
+    if (!s.ok()) {
+      fs_client_finish(st, s);
+      return;
+    }
+    st->done += chunk;
+    fs_client_step(st);
+  });
+  auto send = [st, pair, ep = eps[ep_index], target_off, chunk](CapId view) {
+    pair.watch(st->proc->request_invoke(ep, Process::Args{}
+                                                .imm_u64(0, target_off)
+                                                .imm_u64(8, chunk)
+                                                .cap(view)
+                                                .cap(pair.ok())
+                                                .cap(pair.err())));
   };
-
-  auto pump = std::make_shared<std::function<void()>>();
-  // pump -> box and box -> pump references must not BOTH be strong (cycle); the box is the
-  // rooted one (the completion endpoint handlers hold it), so pump holds it weakly.
-  *pump = [st, finish, weak_box = std::weak_ptr<std::function<void(Status)>>(chunk_done),
-           weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-    auto pump = weak_pump.lock();
-    auto chunk_done = weak_box.lock();
-    if (!pump || !chunk_done) {
-      return;
-    }
-    if (st->done == st->size) {
-      finish(ok_status());
-      return;
-    }
-    uint64_t target_off = st->off + st->done;
-    uint64_t chunk = st->size - st->done;
-    size_t ep_index = 0;
-    if (st->file.dax) {
-      ep_index = target_off / st->file.extent_bytes;
-      const uint64_t eoff = target_off % st->file.extent_bytes;
-      chunk = std::min(chunk, st->file.extent_bytes - eoff);
-      target_off = eoff;
-    }
-    const std::vector<CapId>& eps = st->is_write ? st->file.write_eps : st->file.read_eps;
-    if (ep_index >= eps.size()) {
-      finish(ErrorCode::kOutOfRange);
-      return;
-    }
-    const CapId ep = eps[ep_index];
-    const uint64_t this_chunk = chunk;
-    *chunk_done = [st, pump, finish, this_chunk](Status s) {
-      if (!s.ok()) {
-        finish(s);
-        return;
-      }
-      st->done += this_chunk;
-      (*pump)();
-    };
-    auto send = [st, chunk_done, ep, target_off, this_chunk](CapId view) {
-      st->proc
-          ->request_invoke(ep, Process::Args{}
-                                   .imm_u64(0, target_off)
-                                   .imm_u64(8, this_chunk)
-                                   .cap(view)
-                                   .cap(st->ok_ep)
-                                   .cap(st->err_ep))
-          .on_ready([chunk_done](Status s) {
-            // A rejected invoke (revoked/purged endpoint) never reaches the service, so no
-            // completion will fire: fail the op now.
-            if (!s.ok() && *chunk_done) {
-              auto done = std::move(*chunk_done);
-              *chunk_done = nullptr;
-              done(s);
-            }
-          });
-    };
-    if (st->done == 0) {
-      send(st->mem);  // services copy exactly `size` bytes from/to the buffer's start
-    } else {
-      // Later chunks need a view at the right offset into the client buffer.
-      st->proc->memory_diminish(st->mem, st->done, this_chunk, Perms::kNone)
-          .on_ready([send, finish](Result<CapId>&& view) {
-            if (!view.ok()) {
-              finish(view.error());
-              return;
-            }
-            send(view.value());
-          });
-    }
-  };
-
-  auto ok_f = proc.request_create({});
-  auto err_f = proc.request_create({});
-  when_all(std::vector<Future<Result<CapId>>>{std::move(ok_f), std::move(err_f)})
-      .on_ready([st, pump, chunk_done](std::vector<Result<CapId>>&& eps2) {
-        if (!eps2[0].ok() || !eps2[1].ok()) {
-          st->promise.set(Status(ErrorCode::kResourceExhausted));
+  if (st->done == 0) {
+    send(st->mem);  // services copy exactly `size` bytes from/to the buffer's start
+    return;
+  }
+  // Later chunks need a view at the right offset into the client buffer.
+  st->proc->memory_diminish(st->mem, st->done, chunk, Perms::kNone)
+      .on_ready([send, pair](Result<CapId>&& view) {
+        if (!view.ok()) {
+          pair.resolve(view.error());
           return;
         }
-        st->ok_ep = eps2[0].value();
-        st->err_ep = eps2[1].value();
-        st->proc->on_endpoint(st->ok_ep, [chunk_done](Process::Received) {
-          if (*chunk_done) {
-            auto done = std::move(*chunk_done);
-            *chunk_done = nullptr;
-            done(ok_status());
-          }
-        });
-        st->proc->on_endpoint(st->err_ep, [chunk_done](Process::Received rr) {
-          if (*chunk_done) {
-            auto done = std::move(*chunk_done);
-            *chunk_done = nullptr;
-            done(Status(static_cast<ErrorCode>(
-                rr.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
-          }
-        });
-        (*pump)();
+        send(view.value());
       });
-  return promise.future();
+}
+
+Future<Status> fs_client_io(Process& proc, const FsClient::OpenFile& f, bool is_write,
+                            uint64_t off, uint64_t size, CapId mem) {
+  const std::vector<CapId>& eps = is_write ? f.write_eps : f.read_eps;
+  if (eps.empty() || size == 0 || off + size > f.size) {
+    return make_ready_future(Status(ErrorCode::kInvalidArgument));
+  }
+  auto st = std::make_shared<FsClientIo>(
+      FsClientIo{&proc, f, is_write, off, size, 0, mem, {}, Promise<Status>()});
+  Completion::create(proc).on_ready([st](Result<Completion>&& pair) {
+    if (!pair.ok()) {
+      st->promise.set(pair.error());
+      return;
+    }
+    st->pair = pair.value().weak();
+    fs_client_step(st);
+  });
+  return st->promise.future();
 }
 
 }  // namespace

@@ -27,19 +27,32 @@
 //           reference; the cached extent children are revoked when the last open closes.
 //   unlink: imm@0 name, caps=[reply]. Destroys the file's volumes (the block adaptor revokes
 //           the per-volume endpoints, killing every outstanding DAX capability).
+//
+// One FS core, two backends. The front end (create/open/close, the open reply, the
+// I/O-request check) and the FS-mode pipeline (chunks, staging slots, the stage-1 gate, the
+// kService span and the fs.* metrics) are this class's, whatever holds the bytes:
+//  * block-adaptor volumes, one per extent (FsService::bootstrap): the stage-1 leg of a
+//    chunk is a block RPC into the staging slot, chunks split at extent boundaries, and DAX
+//    and unlink exist;
+//  * a Backend that drives a device from the FS Process itself, one bump-allocated region
+//    per file (BaselineFs, src/baselines): the stage-1 leg is the backend's, and there is no
+//    DAX and no unlink.
 
 #ifndef SRC_SERVICES_FS_H_
 #define SRC_SERVICES_FS_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/system.h"
 #include "src/futures/slot_pool.h"
 #include "src/services/block_adaptor.h"
+#include "src/services/completion.h"
 
 namespace fractos {
 
@@ -50,9 +63,22 @@ class FsService {
     uint32_t staging_slots = 8;
     uint64_t slot_bytes = 2ull << 20;
     // FS-mode I/O is streamed: chunks of at most stream_chunk bytes, up to pipeline_depth
-    // in flight, so the block-device leg overlaps the client-copy leg.
+    // in flight, so the storage leg overlaps the client-copy leg.
     uint64_t stream_chunk = 256ull << 10;
     uint32_t pipeline_depth = 2;
+  };
+
+  // Storage the FS Process drives itself instead of block-adaptor volumes.
+  class Backend {
+   public:
+    virtual ~Backend() = default;
+    // Reserves a region for a new `size`-byte file: its base offset, or nullopt when full.
+    virtual std::optional<uint64_t> allocate(uint64_t size) = 0;
+    // The stage-1 leg of a chunk: moves `size` bytes between offset `off` of the storage and
+    // `proc`'s staging memory at `addr` — into the staging memory for a read, out of it for
+    // a write — then calls `done`.
+    virtual void transfer(Process& proc, bool is_write, uint64_t off, uint64_t size,
+                          uint64_t addr, std::function<void(Status)> done) = 0;
   };
 
   // Spawns the FS Process on `node`; `block_mgmt_ep` must already be installed in ITS
@@ -71,10 +97,19 @@ class FsService {
   CapId unlink_endpoint() const { return unlink_ep_; }
   size_t num_files() const { return files_.size(); }
 
+ protected:
+  // Spawns the FS Process as `name` with its staging slots (and, on volumes, each slot's
+  // block-completion pair). `backend` null: files live on block-adaptor volumes.
+  FsService(System* sys, uint32_t node, Controller& controller, Params params,
+            const std::string& name, std::unique_ptr<Backend> backend);
+  // Serves create and open (and, on volumes, unlink), one after another.
+  void serve_endpoints();
+
  private:
   struct File {
     uint64_t size = 0;
-    std::vector<BlockClient::Volume> extents;
+    std::vector<BlockClient::Volume> extents;  // volumes: one per extent
+    uint64_t base = 0;                         // backend: the file's region
     // Cached DAX revocation-tree children (created lazily, shared across opens, refcounted).
     std::vector<CapId> dax_read;
     std::vector<CapId> dax_write;
@@ -88,52 +123,50 @@ class FsService {
     CapId write_ep = kInvalidCap;  // FS mode (RW only)
     CapId close_ep = kInvalidCap;
   };
-  // A staging slot with its own block-RPC completion endpoints (created once; the per-slot
-  // `pending` promise routes completions to the chunk currently using the slot).
+  // A staging slot. On volumes it has its own block-RPC completion pair, created once and
+  // armed by the chunk currently using the slot.
   struct Slot {
     uint64_t addr = 0;
     CapId mem = kInvalidCap;
-    CapId ok_ep = kInvalidCap;
-    CapId err_ep = kInvalidCap;
-    std::optional<Promise<Status>> pending;
+    Completion done;
   };
 
-  FsService(System* sys, uint32_t node, Controller& controller, Params params);
-  void init_endpoints(CapId block_mgmt);
-
+  void reply(CapId to, uint64_t status);
   void handle_create(Process::Received r);
-  void create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t size,
-                      uint64_t n_extents, uint64_t i, CapId reply);
+  void create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t i,
+                      CapId reply);
   void handle_open(Process::Received r);
   void handle_unlink(Process::Received r);
   void destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>> extents, size_t i,
-                       CapId reply);
+                       std::function<void()> done);
   void handle_io(uint32_t open_id, bool is_write, Process::Received r);
   void handle_close(uint32_t open_id, Process::Received r);
 
-  void open_fs_mode(const std::string& name, File& f, bool rw, CapId reply);
+  void open_fs_mode(const std::string& name, bool rw, CapId reply);
   void open_dax_mode(const std::string& name, File& f, bool rw, CapId reply);
   void reply_open(const File& f, CapId close_ep, std::vector<CapId> read_eps,
                   std::vector<CapId> write_eps, CapId reply);
-
-  // Completes the slot's pending promise (if any) with `s`.
-  void finish_slot(size_t slot, Status s);
-  void fail_op(const Process::Received& r, ErrorCode code);
 
   // Issues chunks of a (possibly extent-spanning) FS-mode I/O, up to pipeline_depth in
   // flight.
   void io_pump(std::shared_ptr<struct FsIoState> st);
   void run_chunk(std::shared_ptr<struct FsIoState> st, size_t slot_idx, uint64_t op_off,
                  uint64_t chunk);
+  // Stage 1's storage side: the chunk's bytes between the file and the staging slot.
+  void storage_leg(const struct FsIoState& st, size_t slot_idx, uint64_t op_off, uint64_t chunk,
+                   std::function<void(Status)> done);
 
   System* sys_;
   Process* proc_;
   Params params_;
+  std::unique_ptr<Backend> backend_;
   CapId block_mgmt_ = kInvalidCap;
   CapId create_ep_ = kInvalidCap;
   CapId open_ep_ = kInvalidCap;
   CapId unlink_ep_ = kInvalidCap;
   std::unordered_map<std::string, File> files_;
+  // Names whose create is still making volumes: reserved until it replies.
+  std::unordered_set<std::string> creating_;
   std::unordered_map<uint32_t, Open> opens_;
   uint32_t next_open_ = 1;
   // Declared before slots_ so teardown closes the pool before any Slot state goes away.

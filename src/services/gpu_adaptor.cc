@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/services/completion.h"
 
 namespace fractos {
 
@@ -292,42 +293,15 @@ Future<Result<CapId>> GpuClient::load(Process& proc, const Session& s, const std
 
 Future<Status> GpuClient::run(Process& proc, CapId kernel_ep, const std::vector<uint64_t>& args,
                               CapId copy_src, CapId copy_dst) {
-  Promise<Status> promise;
-  auto success_f = proc.request_create({});
-  auto error_f = proc.request_create({});
-  when_all(std::vector<Future<Result<CapId>>>{std::move(success_f), std::move(error_f)})
-      .on_ready([&proc, kernel_ep, args, copy_src, copy_dst,
-                 promise](std::vector<Result<CapId>>&& eps) {
-        if (!eps[0].ok() || !eps[1].ok()) {
-          promise.set(Status(ErrorCode::kResourceExhausted));
-          return;
-        }
-        const CapId success = eps[0].value();
-        const CapId error = eps[1].value();
-        proc.on_endpoint(success, [&proc, success, error, promise](Process::Received) {
-          proc.remove_endpoint(success);
-          proc.remove_endpoint(error);
-          promise.set(ok_status());
-        });
-        proc.on_endpoint(error, [&proc, success, error, promise](Process::Received rr) {
-          proc.remove_endpoint(success);
-          proc.remove_endpoint(error);
-          promise.set(Status(static_cast<ErrorCode>(rr.imm_u64(0).value_or(
-              static_cast<uint64_t>(ErrorCode::kInternal)))));
-        });
-        Process::Args invoke_args = pack_args(args);
-        if (copy_src != kInvalidCap && copy_dst != kInvalidCap) {
-          invoke_args.cap(copy_src).cap(copy_dst);
-        }
-        invoke_args.cap(success).cap(error);
-        proc.request_invoke(kernel_ep, std::move(invoke_args))
-            .on_ready([promise](Status s) {
-              if (!s.ok()) {
-                promise.set(s);
-              }
-            });
-      });
-  return promise.future();
+  return Completion::once(proc, [&proc, kernel_ep, args, copy_src, copy_dst](CapId success,
+                                                                             CapId error) {
+    Process::Args invoke_args = pack_args(args);
+    if (copy_src != kInvalidCap && copy_dst != kInvalidCap) {
+      invoke_args.cap(copy_src).cap(copy_dst);
+    }
+    invoke_args.cap(success).cap(error);
+    return proc.request_invoke(kernel_ep, std::move(invoke_args));
+  });
 }
 
 Future<Status> GpuClient::cleanup(Process& proc, const Session& s) {

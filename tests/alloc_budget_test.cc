@@ -4,7 +4,8 @@
 //  * decoding allocates no block per immediate of up to SmallBytes::kInlineBytes bytes;
 //  * a clean-fabric QueuePair send and delivery of a pre-built Payload allocates nothing;
 //  * an NVMe read allocates one block, the Payload its bytes are copied into;
-//  * checking a Request's immediates for overlap allocates nothing for up to 8 extents.
+//  * checking a Request's immediates for overlap allocates nothing for up to 8 extents;
+//  * refining a Request allocates no block per layer of the chain it extends.
 //
 // This binary links fractos_alloc_count, which replaces the global operator new/delete with
 // counting forwarders (src/base/alloc_count.h), so the budgets count every C++ heap block.
@@ -197,6 +198,37 @@ TEST(AllocBudget, ImmOverlapCheckOfAFewExtentsAllocatesNothing) {
   EXPECT_TRUE(check_imm_overlap({}, nine).ok());
   nine.push_back(ImmExtent{17, std::vector<uint8_t>{3}});
   EXPECT_EQ(check_imm_overlap({}, nine).error(), ErrorCode::kArgumentOverlap);
+  if (kSanitized) {
+    GTEST_SKIP() << kBudgetsSkipped;
+  }
+  EXPECT_EQ(blocks, 0u);
+}
+
+// Refining a Request checks the new immediates against where the chain's immediates lie,
+// not against copies of their bytes. A refinement that overlaps the root's immediate is
+// refused by that check before the table interns or inserts anything, so what it allocates
+// is the check's walk over all six layers: nothing.
+TEST(AllocBudget, RefiningADeepChainAllocatesNoBlockPerLayer) {
+  ObjectTable table(/*owner=*/1);
+  // Each layer holds one 64-byte immediate: past SmallBytes' inline bytes, so a copy of
+  // one would take a block.
+  auto layer = [](uint32_t offset) {
+    RequestArgs args;
+    args.imms = {ImmExtent{offset, std::vector<uint8_t>(64, 0x5a)}};
+    return args;
+  };
+  ObjectIndex deep = table.create_request_root(/*provider=*/1, /*endpoint_cid=*/1, layer(0))
+                         .value();
+  for (uint32_t d = 1; d < 6; ++d) {
+    deep = table.derive_request_local(/*creator=*/1, deep, layer(64 * d)).value();
+  }
+  RequestArgs overlapping = layer(8);
+  Result<ObjectIndex> refused = ErrorCode::kInternal;
+  const uint64_t blocks = heap_allocations_during([&]() {
+    refused = table.derive_request_local(1, deep, std::move(overlapping));
+  });
+  EXPECT_EQ(refused.error(), ErrorCode::kArgumentOverlap);
+  EXPECT_TRUE(table.derive_request_local(1, deep, layer(6 * 64)).ok());
   if (kSanitized) {
     GTEST_SKIP() << kBudgetsSkipped;
   }

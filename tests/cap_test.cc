@@ -203,9 +203,10 @@ TEST_F(ObjectTableTest, UnknownIndexIsInvalidCapability) {
 TEST_F(ObjectTableTest, SweepReclaimsInvalidatedObjects) {
   const ObjectIndex a = make_memory();
   const ObjectIndex b = make_memory();
-  ASSERT_TRUE(table_.revoke(a, table_.reboot_count()).ok());
+  auto revoked = table_.revoke(a, table_.reboot_count());
+  ASSERT_TRUE(revoked.ok());
   EXPECT_EQ(table_.total_count(), 2u);
-  EXPECT_EQ(table_.sweep_invalidated(), 1u);
+  EXPECT_EQ(table_.erase_objects(revoked.value().invalidated), 1u);
   EXPECT_EQ(table_.total_count(), 1u);
   EXPECT_TRUE(table_.resolve_memory(b, table_.reboot_count()).ok());
   EXPECT_EQ(table_.resolve_memory(a, table_.reboot_count()).error(),

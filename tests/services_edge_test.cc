@@ -275,6 +275,67 @@ TEST_F(FsEdgeTest, CreateZeroSizedFileRejected) {
   EXPECT_FALSE(sys_.await(FsClient::create(*client_, create_, "zero", 0)).ok());
 }
 
+TEST_F(FsEdgeTest, ConcurrentCreatesOfOneNameLeaveOneFileAndItsVolumes) {
+  // Both creates are in flight before either has made its three volumes: the name is
+  // reserved by the first, so the second is refused and makes none.
+  auto first = FsClient::create(*client_, create_, "dup", 384 << 10);
+  auto second = FsClient::create(*client_, create_, "dup", 384 << 10);
+  const Status a = sys_.await(std::move(first));
+  const Status b = sys_.await(std::move(second));
+  EXPECT_NE(a.ok(), b.ok());
+  EXPECT_EQ((a.ok() ? b : a).error(), ErrorCode::kAlreadyExists);
+  sys_.loop().run();
+  EXPECT_EQ(fs_->num_files(), 1u);
+  EXPECT_EQ(block_->num_volumes(), 3u);
+}
+
+TEST_F(FsEdgeTest, UnlinkDuringFsModeReadFailsTheRead) {
+  const CapId unlink =
+      sys_.bootstrap_grant(fs_->process(), fs_->unlink_endpoint(), *client_).value();
+  ASSERT_TRUE(sys_.await(FsClient::create(*client_, create_, "f", 512 << 10)).ok());
+  auto f = sys_.await_ok(FsClient::open(*client_, open_, "f", false, false));
+  const CapId buf =
+      sys_.await_ok(client_->memory_create(client_->alloc(512 << 10), 512 << 10,
+                                           Perms::kReadWrite));
+  // The unlink revokes the volumes while the read's later chunks are still to be issued:
+  // their block RPCs are refused, and the read fails instead of hanging on its slots.
+  auto read = FsClient::read(*client_, f, 0, 512 << 10, buf);
+  ASSERT_TRUE(sys_.await(FsClient::unlink(*client_, unlink, "f")).ok());
+  sys_.loop().run();
+  ASSERT_TRUE(read.ready());
+  EXPECT_FALSE(read.take().ok());
+  // Both staging slots came back: a new file's I/O goes through.
+  ASSERT_TRUE(sys_.await(FsClient::create(*client_, create_, "g", 4096)).ok());
+  auto g = sys_.await_ok(FsClient::open(*client_, open_, "g", true, false));
+  EXPECT_TRUE(sys_.await(FsClient::write(*client_, g, 0, 4096, buf)).ok());
+}
+
+TEST(FsCreateTest, FailedCreateDestroysTheVolumesItMade) {
+  System sys;
+  const uint32_t cn = sys.add_node("client");
+  const uint32_t fn = sys.add_node("fs");
+  const uint32_t sn = sys.add_node("storage");
+  Controller& cc = sys.add_controller(cn, Loc::kHost);
+  Controller& cf = sys.add_controller(fn, Loc::kHost);
+  Controller& cs = sys.add_controller(sn, Loc::kHost);
+  SimNvme::Params np;
+  np.capacity_bytes = 256 << 10;  // room for two 128 KiB extents
+  SimNvme nvme(&sys.loop(), np);
+  BlockAdaptor block(&sys, sn, cs, &nvme);
+  FsService::Params p;
+  p.extent_bytes = 128 << 10;
+  auto fs = FsService::bootstrap(&sys, fn, cf, block.process(), block.mgmt_endpoint(), p);
+  Process& client = sys.spawn("client", cn, cc);
+  const CapId create = sys.bootstrap_grant(fs->process(), fs->create_endpoint(), client).value();
+
+  // Three extents on a device with room for two: the third volume fails, and the create
+  // destroys the two it made before it answers.
+  EXPECT_EQ(sys.await(FsClient::create(client, create, "big", 384 << 10)).error(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(block.num_volumes(), 0u);
+  EXPECT_EQ(fs->num_files(), 0u);
+}
+
 TEST_F(FsEdgeTest, DoubleCloseFailsSecondTime) {
   ASSERT_TRUE(sys_.await(FsClient::create(*client_, create_, "f", 4096)).ok());
   auto f = sys_.await_ok(FsClient::open(*client_, open_, "f", false, false));

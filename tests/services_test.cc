@@ -178,6 +178,37 @@ TEST_F(BlockServiceTest, OutOfRangeIoFailsThroughErrorContinuation) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST_F(BlockServiceTest, WrappingOffsetCannotReachAnotherVolume) {
+  auto a = sys_.await_ok(BlockClient::create_volume(*client_, mgmt_, 1 << 20));
+  auto b = sys_.await_ok(BlockClient::create_volume(*client_, mgmt_, 1 << 20));
+  const uint64_t addr = client_->alloc(8192);
+  client_->write_mem(addr, pattern(8192, 3));
+  const CapId buf = sys_.await_ok(client_->memory_create(addr, 8192, Perms::kReadWrite));
+  ASSERT_TRUE(sys_.await(BlockClient::write(*client_, a, (1 << 20) - 8192, 8192, buf)).ok());
+  client_->write_mem(addr, std::vector<uint8_t>(8192, 0));
+  // offset + size wraps past 2^64 to 4096, inside b; b's base plus the offset lands in a.
+  EXPECT_EQ(sys_.await(BlockClient::read(*client_, b, ~0ull - 4095, 8192, buf)).error(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(client_->read_mem(addr, 8192), std::vector<uint8_t>(8192, 0));
+}
+
+// A size near 2^64 rounds up to 0 unless it is checked first; such a volume would share
+// the next volume's blocks.
+TEST_F(BlockServiceTest, WrappingSizeIsRefused) {
+  EXPECT_EQ(sys_.await(BlockClient::create_volume(*client_, mgmt_, ~0ull)).error(),
+            ErrorCode::kResourceExhausted);
+  auto a = sys_.await_ok(BlockClient::create_volume(*client_, mgmt_, 64 << 10));
+  auto b = sys_.await_ok(BlockClient::create_volume(*client_, mgmt_, 64 << 10));
+  const uint64_t addr = client_->alloc(4096);
+  const CapId buf = sys_.await_ok(client_->memory_create(addr, 4096, Perms::kReadWrite));
+  client_->write_mem(addr, pattern(4096, 1));
+  ASSERT_TRUE(sys_.await(BlockClient::write(*client_, a, 0, 4096, buf)).ok());
+  client_->write_mem(addr, pattern(4096, 2));
+  ASSERT_TRUE(sys_.await(BlockClient::write(*client_, b, 0, 4096, buf)).ok());
+  ASSERT_TRUE(sys_.await(BlockClient::read(*client_, a, 0, 4096, buf)).ok());
+  EXPECT_EQ(client_->read_mem(addr, 4096), pattern(4096, 1));
+}
+
 TEST_F(BlockServiceTest, DeleteVolumeRevokesEndpoints) {
   auto vol = sys_.await_ok(BlockClient::create_volume(*client_, mgmt_, 64 << 10));
   const CapId mem = sys_.await_ok(client_->memory_create(client_->alloc(4096), 4096,
