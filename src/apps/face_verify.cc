@@ -354,84 +354,44 @@ void FaceVerifyBaseline::run_on_slot(size_t s, uint32_t batch, bool tamper,
   const uint64_t batch_bytes = params_.image_bytes * params_.images_per_batch;
   const uint32_t n = params_.images_per_batch;
 
-  auto fail = [this, s, promise](ErrorCode e) {
-    slot_pool_.release(s);
-    promise.set(e);
-  };
-
   // One copy of the cached batch — cu_memcpy_htod consumes the probe by value.
   std::vector<uint8_t> probe = cached_batch(params_, batch);
   if (tamper) {
     probe[params_.image_bytes / 2] ^= 0xff;
   }
 
-  // The centralized star: every step returns to the frontend before the next one starts.
+  // The centralized star: every step returns to the frontend before the next one starts,
+  // and the first failure skips the rest.
   nfs_->open("batch_" + std::to_string(batch))
-      .on_ready([this, s, slot, batch_bytes, n, tamper, probe = std::move(probe), promise,
-                 fail](Result<NfsClient::FileHandle>&& f) mutable {
-        if (!f.ok()) {
-          fail(f.error());
-          return;
+      .and_then([this, batch_bytes](NfsClient::FileHandle f) {
+        return nfs_->read(f, 0, batch_bytes);
+      })
+      .and_then([this, slot](std::vector<uint8_t> data) {
+        return rcuda_->cu_memcpy_htod(slot.gpu_db_addr, std::move(data));
+      })
+      .and_then([this, slot, probe = std::move(probe)]() mutable {
+        return rcuda_->cu_memcpy_htod(slot.gpu_probe_addr, std::move(probe));
+      })
+      .and_then([this, slot, n]() {
+        return rcuda_->cu_launch_kernel(kernel_fn_, {slot.gpu_probe_addr, slot.gpu_db_addr,
+                                                     slot.gpu_result_addr, n,
+                                                     params_.image_bytes});
+      })
+      .and_then([this]() { return rcuda_->cu_ctx_synchronize(); })
+      .and_then([this, slot, n]() { return rcuda_->cu_memcpy_dtoh(slot.gpu_result_addr, n); })
+      .and_then([n, tamper](std::vector<uint8_t> verdicts) {
+        bool all = true;
+        for (uint32_t i = 0; i < n; ++i) {
+          const bool expected = !(tamper && i == 0);
+          if ((verdicts[i] == 1) != expected) {
+            all = false;
+          }
         }
-        nfs_->read(f.value(), 0, batch_bytes)
-            .on_ready([this, s, slot, n, tamper, probe = std::move(probe), promise,
-                       fail](Result<std::vector<uint8_t>>&& data) mutable {
-              if (!data.ok()) {
-                fail(data.error());
-                return;
-              }
-              rcuda_->cu_memcpy_htod(slot.gpu_db_addr, std::move(data).value())
-                  .on_ready([this, s, slot, n, tamper, probe = std::move(probe), promise,
-                             fail](Status st) mutable {
-                    if (!st.ok()) {
-                      fail(st.error());
-                      return;
-                    }
-                    rcuda_->cu_memcpy_htod(slot.gpu_probe_addr, std::move(probe))
-                        .on_ready([this, s, slot, n, tamper, promise, fail](Status st2) {
-                          if (!st2.ok()) {
-                            fail(st2.error());
-                            return;
-                          }
-                          rcuda_
-                              ->cu_launch_kernel(kernel_fn_,
-                                                 {slot.gpu_probe_addr, slot.gpu_db_addr,
-                                                  slot.gpu_result_addr, n,
-                                                  params_.image_bytes})
-                              .on_ready([this, s, slot, n, tamper, promise, fail](Status st3) {
-                                if (!st3.ok()) {
-                                  fail(st3.error());
-                                  return;
-                                }
-                                rcuda_->cu_ctx_synchronize().on_ready([this, s, slot, n, tamper,
-                                                                       promise,
-                                                                       fail](Status st4) {
-                                  if (!st4.ok()) {
-                                    fail(st4.error());
-                                    return;
-                                  }
-                                  rcuda_->cu_memcpy_dtoh(slot.gpu_result_addr, n)
-                                      .on_ready([this, s, n, tamper, promise,
-                                                 fail](Result<std::vector<uint8_t>>&& v) {
-                                        if (!v.ok()) {
-                                          fail(v.error());
-                                          return;
-                                        }
-                                        bool all = true;
-                                        for (uint32_t i = 0; i < n; ++i) {
-                                          const bool expected = !(tamper && i == 0);
-                                          if ((v.value()[i] == 1) != expected) {
-                                            all = false;
-                                          }
-                                        }
-                                        slot_pool_.release(s);
-                                        promise.set(all);
-                                      });
-                                });
-                              });
-                        });
-                  });
-            });
+        return all;
+      })
+      .on_ready([this, s, promise](Result<bool>&& verdict) {
+        slot_pool_.release(s);
+        promise.set(std::move(verdict));
       });
 }
 

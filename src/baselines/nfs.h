@@ -10,13 +10,11 @@
 #ifndef SRC_BASELINES_NFS_H_
 #define SRC_BASELINES_NFS_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "src/baselines/block_device.h"
-#include "src/fabric/queue_pair.h"
-#include "src/futures/future.h"
+#include "src/baselines/rpc.h"
 
 namespace fractos {
 
@@ -31,27 +29,29 @@ class NfsServer {
   NfsServer(Network* net, uint32_t node, BlockDevice* device, Params params);
 
   uint32_t node() const { return node_; }
-  // Server-side file creation (the exported directory's content).
+  // Server-side file creation (the exported directory's content): kAlreadyExists for a taken
+  // name, kResourceExhausted when the device has no room for `size` bytes.
   Status create_file(const std::string& name, uint64_t size);
 
-  QueuePair& accept(Endpoint client_ep);
+  RpcServer& rpc() { return rpc_; }
 
  private:
   struct File {
     uint64_t base = 0;
     uint64_t size = 0;
   };
-  void on_rpc(QueuePair* qp, const Payload& bytes);
+  // The device offset of [off, off + size) of the file open as `fh`.
+  Result<uint64_t> locate(uint64_t fh, uint64_t off, uint64_t size) const;
 
-  Network* net_;
   uint32_t node_;
+  ExecContext& cpu_;
   BlockDevice* device_;
   Params params_;
   std::unordered_map<std::string, File> files_;
   std::unordered_map<uint64_t, File> handles_;
   uint64_t next_handle_ = 1;
   uint64_t next_base_ = 0;
-  std::vector<std::unique_ptr<QueuePair>> connections_;
+  RpcServer rpc_;
 };
 
 class NfsClient {
@@ -59,6 +59,7 @@ class NfsClient {
   struct FileHandle {
     uint64_t fh = 0;
     uint64_t size = 0;
+    FRACTOS_WIRE_FIELDS(fh, size)
   };
 
   NfsClient(Network* net, uint32_t node, NfsServer* server);
@@ -68,13 +69,7 @@ class NfsClient {
   Future<Status> write(const FileHandle& f, uint64_t off, std::vector<uint8_t> data);
 
  private:
-  Future<Result<std::vector<uint8_t>>> call(std::vector<uint8_t> request, Traffic category);
-  void on_reply(const Payload& bytes);
-
-  Network* net_;
-  QueuePair qp_;
-  uint64_t next_seq_ = 1;
-  std::unordered_map<uint64_t, Promise<Result<std::vector<uint8_t>>>> pending_;
+  RpcClient rpc_;
 };
 
 }  // namespace fractos

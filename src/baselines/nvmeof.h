@@ -11,11 +11,8 @@
 #ifndef SRC_BASELINES_NVMEOF_H_
 #define SRC_BASELINES_NVMEOF_H_
 
-#include <memory>
-#include <unordered_map>
-
 #include "src/baselines/block_device.h"
-#include "src/fabric/queue_pair.h"
+#include "src/baselines/rpc.h"
 
 namespace fractos {
 
@@ -31,18 +28,14 @@ class NvmeofTarget {
 
   uint32_t node() const { return node_; }
   SimNvme& nvme() { return *nvme_; }
-
-  // Wires a new initiator connection; called by NvmeofInitiator.
-  QueuePair& accept(Endpoint initiator_ep);
+  RpcServer& rpc() { return rpc_; }
 
  private:
-  void on_command(QueuePair* qp, const Payload& bytes);
-
-  Network* net_;
   uint32_t node_;
+  ExecContext& cpu_;
   SimNvme* nvme_;
   Params params_;
-  std::vector<std::unique_ptr<QueuePair>> connections_;
+  RpcServer rpc_;
 };
 
 // The initiator IS a BlockDevice: the kernel presents the remote namespace as a local disk.
@@ -56,13 +49,8 @@ class NvmeofInitiator : public BlockDevice {
   uint64_t capacity() const override { return target_->nvme().capacity(); }
 
  private:
-  void on_completion(const Payload& bytes);
-
-  Network* net_;
   NvmeofTarget* target_;
-  QueuePair qp_;
-  uint64_t next_seq_ = 1;
-  std::unordered_map<uint64_t, std::function<void(Result<Payload>)>> pending_;
+  RpcClient rpc_;
 };
 
 }  // namespace fractos

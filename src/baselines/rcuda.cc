@@ -1,9 +1,7 @@
 #include "src/baselines/rcuda.h"
 
+#include <algorithm>
 #include <utility>
-
-#include "src/base/assert.h"
-#include "src/wire/buffer.h"
 
 namespace fractos {
 
@@ -18,263 +16,166 @@ enum CallOp : uint8_t {
   kSynchronize = 6,
   kReply = 7,
 };
+
+// One argument struct per driver call.
+struct SizeArgs {  // cuMemAlloc
+  uint64_t size = 0;
+  FRACTOS_WIRE_FIELDS(size)
+};
+struct AddrArgs {  // cuMemFree
+  uint64_t addr = 0;
+  FRACTOS_WIRE_FIELDS(addr)
+};
+struct HtoDArgs {
+  uint64_t addr = 0;
+  std::vector<uint8_t> data;
+  FRACTOS_WIRE_FIELDS(addr, data)
+};
+struct DtoHArgs {
+  uint64_t addr = 0;
+  uint64_t size = 0;
+  FRACTOS_WIRE_FIELDS(addr, size)
+};
+struct NameArgs {  // cuModuleGetFunction
+  std::string name;
+  FRACTOS_WIRE_FIELDS(name)
+};
+struct LaunchArgs {
+  uint64_t function = 0;
+  std::vector<uint64_t> args;
+  FRACTOS_WIRE_FIELDS(function, args)
+};
+struct NoArgs {  // cuCtxSynchronize
+  FRACTOS_WIRE_FIELDS()
+};
 }  // namespace
 
 RcudaDaemon::RcudaDaemon(Network* net, SimGpu* gpu) : RcudaDaemon(net, gpu, Params{}) {}
 
 RcudaDaemon::RcudaDaemon(Network* net, SimGpu* gpu, Params params)
-    : net_(net), gpu_(gpu), params_(params) {
+    : net_(net),
+      gpu_(gpu),
+      cpu_(net->node(gpu->node()).host()),
+      params_(params),
+      rpc_(net, Endpoint{gpu->node(), Loc::kHost}, kReply) {
   ctx_ = gpu_->create_context();
+  using Reply = RpcServer::Reply;
+  rpc_.on<SizeArgs>(kMemAlloc, [this](SizeArgs a, Reply reply) {
+    cpu_.run(params_.call_cost, [this, a, reply]() {
+      const Result<uint64_t> addr = gpu_->alloc(ctx_, a.size);
+      if (!addr.ok()) {
+        reply.status(addr.error());
+        return;
+      }
+      reply.ok(addr.value());
+    });
+  });
+  rpc_.on<AddrArgs>(kMemFree, [this](AddrArgs a, Reply reply) {
+    cpu_.run(params_.call_cost,
+            [this, a, reply]() { reply.status(gpu_->free(ctx_, a.addr).error()); });
+  });
+  rpc_.on<HtoDArgs>(kMemcpyHtoD, [this](HtoDArgs a, Reply reply) {
+    // Staging copy through daemon host memory, then DMA into the GPU.
+    const Duration staging =
+        params_.call_cost + transfer_time(a.data.size(), params_.staging_bandwidth_bpns);
+    cpu_.run(staging, [this, a = std::move(a), reply]() {
+      uint8_t* dst = gpu_bytes(a.addr, a.data.size());
+      if (dst == nullptr) {
+        reply.status(ErrorCode::kOutOfRange);
+        return;
+      }
+      std::copy(a.data.begin(), a.data.end(), dst);
+      reply.status(ErrorCode::kOk);
+    });
+  });
+  rpc_.on<DtoHArgs>(kMemcpyDtoH, [this](DtoHArgs a, Reply reply) {
+    const Duration staging =
+        params_.call_cost + transfer_time(a.size, params_.staging_bandwidth_bpns);
+    cpu_.run(staging, [this, a, reply]() {
+      const uint8_t* src = gpu_bytes(a.addr, a.size);
+      if (src == nullptr) {
+        reply.status(ErrorCode::kOutOfRange);
+        return;
+      }
+      reply.send(Traffic::kData, ErrorCode::kOk, std::span<const uint8_t>(src, a.size));
+    });
+  });
+  rpc_.on<NameArgs>(kGetFunction, [this](NameArgs a, Reply reply) {
+    cpu_.run(params_.call_cost, [this, name = std::move(a.name), reply]() {
+      auto it = functions_.find(name);
+      if (it == functions_.end()) {
+        reply.status(ErrorCode::kNotFound);
+        return;
+      }
+      reply.ok(uint64_t{it->second});
+    });
+  });
+  rpc_.on<LaunchArgs>(kLaunchKernel, [this](LaunchArgs a, Reply reply) {
+    cpu_.run(params_.call_cost, [this, a = std::move(a), reply]() mutable {
+      // Asynchronous semantics: the call returns once queued; completion is observed via
+      // cuCtxSynchronize.
+      gpu_->launch(static_cast<SimGpu::KernelId>(a.function), std::move(a.args), [](Status) {});
+      reply.status(ErrorCode::kOk);
+    });
+  });
+  rpc_.on<NoArgs>(kSynchronize, [this](NoArgs, Reply reply) {
+    cpu_.run(params_.call_cost, [this, reply]() {
+      // Completes once every queued kernel has drained from the engine.
+      const Time done_at = max(net_->loop()->now(), gpu_->engine_free());
+      net_->loop()->schedule_at(done_at, [reply]() { reply.status(ErrorCode::kOk); });
+    });
+  });
 }
 
 void RcudaDaemon::register_kernel(const std::string& name, SimGpu::Kernel kernel) {
   functions_[name] = gpu_->load_kernel(name, std::move(kernel));
 }
 
-QueuePair& RcudaDaemon::accept(Endpoint client_ep) {
-  (void)client_ep;
-  connections_.push_back(std::make_unique<QueuePair>(net_, Endpoint{node(), Loc::kHost}));
-  QueuePair* qp = connections_.back().get();
-  qp->set_receive_handler([this, qp](Payload bytes) { on_call(qp, bytes); });
-  return *qp;
-}
-
-void RcudaDaemon::on_call(QueuePair* qp, const Payload& bytes) {
-  Decoder d(bytes.bytes());
-  const uint8_t op = d.get_u8();
-  const uint64_t seq = d.get_u64();
-
-  auto respond = [qp, seq](uint8_t status, std::vector<uint8_t> payload, Traffic cat) {
-    Encoder e;
-    e.put_u8(kReply);
-    e.put_u64(seq);
-    e.put_u8(status);
-    e.put_bytes(payload);
-    qp->send(cat, e.take());
-  };
-
-  ExecContext& cpu = net_->node(node()).host();
-  switch (op) {
-    case kMemAlloc: {
-      const uint64_t size = d.get_u64();
-      cpu.run(params_.call_cost, [this, size, respond]() {
-        auto addr = gpu_->alloc(ctx_, size);
-        if (!addr.ok()) {
-          respond(1, {}, Traffic::kControl);
-          return;
-        }
-        Encoder e;
-        e.put_u64(addr.value());
-        respond(0, e.take(), Traffic::kControl);
-      });
-      break;
-    }
-    case kMemFree: {
-      const uint64_t addr = d.get_u64();
-      cpu.run(params_.call_cost, [this, addr, respond]() {
-        respond(gpu_->free(ctx_, addr).ok() ? 0 : 1, {}, Traffic::kControl);
-      });
-      break;
-    }
-    case kMemcpyHtoD: {
-      const uint64_t addr = d.get_u64();
-      std::vector<uint8_t> data = d.get_bytes();
-      // Staging copy through daemon host memory, then DMA into the GPU.
-      const Duration staging =
-          params_.call_cost + transfer_time(data.size(), params_.staging_bandwidth_bpns);
-      cpu.run(staging, [this, addr, data = std::move(data), respond]() {
-        PoolBytes& mem = net_->node(node()).pool(gpu_->pool());
-        if (addr + data.size() > mem.size()) {
-          respond(1, {}, Traffic::kControl);
-          return;
-        }
-        std::copy(data.begin(), data.end(), mem.begin() + static_cast<ptrdiff_t>(addr));
-        respond(0, {}, Traffic::kControl);
-      });
-      break;
-    }
-    case kMemcpyDtoH: {
-      const uint64_t addr = d.get_u64();
-      const uint64_t size = d.get_u64();
-      const Duration staging =
-          params_.call_cost + transfer_time(size, params_.staging_bandwidth_bpns);
-      cpu.run(staging, [this, addr, size, respond]() {
-        const PoolBytes& mem = net_->node(node()).pool(gpu_->pool());
-        if (addr + size > mem.size()) {
-          respond(1, {}, Traffic::kControl);
-          return;
-        }
-        std::vector<uint8_t> data(mem.begin() + static_cast<ptrdiff_t>(addr),
-                                  mem.begin() + static_cast<ptrdiff_t>(addr + size));
-        respond(0, std::move(data), Traffic::kData);
-      });
-      break;
-    }
-    case kGetFunction: {
-      const std::string name = d.get_string();
-      cpu.run(params_.call_cost, [this, name, respond]() {
-        auto it = functions_.find(name);
-        if (it == functions_.end()) {
-          respond(1, {}, Traffic::kControl);
-          return;
-        }
-        Encoder e;
-        e.put_u64(it->second);
-        respond(0, e.take(), Traffic::kControl);
-      });
-      break;
-    }
-    case kLaunchKernel: {
-      const uint64_t function = d.get_u64();
-      const uint32_t n = d.get_u32();
-      std::vector<uint64_t> args;
-      for (uint32_t i = 0; i < n; ++i) {
-        args.push_back(d.get_u64());
-      }
-      cpu.run(params_.call_cost, [this, function, args = std::move(args), respond]() mutable {
-        // Asynchronous semantics: the call returns once queued; completion is observed via
-        // cuCtxSynchronize.
-        gpu_->launch(static_cast<SimGpu::KernelId>(function), std::move(args), [](Status) {});
-        respond(0, {}, Traffic::kControl);
-      });
-      break;
-    }
-    case kSynchronize: {
-      cpu.run(params_.call_cost, [this, respond]() {
-        // Completes once every queued kernel has drained from the engine.
-        const Time done_at = max(net_->loop()->now(), gpu_->engine_free());
-        net_->loop()->schedule_at(done_at, [respond]() { respond(0, {}, Traffic::kControl); });
-      });
-      break;
-    }
-    default:
-      FRACTOS_CHECK_MSG(false, "unknown rCUDA call");
+uint8_t* RcudaDaemon::gpu_bytes(uint64_t addr, uint64_t size) {
+  PoolBytes& mem = net_->node(node()).pool(gpu_->pool());
+  // Checked without forming addr + size, which wraps past 2^64 to before the pool.
+  if (addr > mem.size() || size > mem.size() - addr) {
+    return nullptr;
   }
+  return mem.data() + addr;
 }
 
 RcudaClient::RcudaClient(Network* net, uint32_t node, RcudaDaemon* daemon)
     : RcudaClient(net, node, daemon, Params{}) {}
 
 RcudaClient::RcudaClient(Network* net, uint32_t node, RcudaDaemon* daemon, Params params)
-    : net_(net), node_(node), params_(params), qp_(net, Endpoint{node, Loc::kHost}) {
-  QueuePair& remote = daemon->accept(qp_.local());
-  QueuePair::connect(qp_, remote);
-  qp_.set_receive_handler([this](Payload bytes) { on_reply(bytes); });
-}
-
-Future<Result<std::vector<uint8_t>>> RcudaClient::call(std::vector<uint8_t> request,
-                                                       Traffic category) {
-  const uint64_t seq = next_seq_++;
-  Promise<Result<std::vector<uint8_t>>> promise;
-  pending_.emplace(seq, promise);
-  // Client-side interposition cost, then the wire.
-  net_->node(node_).host().run(params_.call_cost,
-                               [this, request = std::move(request), category]() mutable {
-                                 qp_.send(category, std::move(request));
-                               });
-  return promise.future();
-}
-
-void RcudaClient::on_reply(const Payload& bytes) {
-  Decoder d(bytes.bytes());
-  const uint8_t op = d.get_u8();
-  const uint64_t seq = d.get_u64();
-  const uint8_t status = d.get_u8();
-  std::vector<uint8_t> payload = d.get_bytes();
-  FRACTOS_CHECK(d.ok() && op == kReply);
-  auto it = pending_.find(seq);
-  FRACTOS_CHECK(it != pending_.end());
-  auto promise = it->second;
-  pending_.erase(it);
-  if (status != 0) {
-    promise.set(ErrorCode::kInternal);
-  } else {
-    promise.set(std::move(payload));
-  }
-}
+    // Client-side interposition cost, then the wire.
+    : rpc_(net, Endpoint{node, Loc::kHost}, daemon->rpc(), &net->node(node).host(),
+           params.call_cost) {}
 
 Future<Result<uint64_t>> RcudaClient::cu_mem_alloc(uint64_t size) {
-  Encoder e;
-  e.put_u8(kMemAlloc);
-  e.put_u64(next_seq_);
-  e.put_u64(size);
-  return call(e.take(), Traffic::kControl)
-      .then([](Result<std::vector<uint8_t>>&& r) -> Result<uint64_t> {
-        if (!r.ok()) {
-          return r.error();
-        }
-        Decoder d(r.value());
-        return d.get_u64();
-      });
+  return rpc_.call<uint64_t>(kMemAlloc, SizeArgs{size}, Traffic::kControl);
 }
 
 Future<Status> RcudaClient::cu_mem_free(uint64_t device_addr) {
-  Encoder e;
-  e.put_u8(kMemFree);
-  e.put_u64(next_seq_);
-  e.put_u64(device_addr);
-  return call(e.take(), Traffic::kControl).then([](Result<std::vector<uint8_t>>&& r) -> Status {
-    return r.ok() ? ok_status() : Status(r.error());
-  });
+  return rpc_.call(kMemFree, AddrArgs{device_addr}, Traffic::kControl);
 }
 
 Future<Status> RcudaClient::cu_memcpy_htod(uint64_t device_addr, std::vector<uint8_t> data) {
-  Encoder e;
-  e.put_u8(kMemcpyHtoD);
-  e.put_u64(next_seq_);
-  e.put_u64(device_addr);
-  e.put_bytes(data);
-  return call(e.take(), Traffic::kData).then([](Result<std::vector<uint8_t>>&& r) -> Status {
-    return r.ok() ? ok_status() : Status(r.error());
-  });
+  return rpc_.call(kMemcpyHtoD, HtoDArgs{device_addr, std::move(data)}, Traffic::kData);
 }
 
 Future<Result<std::vector<uint8_t>>> RcudaClient::cu_memcpy_dtoh(uint64_t device_addr,
                                                                  uint64_t size) {
-  Encoder e;
-  e.put_u8(kMemcpyDtoH);
-  e.put_u64(next_seq_);
-  e.put_u64(device_addr);
-  e.put_u64(size);
-  return call(e.take(), Traffic::kControl);
+  return rpc_.call<std::vector<uint8_t>>(kMemcpyDtoH, DtoHArgs{device_addr, size},
+                                         Traffic::kControl);
 }
 
 Future<Result<uint64_t>> RcudaClient::cu_module_get_function(const std::string& name) {
-  Encoder e;
-  e.put_u8(kGetFunction);
-  e.put_u64(next_seq_);
-  e.put_string(name);
-  return call(e.take(), Traffic::kControl)
-      .then([](Result<std::vector<uint8_t>>&& r) -> Result<uint64_t> {
-        if (!r.ok()) {
-          return r.error();
-        }
-        Decoder d(r.value());
-        return d.get_u64();
-      });
+  return rpc_.call<uint64_t>(kGetFunction, NameArgs{name}, Traffic::kControl);
 }
 
 Future<Status> RcudaClient::cu_launch_kernel(uint64_t function, std::vector<uint64_t> args) {
-  Encoder e;
-  e.put_u8(kLaunchKernel);
-  e.put_u64(next_seq_);
-  e.put_u64(function);
-  e.put_u32(static_cast<uint32_t>(args.size()));
-  for (uint64_t a : args) {
-    e.put_u64(a);
-  }
-  return call(e.take(), Traffic::kControl).then([](Result<std::vector<uint8_t>>&& r) -> Status {
-    return r.ok() ? ok_status() : Status(r.error());
-  });
+  return rpc_.call(kLaunchKernel, LaunchArgs{function, std::move(args)}, Traffic::kControl);
 }
 
 Future<Status> RcudaClient::cu_ctx_synchronize() {
-  Encoder e;
-  e.put_u8(kSynchronize);
-  e.put_u64(next_seq_);
-  return call(e.take(), Traffic::kControl).then([](Result<std::vector<uint8_t>>&& r) -> Status {
-    return r.ok() ? ok_status() : Status(r.error());
-  });
+  return rpc_.call(kSynchronize, NoArgs{}, Traffic::kControl);
 }
 
 }  // namespace fractos

@@ -11,13 +11,11 @@
 #ifndef SRC_BASELINES_RCUDA_H_
 #define SRC_BASELINES_RCUDA_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 
+#include "src/baselines/rpc.h"
 #include "src/devices/gpu.h"
-#include "src/fabric/queue_pair.h"
-#include "src/futures/future.h"
 
 namespace fractos {
 
@@ -41,17 +39,19 @@ class RcudaDaemon {
   // Registers a kernel by name (the daemon's module registry).
   void register_kernel(const std::string& name, SimGpu::Kernel kernel);
 
-  QueuePair& accept(Endpoint client_ep);
+  RpcServer& rpc() { return rpc_; }
 
  private:
-  void on_call(QueuePair* qp, const Payload& bytes);
+  // The GPU pool bytes [addr, addr + size), or nullptr when they are not all in the pool.
+  uint8_t* gpu_bytes(uint64_t addr, uint64_t size);
 
   Network* net_;
   SimGpu* gpu_;
+  ExecContext& cpu_;
   Params params_;
   SimGpu::ContextId ctx_ = 0;
   std::unordered_map<std::string, SimGpu::KernelId> functions_;
-  std::vector<std::unique_ptr<QueuePair>> connections_;
+  RpcServer rpc_;
 };
 
 // Client-side interposed CUDA driver API. All calls are asynchronous futures; the underlying
@@ -76,18 +76,10 @@ class RcudaClient {
   // Blocks (the future) until all queued work completed.
   Future<Status> cu_ctx_synchronize();
 
-  uint64_t calls_issued() const { return next_seq_ - 1; }
+  uint64_t calls_issued() const { return rpc_.calls_issued(); }
 
  private:
-  Future<Result<std::vector<uint8_t>>> call(std::vector<uint8_t> request, Traffic category);
-  void on_reply(const Payload& bytes);
-
-  Network* net_;
-  uint32_t node_;
-  Params params_;
-  QueuePair qp_;
-  uint64_t next_seq_ = 1;
-  std::unordered_map<uint64_t, Promise<Result<std::vector<uint8_t>>>> pending_;
+  RpcClient rpc_;
 };
 
 }  // namespace fractos

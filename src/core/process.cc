@@ -238,8 +238,9 @@ Future<Result<Process::Received>> Process::call(CapId target, Args args) {
       promise.set(std::move(r));
     });
     args.cap(ep);  // convention: the reply Request is the last capability argument
-    request_invoke(target, std::move(args)).on_ready([promise](Status s) {
+    request_invoke(target, std::move(args)).on_ready([this, ep, promise](Status s) {
       if (!s.ok()) {
+        handlers_.erase(ep);  // a refused invoke brings no reply to wait for
         promise.set(s.error());
       }
     });

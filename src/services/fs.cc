@@ -123,9 +123,12 @@ void FsService::handle_create(Process::Received r) {
   const uint64_t size = r.imm_u64(0).value_or(0);
   auto name = r.imm_str(8);
   // A size whose last extent ends past 2^64 would wrap create_extents' extent count to 0.
-  if (!name.has_value() || size == 0 || size > ~0ull - (params_.extent_bytes - 1) ||
-      files_.contains(*name) || creating_.contains(*name)) {
-    reply(to, 1);
+  if (!name.has_value() || size == 0 || size > ~0ull - (params_.extent_bytes - 1)) {
+    reply(to, ErrorCode::kInvalidArgument);
+    return;
+  }
+  if (files_.contains(*name) || creating_.contains(*name)) {
+    reply(to, ErrorCode::kAlreadyExists);
     return;
   }
   if (backend_ != nullptr) {
@@ -135,11 +138,11 @@ void FsService::handle_create(Process::Received r) {
       f.size = size;
       f.base = *base;
     }
-    reply(to, base.has_value() ? 0 : 1);
+    reply(to, base.has_value() ? ErrorCode::kOk : ErrorCode::kResourceExhausted);
     return;
   }
   // One block-device volume per extent, made one after another. The name stays reserved
-  // until the create replies, so a second create of it in the meantime gets status 1.
+  // until the create replies, so a second create of it in the meantime gets kAlreadyExists.
   creating_.insert(*name);
   auto file = std::make_shared<File>();
   file->size = size;
@@ -152,7 +155,7 @@ void FsService::create_extents(std::shared_ptr<File> file, const std::string& na
   if (i == n_extents) {
     creating_.erase(name);
     files_[name] = *file;
-    reply(to, 0);
+    reply(to, ErrorCode::kOk);
     return;
   }
   const uint64_t vol_size = std::min(params_.extent_bytes, file->size - i * params_.extent_bytes);
@@ -161,9 +164,9 @@ void FsService::create_extents(std::shared_ptr<File> file, const std::string& na
         if (!v.ok()) {
           // Destroy the volumes this create already made before refusing it.
           auto made = std::make_shared<std::vector<BlockClient::Volume>>(file->extents);
-          destroy_extents(std::move(made), 0, [this, name, to]() {
+          destroy_extents(std::move(made), 0, [this, name, to, code = v.error()]() {
             creating_.erase(name);
-            reply(to, 1);
+            reply(to, code);
           });
           return;
         }
@@ -574,8 +577,13 @@ Future<Status> FsClient::create(Process& proc, CapId create_ep, const std::strin
         if (!r.ok()) {
           return r.error();
         }
-        return r.value().imm_u64(0).value_or(1) == 0 ? ok_status()
-                                                     : Status(ErrorCode::kAlreadyExists);
+        // The status is an ErrorCode; a missing or unknown one is the service's fault.
+        const uint64_t code =
+            r.value().imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal));
+        if (code > static_cast<uint64_t>(enum_last(ErrorCode{}))) {
+          return ErrorCode::kInternal;
+        }
+        return static_cast<ErrorCode>(code);
       });
 }
 

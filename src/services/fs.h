@@ -15,7 +15,7 @@
 //    paper cuts the disaggregation tax with.
 //
 // Request conventions:
-//   create: imm@0 u64 size, imm@8 name, caps=[reply].    reply: imm@0 status
+//   create: imm@0 u64 size, imm@8 name, caps=[reply].    reply: imm@0 status, the ErrorCode
 //   open:   imm@0 u64 mode (0 RO / 1 RW), imm@8 u64 dax (0/1), imm@16 name, caps=[reply].
 //           reply: imm@0 status, imm@8 file_size, imm@16 extent_bytes,
 //                  imm@24 n_read_eps, imm@32 n_write_eps,
@@ -132,6 +132,7 @@ class FsService {
   };
 
   void reply(CapId to, uint64_t status);
+  void reply(CapId to, ErrorCode code) { reply(to, static_cast<uint64_t>(code)); }
   void handle_create(Process::Received r);
   void create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t i,
                       CapId reply);

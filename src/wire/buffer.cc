@@ -37,14 +37,4 @@ std::span<const uint8_t> Decoder::get_span() {
   return out;
 }
 
-std::vector<uint8_t> Decoder::get_bytes() {
-  const std::span<const uint8_t> s = get_span();
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-
-std::string Decoder::get_string() {
-  const std::span<const uint8_t> s = get_span();
-  return std::string(reinterpret_cast<const char*>(s.data()), s.size());
-}
-
 }  // namespace fractos

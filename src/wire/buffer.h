@@ -10,10 +10,10 @@
 // Structured values have one layout, declared once: a struct lists its fields in wire order
 // with FRACTOS_WIRE_FIELDS, and Encoder::put / Decoder::get walk that list. The walk covers
 // integers, enums, bools, nested structs, optionals (a bool, then the value if present),
-// count-prefixed vectors and byte strings (std::vector<uint8_t>, SmallBytes: a u32 length,
-// then the bytes). Decoding is strict, so every buffer that decodes re-encodes to the same
-// bytes: a bool must be 0 or 1, and an enum must not exceed enum_last(E{}), which each enum
-// carried on the wire declares beside its definition.
+// count-prefixed vectors and byte strings (std::vector<uint8_t>, SmallBytes, Payload,
+// std::string: a u32 length, then the bytes). Decoding is strict, so every buffer that
+// decodes re-encodes to the same bytes: a bool must be 0 or 1, and an enum must not exceed
+// enum_last(E{}), which each enum carried on the wire declares beside its definition.
 
 #ifndef SRC_WIRE_BUFFER_H_
 #define SRC_WIRE_BUFFER_H_
@@ -30,6 +30,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/wire/payload.h"
 #include "src/wire/small_bytes.h"
 
 // Declares the fields of the enclosing struct, in wire order, as the argument list of
@@ -60,7 +61,8 @@ struct IsOptional<std::optional<T>> : std::true_type {};
 
 template <typename T>
 constexpr bool kIsByteString =
-    std::is_same_v<T, SmallBytes> || std::is_same_v<T, std::vector<uint8_t>>;
+    std::is_same_v<T, SmallBytes> || std::is_same_v<T, std::vector<uint8_t>> ||
+    std::is_same_v<T, Payload> || std::is_same_v<T, std::string>;
 
 template <typename... T>
 struct TypeList {};
@@ -112,6 +114,10 @@ class Encoder {
       put_le(static_cast<std::underlying_type_t<T>>(v));
     } else if constexpr (std::is_integral_v<T>) {
       put_le(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put_string(v);
+    } else if constexpr (std::is_same_v<T, Payload>) {
+      put_bytes(v.bytes());
     } else if constexpr (wire_detail::kIsByteString<T>) {
       put_bytes(v);
     } else if constexpr (wire_detail::IsOptional<T>::value) {
@@ -183,8 +189,6 @@ class Decoder {
     return b == 1;
   }
 
-  std::vector<uint8_t> get_bytes();
-  std::string get_string();
   // A length-prefixed byte string as a view into the buffer (empty on failure): lets a
   // caller copy it straight into its own storage.
   std::span<const uint8_t> get_span();
@@ -210,6 +214,12 @@ class Decoder {
     } else if constexpr (std::is_same_v<T, std::vector<uint8_t>>) {
       const std::span<const uint8_t> s = get_span();
       v.assign(s.begin(), s.end());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const std::span<const uint8_t> s = get_span();
+      v.assign(reinterpret_cast<const char*>(s.data()), s.size());
+    } else if constexpr (std::is_same_v<T, Payload>) {
+      const std::span<const uint8_t> s = get_span();
+      v = s.empty() ? Payload() : Payload::copy_of(s.data(), s.size());
     } else if constexpr (wire_detail::IsOptional<T>::value) {
       v.reset();
       if (get_bool()) {

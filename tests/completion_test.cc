@@ -118,6 +118,18 @@ TEST_F(CompletionTest, OnceResolvesARefusedInvokeAndUnbinds) {
   EXPECT_EQ(stray_, 2);
 }
 
+// Process::call's one-shot reply endpoint follows the same rule as `once`.
+TEST_F(CompletionTest, RefusedCallUnbindsItsReplyEndpoint) {
+  // Cap ids are handed out in order, so the call's reply endpoint is the next one.
+  const CapId before = sys_.await_ok(proc_->request_create({}));
+  Future<Result<Process::Received>> reply = proc_->call(/*target=*/999999);
+  sys_.loop().run();
+  ASSERT_TRUE(reply.ready());
+  EXPECT_EQ(reply.take().error(), ErrorCode::kInvalidCapability);
+  deliver(before + 1);
+  EXPECT_EQ(stray_, 1);
+}
+
 TEST_F(CompletionTest, WatchResolvesOnlyARefusal) {
   const Completion pair = Completion::serve(&sys_, *proc_);
   Future<Status> accepted = pair.arm();

@@ -204,7 +204,7 @@ TEST_P(FsProtocolTest, WrappingOffsetIsRefused) {
 // next file's region. Such a create is refused, and the files after it keep their bytes.
 TEST_P(FsProtocolTest, WrappingSizeIsRefused) {
   EXPECT_EQ(sys_.await(FsClient::create(*client_, create_ep_, "big", ~0ull)).error(),
-            ErrorCode::kAlreadyExists);
+            ErrorCode::kInvalidArgument);
   EXPECT_EQ(sys_.await(FsClient::open(*client_, open_ep_, "big", false, false)).error(),
             ErrorCode::kNotFound);
 

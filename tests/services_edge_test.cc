@@ -331,7 +331,7 @@ TEST(FsCreateTest, FailedCreateDestroysTheVolumesItMade) {
   // Three extents on a device with room for two: the third volume fails, and the create
   // destroys the two it made before it answers.
   EXPECT_EQ(sys.await(FsClient::create(client, create, "big", 384 << 10)).error(),
-            ErrorCode::kAlreadyExists);
+            ErrorCode::kResourceExhausted);
   EXPECT_EQ(block.num_volumes(), 0u);
   EXPECT_EQ(fs->num_files(), 0u);
 }

@@ -35,10 +35,20 @@ TEST(BufferTest, BytesAndStringRoundTrip) {
   e.put_bytes({1, 2, 3});
   e.put_string("fractos");
   e.put_bytes({});
+  e.put(Payload{4, 5});
   Decoder d(e.data());
-  EXPECT_EQ(d.get_bytes(), (std::vector<uint8_t>{1, 2, 3}));
-  EXPECT_EQ(d.get_string(), "fractos");
-  EXPECT_TRUE(d.get_bytes().empty());
+  std::vector<uint8_t> bytes;
+  std::string str;
+  std::vector<uint8_t> empty{9};
+  Payload payload;
+  d.get(bytes);
+  d.get(str);
+  d.get(empty);
+  d.get(payload);
+  EXPECT_EQ(bytes, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(str, "fractos");
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(payload.to_vector(), (std::vector<uint8_t>{4, 5}));
   EXPECT_TRUE(d.done());
 }
 
@@ -56,7 +66,7 @@ TEST(BufferTest, BytesLengthBeyondBufferFails) {
   Encoder e;
   e.put_u32(1000);  // claims 1000 bytes, provides none
   Decoder d(e.data());
-  EXPECT_TRUE(d.get_bytes().empty());
+  EXPECT_TRUE(d.get_span().empty());
   EXPECT_FALSE(d.ok());
 }
 
