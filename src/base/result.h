@@ -42,6 +42,12 @@ enum class ErrorCode : uint8_t {
 // The highest value a decoder accepts for the enum (src/wire/buffer.h).
 constexpr ErrorCode enum_last(ErrorCode) { return ErrorCode::kOverloaded; }
 
+// An ErrorCode carried as a u64 immediate; a value no ErrorCode has is kInternal.
+constexpr ErrorCode decode_error_code(uint64_t v) {
+  return v > static_cast<uint64_t>(enum_last(ErrorCode{})) ? ErrorCode::kInternal
+                                                            : static_cast<ErrorCode>(v);
+}
+
 // Human-readable name, for logs and test diagnostics.
 const char* error_code_name(ErrorCode code);
 

@@ -2,25 +2,18 @@
 
 #include <utility>
 
+#include "src/base/extent.h"
+
 namespace fractos {
 
 namespace {
 
-// One bump-allocated, 4 KiB-aligned region per file on `device`.
+// One 4 KiB-aligned region per file on `device`.
 class DeviceBackend : public FsService::Backend {
  public:
-  explicit DeviceBackend(BlockDevice* device) : device_(device) {}
+  explicit DeviceBackend(BlockDevice* device) : device_(device), space_(device->capacity()) {}
 
-  std::optional<uint64_t> allocate(uint64_t size) override {
-    // `size` is checked before its rounding, which wraps to 0 near 2^64.
-    const uint64_t aligned = (size + 4095) & ~4095ull;
-    if (size > device_->capacity() - next_base_ || next_base_ + aligned > device_->capacity()) {
-      return std::nullopt;
-    }
-    const uint64_t base = next_base_;
-    next_base_ += aligned;
-    return base;
-  }
+  std::optional<uint64_t> allocate(uint64_t size) override { return space_.allocate(size, 4096); }
 
   void transfer(Process& proc, bool is_write, uint64_t off, uint64_t size, uint64_t addr,
                 std::function<void(Status)> done) override {
@@ -40,7 +33,7 @@ class DeviceBackend : public FsService::Backend {
 
  private:
   BlockDevice* device_;
-  uint64_t next_base_ = 0;
+  ExtentAllocator space_;
 };
 
 }  // namespace

@@ -2,8 +2,8 @@
 // remote NVMe-oF namespace behind the Linux page cache ("Disaggregated Baseline", Section
 // 6.4) or a directly attached NVMe ("Local Baseline"). Clients see the FractOS FS interface
 // of fs.h unchanged (FsClient works as is); only the storage under the FS-mode pipeline
-// differs: each file is one bump-allocated region of the device, which the FS Process reads
-// and writes itself into its staging slots.
+// differs: each file is one region of the device, placed by an ExtentAllocator, which the FS
+// Process reads and writes itself into its staging slots.
 //
 // There is deliberately NO DAX mode and no unlink here: a kernel block device cannot
 // delegate authority over sub-ranges to third parties — that composition is exactly what

@@ -38,6 +38,7 @@ NfsServer::NfsServer(Network* net, uint32_t node, BlockDevice* device, Params pa
       cpu_(net->node(node).host()),
       device_(device),
       params_(params),
+      space_(device->capacity()),
       rpc_(net, Endpoint{node, Loc::kHost}, kReply) {
   using Reply = RpcServer::Reply;
   rpc_.on<OpenArgs>(kOpen, [this](OpenArgs a, Reply reply) {
@@ -86,13 +87,14 @@ Status NfsServer::create_file(const std::string& name, uint64_t size) {
   if (files_.contains(name)) {
     return ErrorCode::kAlreadyExists;
   }
-  // `size` is checked before its 4 KiB rounding, which wraps to 0 near 2^64.
-  const uint64_t room = device_->capacity() - next_base_;
-  if (size > room || ((size + 4095) & ~4095ull) > room) {
+  if (size == 0) {
+    return ErrorCode::kInvalidArgument;
+  }
+  const std::optional<uint64_t> base = space_.allocate(size, 4096);
+  if (!base.has_value()) {
     return ErrorCode::kResourceExhausted;
   }
-  files_[name] = File{next_base_, size};
-  next_base_ += (size + 4095) & ~4095ull;
+  files_[name] = File{*base, size};
   return ok_status();
 }
 
@@ -101,8 +103,7 @@ Result<uint64_t> NfsServer::locate(uint64_t fh, uint64_t off, uint64_t size) con
   if (it == handles_.end()) {
     return ErrorCode::kNotFound;
   }
-  // Checked without forming off + size, which wraps past 2^64 into another file.
-  if (off > it->second.size || size > it->second.size - off) {
+  if (!extent_within(off, size, it->second.size)) {
     return ErrorCode::kOutOfRange;
   }
   return it->second.base + off;

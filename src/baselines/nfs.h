@@ -13,6 +13,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/base/extent.h"
 #include "src/baselines/block_device.h"
 #include "src/baselines/rpc.h"
 
@@ -30,7 +31,8 @@ class NfsServer {
 
   uint32_t node() const { return node_; }
   // Server-side file creation (the exported directory's content): kAlreadyExists for a taken
-  // name, kResourceExhausted when the device has no room for `size` bytes.
+  // name, kInvalidArgument for an empty file, kResourceExhausted when the device has no room
+  // for `size` bytes.
   Status create_file(const std::string& name, uint64_t size);
 
   RpcServer& rpc() { return rpc_; }
@@ -50,7 +52,7 @@ class NfsServer {
   std::unordered_map<std::string, File> files_;
   std::unordered_map<uint64_t, File> handles_;
   uint64_t next_handle_ = 1;
-  uint64_t next_base_ = 0;
+  ExtentAllocator space_;  // the device's bytes, one 4 KiB-aligned region per file
   RpcServer rpc_;
 };
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 
 namespace fractos {
 
@@ -62,7 +63,7 @@ std::vector<uint8_t> PageCache::gather(uint64_t off, uint64_t size) {
 }
 
 void PageCache::read(uint64_t off, uint64_t size, std::function<void(Result<Payload>)> done) {
-  if (off + size > capacity()) {
+  if (!extent_within(off, size, capacity())) {
     loop_->post([done = std::move(done)]() { done(ErrorCode::kOutOfRange); });
     return;
   }
@@ -127,7 +128,7 @@ void PageCache::read(uint64_t off, uint64_t size, std::function<void(Result<Payl
 }
 
 void PageCache::write(uint64_t off, Payload data, std::function<void(Status)> done) {
-  if (off + data.size() > capacity()) {
+  if (!extent_within(off, data.size(), capacity())) {
     loop_->post([done = std::move(done)]() { done(ErrorCode::kOutOfRange); });
     return;
   }

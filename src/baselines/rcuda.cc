@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/base/extent.h"
+
 namespace fractos {
 
 namespace {
@@ -133,8 +135,7 @@ void RcudaDaemon::register_kernel(const std::string& name, SimGpu::Kernel kernel
 
 uint8_t* RcudaDaemon::gpu_bytes(uint64_t addr, uint64_t size) {
   PoolBytes& mem = net_->node(node()).pool(gpu_->pool());
-  // Checked without forming addr + size, which wraps past 2^64 to before the pool.
-  if (addr > mem.size() || size > mem.size() - addr) {
+  if (!extent_within(addr, size, mem.size())) {
     return nullptr;
   }
   return mem.data() + addr;

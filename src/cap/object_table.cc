@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 
 namespace fractos {
 
@@ -298,7 +299,7 @@ Result<ObjectIndex> ObjectTable::derive_memory(ProcessId creator, ObjectIndex ba
   if (b.kind != ObjectKind::kMemory) {
     return ErrorCode::kWrongObjectKind;
   }
-  if (offset > b.mem.size || size > b.mem.size - offset || size == 0) {
+  if (!extent_within(offset, size, b.mem.size) || size == 0) {
     return ErrorCode::kOutOfRange;
   }
   Object obj(ObjectKind::kMemory);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 #include "src/futures/timeout.h"
 #include "src/sim/metrics.h"
 
@@ -156,7 +157,8 @@ Status Controller::check_rdma(const RdmaKey& key, PoolId pool, uint64_t addr, ui
     return resolved.error();
   }
   const auto& mem = resolved.value();
-  if (mem.desc.pool != pool || addr < mem.desc.addr || addr + size > mem.desc.addr + mem.desc.size) {
+  if (mem.desc.pool != pool || addr < mem.desc.addr ||
+      !extent_within(addr - mem.desc.addr, size, mem.desc.size)) {
     return ErrorCode::kOutOfRange;
   }
   if (!perms_allow(mem.perms, is_write ? Perms::kWrite : Perms::kRead)) {

@@ -8,7 +8,7 @@
 namespace fractos {
 
 SimGpu::SimGpu(Network* net, uint32_t node, Params params)
-    : net_(net), node_(node), params_(params),
+    : net_(net), node_(node), params_(params), memory_(params.memory_bytes),
       publisher_(net->loop(), [this](MetricSink& out) { out.emit("gpu.launches", launches_); }) {
   pool_ = net_->node(node_).add_pool(params_.memory_bytes);
 }
@@ -25,7 +25,7 @@ Status SimGpu::destroy_context(ContextId ctx) {
   }
   for (auto it = allocs_.begin(); it != allocs_.end();) {
     if (it->second.ctx == ctx) {
-      allocated_ -= it->second.size;
+      memory_.release(it->first, it->second.size);
       it = allocs_.erase(it);
     } else {
       ++it;
@@ -42,22 +42,12 @@ Result<uint64_t> SimGpu::alloc(ContextId ctx, uint64_t size) {
   if (size == 0) {
     return ErrorCode::kInvalidArgument;
   }
-  // First fit between existing allocations, 256-byte aligned (CUDA-like).
-  const uint64_t align = 256;
-  uint64_t candidate = 0;
-  for (const auto& [addr, a] : allocs_) {
-    if (candidate + size <= addr) {
-      break;
-    }
-    const uint64_t end = addr + a.size;
-    candidate = (end + align - 1) & ~(align - 1);
-  }
-  if (candidate + size > params_.memory_bytes) {
+  const std::optional<uint64_t> addr = memory_.allocate(size, 256);
+  if (!addr.has_value()) {
     return ErrorCode::kResourceExhausted;
   }
-  allocs_[candidate] = Allocation{size, ctx};
-  allocated_ += size;
-  return candidate;
+  allocs_[*addr] = Allocation{size, ctx};
+  return *addr;
 }
 
 Status SimGpu::free(ContextId ctx, uint64_t addr) {
@@ -65,7 +55,7 @@ Status SimGpu::free(ContextId ctx, uint64_t addr) {
   if (it == allocs_.end() || it->second.ctx != ctx) {
     return ErrorCode::kNotFound;
   }
-  allocated_ -= it->second.size;
+  memory_.release(addr, it->second.size);
   allocs_.erase(it);
   return ok_status();
 }

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/extent.h"
 #include "src/base/result.h"
 #include "src/fabric/network.h"
 #include "src/sim/metrics.h"
@@ -52,7 +53,7 @@ class SimGpu {
   Status destroy_context(ContextId ctx);
   Result<uint64_t> alloc(ContextId ctx, uint64_t size);
   Status free(ContextId ctx, uint64_t addr);
-  uint64_t bytes_allocated() const { return allocated_; }
+  uint64_t bytes_allocated() const { return memory_.bytes_in_use(); }
 
   // --- kernels -----------------------------------------------------------------------------
 
@@ -85,9 +86,8 @@ class SimGpu {
   KernelId next_kernel_ = 1;
   std::unordered_map<KernelId, Kernel> kernels_;
   std::unordered_map<ContextId, bool> contexts_;
-  // Simple first-fit allocator over the device pool.
-  std::map<uint64_t, Allocation> allocs_;  // addr -> allocation, ordered
-  uint64_t allocated_ = 0;
+  ExtentAllocator memory_;  // the device pool, 256-byte aligned (CUDA-like)
+  std::map<uint64_t, Allocation> allocs_;  // addr -> allocation: which context owns it
   MetricsPublisher publisher_;  // gpu.launches; last, so it goes first
 };
 

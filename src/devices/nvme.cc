@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 #include "src/fabric/params.h"
 #include "src/sim/metrics.h"
 
@@ -41,7 +42,7 @@ SimNvme::SimNvme(EventLoop* loop, Params params)
 }
 
 Status SimNvme::check_range(uint64_t off, uint64_t size) const {
-  if (off > params_.capacity_bytes || size > params_.capacity_bytes - off) {
+  if (!extent_within(off, size, params_.capacity_bytes)) {
     return ErrorCode::kOutOfRange;
   }
   return ok_status();
@@ -166,6 +167,25 @@ std::vector<uint8_t> SimNvme::peek(uint64_t off, uint64_t size) const {
 void SimNvme::poke(uint64_t off, const std::vector<uint8_t>& data) {
   FRACTOS_CHECK(check_range(off, data.size()).ok());
   write_bytes(off, data);
+}
+
+void SimNvme::discard(uint64_t off, uint64_t size) {
+  FRACTOS_CHECK(check_range(off, size).ok());  // the caller's own extent; not input
+  uint64_t pos = 0;
+  while (pos < size) {
+    const uint64_t abs = off + pos;
+    const uint64_t block = abs / params_.block_bytes;
+    const uint64_t in_block = abs % params_.block_bytes;
+    const uint64_t n = std::min(size - pos, params_.block_bytes - in_block);
+    if (auto it = blocks_.find(block); it != blocks_.end()) {
+      if (n == params_.block_bytes) {
+        blocks_.erase(it);
+      } else {
+        std::fill_n(it->second.begin() + static_cast<ptrdiff_t>(in_block), n, uint8_t{0});
+      }
+    }
+    pos += n;
+  }
 }
 
 }  // namespace fractos

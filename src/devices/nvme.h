@@ -52,6 +52,9 @@ class SimNvme {
   // Writes `data` at byte offset `off`.
   void write(uint64_t off, Payload data, std::function<void(Status)> done);
 
+  // Deallocates [off, off + size) at once (NVMe Dataset Management): it reads as zeros.
+  void discard(uint64_t off, uint64_t size);
+
   // Direct (zero-time) access for test setup / verification.
   std::vector<uint8_t> peek(uint64_t off, uint64_t size) const;
   void poke(uint64_t off, const std::vector<uint8_t>& data);

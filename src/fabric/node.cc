@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/base/extent.h"
+
 namespace fractos {
 
 Node::Node(EventLoop* loop, uint32_t id, std::string name, bool with_snic)
@@ -33,7 +35,7 @@ Status Node::check_extent(PoolId pool, uint64_t addr, uint64_t size) const {
     return ErrorCode::kNotFound;
   }
   const uint64_t pool_size = pools_[pool].size();
-  if (addr > pool_size || size > pool_size - addr) {
+  if (!extent_within(addr, size, pool_size)) {
     return ErrorCode::kOutOfRange;
   }
   return ok_status();

@@ -1,5 +1,6 @@
 #include "src/services/block_adaptor.h"
 
+#include <optional>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -12,7 +13,8 @@ BlockAdaptor::BlockAdaptor(System* sys, uint32_t node, Controller& controller, S
 
 BlockAdaptor::BlockAdaptor(System* sys, uint32_t node, Controller& controller, SimNvme* nvme,
                            Params params)
-    : sys_(sys), nvme_(nvme), params_(params), slot_pool_(params.staging_slots) {
+    : sys_(sys), nvme_(nvme), params_(params), space_(nvme->capacity()),
+      slot_pool_(params.staging_slots) {
   const uint64_t heap = params_.staging_slots * params_.slot_bytes + (1 << 20);
   proc_ = &sys->spawn("block-adaptor", node, controller, heap);
   for (uint32_t i = 0; i < params_.staging_slots; ++i) {
@@ -34,16 +36,12 @@ void BlockAdaptor::handle_mgmt(Process::Received r) {
   }
   const CapId reply = r.cap(r.num_caps() - 1);
   const uint64_t size = r.imm_u64(0).value_or(0);
-  // `size` is checked before its rounding, which wraps to 0 near 2^64.
-  const uint64_t aligned = (size + 4095) & ~4095ull;
-  if (size == 0 || size > nvme_->capacity() - next_lba_ ||
-      next_lba_ + aligned > nvme_->capacity()) {
+  const std::optional<uint64_t> base = space_.allocate(size, 4096);
+  if (!base.has_value()) {
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
     return;
   }
   const uint32_t vol_id = next_vol_++;
-  const uint64_t base = next_lba_;
-  next_lba_ += aligned;
 
   std::vector<Future<Result<CapId>>> eps;
   eps.push_back(proc_->serve({}, [this, vol_id](Process::Received rr) {
@@ -55,10 +53,17 @@ void BlockAdaptor::handle_mgmt(Process::Received r) {
   eps.push_back(proc_->serve({}, [this, vol_id](Process::Received rr) {
     handle_delete(vol_id, std::move(rr));
   }));
-  when_all(std::move(eps)).on_ready([this, vol_id, base, size, reply](
+  when_all(std::move(eps)).on_ready([this, vol_id, base = *base, size, reply](
                                         std::vector<Result<CapId>>&& cids) {
     for (const auto& c : cids) {
       if (!c.ok()) {
+        // Nothing was handed out yet: unbind what was made and give the space back.
+        for (const auto& made : cids) {
+          if (made.ok()) {
+            proc_->remove_endpoint(made.value());
+          }
+        }
+        space_.release(base, size);
         proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
         return;
       }
@@ -76,6 +81,26 @@ void BlockAdaptor::handle_mgmt(Process::Received r) {
   });
 }
 
+void BlockAdaptor::end_io(uint32_t vol_id) {
+  if (auto it = volumes_.find(vol_id); it != volumes_.end()) {
+    --it->second.ios;
+    return;
+  }
+  auto it = draining_.find(vol_id);
+  // An I/O counts against its volume from the lookup it passed until this call.
+  FRACTOS_CHECK(it != draining_.end() && it->second.ios > 0);
+  if (--it->second.ios == 0) {
+    free_extent(it->second);
+    draining_.erase(it);
+  }
+}
+
+void BlockAdaptor::free_extent(const Volume& vol) {
+  // The next tenant of these blocks reads zeros, not this volume's bytes.
+  nvme_->discard(vol.base, vol.size);
+  space_.release(vol.base, vol.size);
+}
+
 void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
   const IoRequest req(r);
   auto vit = volumes_.find(vol_id);
@@ -83,13 +108,14 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
     req.fail_op(*proc_, ErrorCode::kRevoked);
     return;
   }
-  const Volume& vol = vit->second;
+  Volume& vol = vit->second;
   if (!req.fits(vol.size) || req.size > params_.slot_bytes) {
     req.fail_op(*proc_, ErrorCode::kInvalidArgument);
     return;
   }
   const uint64_t device_off = vol.base + req.off;
-  slot_pool_.acquire().and_then([this, device_off, size = req.size, dst = req.mem,
+  ++vol.ios;
+  slot_pool_.acquire().and_then([this, vol_id, device_off, size = req.size, dst = req.mem,
                                  req](size_t slot_idx) {
     const Slot slot = slots_[slot_idx];
     // Stream the read: device DMA of sub-chunk k+1 overlaps the network copy of sub-chunk k
@@ -104,17 +130,19 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
     };
     auto rs = std::make_shared<ReadState>();
     auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, rs, slot, size, req]() {
+    auto finish_check = [this, vol_id, rs, slot, size, req]() {
       if (rs->failed) {
         if (rs->device_in_flight == 0 && rs->copies_in_flight == 0) {
           rs->failed = false;  // report once
           slot_pool_.release(slot.idx);
+          end_io(vol_id);
           req.fail_op(*proc_, rs->error);
         }
         return;
       }
       if (rs->copied == size) {
         slot_pool_.release(slot.idx);
+        end_io(vol_id);
         // Invoke the continuation VERBATIM (decentralized control flow).
         proc_->request_invoke(req.cont);
       }
@@ -161,7 +189,10 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
       }
     };
     (*pump)();
-  }).or_else([this, req](ErrorCode e) { req.fail_op(*proc_, e); });
+  }).or_else([this, vol_id, req](ErrorCode e) {
+    end_io(vol_id);
+    req.fail_op(*proc_, e);
+  });
 }
 
 void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
@@ -171,13 +202,14 @@ void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
     req.fail_op(*proc_, ErrorCode::kRevoked);
     return;
   }
-  const Volume& vol = vit->second;
+  Volume& vol = vit->second;
   if (!req.fits(vol.size) || req.size > params_.slot_bytes) {
     req.fail_op(*proc_, ErrorCode::kInvalidArgument);
     return;
   }
   const uint64_t device_off = vol.base + req.off;
-  slot_pool_.acquire().and_then([this, device_off, size = req.size, src = req.mem,
+  ++vol.ios;
+  slot_pool_.acquire().and_then([this, vol_id, device_off, size = req.size, src = req.mem,
                                  req](size_t slot_idx) {
     const Slot slot = slots_[slot_idx];
     // Stream the write: the network pull of sub-chunk k+1 overlaps the device program of
@@ -192,17 +224,19 @@ void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
     };
     auto ws = std::make_shared<WriteState>();
     auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, ws, slot, size, req]() {
+    auto finish_check = [this, vol_id, ws, slot, size, req]() {
       if (ws->failed) {
         if (!ws->wire_busy && ws->writes_in_flight == 0) {
           ws->failed = false;
           slot_pool_.release(slot.idx);
+          end_io(vol_id);
           req.fail_op(*proc_, ws->error);
         }
         return;
       }
       if (ws->written == size) {
         slot_pool_.release(slot.idx);
+        end_io(vol_id);
         proc_->request_invoke(req.cont);
       }
     };
@@ -246,7 +280,10 @@ void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
           });
     };
     (*pump)();
-  }).or_else([this, req](ErrorCode e) { req.fail_op(*proc_, e); });
+  }).or_else([this, vol_id, req](ErrorCode e) {
+    end_io(vol_id);
+    req.fail_op(*proc_, e);
+  });
 }
 
 void BlockAdaptor::handle_delete(uint32_t vol_id, Process::Received r) {
@@ -260,6 +297,14 @@ void BlockAdaptor::handle_delete(uint32_t vol_id, Process::Received r) {
   }
   const Volume vol = vit->second;
   volumes_.erase(vit);
+  // An I/O that passed the lookup still reads or writes these blocks: they go back to the
+  // allocator only after its last device access, or a volume created on them in the
+  // meantime would take that I/O's bytes.
+  if (vol.ios == 0) {
+    free_extent(vol);
+  } else {
+    draining_.emplace(vol_id, vol);
+  }
   // "the SSD Process must selectively revoke all capabilities granting access to the freed
   // block, and must do so as fast as possible" (Section 3.5).
   proc_->remove_endpoint(vol.read_ep);

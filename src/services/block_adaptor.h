@@ -15,9 +15,11 @@
 //                         with imm@0 = status.
 //   write (per volume):   imm@0 u64 offset, imm@8 u64 size,
 //                         caps = [src Memory, continuation] or [src, continuation, error].
-//   delete (per volume):  caps = [reply]. Frees the region and REVOKES the volume's read and
-//                         write endpoints — every delegated capability to the freed blocks
-//                         dies immediately (the use-after-free scenario of Section 3.5).
+//   delete (per volume):  caps = [reply]. REVOKES the volume's read and write endpoints —
+//                         every delegated capability to the freed blocks dies immediately
+//                         (the use-after-free scenario of Section 3.5) — and frees the region
+//                         once the reads and writes already past the volume lookup have
+//                         ended. A freed region reads as zeros.
 //
 // Data path: device <-> staging slot in the adaptor's heap <-> memory_copy against the
 // client-provided Memory capability (which may live on any node — GPU memory included).
@@ -31,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/extent.h"
 #include "src/core/system.h"
 #include "src/futures/slot_pool.h"
 #include "src/devices/nvme.h"
@@ -63,6 +66,7 @@ class BlockAdaptor {
     CapId read_ep = kInvalidCap;
     CapId write_ep = kInvalidCap;
     CapId delete_ep = kInvalidCap;
+    uint32_t ios = 0;  // reads and writes past the volume lookup, not yet ended
   };
   struct Slot {
     size_t idx = 0;           // index in slots_ / the SlotPool
@@ -74,15 +78,20 @@ class BlockAdaptor {
   void handle_read(uint32_t vol_id, Process::Received r);
   void handle_write(uint32_t vol_id, Process::Received r);
   void handle_delete(uint32_t vol_id, Process::Received r);
+  // Ends an I/O on `vol_id`; a deleted volume's last I/O frees its extent.
+  void end_io(uint32_t vol_id);
+  void free_extent(const Volume& vol);
 
   System* sys_;
   Process* proc_;
   SimNvme* nvme_;
   Params params_;
   CapId mgmt_ep_ = kInvalidCap;
+  ExtentAllocator space_;  // the device's bytes, one 4 KiB-aligned extent per volume
   std::unordered_map<uint32_t, Volume> volumes_;
+  // Deleted volumes whose I/Os have not all ended; their extents are still taken.
+  std::unordered_map<uint32_t, Volume> draining_;
   uint32_t next_vol_ = 1;
-  uint64_t next_lba_ = 0;  // bump allocation over the device address space
   // Staging-slot pool: ops queue when all slots are busy.
   SlotPool slot_pool_;
   std::vector<Slot> slots_;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 
 namespace fractos {
 
@@ -26,9 +27,8 @@ IoRequest::IoRequest(const Process::Received& r) {
 }
 
 bool IoRequest::fits(uint64_t limit) const {
-  // `off > limit - size`, not `off + size > limit`: a sum that wraps must not pass.
-  return mem != kInvalidCap && cont != kInvalidCap && size != 0 && size <= limit &&
-         off <= limit - size && mem_size >= size;
+  return mem != kInvalidCap && cont != kInvalidCap && size != 0 &&
+         extent_within(off, size, limit) && mem_size >= size;
 }
 
 void IoRequest::fail_op(Process& proc, ErrorCode code) const {
@@ -64,8 +64,10 @@ struct CompletionState {
   }
   Process::Handler err_handler(const std::shared_ptr<CompletionState>& self) {
     return [self](Process::Received r) {
-      self->resolve(Status(static_cast<ErrorCode>(
-          r.imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)))));
+      // An error delivery never resolves ok: a zero, like an absent or unknown code, is the
+      // service's fault.
+      const ErrorCode code = decode_error_code(r.imm_u64(0).value_or(0));
+      self->resolve(Status(code == ErrorCode::kOk ? ErrorCode::kInternal : code));
     };
   }
 };
@@ -116,6 +118,8 @@ CapId Completion::ok() const { return st_->ok; }
 CapId Completion::err() const { return st_->err; }
 
 Future<Status> Completion::arm() const {
+  // The owner's own sequencing (one armed use per slot or op), never a delivery: input only
+  // resolves a use.
   FRACTOS_CHECK_MSG(!st_->pending.has_value(), "Completion armed twice");
   st_->pending.emplace();
   return st_->pending->future();

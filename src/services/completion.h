@@ -60,8 +60,8 @@ class Completion {
 
   // Arms the pair for one use. The future resolves exactly once, with whichever comes
   // first: ok on the ok delivery; the error delivery's imm@0 as an ErrorCode (kInternal
-  // when absent); the status given to resolve() or watch(); or kAborted from close(). A
-  // delivery while the pair is not armed runs nothing.
+  // when absent, zero or unknown); the status given to resolve() or watch(); or kAborted
+  // from close(). A delivery while the pair is not armed runs nothing.
   Future<Status> arm() const;
   // Resolves the armed use with `s`, if one is armed.
   void resolve(Status s) const;

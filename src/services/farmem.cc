@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 #include "src/sim/span.h"
 
 namespace fractos {
@@ -70,9 +71,9 @@ void FarMemClient::complete_from(const std::vector<uint8_t>& buf, uint64_t base,
 
 void FarMemClient::read(uint64_t offset, uint64_t size,
                         std::function<void(Result<std::vector<uint8_t>>)> done) {
-  FRACTOS_CHECK(size > 0 && offset + size <= seg_size_);
+  FRACTOS_CHECK(size > 0 && extent_within(offset, size, seg_size_));
   const uint64_t line = offset / cfg_.line_bytes * cfg_.line_bytes;
-  FRACTOS_CHECK_MSG(offset + size <= line + cfg_.line_bytes,
+  FRACTOS_CHECK_MSG(extent_within(offset - line, size, cfg_.line_bytes),
                     "far-mem access must lie within one cacheline");
   const uint64_t page = offset / cfg_.page_bytes * cfg_.page_bytes;
   ++stats_.accesses;
@@ -285,9 +286,9 @@ void FarMemClient::install_page(uint64_t page, std::vector<uint8_t> bytes) {
 void FarMemClient::write(uint64_t offset, std::vector<uint8_t> bytes,
                          std::function<void(Status)> done) {
   const uint64_t size = bytes.size();
-  FRACTOS_CHECK(size > 0 && offset + size <= seg_size_);
+  FRACTOS_CHECK(size > 0 && extent_within(offset, size, seg_size_));
   const uint64_t line = offset / cfg_.line_bytes * cfg_.line_bytes;
-  FRACTOS_CHECK_MSG(offset + size <= line + cfg_.line_bytes,
+  FRACTOS_CHECK_MSG(extent_within(offset - line, size, cfg_.line_bytes),
                     "far-mem access must lie within one cacheline");
   ++stats_.write_throughs;
   // Write-through keeps every cached copy coherent with the remote segment, so eviction

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 
 namespace fractos {
 
@@ -578,12 +579,8 @@ Future<Status> FsClient::create(Process& proc, CapId create_ep, const std::strin
           return r.error();
         }
         // The status is an ErrorCode; a missing or unknown one is the service's fault.
-        const uint64_t code =
-            r.value().imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal));
-        if (code > static_cast<uint64_t>(enum_last(ErrorCode{}))) {
-          return ErrorCode::kInternal;
-        }
-        return static_cast<ErrorCode>(code);
+        return decode_error_code(
+            r.value().imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)));
       });
 }
 
@@ -699,7 +696,7 @@ void fs_client_step(const std::shared_ptr<FsClientIo>& st) {
 Future<Status> fs_client_io(Process& proc, const FsClient::OpenFile& f, bool is_write,
                             uint64_t off, uint64_t size, CapId mem) {
   const std::vector<CapId>& eps = is_write ? f.write_eps : f.read_eps;
-  if (eps.empty() || size == 0 || off + size > f.size) {
+  if (eps.empty() || size == 0 || !extent_within(off, size, f.size)) {
     return make_ready_future(Status(ErrorCode::kInvalidArgument));
   }
   auto st = std::make_shared<FsClientIo>(

@@ -34,7 +34,7 @@
 //  * block-adaptor volumes, one per extent (FsService::bootstrap): the stage-1 leg of a
 //    chunk is a block RPC into the staging slot, chunks split at extent boundaries, and DAX
 //    and unlink exist;
-//  * a Backend that drives a device from the FS Process itself, one bump-allocated region
+//  * a Backend that drives a device from the FS Process itself, one ExtentAllocator region
 //    per file (BaselineFs, src/baselines): the stage-1 leg is the backend's, and there is no
 //    DAX and no unlink.
 

@@ -99,6 +99,10 @@ void GpuAdaptor::handle_alloc(uint32_t ctx_id, Process::Received r) {
       .on_ready([this, ctx_id, reply, device_addr](Result<CapId>&& mem) {
         auto cit = contexts_.find(ctx_id);
         if (!mem.ok() || cit == contexts_.end()) {
+          // A context cleaned up meanwhile has had all its allocations freed already.
+          if (cit != contexts_.end()) {
+            (void)gpu_->free(cit->second.gpu_ctx, device_addr);
+          }
           proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
           return;
         }
@@ -207,6 +211,8 @@ void GpuAdaptor::handle_cleanup(uint32_t ctx_id, Process::Received r) {
   }
   Context ctx = it->second;
   contexts_.erase(it);
+  // Unreachable failure: ctx.gpu_ctx was created with the entry just erased, and only this
+  // erase destroys it.
   FRACTOS_CHECK(gpu_->destroy_context(ctx.gpu_ctx).ok());
 
   // Revoke everything handed out plus the per-context endpoints: all delegated copies die.

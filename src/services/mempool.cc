@@ -6,25 +6,23 @@
 
 namespace fractos {
 
+namespace {
+
+constexpr uint64_t kSegmentAlign = 4096;
+
+}  // namespace
+
 std::unique_ptr<MemPoolService> MemPoolService::bootstrap(System* sys, uint32_t node,
                                                           Controller& controller,
                                                           uint64_t capacity_bytes) {
-  return bootstrap(sys, node, controller, capacity_bytes, Params{});
-}
-
-std::unique_ptr<MemPoolService> MemPoolService::bootstrap(System* sys, uint32_t node,
-                                                          Controller& controller,
-                                                          uint64_t capacity_bytes,
-                                                          Params params) {
   return std::unique_ptr<MemPoolService>(
-      new MemPoolService(sys, node, controller, capacity_bytes, params));
+      new MemPoolService(sys, node, controller, capacity_bytes));
 }
 
 MemPoolService::MemPoolService(System* sys, uint32_t node, Controller& controller,
-                               uint64_t capacity_bytes, Params params)
-    : sys_(sys), node_(node), params_(params), capacity_(capacity_bytes) {
-  FRACTOS_CHECK(capacity_bytes > 0);
-  FRACTOS_CHECK(params_.segment_align > 0);
+                               uint64_t capacity_bytes)
+    : sys_(sys), node_(node), space_(capacity_bytes) {
+  FRACTOS_CHECK(capacity_bytes > 0);  // deployment wiring (the pool's size), not input
   // The exported pool is separate from the Process heap: it models the memory node's
   // donated DRAM, not service working memory.
   pool_ = sys->net().node(node).add_pool(capacity_bytes);
@@ -63,16 +61,16 @@ void MemPoolService::handle_attach(Process::Received r) {
     reply_segment(it->second, reply);
     return;
   }
-  const uint64_t align = params_.segment_align;
-  const uint64_t addr = (next_addr_ + align - 1) / align * align;
-  if (addr + size > capacity_) {
+  const std::optional<uint64_t> at = space_.allocate(size, kSegmentAlign);
+  if (!at.has_value()) {
     proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
     return;
   }
-  next_addr_ = addr + size;
+  const uint64_t addr = *at;
   proc_->memory_create_in(pool_, addr, size, Perms::kReadWrite)
       .on_ready([this, name = *name, addr, size, reply](Result<CapId>&& mem) mutable {
         if (!mem.ok()) {
+          space_.release(addr, size);
           proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
           return;
         }

@@ -14,8 +14,9 @@
 //           Attaching an existing name returns the SAME segment (shared far memory by
 //           naming); the requested size must then fit inside it.
 //
-// Segments are bump-allocated, page-aligned, and zero-initialized (PoolBytes never touches
-// RSS for untouched pages, so multi-GiB pools are cheap to model).
+// Segments are placed first-fit, page-aligned, by an ExtentAllocator over the pool, and are
+// zero-initialized (PoolBytes never touches RSS for untouched pages, so multi-GiB pools are
+// cheap to model).
 
 #ifndef SRC_SERVICES_MEMPOOL_H_
 #define SRC_SERVICES_MEMPOOL_H_
@@ -24,30 +25,24 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/base/extent.h"
 #include "src/core/system.h"
 
 namespace fractos {
 
 class MemPoolService {
  public:
-  struct Params {
-    uint64_t segment_align = 4096;
-  };
-
   // Spawns the pool Process on `node` and registers a fresh `capacity_bytes` RDMA pool there.
   static std::unique_ptr<MemPoolService> bootstrap(System* sys, uint32_t node,
                                                    Controller& controller,
                                                    uint64_t capacity_bytes);
-  static std::unique_ptr<MemPoolService> bootstrap(System* sys, uint32_t node,
-                                                   Controller& controller,
-                                                   uint64_t capacity_bytes, Params params);
 
   Process& process() { return *proc_; }
   CapId attach_endpoint() const { return attach_ep_; }
   uint32_t node() const { return node_; }
   PoolId pool() const { return pool_; }
-  uint64_t capacity_bytes() const { return capacity_; }
-  uint64_t bytes_reserved() const { return next_addr_; }
+  uint64_t capacity_bytes() const { return space_.capacity(); }
+  uint64_t bytes_reserved() const { return space_.bytes_in_use(); }
   size_t num_segments() const { return segments_.size(); }
 
  private:
@@ -57,17 +52,14 @@ class MemPoolService {
     CapId mem = kInvalidCap;
   };
 
-  MemPoolService(System* sys, uint32_t node, Controller& controller, uint64_t capacity_bytes,
-                 Params params);
+  MemPoolService(System* sys, uint32_t node, Controller& controller, uint64_t capacity_bytes);
   void handle_attach(Process::Received r);
   void reply_segment(const Segment& seg, CapId reply);
 
   System* sys_;
   Process* proc_;
   uint32_t node_;
-  Params params_;
-  uint64_t capacity_;
-  uint64_t next_addr_ = 0;
+  ExtentAllocator space_;  // the pool's bytes, one range per segment
   PoolId pool_ = 0;
   CapId attach_ep_ = kInvalidCap;
   std::unordered_map<std::string, Segment> segments_;

@@ -103,6 +103,17 @@ TEST_F(PageCacheTest, WritesAbsorbedAndReadBack) {
   EXPECT_EQ(nvme_.peek(4096, 16384), data);
 }
 
+// off + size wraps past 2^64 to 10: neither call may reach the device or the cache.
+TEST_F(PageCacheTest, WrappingRangeIsOutOfRange) {
+  const uint64_t off = ~0ull - 9;
+  EXPECT_EQ(read_sync(cache_, off, 20).error(), ErrorCode::kOutOfRange);
+  Status wrote = ErrorCode::kInternal;
+  cache_.write(off, pattern(20), [&](Status s) { wrote = s; });
+  loop_.run();
+  EXPECT_EQ(wrote.error(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(nvme_.peek(0, 20), std::vector<uint8_t>(20, 0));
+}
+
 TEST_F(PageCacheTest, LruEvictionBoundsMemory) {
   PageCache::Params p;
   p.capacity_pages = 8;

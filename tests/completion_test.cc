@@ -55,6 +55,18 @@ TEST_F(CompletionTest, ErrorDeliveryDecodesImmZero) {
   EXPECT_EQ(without_code.take().error(), ErrorCode::kInternal);
 }
 
+// imm@0 is a u64: a value no ErrorCode has must not truncate into one (256 into kOk), and
+// an error delivery never resolves ok.
+TEST_F(CompletionTest, ErrorDeliveryWithNoErrorCodeFails) {
+  const Completion pair = Completion::serve(&sys_, *proc_);
+  for (const uint64_t imm : {256ull, 300ull, 0ull, ~0ull}) {
+    Future<Status> done = pair.arm();
+    deliver(pair.err(), Process::Args{}.imm_u64(0, imm));
+    ASSERT_TRUE(done.ready());
+    EXPECT_EQ(done.take().error(), ErrorCode::kInternal) << imm;
+  }
+}
+
 TEST_F(CompletionTest, DeliveryAfterCompletionRunsNothing) {
   const Completion pair = Completion::serve(&sys_, *proc_);
   Future<Status> first = pair.arm();

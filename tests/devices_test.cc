@@ -51,6 +51,16 @@ TEST_F(GpuTest, AllocExhaustionFails) {
   EXPECT_EQ(small.alloc(ctx, 8000).error(), ErrorCode::kResourceExhausted);
 }
 
+// A size near 2^64 must not wrap the placement into memory another allocation holds.
+TEST_F(GpuTest, AllocNearTwoToTheSixtyFourCannotReachAnotherAllocation) {
+  const auto ctx = gpu_->create_context();
+  const uint64_t a = gpu_->alloc(ctx, 1024).value();
+  EXPECT_EQ(gpu_->alloc(ctx, ~0ull - 1000).error(), ErrorCode::kResourceExhausted);
+  const uint64_t b = gpu_->alloc(ctx, 4096).value();
+  EXPECT_TRUE(b >= a + 1024 || b + 4096 <= a) << "a=" << a << " b=" << b;
+  EXPECT_EQ(gpu_->bytes_allocated(), 1024u + 4096);
+}
+
 TEST_F(GpuTest, FreeWrongContextRejected) {
   const auto c1 = gpu_->create_context();
   const auto c2 = gpu_->create_context();

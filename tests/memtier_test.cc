@@ -123,7 +123,7 @@ TEST_F(MemtierTest, AttachExportsAlignedCapabilityBackedSegments) {
       sys_.await(MemPoolClient::attach(*client_, attach_ep_, "seg", 2 * kSeg));
   EXPECT_FALSE(grow.ok());
 
-  // A second name bump-allocates past the first segment, page-aligned.
+  // A second name is placed past the first segment, page-aligned.
   FarMemSegment other =
       sys_.await_ok(MemPoolClient::attach(*client_, attach_ep_, "other", kPage));
   EXPECT_GE(other.addr, seg_.addr + seg_.size);
@@ -253,6 +253,30 @@ TEST_F(MemtierTest, TranslationPlacementOrdersTorBelowCpuBelowSnic) {
   // with slower per-op compute than the host CPU (MIND's placement trade-off).
   EXPECT_LT(lat_tor, lat_cpu);
   EXPECT_LT(lat_cpu, lat_snic);
+}
+
+// Tenant B asks for 2^64 - 256 KiB + 4097 bytes right after tenant A's 256 KiB segment:
+// base + size wraps past 2^64 to 4097. The attach must be refused without moving where the
+// pool places the next segment, so B's next segment cannot land inside A's.
+TEST(MemPoolIsolation, WrappingAttachCannotSteerTheNextSegmentIntoAnother) {
+  System sys;
+  const uint32_t cn = sys.add_node("client");
+  const uint32_t mn = sys.add_node("mem");
+  Controller& cc = sys.add_controller(cn, Loc::kHost);
+  Controller& mc = sys.add_controller(mn, Loc::kHost);
+  auto pool = MemPoolService::bootstrap(&sys, mn, mc, 1 << 20);
+  Process& a = sys.spawn("tenant-a", cn, cc);
+  Process& b = sys.spawn("tenant-b", cn, cc);
+  const CapId a_ep = sys.bootstrap_grant(pool->process(), pool->attach_endpoint(), a).value();
+  const CapId b_ep = sys.bootstrap_grant(pool->process(), pool->attach_endpoint(), b).value();
+
+  const FarMemSegment sa = sys.await_ok(MemPoolClient::attach(a, a_ep, "a", 256 << 10));
+  const uint64_t huge = ~0ull - (256 << 10) + 4098;  // 2^64 - 256 KiB + 4097
+  EXPECT_FALSE(sys.await(MemPoolClient::attach(b, b_ep, "b-huge", huge)).ok());
+  const FarMemSegment sb = sys.await_ok(MemPoolClient::attach(b, b_ep, "b", 64 << 10));
+  EXPECT_TRUE(sb.addr >= sa.addr + sa.size || sb.addr + sb.size <= sa.addr)
+      << "a=[" << sa.addr << ", +" << sa.size << ") b=[" << sb.addr << ", +" << sb.size << ")";
+  EXPECT_EQ(pool->bytes_reserved(), (256u << 10) + (64u << 10));
 }
 
 }  // namespace

@@ -334,6 +334,9 @@ TEST(FsCreateTest, FailedCreateDestroysTheVolumesItMade) {
             ErrorCode::kResourceExhausted);
   EXPECT_EQ(block.num_volumes(), 0u);
   EXPECT_EQ(fs->num_files(), 0u);
+  // The destroyed volumes gave their space back: the whole device fits a file again.
+  EXPECT_TRUE(sys.await(FsClient::create(client, create, "fits", 256 << 10)).ok());
+  EXPECT_EQ(block.num_volumes(), 2u);
 }
 
 TEST_F(FsEdgeTest, DoubleCloseFailsSecondTime) {

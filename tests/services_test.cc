@@ -223,6 +223,36 @@ TEST_F(BlockServiceTest, DeleteVolumeRevokesEndpoints) {
   EXPECT_EQ(adaptor_->num_volumes(), 0u);
 }
 
+// A write still streaming when its volume is deleted keeps the volume's extent until its
+// last sub-chunk is on the device: a volume created meanwhile cannot get those blocks, and
+// one created afterwards on them reads zeros, not the old tenant's bytes.
+TEST_F(BlockServiceTest, WriteInFlightAcrossDeleteNeverLandsInTheNextVolume) {
+  SimNvme::Params np;
+  np.capacity_bytes = 1 << 20;  // room for one volume
+  SimNvme nvme(&sys_.loop(), np);
+  BlockAdaptor adaptor(&sys_, storage_node_, *cs_, &nvme);
+  const CapId mgmt =
+      sys_.bootstrap_grant(adaptor.process(), adaptor.mgmt_endpoint(), *client_).value();
+  auto a = sys_.await_ok(BlockClient::create_volume(*client_, mgmt, 1 << 20));
+  const uint64_t addr = client_->alloc(1 << 20);
+  client_->write_mem(addr, pattern(1 << 20, 5));
+  const CapId buf = sys_.await_ok(client_->memory_create(addr, 1 << 20, Perms::kReadWrite));
+
+  Future<Status> w = BlockClient::write(*client_, a, 0, 1 << 20, buf);
+  ASSERT_TRUE(sys_.loop().run_until([&]() { return nvme.writes_completed() >= 1; }));
+  ASSERT_TRUE(sys_.await(BlockClient::destroy(*client_, a)).ok());
+  ASSERT_FALSE(w.ready());  // still pumping sub-chunks into a's blocks
+  EXPECT_EQ(sys_.await(BlockClient::create_volume(*client_, mgmt, 1 << 20)).error(),
+            ErrorCode::kResourceExhausted);
+
+  (void)sys_.await(std::move(w));
+  sys_.loop().run();
+  auto c = sys_.await(BlockClient::create_volume(*client_, mgmt, 1 << 20));
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(sys_.await(BlockClient::read(*client_, c.value(), 0, 1 << 20, buf)).ok());
+  EXPECT_EQ(client_->read_mem(addr, 1 << 20), std::vector<uint8_t>(1 << 20, 0));
+}
+
 TEST_F(BlockServiceTest, ManyConcurrentIosQueueOnSlots) {
   auto vol = sys_.await_ok(BlockClient::create_volume(*client_, mgmt_, 16 << 20));
   std::vector<Future<Status>> ios;
