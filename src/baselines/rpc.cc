@@ -37,13 +37,17 @@ RpcClient::RpcClient(Network* net, Endpoint local, RpcServer& server, ExecContex
       issue_cost_(issue_cost) {
   QueuePair::connect(qp_, server.accept());
   qp_.set_receive_handler([this](Payload frame) { on_reply(frame); });
-  qp_.set_severed_handler([this]() { fail_pending(ErrorCode::kChannelClosed); });
+  qp_.set_severed_handler([this]() {
+    // Taken first: a continuation may issue a call, which must not land in the table being
+    // drained.
+    for (auto& [seq, promise] : std::exchange(pending_, {})) {
+      promise.set(ErrorCode::kChannelClosed);
+    }
+  });
 }
 
 Future<Result<Payload>> RpcClient::issue(uint64_t seq, Traffic category, Payload frame) {
   if (qp_.severed()) {
-    // A pair severed by its own retry exhaustion runs no handler: its calls fail here.
-    fail_pending(ErrorCode::kChannelClosed);
     return make_ready_future(Result<Payload>(ErrorCode::kChannelClosed));
   }
   Promise<Result<Payload>> promise;
@@ -78,16 +82,6 @@ void RpcClient::on_reply(const Payload& frame) {
     promise.set(Payload());
   } else {
     promise.set(Payload::copy_of(payload.data(), payload.size()));
-  }
-}
-
-void RpcClient::fail_pending(ErrorCode code) {
-  // Taken first: a continuation may issue a call, which must not land in the table being
-  // drained.
-  std::map<uint64_t, Promise<Result<Payload>>> failed = std::move(pending_);
-  pending_.clear();
-  for (auto& [seq, promise] : failed) {
-    promise.set(code);
   }
 }
 

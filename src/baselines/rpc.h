@@ -14,10 +14,8 @@
 //     dropped unanswered;
 //   * a reply that does not decode completely, or whose seq nothing is waiting for, is
 //     dropped;
-//   * when the server's end severs the connection, every pending call fails with
-//     kChannelClosed, in seq order. A client end severed by its own retry exhaustion gets no
-//     signal from its QueuePair, so its pending calls fail at its next call. Calls on a
-//     severed connection fail at once.
+//   * when the connection severs, from either end or by retry exhaustion, every pending call
+//     fails with kChannelClosed, in seq order. Calls on a severed connection fail at once.
 
 #ifndef SRC_BASELINES_RPC_H_
 #define SRC_BASELINES_RPC_H_
@@ -152,7 +150,6 @@ class RpcClient {
  private:
   Future<Result<Payload>> issue(uint64_t seq, Traffic category, Payload frame);
   void on_reply(const Payload& frame);
-  void fail_pending(ErrorCode code);
 
   QueuePair qp_;
   uint8_t reply_op_;

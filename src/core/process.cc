@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/extent.h"
 #include "src/sim/span.h"
 
 namespace fractos {
@@ -77,52 +78,46 @@ Process::Process(Network* net, ProcessId pid, std::string name, uint32_t node, P
   (void)controller_ep;  // the System wires the channel to the Controller side
   name_id_ = intern_name(name_);
   chan_.set_handler([this](Envelope&& env) { on_envelope(std::move(env)); });
+  chan_.set_severed_handler([this]() { on_severed(); });
 }
 
 // --- syscall plumbing ---------------------------------------------------------------------------
 
-uint64_t Process::send_syscall(Envelope env) {
-  FRACTOS_CHECK(!failed_);
+void Process::send_syscall(Envelope env, ReplyFn reply) {
+  if (chan_.severed()) {
+    // No Controller hears a severed channel (a failed Process's is severed too): the syscall
+    // fails through the error channel at once, so failure-cleanup continuations can run.
+    reply(SyscallReplyMsg{.call_seq = env.seq, .status = ErrorCode::kChannelClosed});
+    return;
+  }
+  uint64_t span = 0;
   if (span_tracing_active()) {
     if (SpanTracer* t = net_->loop()->span_tracer()) {
-      const uint64_t span =
+      span =
           t->begin(name_id_, SpanKind::kSyscall, msg_type_span_name(env.type), net_->loop()->now());
-      if (span != 0) {
-        pending_spans_.emplace(env.seq, span);
-      }
     }
   }
+  pending_.emplace_hint(pending_.end(), env.seq, PendingSyscall{std::move(reply), span});
   chan_.send(Traffic::kControl, env);
-  return env.seq;
 }
 
 Future<Result<CapId>> Process::cap_syscall(Envelope env) {
-  if (failed_) {
-    // A failed process cannot reach its Controller; syscalls fail through the error channel
-    // instead of CHECK-crashing, so failure-cleanup continuations can run safely.
-    return make_ready_future(Result<CapId>(ErrorCode::kChannelClosed));
-  }
   Promise<Result<CapId>> promise;
-  pending_.emplace(env.seq, [promise](const SyscallReplyMsg& r) {
+  send_syscall(std::move(env), [promise](const SyscallReplyMsg& r) {
     if (r.status == ErrorCode::kOk) {
       promise.set(r.cid);
     } else {
       promise.set(r.status);
     }
   });
-  send_syscall(std::move(env));
   return promise.future();
 }
 
 Future<Status> Process::status_syscall(Envelope env) {
-  if (failed_) {
-    return make_ready_future(Status(ErrorCode::kChannelClosed));
-  }
   Promise<Status> promise;
-  pending_.emplace(env.seq, [promise](const SyscallReplyMsg& r) {
+  send_syscall(std::move(env), [promise](const SyscallReplyMsg& r) {
     promise.set(r.status == ErrorCode::kOk ? ok_status() : Status(r.status));
   });
-  send_syscall(std::move(env));
   return promise.future();
 }
 
@@ -255,18 +250,17 @@ void Process::on_envelope(Envelope&& env) {
     case MsgType::kSyscallReply: {
       const auto& r = std::get<SyscallReplyMsg>(env.body);
       auto it = pending_.find(r.call_seq);
+      // The Controller answers each syscall once, and the table empties only at the sever,
+      // after which the channel delivers nothing: every reply finds its entry.
       FRACTOS_CHECK_MSG(it != pending_.end(), "reply for unknown syscall");
-      auto cont = std::move(it->second);
+      PendingSyscall call = std::move(it->second);
       pending_.erase(it);
-      auto sit = pending_spans_.find(r.call_seq);
-      if (sit != pending_spans_.end()) {
-        const uint64_t span = sit->second;
-        pending_spans_.erase(sit);
+      if (call.span != 0) {
         if (SpanTracer* t = net_->loop()->span_tracer()) {
-          t->end(span, net_->loop()->now());
+          t->end(call.span, net_->loop()->now());
         }
       }
-      cont(r);
+      call.reply(r);
       break;
     }
     case MsgType::kDeliverRequest: {
@@ -311,6 +305,7 @@ void Process::on_envelope(Envelope&& env) {
       break;
     }
     default:
+      // The only sender is the Process's own Controller, which sends it these four types.
       FRACTOS_CHECK_MSG(false, "unexpected message type delivered to process");
   }
 }
@@ -319,23 +314,25 @@ void Process::on_envelope(Envelope&& env) {
 
 uint64_t Process::heap_size() const { return net_->node(node_).pool(heap_pool_).size(); }
 
+// The local-memory calls are the Process's own API on its own heap, never wire input: their
+// CHECKs catch a program bug, with range tests that cannot wrap.
 uint64_t Process::alloc(uint64_t size, uint64_t align) {
   FRACTOS_CHECK(align > 0 && (align & (align - 1)) == 0);
   uint64_t addr = (next_alloc_ + align - 1) & ~(align - 1);
-  FRACTOS_CHECK_MSG(addr + size <= heap_size(), "process heap exhausted");
+  FRACTOS_CHECK_MSG(extent_within(addr, size, heap_size()), "process heap exhausted");
   next_alloc_ = addr + size;
   return addr;
 }
 
 void Process::write_mem(uint64_t addr, std::span<const uint8_t> bytes) {
   auto& pool = net_->node(node_).pool(heap_pool_);
-  FRACTOS_CHECK(addr + bytes.size() <= pool.size());
+  FRACTOS_CHECK(extent_within(addr, bytes.size(), pool.size()));
   std::copy(bytes.begin(), bytes.end(), pool.begin() + static_cast<ptrdiff_t>(addr));
 }
 
 std::vector<uint8_t> Process::read_mem(uint64_t addr, uint64_t size) const {
   const auto& pool = net_->node(node_).pool(heap_pool_);
-  FRACTOS_CHECK(addr + size <= pool.size());
+  FRACTOS_CHECK(extent_within(addr, size, pool.size()));
   return std::vector<uint8_t>(pool.begin() + static_cast<ptrdiff_t>(addr),
                               pool.begin() + static_cast<ptrdiff_t>(addr + size));
 }
@@ -346,22 +343,22 @@ Future<Unit> Process::compute(Duration cost) {
   return promise.future();
 }
 
-void Process::fail() {
-  if (failed_) {
-    return;
-  }
-  failed_ = true;
-  pending_.clear();
-  if (!pending_spans_.empty()) {
-    if (SpanTracer* t = net_->loop()->span_tracer()) {
-      for (const auto& [seq, span] : pending_spans_) {
-        t->end_error(span, net_->loop()->now(), "process-failed");
-      }
+void Process::on_severed() {
+  // Taken whole first: a failed syscall's continuation may issue another, which fails at
+  // once without touching the table.
+  SpanTracer* t = net_->loop()->span_tracer();
+  for (auto& [seq, call] : std::exchange(pending_, {})) {
+    if (call.span != 0 && t != nullptr) {
+      t->end_error(call.span, net_->loop()->now(), "channel-closed");
     }
-    pending_spans_.clear();
+    call.reply(SyscallReplyMsg{.call_seq = seq, .status = ErrorCode::kChannelClosed});
   }
   handlers_.clear();
-  chan_.sever();
+}
+
+void Process::fail() {
+  failed_ = true;
+  chan_.sever();  // the severed handler fails what waits
 }
 
 }  // namespace fractos

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -145,8 +146,18 @@ class Process {
   void fail();
 
  private:
+  // The continuation of one in-flight syscall. It holds one Promise, so it is stored inline.
+  using ReplyFn = BasicInlineFn<void(const SyscallReplyMsg&), 16, alignof(void*)>;
+  struct PendingSyscall {
+    ReplyFn reply;
+    uint64_t span = 0;  // its open kSyscall span; 0 when tracing is off
+  };
+
   void on_envelope(Envelope&& env);
-  uint64_t send_syscall(Envelope env);  // returns the seq used
+  // However the channel severed: fails every pending syscall with kChannelClosed, in seq
+  // order, and drops the endpoint handlers.
+  void on_severed();
+  void send_syscall(Envelope env, ReplyFn reply);
   Future<Result<CapId>> cap_syscall(Envelope env);
   Future<Status> status_syscall(Envelope env);
 
@@ -158,14 +169,10 @@ class Process {
   PoolId heap_pool_;
   Channel chan_;
   uint64_t next_seq_ = 1;
-  // Open kSyscall span per in-flight syscall, keyed by envelope seq (empty when tracing off).
-  std::unordered_map<uint64_t, uint64_t> pending_spans_;
   uint64_t next_alloc_ = 0;
   bool failed_ = false;
-  // The continuation of each in-flight syscall, keyed by envelope seq. A continuation holds
-  // one Promise, so it is stored inline.
-  using ReplyFn = BasicInlineFn<void(const SyscallReplyMsg&), 16, alignof(void*)>;
-  std::unordered_map<uint64_t, ReplyFn> pending_;
+  // Every in-flight syscall, keyed by envelope seq; ordered, so a sever fails them in order.
+  std::map<uint64_t, PendingSyscall> pending_;
   std::unordered_map<CapId, std::shared_ptr<const Handler>> handlers_;
   Handler default_handler_;
   std::function<void(uint64_t, bool)> monitor_handler_;

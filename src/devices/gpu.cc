@@ -1,5 +1,6 @@
 #include "src/devices/gpu.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -25,7 +26,7 @@ Status SimGpu::destroy_context(ContextId ctx) {
   }
   for (auto it = allocs_.begin(); it != allocs_.end();) {
     if (it->second.ctx == ctx) {
-      memory_.release(it->first, it->second.size);
+      release(it->first, it->second.size);
       it = allocs_.erase(it);
     } else {
       ++it;
@@ -55,9 +56,17 @@ Status SimGpu::free(ContextId ctx, uint64_t addr) {
   if (it == allocs_.end() || it->second.ctx != ctx) {
     return ErrorCode::kNotFound;
   }
-  memory_.release(addr, it->second.size);
+  release(addr, it->second.size);
   allocs_.erase(it);
   return ok_status();
+}
+
+void SimGpu::release(uint64_t addr, uint64_t size) {
+  // The next tenant to get these bytes must not read the last one's. Zeroing is free in
+  // simulated time, as SimNvme::discard is for a block volume.
+  std::fill_n(net_->node(node_).pool(pool_).begin() + static_cast<ptrdiff_t>(addr), size,
+              uint8_t{0});
+  memory_.release(addr, size);
 }
 
 SimGpu::KernelId SimGpu::load_kernel(const std::string& name, Kernel kernel) {

@@ -75,6 +75,9 @@ class SimGpu {
     ContextId ctx = 0;
   };
 
+  // Zeroes an allocation's bytes and returns its extent to the allocator.
+  void release(uint64_t addr, uint64_t size);
+
   Network* net_;
   uint32_t node_;
   Params params_;

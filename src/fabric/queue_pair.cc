@@ -35,24 +35,24 @@ void bump(Network* net, NameId key, int64_t delta = 1) {
 }  // namespace
 
 QueuePair::QueuePair(Network* net, Endpoint local) : net_(net), local_(local) {
-  FRACTOS_CHECK(net != nullptr);
+  FRACTOS_CHECK(net != nullptr);  // the owner's wiring, not input
 }
 
 QueuePair::~QueuePair() { anchor_.clear(); }
 
 void QueuePair::connect(QueuePair& a, QueuePair& b) {
-  FRACTOS_CHECK(a.peer_ == nullptr && b.peer_ == nullptr);
+  FRACTOS_CHECK(a.peer_ == nullptr && b.peer_ == nullptr);  // wiring (System, RpcClient); not input
   a.peer_ = &b;
   b.peer_ = &a;
 }
 
 Endpoint QueuePair::remote() const {
-  FRACTOS_CHECK(peer_ != nullptr);
+  FRACTOS_CHECK(peer_ != nullptr);  // asked only of a connected end; not input
   return peer_->local_;
 }
 
 void QueuePair::send(Traffic category, Payload payload) {
-  FRACTOS_CHECK(peer_ != nullptr);
+  FRACTOS_CHECK(peer_ != nullptr);  // owners connect before they send; not input
   if (severed_) {
     note_dropped(1);
     return;
@@ -84,7 +84,7 @@ void QueuePair::send(Traffic category, Payload payload) {
 
 void QueuePair::transmit(uint64_t seq) {
   auto it = unacked_.find(seq);
-  FRACTOS_CHECK(it != unacked_.end());
+  FRACTOS_CHECK(it != unacked_.end());  // every caller names a seq it just found or inserted
   Pending& p = it->second;
   ++p.attempts;
   p.last_tx = net_->loop()->now();
@@ -121,20 +121,14 @@ void QueuePair::arm_retransmit(uint64_t seq, uint32_t attempt) {
     // head WQE, reset on any ACK progress). A trailing entry is waiting out head-of-line
     // recovery; severing on its attempt count would kill a healthy pair under a burst.
     if (it == qp->unacked_.begin() && ++qp->consecutive_head_retries_ >= qp->retry_budget_) {
-      qp->exhaust_retries();
+      // RoCE RC retry_cnt exhaustion: the connection moves to the error state, and the local
+      // queue learns of it first, as an RC NIC reports it as an error completion.
+      qp->net_->note_rc_exhausted();
+      qp->tear_down(/*peer_knows=*/false);
       return;
     }
     qp->transmit(seq);
   });
-}
-
-void QueuePair::exhaust_retries() {
-  // RoCE RC retry_cnt exhaustion: the connection moves to the error state. Everything still
-  // unACKed is lost.
-  note_dropped(static_cast<int64_t>(unacked_.size()));
-  net_->note_rc_exhausted();
-  unacked_.clear();
-  sever();
 }
 
 void QueuePair::on_wire_data(uint64_t seq, Payload payload) {
@@ -198,6 +192,8 @@ void QueuePair::deliver(Payload payload) {
   if (severed_) {
     return;
   }
+  // Not reachable from the peer: every owner (Channel, RpcServer::accept, RpcClient) installs
+  // its receive handler before the end is connected, so nothing can arrive without one.
   FRACTOS_CHECK_MSG(on_receive_ != nullptr, "QueuePair received with no handler");
   on_receive_(std::move(payload));
 }
@@ -207,32 +203,27 @@ void QueuePair::note_dropped(int64_t n) {
   bump(net_, qp_names().dropped, n);
 }
 
-void QueuePair::sever() {
-  if (severed_) {
-    return;
-  }
-  severed_ = true;
-  note_dropped(static_cast<int64_t>(unacked_.size()));
-  unacked_.clear();
-  if (peer_ != nullptr && !peer_->severed_) {
-    const Duration delay = net_->wire_latency(local_, peer_->local_);
-    net_->loop()->schedule_after(delay, [peer = peer_->anchor_]() {
-      if (QueuePair* qp = peer.get()) {
-        qp->peer_severed();
-      }
-    });
-  }
-}
+void QueuePair::sever() { tear_down(/*peer_knows=*/false); }
 
-void QueuePair::peer_severed() {
+void QueuePair::tear_down(bool peer_knows) {
   if (severed_) {
     return;
   }
   severed_ = true;
+  // Everything still unACKed is lost.
   note_dropped(static_cast<int64_t>(unacked_.size()));
   unacked_.clear();
   if (on_severed_ != nullptr) {
     on_severed_();
+  }
+  if (!peer_knows && peer_ != nullptr && !peer_->severed_) {
+    // The transport detects the broken connection one propagation delay later.
+    const Duration delay = net_->wire_latency(local_, peer_->local_);
+    net_->loop()->schedule_after(delay, [peer = peer_->anchor_]() {
+      if (QueuePair* qp = peer.get()) {
+        qp->tear_down(/*peer_knows=*/true);
+      }
+    });
   }
 }
 

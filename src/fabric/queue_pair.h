@@ -4,7 +4,9 @@
 // Section 4 of the paper).
 //
 // A QueuePair is one local end; connect() wires two ends together. sever() models a broken
-// channel (process death, node failure): the peer's severed handler fires, which is exactly
+// channel (process death, node failure). The sever contract: an end runs its owner's severed
+// handler exactly once, whatever severed it — its owner's sever(), its own retry exhaustion,
+// or the peer's sever, which reaches it one propagation delay later. That handler is exactly
 // the event FractOS's failure-translation machinery consumes ("A Process failure is detected
 // by the owner Controller when their channel is severed", Section 3.6).
 //
@@ -72,9 +74,9 @@ class QueuePair {
   // refcounted handle: RC retransmissions re-send the same rep without copying bytes.
   void send(Traffic category, Payload payload);
 
-  // Tears the connection down from this side. The peer's severed handler fires after one
-  // propagation delay (the transport detecting the broken connection). Unacknowledged
-  // in-flight messages are counted as dropped.
+  // Tears the connection down from this side: this end's severed handler runs now, the
+  // peer's after one propagation delay (the transport detecting the broken connection).
+  // Unacknowledged in-flight messages are counted as dropped. Idempotent.
   void sever();
 
   // --- reliability counters (first-class outputs; all zero on a clean fabric) ---
@@ -95,13 +97,14 @@ class QueuePair {
   bool reliable() const { return mode_ == Mode::kReliable && net_->lossy(); }
   void transmit(uint64_t seq);
   void arm_retransmit(uint64_t seq, uint32_t attempt);
-  void exhaust_retries();
   void on_wire_data(uint64_t seq, Payload payload);
   void send_ack(uint64_t cumulative);
   void on_ack(uint64_t cumulative);
   void deliver(Payload payload);
   void note_dropped(int64_t n);
-  void peer_severed();
+  // The one teardown, whatever severed the pair: drops the unACKed window, runs the owner's
+  // handler once, and tells the peer unless it already knows.
+  void tear_down(bool peer_knows);
 
   // What every callback the pair parks in the event loop (deliveries, ACKs, retransmit
   // timers, sever propagation) holds instead of `this`: a counted cell that ~QueuePair

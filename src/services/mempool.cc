@@ -54,11 +54,14 @@ void MemPoolService::handle_attach(Process::Received r) {
   if (const auto it = segments_.find(*name); it != segments_.end()) {
     // Shared attach: the name is the rendezvous. A second tenant asking for more than the
     // segment holds is a conflict, not a grow — segments are immutable once exported.
-    if (size > it->second.size) {
+    Segment& seg = it->second;
+    if (size > seg.size) {
       proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 2));
-      return;
+    } else if (seg.mem == kInvalidCap) {
+      seg.waiters.push_back(reply);  // its creation is in flight
+    } else {
+      reply_segment(seg, reply);
     }
-    reply_segment(it->second, reply);
     return;
   }
   const std::optional<uint64_t> at = space_.allocate(size, kSegmentAlign);
@@ -67,16 +70,24 @@ void MemPoolService::handle_attach(Process::Received r) {
     return;
   }
   const uint64_t addr = *at;
+  segments_.emplace(*name, Segment{addr, size, kInvalidCap, {reply}});
   proc_->memory_create_in(pool_, addr, size, Perms::kReadWrite)
-      .on_ready([this, name = *name, addr, size, reply](Result<CapId>&& mem) mutable {
-        if (!mem.ok()) {
-          space_.release(addr, size);
-          proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
-          return;
+      .on_ready([this, name = *name](Result<CapId>&& mem) {
+        // Only this continuation erases a segment whose creation is in flight.
+        auto it = segments_.find(name);
+        Segment& seg = it->second;
+        seg.mem = mem.ok() ? mem.value() : kInvalidCap;
+        for (CapId reply : std::exchange(seg.waiters, {})) {
+          if (mem.ok()) {
+            reply_segment(seg, reply);
+          } else {
+            proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+          }
         }
-        Segment seg{addr, size, mem.value()};
-        segments_.emplace(std::move(name), seg);
-        reply_segment(seg, reply);
+        if (!mem.ok()) {
+          space_.release(seg.addr, seg.size);
+          segments_.erase(it);
+        }
       });
 }
 

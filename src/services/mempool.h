@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/extent.h"
 #include "src/core/system.h"
@@ -46,10 +47,14 @@ class MemPoolService {
   size_t num_segments() const { return segments_.size(); }
 
  private:
+  // A name's segment, recorded when its range is allocated. Until its memory_create_in
+  // resolves, `mem` is kInvalidCap and `waiters` holds the reply of every attach of the name,
+  // the first included; all are answered when the creation resolves.
   struct Segment {
     uint64_t addr = 0;
     uint64_t size = 0;
     CapId mem = kInvalidCap;
+    std::vector<CapId> waiters;
   };
 
   MemPoolService(System* sys, uint32_t node, Controller& controller, uint64_t capacity_bytes);

@@ -244,19 +244,19 @@ TEST_F(BaselineRpc, SeverFailsEveryPendingCallInSeqOrder) {
   EXPECT_EQ(late.take().error(), ErrorCode::kChannelClosed);
 }
 
-TEST_F(BaselineRpc, OwnRetryExhaustionFailsThePendingCallsAtTheNextCall) {
+TEST_F(BaselineRpc, OwnRetryExhaustionFailsThePendingCalls) {
   ASSERT_TRUE(nfs_server_->create_file("a", 4096).ok());
   // Every message between client and server is lost: the client's request exhausts its
-  // retries, and its own end severs, which runs no handler.
+  // retries, and its own end severs, which runs the client's severed handler.
   FaultPlan plan;
   plan.link_overrides.push_back({client_node_, fs_node_, {1.0, 1.0}});
   net_.install_fault_injector(plan);
   auto first = nfs_->open("a");
   loop_.run();
-  EXPECT_FALSE(first.ready());
-  auto next = nfs_->open("a");
-  ASSERT_TRUE(first.ready() && next.ready());
+  ASSERT_TRUE(first.ready());
   EXPECT_EQ(first.take().error(), ErrorCode::kChannelClosed);
+  auto next = nfs_->open("a");
+  ASSERT_TRUE(next.ready());
   EXPECT_EQ(next.take().error(), ErrorCode::kChannelClosed);
 }
 

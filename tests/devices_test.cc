@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/devices/gpu.h"
 #include "src/devices/nvme.h"
 
@@ -59,6 +61,31 @@ TEST_F(GpuTest, AllocNearTwoToTheSixtyFourCannotReachAnotherAllocation) {
   const uint64_t b = gpu_->alloc(ctx, 4096).value();
   EXPECT_TRUE(b >= a + 1024 || b + 4096 <= a) << "a=" << a << " b=" << b;
   EXPECT_EQ(gpu_->bytes_allocated(), 1024u + 4096);
+}
+
+// Freed device memory must not carry one tenant's bytes to the next: a fresh allocation over
+// a freed or destroyed context's range reads zeros.
+TEST_F(GpuTest, FreedMemoryReadsAsZerosToTheNextTenant) {
+  PoolBytes& mem = net_.node(node_).pool(gpu_->pool());
+  const auto c1 = gpu_->create_context();
+  const uint64_t a = gpu_->alloc(c1, 256).value();
+  std::fill_n(mem.begin() + static_cast<ptrdiff_t>(a), 256, uint8_t{0x5a});
+  ASSERT_TRUE(gpu_->destroy_context(c1).ok());
+  const auto c2 = gpu_->create_context();
+  const uint64_t b = gpu_->alloc(c2, 256).value();
+  ASSERT_EQ(b, a);
+  EXPECT_TRUE(std::all_of(mem.begin() + static_cast<ptrdiff_t>(b),
+                          mem.begin() + static_cast<ptrdiff_t>(b + 256),
+                          [](uint8_t v) { return v == 0; }));
+
+  std::fill_n(mem.begin() + static_cast<ptrdiff_t>(b), 256, uint8_t{0xa5});
+  ASSERT_TRUE(gpu_->free(c2, b).ok());
+  const auto c3 = gpu_->create_context();
+  const uint64_t c = gpu_->alloc(c3, 256).value();
+  ASSERT_EQ(c, b);
+  EXPECT_TRUE(std::all_of(mem.begin() + static_cast<ptrdiff_t>(c),
+                          mem.begin() + static_cast<ptrdiff_t>(c + 256),
+                          [](uint8_t v) { return v == 0; }));
 }
 
 TEST_F(GpuTest, FreeWrongContextRejected) {

@@ -246,10 +246,13 @@ TEST_F(QueuePairTest, SeverNotifiesPeerOnce) {
   b.set_receive_handler([](Payload) {});
   int severed = 0;
   b.set_severed_handler([&]() { ++severed; });
+  int own_severed = 0;
+  a.set_severed_handler([&]() { ++own_severed; });
   a.sever();
   a.sever();  // idempotent
   loop_.run();
   EXPECT_EQ(severed, 1);
+  EXPECT_EQ(own_severed, 1);  // the severing end hears its own sever too
   EXPECT_TRUE(a.severed());
   EXPECT_TRUE(b.severed());
 }
@@ -325,11 +328,14 @@ TEST_F(LossyQueuePairTest, ExhaustedRetryBudgetSeversPair) {
   b.set_receive_handler([](Payload) {});
   int peer_severed = 0;
   b.set_severed_handler([&]() { ++peer_severed; });
+  int own_severed = 0;
+  a.set_severed_handler([&]() { ++own_severed; });
   a.send(Traffic::kControl, {1});
   loop_.run();
   EXPECT_TRUE(a.severed());
   EXPECT_TRUE(b.severed());
   EXPECT_EQ(peer_severed, 1);
+  EXPECT_EQ(own_severed, 1);  // exhaustion reaches the exhausted end's own owner
   EXPECT_GT(a.dropped(), 0u);
   EXPECT_EQ(a.retransmits(), 3u);  // budget 4 = 1 initial + 3 retries
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/apps/face_verify.h"
@@ -81,8 +83,12 @@ TEST_F(FailureMatrix, ControllerCrashMidRpcDrainsClean) {
     client.request_invoke(ep_c);
   }
   sys_.loop().run(50);  // some invokes in flight
+  auto svc_call = svc.null_op();
   sys_.fail_controller(*c1_);
   sys_.loop().run();  // must drain without crashing
+  // The service's syscall in flight at the crash fails through the error channel.
+  ASSERT_TRUE(svc_call.ready());
+  EXPECT_EQ(svc_call.take().error(), ErrorCode::kChannelClosed);
   // The rest of the cluster still works: client can talk to a service on node 2.
   Process& svc2 = sys_.spawn("svc2", n2_, *c2_);
   int ok2 = 0;
@@ -257,6 +263,97 @@ TEST_F(FailureMatrix, DeadHolderRevokesTrackedCapsInCidOrder) {
   sys_.fail_process(client);
   sys_.loop().run();
   EXPECT_EQ(fired, (std::vector<uint64_t>{10, 20, 11, 21}));
+}
+
+// --- The sever contract: every end hears its own sever -----------------------------------------
+//
+// A Process on node 0 attached to a Controller on node 1 with one syscall in flight. However
+// its channel severs, the pending syscall and every later one fail with kChannelClosed, and
+// the Controller translates the sever into a Process failure once.
+
+struct SeverRig {
+  explicit SeverRig(std::optional<FaultPlan> faults = std::nullopt)
+      : sys([&]() {
+          SystemConfig cfg;
+          cfg.faults = std::move(faults);
+          return cfg;
+        }()) {
+    const uint32_t n0 = sys.add_node("n0");
+    const uint32_t n1 = sys.add_node("n1");
+    ctrl = &sys.add_controller(n1, Loc::kHost);
+    proc = &sys.spawn("p", n0, *ctrl);
+  }
+
+  // A flap of the n0-n1 link from `start` to 15 ms.
+  static FaultPlan flap_from(Time start) {
+    FaultPlan plan;
+    plan.flaps.push_back({0, 1, start, Time::from_ns(15'000'000)});
+    return plan;
+  }
+
+  // Every later syscall fails at once.
+  void expect_later_syscalls_fail() {
+    auto later = proc->null_op();
+    ASSERT_TRUE(later.ready());
+    EXPECT_EQ(later.take().error(), ErrorCode::kChannelClosed);
+  }
+
+  System sys;
+  Controller* ctrl = nullptr;
+  Process* proc = nullptr;
+};
+
+TEST(SeverContract, ControllerFailureFailsThePendingSyscall) {
+  SeverRig rig;
+  auto pending = rig.proc->null_op();
+  rig.sys.fail_controller(*rig.ctrl);
+  rig.sys.loop().run();
+  ASSERT_TRUE(pending.ready());
+  EXPECT_EQ(pending.take().error(), ErrorCode::kChannelClosed);
+  rig.expect_later_syscalls_fail();
+}
+
+TEST(SeverContract, ProcessFailureFailsThePendingSyscallAsChannelClosed) {
+  SeverRig rig;
+  auto pending = rig.proc->null_op();
+  rig.proc->fail();
+  ASSERT_TRUE(pending.ready());
+  EXPECT_EQ(pending.take().error(), ErrorCode::kChannelClosed);
+  rig.expect_later_syscalls_fail();
+  rig.sys.loop().run();
+  EXPECT_EQ(rig.ctrl->stats().process_failures, 1u);
+}
+
+TEST(SeverContract, ProcessEndExhaustionFailsTheSyscallAndTheProcess) {
+  // The flap swallows the request: the Process's end runs out of retries.
+  SeverRig rig(SeverRig::flap_from(Time::from_ns(0)));
+  auto pending = rig.proc->null_op();
+  rig.sys.loop().run();
+  EXPECT_EQ(rig.sys.net().counters().rc_exhausted, 1u);
+  ASSERT_TRUE(pending.ready());
+  EXPECT_EQ(pending.take().error(), ErrorCode::kChannelClosed);
+  rig.expect_later_syscalls_fail();
+  EXPECT_EQ(rig.ctrl->stats().process_failures, 1u);
+}
+
+TEST(SeverContract, ControllerEndExhaustionFailsTheProcess) {
+  // The request gets through before the flap. From 2 us the reply is lost; from 3 us the
+  // reply gets through and the Process's ACK of it is lost. Either way the Controller's end
+  // runs out of retries.
+  const std::pair<uint64_t, ErrorCode> cases[] = {
+      {2, ErrorCode::kChannelClosed}, {3, ErrorCode::kOk}, {4, ErrorCode::kOk}};
+  for (const auto& [start_us, code] : cases) {
+    SCOPED_TRACE(start_us);
+    SeverRig rig(SeverRig::flap_from(Time::from_ns(start_us * 1000)));
+    auto pending = rig.proc->null_op();
+    rig.sys.loop().run();
+    EXPECT_EQ(rig.sys.net().counters().rc_exhausted, 1u);
+    ASSERT_TRUE(pending.ready());
+    const Status s = pending.take();
+    EXPECT_EQ(s.ok() ? ErrorCode::kOk : s.error(), code);
+    rig.expect_later_syscalls_fail();
+    EXPECT_EQ(rig.ctrl->stats().process_failures, 1u);
+  }
 }
 
 TEST(FailureEndToEnd, GpuNodeCrashFailsVerifyButFrontendSurvives) {

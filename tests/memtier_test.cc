@@ -279,5 +279,49 @@ TEST(MemPoolIsolation, WrappingAttachCannotSteerTheNextSegmentIntoAnother) {
   EXPECT_EQ(pool->bytes_reserved(), (256u << 10) + (64u << 10));
 }
 
+// Two tenants attach one new name at once: the second attach arrives while the first one's
+// memory_create_in is still in flight. Both must get the one segment, and the pool must
+// reserve its range once.
+TEST(MemPoolIsolation, ConcurrentAttachesOfANewNameShareOneSegment) {
+  System sys;
+  const uint32_t cn = sys.add_node("client");
+  const uint32_t mn = sys.add_node("mem");
+  Controller& cc = sys.add_controller(cn, Loc::kHost);
+  Controller& mc = sys.add_controller(mn, Loc::kHost);
+  auto pool = MemPoolService::bootstrap(&sys, mn, mc, 1 << 20);
+  Process& a = sys.spawn("tenant-a", cn, cc);
+  Process& b = sys.spawn("tenant-b", cn, cc);
+  const CapId a_ep = sys.bootstrap_grant(pool->process(), pool->attach_endpoint(), a).value();
+  const CapId b_ep = sys.bootstrap_grant(pool->process(), pool->attach_endpoint(), b).value();
+
+  auto fa = MemPoolClient::attach(a, a_ep, "shared", 64 << 10);
+  auto fb = MemPoolClient::attach(b, b_ep, "shared", 64 << 10);
+  const FarMemSegment sa = sys.await_ok(std::move(fa));
+  const FarMemSegment sb = sys.await_ok(std::move(fb));
+  EXPECT_EQ(sa.addr, sb.addr);
+  EXPECT_EQ(sa.size, sb.size);
+  EXPECT_EQ(pool->num_segments(), 1u);
+  EXPECT_EQ(pool->bytes_reserved(), 64u << 10);
+}
+
+// The pool Process dies while a segment's creation is in flight: the creation fails, and the
+// name and its range are released.
+TEST(MemPoolIsolation, FailedCreationReleasesTheNameAndItsRange) {
+  System sys;
+  const uint32_t cn = sys.add_node("client");
+  const uint32_t mn = sys.add_node("mem");
+  Controller& cc = sys.add_controller(cn, Loc::kHost);
+  Controller& mc = sys.add_controller(mn, Loc::kHost);
+  auto pool = MemPoolService::bootstrap(&sys, mn, mc, 1 << 20);
+  Process& a = sys.spawn("tenant-a", cn, cc);
+  const CapId a_ep = sys.bootstrap_grant(pool->process(), pool->attach_endpoint(), a).value();
+
+  auto attach = MemPoolClient::attach(a, a_ep, "shared", 64 << 10);
+  ASSERT_TRUE(sys.loop().run_until([&]() { return pool->bytes_reserved() > 0; }));
+  sys.fail_process(pool->process());
+  EXPECT_EQ(pool->num_segments(), 0u);
+  EXPECT_EQ(pool->bytes_reserved(), 0u);
+}
+
 }  // namespace
 }  // namespace fractos
