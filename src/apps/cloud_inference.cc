@@ -150,9 +150,7 @@ void CloudInference::ingest() {
     // Step d of Fig. 2: the output-write Request. Hidden service composition — the write
     // child came from the FS, reads from GPU memory, and continues into the application.
     const CapId write_req = sys_->await_ok(frontend_->request_derive(
-        output_file_.write_eps[0], Process::Args{}
-                                       .imm_u64(0, slot.out_off)
-                                       .imm_u64(8, rb)
+        output_file_.write_eps[0], imm_args(IoRange{slot.out_off, rb})
                                        .cap(slot.gpu_out_mem)
                                        .cap(slot.done.ok())
                                        .cap(slot.done.err())));
@@ -212,9 +210,7 @@ Future<Result<bool>> CloudInference::infer_distributed(uint32_t input_id) {
     });
     // Step a of Fig. 2: one message to the input SSD; everything after runs without us.
     slot.done.watch(frontend_->request_invoke(input_files_[input_id].read_eps[0],
-                                              Process::Args{}
-                                                  .imm_u64(0, 0)
-                                                  .imm_u64(8, params_.request_bytes)
+                                              imm_args(IoRange{0, params_.request_bytes})
                                                   .cap(slot.gpu_in_mem)
                                                   .cap(slot.kernel_req)));
   }).or_else([promise](ErrorCode e) { promise.set(e); });

@@ -277,11 +277,10 @@ void FaceVerifyFractos::run_on_slot(size_t s, uint32_t batch, bool tamper,
     }
     // Step a of Fig. 2: invoke the storage read with the GPU buffer as destination and the
     // (pre-derived) kernel Request as continuation.
-    sl.done.watch(frontend_->request_invoke(f.read_eps[0], Process::Args{}
-                                                               .imm_u64(0, 0)
-                                                               .imm_u64(8, batch_bytes)
-                                                               .cap(sl.gpu_db_mem)
-                                                               .cap(sl.kernel_req)));
+    sl.done.watch(frontend_->request_invoke(f.read_eps[0],
+                                            imm_args(IoRange{0, batch_bytes})
+                                                .cap(sl.gpu_db_mem)
+                                                .cap(sl.kernel_req)));
   };
 
   frontend_->memory_copy(slot.probe_mem, slot.gpu_probe_mem, batch_bytes)

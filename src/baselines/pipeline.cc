@@ -29,7 +29,8 @@ PipelineStage::PipelineStage(System* sys, uint32_t node, Controller& controller,
 
 void PipelineStage::handle(Process::Received r) {
   ++invocations_;
-  const uint64_t size = r.imm_u64(0).value_or(0);
+  SizeImms args;
+  const uint64_t size = get_imms(r, args) ? args.size : 0;
   CapId dst = kInvalidCap;
   CapId cont = kInvalidCap;
   for (const auto& c : r.caps) {
@@ -92,7 +93,7 @@ PipelineRunner::PipelineRunner(System* sys, uint32_t client_node, Controller& co
       const CapId dst = i + 1 < stages_.size() ? stage_buffers_[i + 1] : out_cap_;
       chain_head_ = sys->await_ok(client_->request_derive(
           stage_eps_[i],
-          Process::Args{}.imm_u64(0, payload_bytes_).cap(dst).cap(next_req)));
+          imm_args(SizeImms{payload_bytes_}).cap(dst).cap(next_req)));
       next_req = chain_head_;
     }
   }
@@ -111,28 +112,12 @@ Status PipelineRunner::verify_output() {
 }
 
 Future<Status> PipelineRunner::invoke_stage(size_t i, CapId dst) {
-  Promise<Status> promise;
-  client_->request_create({}).on_ready([this, i, dst, promise](Result<CapId>&& reply) mutable {
-    if (!reply.ok()) {
-      promise.set(Status(reply.error()));
-      return;
-    }
-    const CapId ep = reply.value();
-    client_->on_endpoint(ep, [this, ep, promise](Process::Received) {
-      client_->remove_endpoint(ep);
-      promise.set(ok_status());
-    });
-    client_->request_invoke(stage_eps_[i], Process::Args{}
-                                               .imm_u64(0, payload_bytes_)
-                                               .cap(dst)
-                                               .cap(ep))
-        .on_ready([promise](Status s) {
-          if (!s.ok()) {
-            promise.set(s);
-          }
-        });
-  });
-  return promise.future();
+  // The stage invokes its continuation verbatim: the one-shot reply Request's delivery is the
+  // stage's completion.
+  return client_->call(stage_eps_[i], imm_args(SizeImms{payload_bytes_}).cap(dst))
+      .then([](Result<Process::Received>&& r) {
+        return r.ok() ? ok_status() : Status(r.error());
+      });
 }
 
 Future<Status> PipelineRunner::run_once() {

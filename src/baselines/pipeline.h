@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/service_call.h"
 #include "src/core/system.h"
 
 namespace fractos {
@@ -27,7 +28,7 @@ namespace fractos {
 class PipelineStage {
  public:
   // A FractOS Process on `node` with an input buffer of `buffer_bytes` and a "process"
-  // endpoint: imm@0 u64 size, caps = [dst Memory, continuation]. The handler transforms its
+  // endpoint: SizeImms, caps = [dst Memory, continuation]. The handler transforms its
   // buffer (+1 per byte), models `stage_cost` of compute, copies the result into dst, and
   // invokes the continuation verbatim.
   PipelineStage(System* sys, uint32_t node, Controller& controller, uint64_t buffer_bytes,

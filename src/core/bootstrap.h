@@ -3,12 +3,12 @@
 // Section 4 — the paper notes this would typically be replaced by a resource manager).
 //
 // The KV store is itself an ordinary FractOS Process (dogfooding): put/get are Requests, and
-// capability movement happens through regular delegation. Wire conventions:
+// capability movement happens through regular delegation. Both endpoints take a NameImms and
+// follow the call convention of src/core/service_call.h:
 //
-//   put endpoint:  imm@0 = name bytes; caps = [capability to store, reply Request]
-//   get endpoint:  imm@0 = name bytes; caps = [reply Request]
-//     reply (get): invoked with imm@0 = status byte; caps = [stored capability] on success.
-//     reply (put): invoked with imm@0 = status byte.
+//   put endpoint:  caps = [capability to store, reply Request]. The reply is its status.
+//   get endpoint:  caps = [reply Request]. reply: caps = [stored capability]; kNotFound for
+//                  a name nothing was put under.
 
 #ifndef SRC_CORE_BOOTSTRAP_H_
 #define SRC_CORE_BOOTSTRAP_H_
@@ -17,9 +17,11 @@
 #include <unordered_map>
 
 #include "src/core/process.h"
+#include "src/core/service_call.h"
 #include "src/core/system.h"
 
 namespace fractos {
+
 
 class KvStore {
  public:
@@ -47,8 +49,8 @@ class KvStore {
   static Future<Result<CapId>> get(Process& client, CapId kv_get, const std::string& name);
 
  private:
-  void handle_put(Process::Received r);
-  void handle_get(Process::Received r);
+  void handle_put(ServiceCall<NameImms> c);
+  void handle_get(ServiceCall<NameImms> c);
 
   System* sys_;
   Process* proc_;

@@ -11,7 +11,7 @@ namespace fractos {
 // --- channels ------------------------------------------------------------------------------------
 
 Channel& PeerLinks::connect(ControllerAddr peer) {
-  FRACTOS_CHECK(!peers_.contains(peer));
+  FRACTOS_CHECK(!peers_.contains(peer));  // System wires each Controller pair once; not input
   auto chan = std::make_unique<Channel>(host_->net_, host_->config_.endpoint);
   chan->set_handler([this, peer](Envelope&& env) { host_->on_peer_msg(peer, std::move(env)); });
   chan->set_severed_handler([this, peer]() { host_->on_peer_severed(peer); });

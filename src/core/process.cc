@@ -19,43 +19,23 @@ Process::Args& Process::Args::imm_u64(uint32_t offset, uint64_t v) {
 }
 
 Process::Args& Process::Args::imm_str(uint32_t offset, const std::string& s) {
-  return imm(offset, std::vector<uint8_t>(s.begin(), s.end()));
+  imms.push_back(
+      ImmExtent{offset, SmallBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size())});
+  return *this;
 }
-
-namespace {
-
-// The bytes [offset, offset + size) of the argument buffer, if one extent holds all of them
-// (extents are non-overlapping).
-const uint8_t* find_imm(const std::vector<ImmExtent>& imms, uint32_t offset, uint32_t size) {
-  for (const auto& e : imms) {
-    if (offset >= e.offset && offset + size <= e.end()) {
-      return e.bytes.data() + (offset - e.offset);
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 std::optional<uint64_t> Process::Received::imm_u64(uint32_t offset) const {
-  const uint8_t* bytes = find_imm(imms, offset, 8);
-  if (bytes == nullptr) {
-    return std::nullopt;
+  // The 8 bytes at `offset`, if one extent holds all of them (extents do not overlap).
+  for (const auto& e : imms) {
+    if (offset >= e.offset && offset + 8 <= e.end()) {
+      uint64_t v = 0;
+      for (size_t i = 0; i < 8; ++i) {
+        v |= static_cast<uint64_t>(e.bytes[offset - e.offset + i]) << (8 * i);
+      }
+      return v;
+    }
   }
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::optional<std::vector<uint8_t>> Process::Received::imm_bytes(uint32_t offset,
-                                                                 uint32_t size) const {
-  const uint8_t* bytes = find_imm(imms, offset, size);
-  if (bytes == nullptr) {
-    return std::nullopt;
-  }
-  return std::vector<uint8_t>(bytes, bytes + size);
+  return std::nullopt;
 }
 
 std::optional<std::string> Process::Received::imm_str(uint32_t offset) const {

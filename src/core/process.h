@@ -75,7 +75,6 @@ class Process {
 
     // Immediate accessors (by argument-buffer offset).
     std::optional<uint64_t> imm_u64(uint32_t offset) const;
-    std::optional<std::vector<uint8_t>> imm_bytes(uint32_t offset, uint32_t size) const;
     std::optional<std::string> imm_str(uint32_t offset) const;  // whole extent at offset
     CapId cap(size_t i) const { return i < caps.size() ? caps[i].cid : kInvalidCap; }
     size_t num_caps() const { return caps.size(); }

@@ -41,18 +41,20 @@ QueuePair::QueuePair(Network* net, Endpoint local) : net_(net), local_(local) {
 QueuePair::~QueuePair() { anchor_.clear(); }
 
 void QueuePair::connect(QueuePair& a, QueuePair& b) {
-  FRACTOS_CHECK(a.peer_ == nullptr && b.peer_ == nullptr);  // wiring (System, RpcClient); not input
-  a.peer_ = &b;
-  b.peer_ = &a;
+  FRACTOS_CHECK(!a.connected() && !b.connected());  // wiring (System, RpcClient); not input
+  a.peer_.emplace(b.anchor_);
+  a.peer_ep_ = b.local_;
+  b.peer_.emplace(a.anchor_);
+  b.peer_ep_ = a.local_;
 }
 
 Endpoint QueuePair::remote() const {
-  FRACTOS_CHECK(peer_ != nullptr);  // asked only of a connected end; not input
-  return peer_->local_;
+  FRACTOS_CHECK(connected());  // asked only of a connected end; not input
+  return peer_ep_;
 }
 
 void QueuePair::send(Traffic category, Payload payload) {
-  FRACTOS_CHECK(peer_ != nullptr);  // owners connect before they send; not input
+  FRACTOS_CHECK(connected());  // owners connect before they send; not input
   if (severed_) {
     note_dropped(1);
     return;
@@ -61,8 +63,8 @@ void QueuePair::send(Traffic category, Payload payload) {
     // Clean fabric or datagram service: one transfer, no protocol state. The dropped
     // callback only fires for sends eaten by node failure. Both callbacks are one anchor
     // wide, so the send allocates nothing.
-    net_->send(local_, peer_->local_, category, std::move(payload),
-               [peer = peer_->anchor_](Payload bytes) {
+    net_->send(local_, peer_ep_, category, std::move(payload),
+               [peer = *peer_](Payload bytes) {
                  if (QueuePair* qp = peer.get()) {
                    qp->deliver(std::move(bytes));
                  }
@@ -95,8 +97,8 @@ void QueuePair::transmit(uint64_t seq) {
 
   // `p.payload` is copied per transmission — a refcount bump, not a byte copy, so a burst of
   // retransmits of a 256 KiB frame costs nothing beyond the modeled wire time.
-  net_->send(local_, peer_->local_, p.category, p.payload,
-             [peer = peer_->anchor_, seq](Payload bytes) {
+  net_->send(local_, peer_ep_, p.category, p.payload,
+             [peer = *peer_, seq](Payload bytes) {
                if (QueuePair* qp = peer.get()) {
                  qp->on_wire_data(seq, std::move(bytes));
                }
@@ -151,15 +153,15 @@ void QueuePair::on_wire_data(uint64_t seq, Payload payload) {
 }
 
 void QueuePair::send_ack(uint64_t cumulative) {
-  if (peer_ == nullptr) {
+  if (!connected()) {
     return;
   }
   ++acks_sent_;
   bump(net_, qp_names().acks_sent);
   // One shared ACK frame for the lifetime of the program: every ACK aliases the same rep.
   static const Payload kAckFrame = Payload::zeros(kAckBytes);
-  net_->send(local_, peer_->local_, Traffic::kControl, kAckFrame,
-             [peer = peer_->anchor_, cumulative](Payload) {
+  net_->send(local_, peer_ep_, Traffic::kControl, kAckFrame,
+             [peer = *peer_, cumulative](Payload) {
                if (QueuePair* qp = peer.get()) {
                  qp->on_ack(cumulative);
                }
@@ -216,10 +218,11 @@ void QueuePair::tear_down(bool peer_knows) {
   if (on_severed_ != nullptr) {
     on_severed_();
   }
-  if (!peer_knows && peer_ != nullptr && !peer_->severed_) {
+  const QueuePair* peer = connected() ? peer_->get() : nullptr;  // null once destroyed
+  if (!peer_knows && peer != nullptr && !peer->severed_) {
     // The transport detects the broken connection one propagation delay later.
-    const Duration delay = net_->wire_latency(local_, peer_->local_);
-    net_->loop()->schedule_after(delay, [peer = peer_->anchor_]() {
+    const Duration delay = net_->wire_latency(local_, peer_ep_);
+    net_->loop()->schedule_after(delay, [peer = *peer_]() {
       if (QueuePair* qp = peer.get()) {
         qp->tear_down(/*peer_knows=*/true);
       }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "src/fabric/network.h"
@@ -54,7 +55,7 @@ class QueuePair {
 
   Endpoint local() const { return local_; }
   Endpoint remote() const;
-  bool connected() const { return peer_ != nullptr; }
+  bool connected() const { return peer_.has_value(); }
   bool severed() const { return severed_; }
 
   void set_receive_handler(ReceiveHandler handler) { on_receive_ = std::move(handler); }
@@ -137,7 +138,9 @@ class QueuePair {
 
   Network* net_;
   Endpoint local_;
-  QueuePair* peer_ = nullptr;
+  // The other end, by anchor: Controller::restart destroys ends whose peers live on.
+  std::optional<Anchor> peer_;
+  Endpoint peer_ep_;
   ReceiveHandler on_receive_;
   SeveredHandler on_severed_;
   bool severed_ = false;

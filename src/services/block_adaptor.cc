@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/base/assert.h"
-#include "src/services/completion.h"
 
 namespace fractos {
 
@@ -25,34 +24,33 @@ BlockAdaptor::BlockAdaptor(System* sys, uint32_t node, Controller& controller, S
         sys->await_ok(proc_->memory_create(slot.addr, params_.slot_bytes, Perms::kReadWrite));
     slots_.push_back(slot);
   }
-  mgmt_ep_ = sys->await_ok(proc_->serve({}, [this](Process::Received r) {
-    handle_mgmt(std::move(r));
-  }));
+  mgmt_ep_ = sys->await_ok(proc_->serve(
+      {}, serve_calls<SizeImms>(*proc_, [this](auto c) { handle_mgmt(std::move(c)); })));
 }
 
-void BlockAdaptor::handle_mgmt(Process::Received r) {
-  if (r.num_caps() < 1) {
+void BlockAdaptor::handle_mgmt(ServiceCall<SizeImms> c) {
+  const CapId reply = c.reply;
+  const uint64_t size = c.args.size;
+  if (size == 0) {
+    send_reply(*proc_, reply, ErrorCode::kInvalidArgument);
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
-  const uint64_t size = r.imm_u64(0).value_or(0);
   const std::optional<uint64_t> base = space_.allocate(size, 4096);
   if (!base.has_value()) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+    send_reply(*proc_, reply, ErrorCode::kResourceExhausted);
     return;
   }
   const uint32_t vol_id = next_vol_++;
 
   std::vector<Future<Result<CapId>>> eps;
-  eps.push_back(proc_->serve({}, [this, vol_id](Process::Received rr) {
-    handle_read(vol_id, std::move(rr));
-  }));
-  eps.push_back(proc_->serve({}, [this, vol_id](Process::Received rr) {
-    handle_write(vol_id, std::move(rr));
-  }));
-  eps.push_back(proc_->serve({}, [this, vol_id](Process::Received rr) {
-    handle_delete(vol_id, std::move(rr));
-  }));
+  for (const bool is_write : {false, true}) {
+    eps.push_back(proc_->serve({}, [this, vol_id, is_write](Process::Received rr) {
+      handle_io(vol_id, is_write, std::move(rr));
+    }));
+  }
+  eps.push_back(proc_->serve({}, serve_calls<NoImms>(*proc_, [this, vol_id](auto c) {
+    handle_delete(vol_id, c.reply);
+  })));
   when_all(std::move(eps)).on_ready([this, vol_id, base = *base, size, reply](
                                         std::vector<Result<CapId>>&& cids) {
     for (const auto& c : cids) {
@@ -64,7 +62,7 @@ void BlockAdaptor::handle_mgmt(Process::Received r) {
           }
         }
         space_.release(base, size);
-        proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+        send_reply(*proc_, reply, c.error());
         return;
       }
     }
@@ -75,9 +73,7 @@ void BlockAdaptor::handle_mgmt(Process::Received r) {
     v.write_ep = cids[1].value();
     v.delete_ep = cids[2].value();
     volumes_[vol_id] = v;
-    proc_->request_invoke(
-        reply,
-        Process::Args{}.imm_u64(0, 0).cap(v.read_ep).cap(v.write_ep).cap(v.delete_ep));
+    send_reply(*proc_, reply, ErrorCode::kOk, NoImms{}, {v.read_ep, v.write_ep, v.delete_ep});
   });
 }
 
@@ -101,7 +97,7 @@ void BlockAdaptor::free_extent(const Volume& vol) {
   space_.release(vol.base, vol.size);
 }
 
-void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
+void BlockAdaptor::handle_io(uint32_t vol_id, bool is_write, Process::Received r) {
   const IoRequest req(r);
   auto vit = volumes_.find(vol_id);
   if (vit == volumes_.end()) {
@@ -115,45 +111,58 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
   }
   const uint64_t device_off = vol.base + req.off;
   ++vol.ios;
-  slot_pool_.acquire().and_then([this, vol_id, device_off, size = req.size, dst = req.mem,
-                                 req](size_t slot_idx) {
-    const Slot slot = slots_[slot_idx];
-    // Stream the read: device DMA of sub-chunk k+1 overlaps the network copy of sub-chunk k
-    // (each lands at its own offset inside the staging slot).
-    struct ReadState {
-      uint64_t issued = 0;
-      uint64_t copied = 0;
-      uint32_t device_in_flight = 0;  // up to 2: the device has parallel flash channels
-      bool failed = false;
-      ErrorCode error = ErrorCode::kInternal;
-      uint32_t copies_in_flight = 0;
-    };
-    auto rs = std::make_shared<ReadState>();
-    auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, vol_id, rs, slot, size, req]() {
-      if (rs->failed) {
-        if (rs->device_in_flight == 0 && rs->copies_in_flight == 0) {
-          rs->failed = false;  // report once
-          slot_pool_.release(slot.idx);
-          end_io(vol_id);
-          req.fail_op(*proc_, rs->error);
-        }
-        return;
-      }
-      if (rs->copied == size) {
+  slot_pool_.acquire().and_then([this, vol_id, is_write, device_off, req](size_t slot_idx) {
+    if (is_write) {
+      write_via_slot(vol_id, req, device_off, slots_[slot_idx]);
+    } else {
+      read_via_slot(vol_id, req, device_off, slots_[slot_idx]);
+    }
+  }).or_else([this, vol_id, req](ErrorCode e) {
+    end_io(vol_id);
+    req.fail_op(*proc_, e);
+  });
+}
+
+void BlockAdaptor::read_via_slot(uint32_t vol_id, const IoRequest& req, uint64_t device_off,
+                                 Slot slot) {
+  const uint64_t size = req.size;
+  const CapId dst = req.mem;
+  // Stream the read: device DMA of sub-chunk k+1 overlaps the network copy of sub-chunk k
+  // (each lands at its own offset inside the staging slot).
+  struct ReadState {
+    uint64_t issued = 0;
+    uint64_t copied = 0;
+    uint32_t device_in_flight = 0;  // up to 2: the device has parallel flash channels
+    bool failed = false;
+    ErrorCode error = ErrorCode::kInternal;
+    uint32_t copies_in_flight = 0;
+  };
+  auto rs = std::make_shared<ReadState>();
+  auto pump = std::make_shared<std::function<void()>>();
+  auto finish_check = [this, vol_id, rs, slot, size, req]() {
+    if (rs->failed) {
+      if (rs->device_in_flight == 0 && rs->copies_in_flight == 0) {
+        rs->failed = false;  // report once
         slot_pool_.release(slot.idx);
         end_io(vol_id);
-        // Invoke the continuation VERBATIM (decentralized control flow).
-        proc_->request_invoke(req.cont);
+        req.fail_op(*proc_, rs->error);
       }
-    };
-    *pump = [this, rs, finish_check, slot, device_off, size, dst,
-             weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-      auto pump = weak_pump.lock();
-      if (!pump) {
-        return;
-      }
-      while (!rs->failed && rs->device_in_flight < 2 && rs->issued < size) {
+      return;
+    }
+    if (rs->copied == size) {
+      slot_pool_.release(slot.idx);
+      end_io(vol_id);
+      // Invoke the continuation VERBATIM (decentralized control flow).
+      proc_->request_invoke(req.cont);
+    }
+  };
+  *pump = [this, rs, finish_check, slot, device_off, size, dst,
+           weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
+    auto pump = weak_pump.lock();
+    if (!pump) {
+      return;
+    }
+    while (!rs->failed && rs->device_in_flight < 2 && rs->issued < size) {
       const uint64_t sub_off = rs->issued;
       const uint64_t sub = std::min(params_.stream_chunk, size - sub_off);
       rs->issued += sub;
@@ -186,113 +195,89 @@ void BlockAdaptor::handle_read(uint32_t vol_id, Process::Received r) {
                         });
                     (*pump)();
                   });
-      }
-    };
-    (*pump)();
-  }).or_else([this, vol_id, req](ErrorCode e) {
-    end_io(vol_id);
-    req.fail_op(*proc_, e);
-  });
+    }
+  };
+  (*pump)();
 }
 
-void BlockAdaptor::handle_write(uint32_t vol_id, Process::Received r) {
-  const IoRequest req(r);
-  auto vit = volumes_.find(vol_id);
-  if (vit == volumes_.end()) {
-    req.fail_op(*proc_, ErrorCode::kRevoked);
-    return;
-  }
-  Volume& vol = vit->second;
-  if (!req.fits(vol.size) || req.size > params_.slot_bytes) {
-    req.fail_op(*proc_, ErrorCode::kInvalidArgument);
-    return;
-  }
-  const uint64_t device_off = vol.base + req.off;
-  ++vol.ios;
-  slot_pool_.acquire().and_then([this, vol_id, device_off, size = req.size, src = req.mem,
-                                 req](size_t slot_idx) {
-    const Slot slot = slots_[slot_idx];
-    // Stream the write: the network pull of sub-chunk k+1 overlaps the device program of
-    // sub-chunk k.
-    struct WriteState {
-      uint64_t issued = 0;
-      uint64_t written = 0;
-      bool wire_busy = false;
-      bool failed = false;
-      ErrorCode error = ErrorCode::kInternal;
-      uint32_t writes_in_flight = 0;
-    };
-    auto ws = std::make_shared<WriteState>();
-    auto pump = std::make_shared<std::function<void()>>();
-    auto finish_check = [this, vol_id, ws, slot, size, req]() {
-      if (ws->failed) {
-        if (!ws->wire_busy && ws->writes_in_flight == 0) {
-          ws->failed = false;
-          slot_pool_.release(slot.idx);
-          end_io(vol_id);
-          req.fail_op(*proc_, ws->error);
-        }
-        return;
-      }
-      if (ws->written == size) {
+void BlockAdaptor::write_via_slot(uint32_t vol_id, const IoRequest& req, uint64_t device_off,
+                                  Slot slot) {
+  const uint64_t size = req.size;
+  const CapId src = req.mem;
+  // Stream the write: the network pull of sub-chunk k+1 overlaps the device program of
+  // sub-chunk k.
+  struct WriteState {
+    uint64_t issued = 0;
+    uint64_t written = 0;
+    bool wire_busy = false;
+    bool failed = false;
+    ErrorCode error = ErrorCode::kInternal;
+    uint32_t writes_in_flight = 0;
+  };
+  auto ws = std::make_shared<WriteState>();
+  auto pump = std::make_shared<std::function<void()>>();
+  auto finish_check = [this, vol_id, ws, slot, size, req]() {
+    if (ws->failed) {
+      if (!ws->wire_busy && ws->writes_in_flight == 0) {
+        ws->failed = false;
         slot_pool_.release(slot.idx);
         end_io(vol_id);
-        proc_->request_invoke(req.cont);
+        req.fail_op(*proc_, ws->error);
       }
-    };
-    *pump = [this, ws, finish_check, slot, device_off, size, src,
-             weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
-      auto pump = weak_pump.lock();
-      if (!pump) {
-        return;
-      }
-      if (ws->failed || ws->wire_busy || ws->issued >= size) {
-        return;
-      }
-      const uint64_t sub_off = ws->issued;
-      const uint64_t sub = std::min(params_.stream_chunk, size - sub_off);
-      ws->issued += sub;
-      ws->wire_busy = true;
-      // Pull the client data into the staging slot (one network transfer)...
-      proc_->memory_copy(src, slot.mem, sub, sub_off, sub_off)
-          .on_ready([this, ws, pump, finish_check, slot, device_off, sub_off, sub](Status cs) {
-            ws->wire_busy = false;
-            if (!cs.ok()) {
-              ws->failed = true;
-              ws->error = cs.error();
-              finish_check();
-              return;
-            }
-            // ...then DMA it into the device while the next sub-chunk pulls.
-            ++ws->writes_in_flight;
-            nvme_->write(device_off + sub_off, proc_->read_mem(slot.addr + sub_off, sub),
-                         [ws, finish_check, sub](Status st) {
-                           --ws->writes_in_flight;
-                           if (!st.ok()) {
-                             ws->failed = true;
-                             ws->error = st.error();
-                           } else {
-                             ws->written += sub;
-                           }
-                           finish_check();
-                         });
-            (*pump)();
-          });
-    };
-    (*pump)();
-  }).or_else([this, vol_id, req](ErrorCode e) {
-    end_io(vol_id);
-    req.fail_op(*proc_, e);
-  });
+      return;
+    }
+    if (ws->written == size) {
+      slot_pool_.release(slot.idx);
+      end_io(vol_id);
+      proc_->request_invoke(req.cont);
+    }
+  };
+  *pump = [this, ws, finish_check, slot, device_off, size, src,
+           weak_pump = std::weak_ptr<std::function<void()>>(pump)]() {
+    auto pump = weak_pump.lock();
+    if (!pump) {
+      return;
+    }
+    if (ws->failed || ws->wire_busy || ws->issued >= size) {
+      return;
+    }
+    const uint64_t sub_off = ws->issued;
+    const uint64_t sub = std::min(params_.stream_chunk, size - sub_off);
+    ws->issued += sub;
+    ws->wire_busy = true;
+    // Pull the client data into the staging slot (one network transfer)...
+    proc_->memory_copy(src, slot.mem, sub, sub_off, sub_off)
+        .on_ready([this, ws, pump, finish_check, slot, device_off, sub_off, sub](Status cs) {
+          ws->wire_busy = false;
+          if (!cs.ok()) {
+            ws->failed = true;
+            ws->error = cs.error();
+            finish_check();
+            return;
+          }
+          // ...then DMA it into the device while the next sub-chunk pulls.
+          ++ws->writes_in_flight;
+          nvme_->write(device_off + sub_off, proc_->read_mem(slot.addr + sub_off, sub),
+                       [ws, finish_check, sub](Status st) {
+                         --ws->writes_in_flight;
+                         if (!st.ok()) {
+                           ws->failed = true;
+                           ws->error = st.error();
+                         } else {
+                           ws->written += sub;
+                         }
+                         finish_check();
+                       });
+          (*pump)();
+        });
+  };
+  (*pump)();
 }
 
-void BlockAdaptor::handle_delete(uint32_t vol_id, Process::Received r) {
-  const CapId reply = r.num_caps() >= 1 ? r.cap(r.num_caps() - 1) : kInvalidCap;
+void BlockAdaptor::handle_delete(uint32_t vol_id, CapId reply) {
   auto vit = volumes_.find(vol_id);
   if (vit == volumes_.end()) {
-    if (reply != kInvalidCap) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
-    }
+    send_reply(*proc_, reply, ErrorCode::kNotFound);
     return;
   }
   const Volume vol = vit->second;
@@ -314,31 +299,21 @@ void BlockAdaptor::handle_delete(uint32_t vol_id, Process::Received r) {
   revokes.push_back(proc_->cap_revoke(vol.read_ep));
   revokes.push_back(proc_->cap_revoke(vol.write_ep));
   revokes.push_back(proc_->cap_revoke(vol.delete_ep));
-  when_all(std::move(revokes)).on_ready([this, reply](std::vector<Status>&&) {
-    if (reply != kInvalidCap) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
-    }
-  });
+  when_all(std::move(revokes)).on_ready(
+      [this, reply](std::vector<Status>&&) { send_reply(*proc_, reply, ErrorCode::kOk); });
 }
 
 // --- client helpers --------------------------------------------------------------------------
 
 Future<Result<BlockClient::Volume>> BlockClient::create_volume(Process& proc, CapId mgmt_ep,
                                                                uint64_t size) {
-  return proc.call(mgmt_ep, Process::Args{}.imm_u64(0, size))
-      .then([size](Result<Process::Received>&& r) -> Result<Volume> {
-        if (!r.ok()) {
-          return r.error();
+  return call<NoImms>(
+      proc, mgmt_ep, SizeImms{size}, {},
+      [size](NoImms&&, const std::vector<DeliveredCap>& caps) -> Result<Volume> {
+        if (caps.size() < 3) {
+          return ErrorCode::kInternal;
         }
-        if (r.value().imm_u64(0).value_or(1) != 0 || r.value().num_caps() < 3) {
-          return ErrorCode::kResourceExhausted;
-        }
-        Volume v;
-        v.read_ep = r.value().cap(0);
-        v.write_ep = r.value().cap(1);
-        v.delete_ep = r.value().cap(2);
-        v.size = size;
-        return v;
+        return Volume{caps[0].cid, caps[1].cid, caps[2].cid, size};
       });
 }
 
@@ -347,8 +322,7 @@ namespace {
 // Shared by read/write: invoke `ep` with [mem, ok, err] continuations and resolve on either.
 Future<Status> block_io(Process& proc, CapId ep, uint64_t off, uint64_t size, CapId mem) {
   return Completion::once(proc, [&proc, ep, off, size, mem](CapId ok, CapId err) {
-    return proc.request_invoke(
-        ep, Process::Args{}.imm_u64(0, off).imm_u64(8, size).cap(mem).cap(ok).cap(err));
+    return proc.request_invoke(ep, imm_args(IoRange{off, size}).cap(mem).cap(ok).cap(err));
   });
 }
 
@@ -365,12 +339,7 @@ Future<Status> BlockClient::write(Process& proc, const Volume& v, uint64_t off, 
 }
 
 Future<Status> BlockClient::destroy(Process& proc, const Volume& v) {
-  return proc.call(v.delete_ep).then([](Result<Process::Received>&& r) -> Status {
-    if (!r.ok()) {
-      return r.error();
-    }
-    return r.value().imm_u64(0).value_or(1) == 0 ? ok_status() : Status(ErrorCode::kNotFound);
-  });
+  return call(proc, v.delete_ep, NoImms{});
 }
 
 }  // namespace fractos

@@ -2,19 +2,18 @@
 // (Section 5: "The block-device adaptor exposes Requests that read/write the contents of
 // logical volumes (managed through separate Requests)").
 //
-// Request conventions:
+// Endpoints (immediates laid out and answered by the call convention of
+// src/core/service_call.h):
 //
-//   mgmt (volume create): imm@0 u64 size, caps = [reply].
-//                         reply: imm@0 u64 status, caps = [read_ep, write_ep, delete_ep]
-//   read  (per volume):   imm@0 u64 offset, imm@8 u64 size,
-//                         caps = [dst Memory, continuation] or [dst, continuation, error].
+//   mgmt (volume create): SizeImms, caps = [reply].
+//                         reply: its status, caps = [read_ep, write_ep, delete_ep]
+//   read  (per volume):   an I/O request (src/services/completion.h), dst Memory first.
 //                         On success the continuation is invoked VERBATIM — the adaptor does
 //                         not know (or care) whether it is a GPU kernel invocation, an FS
 //                         callback, or a client reply (the decentralized-execution core of
-//                         the paper). On failure the error Request (if present) is invoked
-//                         with imm@0 = status.
-//   write (per volume):   imm@0 u64 offset, imm@8 u64 size,
-//                         caps = [src Memory, continuation] or [src, continuation, error].
+//                         the paper). On failure the error Request (if present) gets the
+//                         status.
+//   write (per volume):   an I/O request, src Memory first.
 //   delete (per volume):  caps = [reply]. REVOKES the volume's read and write endpoints —
 //                         every delegated capability to the freed blocks dies immediately
 //                         (the use-after-free scenario of Section 3.5) — and frees the region
@@ -37,6 +36,7 @@
 #include "src/core/system.h"
 #include "src/futures/slot_pool.h"
 #include "src/devices/nvme.h"
+#include "src/services/completion.h"
 
 namespace fractos {
 
@@ -74,10 +74,11 @@ class BlockAdaptor {
     CapId mem = kInvalidCap;  // reusable Memory capability over the whole slot
   };
 
-  void handle_mgmt(Process::Received r);
-  void handle_read(uint32_t vol_id, Process::Received r);
-  void handle_write(uint32_t vol_id, Process::Received r);
-  void handle_delete(uint32_t vol_id, Process::Received r);
+  void handle_mgmt(ServiceCall<SizeImms> c);
+  void handle_io(uint32_t vol_id, bool is_write, Process::Received r);
+  void read_via_slot(uint32_t vol_id, const IoRequest& req, uint64_t device_off, Slot slot);
+  void write_via_slot(uint32_t vol_id, const IoRequest& req, uint64_t device_off, Slot slot);
+  void handle_delete(uint32_t vol_id, CapId reply);
   // Ends an I/O on `vol_id`; a deleted volume's last I/O frees its extent.
   void end_io(uint32_t vol_id);
   void free_extent(const Volume& vol);

@@ -10,8 +10,10 @@
 namespace fractos {
 
 IoRequest::IoRequest(const Process::Received& r) {
-  off = r.imm_u64(0).value_or(~0ull);
-  size = r.imm_u64(8).value_or(0);
+  if (IoRange range; get_imms(r, range)) {
+    off = range.off;
+    size = range.size;
+  }
   for (const auto& c : r.caps) {
     if (c.kind == ObjectKind::kMemory && mem == kInvalidCap) {
       mem = c.cid;
@@ -33,7 +35,7 @@ bool IoRequest::fits(uint64_t limit) const {
 
 void IoRequest::fail_op(Process& proc, ErrorCode code) const {
   if (err != kInvalidCap) {
-    proc.request_invoke(err, Process::Args{}.imm_u64(0, static_cast<uint64_t>(code)));
+    send_reply(proc, err, code);
   }
 }
 
@@ -66,7 +68,7 @@ struct CompletionState {
     return [self](Process::Received r) {
       // An error delivery never resolves ok: a zero, like an absent or unknown code, is the
       // service's fault.
-      const ErrorCode code = decode_error_code(r.imm_u64(0).value_or(0));
+      const ErrorCode code = reply_status(r);
       self->resolve(Status(code == ErrorCode::kOk ? ErrorCode::kInternal : code));
     };
   }

@@ -1,11 +1,9 @@
 // The two ends of an I/O request graph, shared by every service and app here.
 //
-// An I/O request (the block adaptor's read/write, the FS's fs_read/fs_write) reads
-//   imm@0 u64 offset, imm@8 u64 size, caps = [Memory, continuation] or
-//   [Memory, continuation, error].
-// On success the service invokes the continuation verbatim; on failure it invokes the error
-// Request, if there is one, with imm@0 = the ErrorCode. IoRequest is the service's reader of
-// that convention and its one failure reply.
+// An I/O request (the block adaptor's read/write, the FS's fs_read/fs_write) is an IoRange
+// and caps = [Memory, continuation] or [Memory, continuation, error]. On success the service
+// invokes the continuation verbatim; on failure the error Request, if any, gets the status
+// (send_reply). IoRequest is the service's reader of that convention and its failure reply.
 //
 // A Completion is the caller's end: an ok endpoint and an error endpoint, handed out as that
 // continuation pair (or as the success/error pair of a GPU kernel Request). It binds both
@@ -17,10 +15,17 @@
 #include <functional>
 #include <memory>
 
+#include "src/core/service_call.h"
 #include "src/core/system.h"
 
 namespace fractos {
 
+// The immediates of an I/O request: which bytes of the target it moves.
+struct IoRange {
+  uint64_t off = 0;
+  uint64_t size = 0;
+  FRACTOS_WIRE_FIELDS(off, size)
+};
 struct IoRequest {
   uint64_t off = ~0ull;  // absent: no range fits
   uint64_t size = 0;
@@ -34,7 +39,7 @@ struct IoRequest {
   // True when the request names a Memory and a continuation, and moves 1..mem_size bytes
   // that lie inside [0, limit).
   bool fits(uint64_t limit) const;
-  // Invokes the error continuation, if there is one, with imm@0 = `code`.
+  // Invokes the error continuation, if there is one, with `code` as its status.
   void fail_op(Process& proc, ErrorCode code) const;
 };
 
@@ -59,8 +64,8 @@ class Completion {
   CapId err() const;
 
   // Arms the pair for one use. The future resolves exactly once, with whichever comes
-  // first: ok on the ok delivery; the error delivery's imm@0 as an ErrorCode (kInternal
-  // when absent, zero or unknown); the status given to resolve() or watch(); or kAborted
+  // first: ok on the ok delivery; the error delivery's status (kInternal when absent, kOk or
+  // unknown); the status given to resolve() or watch(); or kAborted
   // from close(). A delivery while the pair is not armed runs nothing.
   Future<Status> arm() const;
   // Resolves the armed use with `s`, if one is armed.

@@ -32,13 +32,15 @@ const FarMemNames& farmem_names() {
 FarMemClient::FarMemClient(System* sys, Process& client, Controller& client_ctrl,
                            CapId segment, Config cfg)
     : sys_(sys), client_(&client), cfg_(cfg), client_ep_{client.node(), Loc::kHost} {
-  FRACTOS_CHECK(cfg_.line_bytes > 0);
-  FRACTOS_CHECK(cfg_.page_bytes % cfg_.line_bytes == 0);
-  FRACTOS_CHECK(cfg_.line_slots > 0 && cfg_.page_slots > 0);
+  // The Config and the segment are the deployment's wiring, fixed before any access:
+  FRACTOS_CHECK(cfg_.line_bytes > 0);                        // a line has bytes
+  FRACTOS_CHECK(cfg_.page_bytes % cfg_.line_bytes == 0);     // a page is whole lines
+  FRACTOS_CHECK(cfg_.line_slots > 0 && cfg_.page_slots > 0);  // each cache holds one entry
   const Result<CapEntry> e = client_ctrl.inspect_cap(client.pid(), segment);
+  // The caller attached the segment (MemPoolClient::attach) into this client's space.
   FRACTOS_CHECK_MSG(e.ok(), "far-mem segment capability not in the client's space");
   const CapEntry& entry = e.value();
-  FRACTOS_CHECK(entry.kind == ObjectKind::kMemory);
+  FRACTOS_CHECK(entry.kind == ObjectKind::kMemory);  // attach hands out a Memory capability
   // The capability resolves once into (rkey, fabric location); from here on every fetch is a
   // one-sided verb — no Controller on the data path.
   rkey_ = RdmaKey{entry.ref.owner, entry.ref.index, entry.ref.reboot_count};
@@ -46,7 +48,12 @@ FarMemClient::FarMemClient(System* sys, Process& client, Controller& client_ctrl
   mem_pool_ = entry.mem.pool;
   mem_addr_ = entry.mem.addr;
   seg_size_ = entry.mem.size;
-  FRACTOS_CHECK(seg_size_ > 0 && seg_size_ % cfg_.page_bytes == 0);
+  FRACTOS_CHECK(seg_size_ > 0 && seg_size_ % cfg_.page_bytes == 0);  // attached whole pages
+}
+
+bool FarMemClient::in_one_line(uint64_t offset, uint64_t size) const {
+  return size > 0 && extent_within(offset, size, seg_size_) &&
+         extent_within(offset % cfg_.line_bytes, size, cfg_.line_bytes);
 }
 
 void FarMemClient::note_access(uint64_t line) {
@@ -71,10 +78,11 @@ void FarMemClient::complete_from(const std::vector<uint8_t>& buf, uint64_t base,
 
 void FarMemClient::read(uint64_t offset, uint64_t size,
                         std::function<void(Result<std::vector<uint8_t>>)> done) {
-  FRACTOS_CHECK(size > 0 && extent_within(offset, size, seg_size_));
+  if (!in_one_line(offset, size)) {
+    sys_->loop().post([done = std::move(done)]() mutable { done(ErrorCode::kOutOfRange); });
+    return;
+  }
   const uint64_t line = offset / cfg_.line_bytes * cfg_.line_bytes;
-  FRACTOS_CHECK_MSG(extent_within(offset - line, size, cfg_.line_bytes),
-                    "far-mem access must lie within one cacheline");
   const uint64_t page = offset / cfg_.page_bytes * cfg_.page_bytes;
   ++stats_.accesses;
   note_access(line);
@@ -286,10 +294,11 @@ void FarMemClient::install_page(uint64_t page, std::vector<uint8_t> bytes) {
 void FarMemClient::write(uint64_t offset, std::vector<uint8_t> bytes,
                          std::function<void(Status)> done) {
   const uint64_t size = bytes.size();
-  FRACTOS_CHECK(size > 0 && extent_within(offset, size, seg_size_));
+  if (!in_one_line(offset, size)) {
+    sys_->loop().post([done = std::move(done)]() mutable { done(ErrorCode::kOutOfRange); });
+    return;
+  }
   const uint64_t line = offset / cfg_.line_bytes * cfg_.line_bytes;
-  FRACTOS_CHECK_MSG(extent_within(offset - line, size, cfg_.line_bytes),
-                    "far-mem access must lie within one cacheline");
   ++stats_.write_throughs;
   // Write-through keeps every cached copy coherent with the remote segment, so eviction
   // never needs a writeback path.

@@ -79,13 +79,14 @@ class FarMemClient {
                Config cfg);
 
   // Reads [offset, offset+size) — the range must lie within one cacheline (the CPU-visible
-  // access granularity this client models). Completes asynchronously, cache hits included,
-  // so caller-side ordering never depends on hit/miss.
+  // access granularity this client models), or the read fails with kOutOfRange. Completes
+  // asynchronously, cache hits and refusals included, so caller-side ordering never depends
+  // on hit/miss.
   void read(uint64_t offset, uint64_t size,
             std::function<void(Result<std::vector<uint8_t>>)> done);
 
   // Write-through: updates any cached copies, then RDMA-writes the remote segment. The range
-  // must lie within one cacheline.
+  // must lie within one cacheline, or the write fails with kOutOfRange (asynchronously).
   void write(uint64_t offset, std::vector<uint8_t> bytes, std::function<void(Status)> done);
 
   const Stats& stats() const { return stats_; }
@@ -111,6 +112,8 @@ class FarMemClient {
   void complete_from(const std::vector<uint8_t>& buf, uint64_t base, uint64_t offset,
                      uint64_t size, std::function<void(Result<std::vector<uint8_t>>)>& done);
 
+  // True when [offset, offset + size) is not empty, in the segment and in one cacheline.
+  bool in_one_line(uint64_t offset, uint64_t size) const;
   void note_access(uint64_t line);
 
   System* sys_;

@@ -99,55 +99,44 @@ FsService::~FsService() {
 }
 
 void FsService::serve_endpoints() {
-  create_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
-    handle_create(std::move(r));
-  }));
-  open_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
-    handle_open(std::move(r));
-  }));
+  create_ep_ = sys_->await_ok(proc_->serve(
+      {}, serve_calls<FsCreateArgs>(*proc_, [this](auto c) { handle_create(std::move(c)); })));
+  open_ep_ = sys_->await_ok(proc_->serve(
+      {}, serve_calls<FsOpenArgs>(*proc_, [this](auto c) { handle_open(std::move(c)); })));
   if (backend_ == nullptr) {
-    unlink_ep_ = sys_->await_ok(proc_->serve({}, [this](Process::Received r) {
-      handle_unlink(std::move(r));
-    }));
+    unlink_ep_ = sys_->await_ok(proc_->serve(
+        {}, serve_calls<NameImms>(*proc_, [this](auto c) { handle_unlink(std::move(c)); })));
   }
 }
 
-void FsService::reply(CapId to, uint64_t status) {
-  proc_->request_invoke(to, Process::Args{}.imm_u64(0, status));
-}
-
-void FsService::handle_create(Process::Received r) {
-  if (r.num_caps() < 1) {
-    return;
-  }
-  const CapId to = r.cap(r.num_caps() - 1);
-  const uint64_t size = r.imm_u64(0).value_or(0);
-  auto name = r.imm_str(8);
+void FsService::handle_create(ServiceCall<FsCreateArgs> c) {
+  const auto& [size, name] = c.args;
   // A size whose last extent ends past 2^64 would wrap create_extents' extent count to 0.
-  if (!name.has_value() || size == 0 || size > ~0ull - (params_.extent_bytes - 1)) {
-    reply(to, ErrorCode::kInvalidArgument);
+  if (size == 0 || size > ~0ull - (params_.extent_bytes - 1)) {
+    send_reply(*proc_, c.reply, ErrorCode::kInvalidArgument);
     return;
   }
-  if (files_.contains(*name) || creating_.contains(*name)) {
-    reply(to, ErrorCode::kAlreadyExists);
+  if (files_.contains(name) || creating_.contains(name)) {
+    send_reply(*proc_, c.reply, ErrorCode::kAlreadyExists);
     return;
   }
   if (backend_ != nullptr) {
     const std::optional<uint64_t> base = backend_->allocate(size);
     if (base.has_value()) {
-      File& f = files_[*name];
+      File& f = files_[name];
       f.size = size;
       f.base = *base;
     }
-    reply(to, base.has_value() ? ErrorCode::kOk : ErrorCode::kResourceExhausted);
+    send_reply(*proc_, c.reply,
+               base.has_value() ? ErrorCode::kOk : ErrorCode::kResourceExhausted);
     return;
   }
   // One block-device volume per extent, made one after another. The name stays reserved
   // until the create replies, so a second create of it in the meantime gets kAlreadyExists.
-  creating_.insert(*name);
+  creating_.insert(name);
   auto file = std::make_shared<File>();
   file->size = size;
-  create_extents(std::move(file), *name, 0, to);
+  create_extents(std::move(file), name, 0, c.reply);
 }
 
 void FsService::create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t i,
@@ -156,7 +145,7 @@ void FsService::create_extents(std::shared_ptr<File> file, const std::string& na
   if (i == n_extents) {
     creating_.erase(name);
     files_[name] = *file;
-    reply(to, ErrorCode::kOk);
+    send_reply(*proc_, to, ErrorCode::kOk);
     return;
   }
   const uint64_t vol_size = std::min(params_.extent_bytes, file->size - i * params_.extent_bytes);
@@ -167,7 +156,7 @@ void FsService::create_extents(std::shared_ptr<File> file, const std::string& na
           auto made = std::make_shared<std::vector<BlockClient::Volume>>(file->extents);
           destroy_extents(std::move(made), 0, [this, name, to, code = v.error()]() {
             creating_.erase(name);
-            reply(to, code);
+            send_reply(*proc_, to, code);
           });
           return;
         }
@@ -176,43 +165,23 @@ void FsService::create_extents(std::shared_ptr<File> file, const std::string& na
       });
 }
 
-void FsService::reply_open(const File& f, CapId close_ep, std::vector<CapId> read_eps,
-                           std::vector<CapId> write_eps, CapId to) {
-  Process::Args args;
-  args.imm_u64(0, 0)
-      .imm_u64(8, f.size)
-      .imm_u64(16, params_.extent_bytes)
-      .imm_u64(24, read_eps.size())
-      .imm_u64(32, write_eps.size())
-      .cap(close_ep);
-  for (CapId c : read_eps) {
-    args.cap(c);
-  }
-  for (CapId c : write_eps) {
-    args.cap(c);
-  }
-  proc_->request_invoke(to, std::move(args));
-}
-
-void FsService::handle_open(Process::Received r) {
-  if (r.num_caps() < 1) {
-    return;
-  }
-  const CapId to = r.cap(r.num_caps() - 1);
-  const bool rw = r.imm_u64(0).value_or(0) != 0;
-  const bool dax = r.imm_u64(8).value_or(0) != 0;
-  auto name = r.imm_str(16);
-  auto fit = name.has_value() ? files_.find(*name) : files_.end();
+void FsService::handle_open(ServiceCall<FsOpenArgs> c) {
+  const FsOpenArgs& a = c.args;
   // A backend's device cannot delegate authority over sub-ranges to a third party, so it
   // has no DAX mode: that composition is exactly what FractOS adds.
-  if (fit == files_.end() || (dax && backend_ != nullptr)) {
-    reply(to, 1);
+  if (a.dax && backend_ != nullptr) {
+    send_reply(*proc_, c.reply, ErrorCode::kUnimplemented);
     return;
   }
-  if (dax) {
-    open_dax_mode(*name, fit->second, rw, to);
+  auto fit = files_.find(a.name);
+  if (fit == files_.end()) {
+    send_reply(*proc_, c.reply, ErrorCode::kNotFound);
+    return;
+  }
+  if (a.dax) {
+    open_dax_mode(a.name, fit->second, a.rw, c.reply);
   } else {
-    open_fs_mode(*name, rw, to);
+    open_fs_mode(a.name, a.rw, c.reply);
   }
 }
 
@@ -227,19 +196,19 @@ void FsService::open_fs_mode(const std::string& name, bool rw, CapId to) {
       handle_io(open_id, /*is_write=*/true, std::move(rr));
     }));
   }
-  eps.push_back(proc_->serve({}, [this, open_id](Process::Received rr) {
-    handle_close(open_id, std::move(rr));
-  }));
+  eps.push_back(proc_->serve({}, serve_calls<NoImms>(*proc_, [this, open_id](auto c) {
+    handle_close(open_id, c.reply);
+  })));
   when_all(std::move(eps)).on_ready([this, open_id, name, rw, to](
                                         std::vector<Result<CapId>>&& cids) {
     auto fit = files_.find(name);
     if (fit == files_.end()) {
-      reply(to, 1);
+      send_reply(*proc_, to, ErrorCode::kNotFound);
       return;
     }
     for (const auto& c : cids) {
       if (!c.ok()) {
-        reply(to, 1);
+        send_reply(*proc_, to, c.error());
         return;
       }
     }
@@ -250,11 +219,13 @@ void FsService::open_fs_mode(const std::string& name, bool rw, CapId to) {
     o.write_ep = rw ? cids[1].value() : kInvalidCap;
     o.close_ep = cids.back().value();
     opens_[open_id] = o;
-    std::vector<CapId> write_eps;
+    std::vector<CapId> caps{o.close_ep, o.read_ep};
     if (rw) {
-      write_eps.push_back(o.write_ep);
+      caps.push_back(o.write_ep);
     }
-    reply_open(fit->second, o.close_ep, {o.read_ep}, write_eps, to);
+    send_reply(*proc_, to, ErrorCode::kOk,
+               FsOpenReply{fit->second.size, params_.extent_bytes, 1, rw ? 1u : 0u},
+               std::move(caps));
   });
 }
 
@@ -279,7 +250,7 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId t
       .on_ready([this, name, rw, need_read, need_write, to](std::vector<Result<CapId>>&& kids) {
         auto fit = files_.find(name);
         if (fit == files_.end()) {
-          reply(to, 1);
+          send_reply(*proc_, to, ErrorCode::kNotFound);
           return;
         }
         File& file = fit->second;
@@ -287,7 +258,7 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId t
         size_t k = 0;
         for (const auto& kid : kids) {
           if (!kid.ok()) {
-            reply(to, 1);
+            send_reply(*proc_, to, kid.error());
             return;
           }
         }
@@ -302,12 +273,12 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId t
           }
         }
         const uint32_t open_id = next_open_++;
-        proc_->serve({}, [this, open_id](Process::Received rr) {
-          handle_close(open_id, std::move(rr));
-        }).on_ready([this, open_id, name, rw, to](Result<CapId>&& close_ep) {
+        proc_->serve({}, serve_calls<NoImms>(*proc_, [this, open_id](auto c) {
+          handle_close(open_id, c.reply);
+        })).on_ready([this, open_id, name, rw, to](Result<CapId>&& close_ep) {
           auto fit2 = files_.find(name);
           if (!close_ep.ok() || fit2 == files_.end()) {
-            reply(to, 1);
+            send_reply(*proc_, to, close_ep.ok() ? ErrorCode::kNotFound : close_ep.error());
             return;
           }
           File& file = fit2->second;
@@ -318,8 +289,15 @@ void FsService::open_dax_mode(const std::string& name, File& f, bool rw, CapId t
           o.close_ep = close_ep.value();
           opens_[open_id] = o;
           ++file.dax_refs;
-          reply_open(file, o.close_ep, file.dax_read, rw ? file.dax_write : std::vector<CapId>{},
-                     to);
+          std::vector<CapId> caps{o.close_ep};
+          caps.insert(caps.end(), file.dax_read.begin(), file.dax_read.end());
+          if (rw) {
+            caps.insert(caps.end(), file.dax_write.begin(), file.dax_write.end());
+          }
+          send_reply(*proc_, to, ErrorCode::kOk,
+                     FsOpenReply{file.size, params_.extent_bytes, file.dax_read.size(),
+                                 rw ? file.dax_write.size() : 0},
+                     std::move(caps));
         });
       });
 }
@@ -488,21 +466,16 @@ void FsService::storage_leg(const FsIoState& st, size_t slot_idx, uint64_t op_of
   // A refused RPC (the file was unlinked and its volumes revoked) fails the chunk, so it
   // gives its slot back instead of waiting for a completion that will never come.
   sl.done.watch(proc_->request_invoke(st.is_write ? vol.write_ep : vol.read_ep,
-                                      Process::Args{}
-                                          .imm_u64(0, pos % params_.extent_bytes)
-                                          .imm_u64(8, chunk)
+                                      imm_args(IoRange{pos % params_.extent_bytes, chunk})
                                           .cap(sl.mem)
                                           .cap(sl.done.ok())
                                           .cap(sl.done.err())));
 }
 
-void FsService::handle_close(uint32_t open_id, Process::Received r) {
-  const CapId to = r.num_caps() >= 1 ? r.cap(r.num_caps() - 1) : kInvalidCap;
+void FsService::handle_close(uint32_t open_id, CapId to) {
   auto oit = opens_.find(open_id);
   if (oit == opens_.end()) {
-    if (to != kInvalidCap) {
-      reply(to, 1);
-    }
+    send_reply(*proc_, to, ErrorCode::kNotFound);
     return;
   }
   const Open o = oit->second;
@@ -532,21 +505,14 @@ void FsService::handle_close(uint32_t open_id, Process::Received r) {
   proc_->remove_endpoint(o.close_ep);
   when_all(std::move(revokes)).on_ready([this, o, to](std::vector<Status>&&) {
     proc_->cap_revoke(o.close_ep);
-    if (to != kInvalidCap) {
-      reply(to, 0);
-    }
+    send_reply(*proc_, to, ErrorCode::kOk);
   });
 }
 
-void FsService::handle_unlink(Process::Received r) {
-  if (r.num_caps() < 1) {
-    return;
-  }
-  const CapId to = r.cap(r.num_caps() - 1);
-  auto name = r.imm_str(0);
-  auto fit = name.has_value() ? files_.find(*name) : files_.end();
+void FsService::handle_unlink(ServiceCall<NameImms> c) {
+  auto fit = files_.find(c.args.name);
   if (fit == files_.end()) {
-    reply(to, 1);
+    send_reply(*proc_, c.reply, ErrorCode::kNotFound);
     return;
   }
   auto extents = std::make_shared<std::vector<BlockClient::Volume>>(fit->second.extents);
@@ -554,7 +520,8 @@ void FsService::handle_unlink(Process::Received r) {
 
   // Destroy the backing volumes: the block adaptor revokes the per-volume endpoints, which
   // recursively kills every cached DAX child and every client-held delegation of them.
-  destroy_extents(std::move(extents), 0, [this, to]() { reply(to, 0); });
+  destroy_extents(std::move(extents), 0,
+                  [this, to = c.reply]() { send_reply(*proc_, to, ErrorCode::kOk); });
 }
 
 void FsService::destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>> extents,
@@ -573,48 +540,24 @@ void FsService::destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>
 
 Future<Status> FsClient::create(Process& proc, CapId create_ep, const std::string& name,
                                 uint64_t size) {
-  return proc.call(create_ep, Process::Args{}.imm_u64(0, size).imm_str(8, name))
-      .then([](Result<Process::Received>&& r) -> Status {
-        if (!r.ok()) {
-          return r.error();
-        }
-        // The status is an ErrorCode; a missing or unknown one is the service's fault.
-        return decode_error_code(
-            r.value().imm_u64(0).value_or(static_cast<uint64_t>(ErrorCode::kInternal)));
-      });
+  return call(proc, create_ep, FsCreateArgs{size, name});
 }
 
 Future<Result<FsClient::OpenFile>> FsClient::open(Process& proc, CapId open_ep,
                                                   const std::string& name, bool rw, bool dax) {
-  return proc
-      .call(open_ep, Process::Args{}
-                         .imm_u64(0, rw ? 1 : 0)
-                         .imm_u64(8, dax ? 1 : 0)
-                         .imm_str(16, name))
-      .then([rw, dax](Result<Process::Received>&& r) -> Result<OpenFile> {
-        if (!r.ok()) {
-          return r.error();
-        }
-        const auto& rr = r.value();
-        if (rr.imm_u64(0).value_or(1) != 0) {
-          return ErrorCode::kNotFound;
-        }
-        OpenFile f;
-        f.dax = dax;
-        f.rw = rw;
-        f.size = rr.imm_u64(8).value_or(0);
-        f.extent_bytes = rr.imm_u64(16).value_or(0);
-        const uint64_t n_read = rr.imm_u64(24).value_or(0);
-        const uint64_t n_write = rr.imm_u64(32).value_or(0);
-        if (rr.num_caps() < 1 + n_read + n_write) {
+  return call<FsOpenReply>(
+      proc, open_ep, FsOpenArgs{rw, dax, name}, {},
+      [rw, dax](FsOpenReply&& r, const std::vector<DeliveredCap>& caps) -> Result<OpenFile> {
+        if (caps.empty() || r.n_read > caps.size() - 1 ||
+            r.n_write > caps.size() - 1 - r.n_read) {
           return ErrorCode::kInternal;
         }
-        f.close_ep = rr.cap(0);
-        for (uint64_t i = 0; i < n_read; ++i) {
-          f.read_eps.push_back(rr.cap(1 + i));
+        OpenFile f{dax, rw, r.size, r.extent_bytes, caps[0].cid, {}, {}};
+        for (uint64_t i = 0; i < r.n_read; ++i) {
+          f.read_eps.push_back(caps[1 + i].cid);
         }
-        for (uint64_t i = 0; i < n_write; ++i) {
-          f.write_eps.push_back(rr.cap(1 + n_read + i));
+        for (uint64_t i = 0; i < r.n_write; ++i) {
+          f.write_eps.push_back(caps[1 + r.n_read + i].cid);
         }
         return f;
       });
@@ -671,9 +614,7 @@ void fs_client_step(const std::shared_ptr<FsClientIo>& st) {
     fs_client_step(st);
   });
   auto send = [st, pair, ep = eps[ep_index], target_off, chunk](CapId view) {
-    pair.watch(st->proc->request_invoke(ep, Process::Args{}
-                                                .imm_u64(0, target_off)
-                                                .imm_u64(8, chunk)
+    pair.watch(st->proc->request_invoke(ep, imm_args(IoRange{target_off, chunk})
                                                 .cap(view)
                                                 .cap(pair.ok())
                                                 .cap(pair.err())));
@@ -725,23 +666,11 @@ Future<Status> FsClient::write(Process& proc, const OpenFile& f, uint64_t off, u
 }
 
 Future<Status> FsClient::close(Process& proc, const OpenFile& f) {
-  return proc.call(f.close_ep).then([](Result<Process::Received>&& r) -> Status {
-    if (!r.ok()) {
-      return r.error();
-    }
-    return r.value().imm_u64(0).value_or(1) == 0 ? ok_status() : Status(ErrorCode::kNotFound);
-  });
+  return call(proc, f.close_ep, NoImms{});
 }
 
 Future<Status> FsClient::unlink(Process& proc, CapId unlink_ep, const std::string& name) {
-  return proc.call(unlink_ep, Process::Args{}.imm_str(0, name))
-      .then([](Result<Process::Received>&& r) -> Status {
-        if (!r.ok()) {
-          return r.error();
-        }
-        return r.value().imm_u64(0).value_or(1) == 0 ? ok_status()
-                                                     : Status(ErrorCode::kNotFound);
-      });
+  return call(proc, unlink_ep, NameImms{name});
 }
 
 }  // namespace fractos

@@ -14,18 +14,16 @@
 //    up the ability to revoke on close/unlink. This is the dynamic service composition the
 //    paper cuts the disaggregation tax with.
 //
-// Request conventions:
-//   create: imm@0 u64 size, imm@8 name, caps=[reply].    reply: imm@0 status, the ErrorCode
-//   open:   imm@0 u64 mode (0 RO / 1 RW), imm@8 u64 dax (0/1), imm@16 name, caps=[reply].
-//           reply: imm@0 status, imm@8 file_size, imm@16 extent_bytes,
-//                  imm@24 n_read_eps, imm@32 n_write_eps,
-//                  caps = [close_ep, read endpoints..., write endpoints...]
+// Endpoints (their immediates are the Fs*Args / Fs*Reply structs below, laid out and
+// answered by the call convention of src/core/service_call.h):
+//   create: FsCreateArgs, caps=[reply]. The reply is its status.
+//   open:   FsOpenArgs, caps=[reply]. reply: FsOpenReply,
+//           caps = [close_ep, read endpoints..., write endpoints...]
 //           (FS mode: one fs_read / fs_write endpoint; DAX: one per extent.)
-//   fs_read / fs_write (per open): imm@0 u64 off, imm@8 u64 size,
-//           caps = [client Memory, continuation] or [mem, continuation, error].
+//   fs_read / fs_write (per open): an I/O request (src/services/completion.h).
 //   close (per open): caps=[reply]. FS mode: revokes the per-open endpoints. DAX: drops a
 //           reference; the cached extent children are revoked when the last open closes.
-//   unlink: imm@0 name, caps=[reply]. Destroys the file's volumes (the block adaptor revokes
+//   unlink: NameImms, caps=[reply]. Destroys the file's volumes (the block adaptor revokes
 //           the per-volume endpoints, killing every outstanding DAX capability).
 //
 // One FS core, two backends. The front end (create/open/close, the open reply, the
@@ -56,6 +54,24 @@
 
 namespace fractos {
 
+struct FsCreateArgs {
+  uint64_t size = 0;
+  std::string name;
+  FRACTOS_WIRE_FIELDS(size, name)
+};
+struct FsOpenArgs {
+  bool rw = false;  // false: read-only
+  bool dax = false;
+  std::string name;
+  FRACTOS_WIRE_FIELDS(rw, dax, name)
+};
+struct FsOpenReply {
+  uint64_t size = 0;
+  uint64_t extent_bytes = 0;
+  uint64_t n_read = 0;   // read endpoints among the reply's caps
+  uint64_t n_write = 0;  // write endpoints, after the read ones
+  FRACTOS_WIRE_FIELDS(size, extent_bytes, n_read, n_write)
+};
 class FsService {
  public:
   struct Params {
@@ -131,22 +147,18 @@ class FsService {
     Completion done;
   };
 
-  void reply(CapId to, uint64_t status);
-  void reply(CapId to, ErrorCode code) { reply(to, static_cast<uint64_t>(code)); }
-  void handle_create(Process::Received r);
+  void handle_create(ServiceCall<FsCreateArgs> c);
   void create_extents(std::shared_ptr<File> file, const std::string& name, uint64_t i,
                       CapId reply);
-  void handle_open(Process::Received r);
-  void handle_unlink(Process::Received r);
+  void handle_open(ServiceCall<FsOpenArgs> c);
+  void handle_unlink(ServiceCall<NameImms> c);
   void destroy_extents(std::shared_ptr<std::vector<BlockClient::Volume>> extents, size_t i,
                        std::function<void()> done);
   void handle_io(uint32_t open_id, bool is_write, Process::Received r);
-  void handle_close(uint32_t open_id, Process::Received r);
+  void handle_close(uint32_t open_id, CapId reply);
 
   void open_fs_mode(const std::string& name, bool rw, CapId reply);
   void open_dax_mode(const std::string& name, File& f, bool rw, CapId reply);
-  void reply_open(const File& f, CapId close_ep, std::vector<CapId> read_eps,
-                  std::vector<CapId> write_eps, CapId reply);
 
   // Issues chunks of a (possibly extent-spanning) FS-mode I/O, up to pipeline_depth in
   // flight.

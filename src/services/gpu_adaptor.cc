@@ -35,36 +35,31 @@ std::vector<uint64_t> unpack_args(const std::vector<ImmExtent>& imms) {
 GpuAdaptor::GpuAdaptor(System* sys, Controller& controller, SimGpu* gpu)
     : sys_(sys), gpu_(gpu) {
   proc_ = &sys->spawn("gpu-adaptor", gpu->node(), controller, 8ull << 20);
-  init_ep_ = sys->await_ok(proc_->serve({}, [this](Process::Received r) {
-    handle_init(std::move(r));
-  }));
+  init_ep_ = sys->await_ok(proc_->serve(
+      {}, serve_calls<NoImms>(*proc_, [this](auto c) { handle_init(c.reply); })));
 }
 
 void GpuAdaptor::register_kernel(const std::string& name, SimGpu::Kernel kernel) {
   kernel_registry_[name] = std::move(kernel);
 }
 
-void GpuAdaptor::handle_init(Process::Received r) {
-  if (r.num_caps() < 1) {
-    return;  // no reply channel: nothing to do
-  }
-  const CapId reply = r.cap(r.num_caps() - 1);
+void GpuAdaptor::handle_init(CapId reply) {
   const uint32_t ctx_id = next_ctx_++;
 
   std::vector<Future<Result<CapId>>> eps;
-  eps.push_back(proc_->serve({}, [this, ctx_id](Process::Received rr) {
-    handle_alloc(ctx_id, std::move(rr));
-  }));
-  eps.push_back(proc_->serve({}, [this, ctx_id](Process::Received rr) {
-    handle_load(ctx_id, std::move(rr));
-  }));
-  eps.push_back(proc_->serve({}, [this, ctx_id](Process::Received rr) {
-    handle_cleanup(ctx_id, std::move(rr));
-  }));
+  eps.push_back(proc_->serve({}, serve_calls<SizeImms>(*proc_, [this, ctx_id](auto c) {
+    handle_alloc(ctx_id, std::move(c));
+  })));
+  eps.push_back(proc_->serve({}, serve_calls<NameImms>(*proc_, [this, ctx_id](auto c) {
+    handle_load(ctx_id, std::move(c));
+  })));
+  eps.push_back(proc_->serve({}, serve_calls<NoImms>(*proc_, [this, ctx_id](auto c) {
+    handle_cleanup(ctx_id, c.reply);
+  })));
   when_all(std::move(eps)).on_ready([this, ctx_id, reply](std::vector<Result<CapId>>&& cids) {
     for (const auto& c : cids) {
       if (!c.ok()) {
-        proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+        send_reply(*proc_, reply, c.error());
         return;
       }
     }
@@ -74,24 +69,22 @@ void GpuAdaptor::handle_init(Process::Received r) {
     ctx.load_ep = cids[1].value();
     ctx.cleanup_ep = cids[2].value();
     contexts_[ctx_id] = ctx;
-    proc_->request_invoke(reply, Process::Args{}
-                                     .imm_u64(0, 0)
-                                     .cap(ctx.alloc_ep)
-                                     .cap(ctx.load_ep)
-                                     .cap(ctx.cleanup_ep));
+    send_reply(*proc_, reply, ErrorCode::kOk, NoImms{},
+               {ctx.alloc_ep, ctx.load_ep, ctx.cleanup_ep});
   });
 }
 
-void GpuAdaptor::handle_alloc(uint32_t ctx_id, Process::Received r) {
+void GpuAdaptor::handle_alloc(uint32_t ctx_id, ServiceCall<SizeImms> c) {
+  const CapId reply = c.reply;
+  const uint64_t size = c.args.size;
   auto it = contexts_.find(ctx_id);
-  if (it == contexts_.end() || r.num_caps() < 1) {
+  if (it == contexts_.end()) {
+    send_reply(*proc_, reply, ErrorCode::kRevoked);
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
-  const uint64_t size = r.imm_u64(0).value_or(0);
   auto addr = gpu_->alloc(it->second.gpu_ctx, size);
   if (!addr.ok()) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+    send_reply(*proc_, reply, addr.error());
     return;
   }
   const uint64_t device_addr = addr.value();
@@ -103,43 +96,41 @@ void GpuAdaptor::handle_alloc(uint32_t ctx_id, Process::Received r) {
           if (cit != contexts_.end()) {
             (void)gpu_->free(cit->second.gpu_ctx, device_addr);
           }
-          proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+          send_reply(*proc_, reply, mem.ok() ? ErrorCode::kRevoked : mem.error());
           return;
         }
         cit->second.handed_out.push_back(mem.value());
         cit->second.buffers.push_back(device_addr);
-        proc_->request_invoke(reply,
-                              Process::Args{}.imm_u64(0, 0).imm_u64(8, device_addr).cap(mem.value()));
+        send_reply(*proc_, reply, ErrorCode::kOk, GpuAllocReply{device_addr}, {mem.value()});
       });
 }
 
-void GpuAdaptor::handle_load(uint32_t ctx_id, Process::Received r) {
-  auto it = contexts_.find(ctx_id);
-  if (it == contexts_.end() || r.num_caps() < 1) {
+void GpuAdaptor::handle_load(uint32_t ctx_id, ServiceCall<NameImms> c) {
+  const CapId reply = c.reply;
+  if (!contexts_.contains(ctx_id)) {
+    send_reply(*proc_, reply, ErrorCode::kRevoked);
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
-  auto name = r.imm_str(0);
-  if (!name.has_value() || !kernel_registry_.contains(*name)) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+  const std::string& name = c.args.name;
+  if (!kernel_registry_.contains(name)) {
+    send_reply(*proc_, reply, ErrorCode::kNotFound);
     return;
   }
-  const SimGpu::KernelId kid = gpu_->load_kernel(*name, kernel_registry_[*name]);
-  proc_->serve({}, [this, ctx_id, kid](Process::Received rr) {
-    handle_invoke(ctx_id, kid, std::move(rr));
+  const SimGpu::KernelId kid = gpu_->load_kernel(name, kernel_registry_[name]);
+  proc_->serve({}, [this, kid](Process::Received rr) {
+    handle_invoke(kid, std::move(rr));
   }).on_ready([this, ctx_id, reply](Result<CapId>&& ep) {
     auto cit = contexts_.find(ctx_id);
     if (!ep.ok() || cit == contexts_.end()) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+      send_reply(*proc_, reply, ep.ok() ? ErrorCode::kRevoked : ep.error());
       return;
     }
     cit->second.handed_out.push_back(ep.value());
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0).cap(ep.value()));
+    send_reply(*proc_, reply, ErrorCode::kOk, NoImms{}, {ep.value()});
   });
 }
 
-void GpuAdaptor::handle_invoke(uint32_t ctx_id, SimGpu::KernelId kernel, Process::Received r) {
-  (void)ctx_id;
+void GpuAdaptor::handle_invoke(SimGpu::KernelId kernel, Process::Received r) {
   // Parse capability arguments by kind: Memory caps form (src, dst) result copy-back pairs;
   // the last two Request caps are the success/error continuations.
   std::vector<CapId> mems;
@@ -153,60 +144,42 @@ void GpuAdaptor::handle_invoke(uint32_t ctx_id, SimGpu::KernelId kernel, Process
   }
   if (reqs.size() < 2 || mems.size() % 2 != 0) {
     if (!reqs.empty()) {
-      proc_->request_invoke(reqs.back(), Process::Args{}.imm_u64(0, 1));
+      send_reply(*proc_, reqs.back(), ErrorCode::kInvalidArgument);
     }
     return;
   }
   const CapId success = reqs[reqs.size() - 2];
   const CapId error = reqs[reqs.size() - 1];
-  const std::vector<uint64_t> args = unpack_args(r.imms);
-
-  gpu_->launch(kernel, args, [this, mems, success, error](Status s) {
-    if (!s.ok()) {
-      proc_->request_invoke(error, Process::Args{}.imm_u64(0, static_cast<uint64_t>(s.error())));
-      return;
-    }
-    if (mems.empty()) {
-      proc_->request_invoke(success);
-      return;
-    }
-    // Result copy-back: chain the (src, dst) pairs, then signal success.
-    auto copies = std::make_shared<std::vector<std::pair<CapId, CapId>>>();
-    for (size_t i = 0; i + 1 < mems.size(); i += 2) {
-      copies->emplace_back(mems[i], mems[i + 1]);
-    }
-    auto step = std::make_shared<std::function<void(size_t)>>();
-    *step = [this, copies, success, error,
-             weak_step = std::weak_ptr<std::function<void(size_t)>>(step)](size_t i) {
-      auto step = weak_step.lock();
-      if (!step) {
-        return;
-      }
-      if (i == copies->size()) {
-        proc_->request_invoke(success);
-        return;
-      }
-      proc_->memory_copy((*copies)[i].first, (*copies)[i].second)
-          .on_ready([this, step, i, error](Status cs) {
-            if (!cs.ok()) {
-              proc_->request_invoke(error,
-                                    Process::Args{}.imm_u64(0, static_cast<uint64_t>(cs.error())));
-              return;
-            }
-            (*step)(i + 1);
-          });
-    };
-    (*step)(0);
-  });
+  gpu_->launch(kernel, unpack_args(r.imms),
+               [this, mems = std::move(mems), success, error](Status s) mutable {
+                 if (!s.ok()) {
+                   send_reply(*proc_, error, s.error());
+                   return;
+                 }
+                 copy_back(std::move(mems), 0, success, error);
+               });
 }
 
-void GpuAdaptor::handle_cleanup(uint32_t ctx_id, Process::Received r) {
+void GpuAdaptor::copy_back(std::vector<CapId> mems, size_t i, CapId success, CapId error) {
+  if (i == mems.size()) {
+    proc_->request_invoke(success);
+    return;
+  }
+  // The copy is issued before the continuation below takes `mems` (C++17 call order).
+  proc_->memory_copy(mems[i], mems[i + 1]).on_ready(
+      [this, mems = std::move(mems), i, success, error](Status cs) mutable {
+        if (!cs.ok()) {
+          send_reply(*proc_, error, cs.error());
+          return;
+        }
+        copy_back(std::move(mems), i + 2, success, error);
+      });
+}
+
+void GpuAdaptor::handle_cleanup(uint32_t ctx_id, CapId reply) {
   auto it = contexts_.find(ctx_id);
-  const CapId reply = r.num_caps() >= 1 ? r.cap(r.num_caps() - 1) : kInvalidCap;
   if (it == contexts_.end()) {
-    if (reply != kInvalidCap) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
-    }
+    send_reply(*proc_, reply, ErrorCode::kRevoked);
     return;
   }
   Context ctx = it->second;
@@ -227,9 +200,7 @@ void GpuAdaptor::handle_cleanup(uint32_t ctx_id, Process::Received r) {
   proc_->remove_endpoint(ctx.cleanup_ep);
   when_all(std::move(revokes)).on_ready([this, ctx, reply](std::vector<Status>&&) {
     proc_->cap_revoke(ctx.cleanup_ep);
-    if (reply != kInvalidCap) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 0));
-    }
+    send_reply(*proc_, reply, ErrorCode::kOk);
   });
 }
 
@@ -245,56 +216,41 @@ Process::Args GpuClient::pack_args(const std::vector<uint64_t>& args) {
   }
   Process::Args a;
   if (!bytes.empty()) {
-    a.imm(0, std::move(bytes));
+    a.imm(0, std::move(bytes));  // kernel-argument ABI
   }
   return a;
 }
 
 Future<Result<GpuClient::Session>> GpuClient::init(Process& proc, CapId init_ep) {
-  return proc.call(init_ep).then([](Result<Process::Received>&& r) -> Result<Session> {
-    if (!r.ok()) {
-      return r.error();
-    }
-    if (r.value().imm_u64(0).value_or(1) != 0 || r.value().num_caps() < 3) {
-      return ErrorCode::kInternal;
-    }
-    Session s;
-    s.alloc_ep = r.value().cap(0);
-    s.load_ep = r.value().cap(1);
-    s.cleanup_ep = r.value().cap(2);
-    return s;
-  });
+  return call<NoImms>(proc, init_ep, NoImms{}, {},
+                      [](NoImms&&, const std::vector<DeliveredCap>& caps) -> Result<Session> {
+                        if (caps.size() < 3) {
+                          return ErrorCode::kInternal;
+                        }
+                        return Session{caps[0].cid, caps[1].cid, caps[2].cid};
+                      });
 }
 
 Future<Result<GpuClient::Buffer>> GpuClient::alloc(Process& proc, const Session& s,
                                                    uint64_t size) {
-  return proc.call(s.alloc_ep, Process::Args{}.imm_u64(0, size))
-      .then([size](Result<Process::Received>&& r) -> Result<Buffer> {
-        if (!r.ok()) {
-          return r.error();
+  return call<GpuAllocReply>(
+      proc, s.alloc_ep, SizeImms{size}, {},
+      [size](GpuAllocReply&& r, const std::vector<DeliveredCap>& caps) -> Result<Buffer> {
+        if (caps.empty()) {
+          return ErrorCode::kInternal;
         }
-        if (r.value().imm_u64(0).value_or(1) != 0 || r.value().num_caps() < 1) {
-          return ErrorCode::kResourceExhausted;
-        }
-        Buffer b;
-        b.mem = r.value().cap(0);
-        b.device_addr = r.value().imm_u64(8).value_or(0);
-        b.size = size;
-        return b;
+        return Buffer{caps[0].cid, r.device_addr, size};
       });
 }
 
 Future<Result<CapId>> GpuClient::load(Process& proc, const Session& s, const std::string& name) {
-  return proc.call(s.load_ep, Process::Args{}.imm_str(0, name))
-      .then([](Result<Process::Received>&& r) -> Result<CapId> {
-        if (!r.ok()) {
-          return r.error();
-        }
-        if (r.value().imm_u64(0).value_or(1) != 0 || r.value().num_caps() < 1) {
-          return ErrorCode::kNotFound;
-        }
-        return r.value().cap(0);
-      });
+  return call<NoImms>(proc, s.load_ep, NameImms{name}, {},
+                      [](NoImms&&, const std::vector<DeliveredCap>& caps) -> Result<CapId> {
+                        if (caps.empty()) {
+                          return ErrorCode::kInternal;
+                        }
+                        return caps[0].cid;
+                      });
 }
 
 Future<Status> GpuClient::run(Process& proc, CapId kernel_ep, const std::vector<uint64_t>& args,
@@ -311,13 +267,7 @@ Future<Status> GpuClient::run(Process& proc, CapId kernel_ep, const std::vector<
 }
 
 Future<Status> GpuClient::cleanup(Process& proc, const Session& s) {
-  return proc.call(s.cleanup_ep).then([](Result<Process::Received>&& r) -> Status {
-    if (!r.ok()) {
-      return r.error();
-    }
-    return r.value().imm_u64(0).value_or(1) == 0 ? ok_status()
-                                                 : Status(ErrorCode::kInternal);
-  });
+  return call(proc, s.cleanup_ep, NoImms{});
 }
 
 }  // namespace fractos

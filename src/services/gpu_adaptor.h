@@ -4,18 +4,20 @@
 // exposed through Requests: GPU context initialization, memory de/allocation, kernel loading,
 // kernel invocation, and cleanup."
 //
-// Request conventions (all replies/continuations follow the last-capability convention):
+// Endpoints (immediates laid out and answered by the call convention of
+// src/core/service_call.h):
 //
 //   init:     caps = [reply].             reply: caps = [alloc_ep, load_ep, cleanup_ep]
-//   alloc:    imm@0 u64 size, caps = [reply].
-//             reply: imm@0 u64 device_addr, caps = [Memory cap over the GPU buffer]
-//   load:     imm@0 kernel name, caps = [reply].  reply: caps = [kernel invoke endpoint]
+//   alloc:    SizeImms, caps = [reply].
+//             reply: GpuAllocReply, caps = [Memory cap over the GPU buffer]
+//   load:     NameImms, caps = [reply].  reply: caps = [kernel invoke endpoint]
 //   invoke:   imms  = packed u64 kernel arguments (forwarded to the kernel, paper: "all
 //             other immediate arguments are forwarded to the GPU kernel itself");
 //             caps  = zero or one (src, dst) Memory pairs to copy after completion (the
 //             result copy-back of the face-verification pipeline), then [success, error]
 //             Requests ("the GPU-kernel invocation Requests expect two Request arguments
-//             used to signal success/error of the kernel invocation").
+//             used to signal success/error of the kernel invocation"); the error one gets
+//             the status (kInvalidArgument for an invoke without both of them).
 //   cleanup:  caps = [reply]. Destroys the context, frees device memory, and REVOKES every
 //             capability the context handed out (delegated copies die with them).
 
@@ -27,11 +29,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/service_call.h"
 #include "src/core/system.h"
 #include "src/devices/gpu.h"
 
 namespace fractos {
 
+struct GpuAllocReply {
+  uint64_t device_addr = 0;
+  FRACTOS_WIRE_FIELDS(device_addr)
+};
 class GpuAdaptor {
  public:
   // Spawns the adaptor Process on the GPU's node, attached to `controller`.
@@ -56,11 +63,13 @@ class GpuAdaptor {
     std::vector<uint64_t> buffers;  // device addresses to free
   };
 
-  void handle_init(Process::Received r);
-  void handle_alloc(uint32_t ctx_id, Process::Received r);
-  void handle_load(uint32_t ctx_id, Process::Received r);
-  void handle_invoke(uint32_t ctx_id, SimGpu::KernelId kernel, Process::Received r);
-  void handle_cleanup(uint32_t ctx_id, Process::Received r);
+  void handle_init(CapId reply);
+  void handle_alloc(uint32_t ctx_id, ServiceCall<SizeImms> c);
+  void handle_load(uint32_t ctx_id, ServiceCall<NameImms> c);
+  void handle_invoke(SimGpu::KernelId kernel, Process::Received r);
+  // Copies the (src, dst) pairs of `mems` from index `i` on, in turn, then signals `success`.
+  void copy_back(std::vector<CapId> mems, size_t i, CapId success, CapId error);
+  void handle_cleanup(uint32_t ctx_id, CapId reply);
 
   System* sys_;
   Process* proc_;

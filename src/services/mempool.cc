@@ -27,62 +27,48 @@ MemPoolService::MemPoolService(System* sys, uint32_t node, Controller& controlle
   // donated DRAM, not service working memory.
   pool_ = sys->net().node(node).add_pool(capacity_bytes);
   proc_ = &sys->spawn("mempool-service", node, controller, 1 << 20);
-  attach_ep_ = sys->await_ok(proc_->serve({}, [this](Process::Received r) {
-    handle_attach(std::move(r));
-  }));
+  attach_ep_ = sys->await_ok(
+      proc_->serve({}, serve_calls<MemPoolAttachArgs>(
+                           *proc_, [this](auto c) { handle_attach(std::move(c)); })));
 }
 
-void MemPoolService::reply_segment(const Segment& seg, CapId reply) {
-  proc_->request_invoke(reply, Process::Args{}
-                                   .imm_u64(0, 0)
-                                   .imm_u64(8, seg.addr)
-                                   .imm_u64(16, seg.size)
-                                   .cap(seg.mem));
-}
-
-void MemPoolService::handle_attach(Process::Received r) {
-  if (r.num_caps() < 1) {
+void MemPoolService::handle_attach(ServiceCall<MemPoolAttachArgs> c) {
+  const CapId reply = c.reply;
+  const auto& [size, name] = c.args;
+  if (size == 0) {
+    send_reply(*proc_, reply, ErrorCode::kInvalidArgument);
     return;
   }
-  const CapId reply = r.cap(r.num_caps() - 1);
-  const uint64_t size = r.imm_u64(0).value_or(0);
-  auto name = r.imm_str(8);
-  if (!name.has_value() || size == 0) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
-    return;
-  }
-  if (const auto it = segments_.find(*name); it != segments_.end()) {
+  if (const auto it = segments_.find(name); it != segments_.end()) {
     // Shared attach: the name is the rendezvous. A second tenant asking for more than the
     // segment holds is a conflict, not a grow — segments are immutable once exported.
     Segment& seg = it->second;
     if (size > seg.size) {
-      proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 2));
+      send_reply(*proc_, reply, ErrorCode::kAlreadyExists);
     } else if (seg.mem == kInvalidCap) {
       seg.waiters.push_back(reply);  // its creation is in flight
     } else {
-      reply_segment(seg, reply);
+      send_reply(*proc_, reply, ErrorCode::kOk, MemPoolAttachReply{seg.addr, seg.size},
+                 {seg.mem});
     }
     return;
   }
   const std::optional<uint64_t> at = space_.allocate(size, kSegmentAlign);
   if (!at.has_value()) {
-    proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
+    send_reply(*proc_, reply, ErrorCode::kResourceExhausted);
     return;
   }
   const uint64_t addr = *at;
-  segments_.emplace(*name, Segment{addr, size, kInvalidCap, {reply}});
+  segments_.emplace(name, Segment{addr, size, kInvalidCap, {reply}});
   proc_->memory_create_in(pool_, addr, size, Perms::kReadWrite)
-      .on_ready([this, name = *name](Result<CapId>&& mem) {
+      .on_ready([this, name = c.args.name](Result<CapId>&& mem) {
         // Only this continuation erases a segment whose creation is in flight.
         auto it = segments_.find(name);
         Segment& seg = it->second;
         seg.mem = mem.ok() ? mem.value() : kInvalidCap;
         for (CapId reply : std::exchange(seg.waiters, {})) {
-          if (mem.ok()) {
-            reply_segment(seg, reply);
-          } else {
-            proc_->request_invoke(reply, Process::Args{}.imm_u64(0, 1));
-          }
+          send_reply(*proc_, reply, mem.ok() ? ErrorCode::kOk : mem.error(),
+                     MemPoolAttachReply{seg.addr, seg.size}, {seg.mem});
         }
         if (!mem.ok()) {
           space_.release(seg.addr, seg.size);
@@ -93,19 +79,13 @@ void MemPoolService::handle_attach(Process::Received r) {
 
 Future<Result<FarMemSegment>> MemPoolClient::attach(Process& proc, CapId attach_ep,
                                                     const std::string& name, uint64_t size) {
-  return proc.call(attach_ep, Process::Args{}.imm_u64(0, size).imm_str(8, name))
-      .then([](Result<Process::Received>&& r) -> Result<FarMemSegment> {
-        if (!r.ok()) {
-          return r.error();
+  return call<MemPoolAttachReply>(
+      proc, attach_ep, MemPoolAttachArgs{size, name}, {},
+      [](MemPoolAttachReply&& r, const std::vector<DeliveredCap>& caps) -> Result<FarMemSegment> {
+        if (caps.empty()) {
+          return ErrorCode::kInternal;
         }
-        if (r.value().imm_u64(0).value_or(1) != 0 || r.value().num_caps() < 1) {
-          return ErrorCode::kResourceExhausted;
-        }
-        FarMemSegment seg;
-        seg.mem = r.value().cap(0);
-        seg.addr = r.value().imm_u64(8).value_or(0);
-        seg.size = r.value().imm_u64(16).value_or(0);
-        return seg;
+        return FarMemSegment{caps[0].cid, r.addr, r.size};
       });
 }
 

@@ -5,14 +5,14 @@
 // control path only (attach/detach), never on the data path, exactly like the paper's
 // adaptors keep Controllers out of bulk transfers.
 //
-// Request conventions:
+// The one endpoint (immediates laid out and answered by the call convention of
+// src/core/service_call.h):
 //
-//   attach: imm@0 u64 size, imm@8 name, caps = [reply].
-//           reply: imm@0 u64 status (0 ok, 1 exhausted/invalid, 2 size conflict),
-//                  imm@8 u64 addr (segment base within the pool),
-//                  imm@16 u64 size, caps = [Memory capability over the segment].
+//   attach: MemPoolAttachArgs, caps = [reply].
+//           reply: MemPoolAttachReply, caps = [Memory capability over the segment].
 //           Attaching an existing name returns the SAME segment (shared far memory by
-//           naming); the requested size must then fit inside it.
+//           naming); the requested size must then fit inside it, or the attach is refused
+//           kAlreadyExists. A full pool refuses kResourceExhausted.
 //
 // Segments are placed first-fit, page-aligned, by an ExtentAllocator over the pool, and are
 // zero-initialized (PoolBytes never touches RSS for untouched pages, so multi-GiB pools are
@@ -27,10 +27,21 @@
 #include <vector>
 
 #include "src/base/extent.h"
+#include "src/core/service_call.h"
 #include "src/core/system.h"
 
 namespace fractos {
 
+struct MemPoolAttachArgs {
+  uint64_t size = 0;
+  std::string name;
+  FRACTOS_WIRE_FIELDS(size, name)
+};
+struct MemPoolAttachReply {
+  uint64_t addr = 0;  // the segment's base within the pool
+  uint64_t size = 0;
+  FRACTOS_WIRE_FIELDS(addr, size)
+};
 class MemPoolService {
  public:
   // Spawns the pool Process on `node` and registers a fresh `capacity_bytes` RDMA pool there.
@@ -58,8 +69,7 @@ class MemPoolService {
   };
 
   MemPoolService(System* sys, uint32_t node, Controller& controller, uint64_t capacity_bytes);
-  void handle_attach(Process::Received r);
-  void reply_segment(const Segment& seg, CapId reply);
+  void handle_attach(ServiceCall<MemPoolAttachArgs> c);
 
   System* sys_;
   Process* proc_;

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/core/system.h"
+#include "src/sim/span.h"
 
 namespace fractos {
 namespace {
@@ -331,6 +333,91 @@ TEST_F(CoreTwoNodes, ControllerRestartMakesCapsStale) {
   // Re-meshing exchanged reboot generations, so the stale capability is refused EAGERLY at
   // a's own Controller — no round trip needed (Section 3.6's Lamport-timestamp check).
   EXPECT_EQ(sys_.await(a_->request_invoke(ep_a)).error(), ErrorCode::kStaleCapability);
+}
+
+// A restart destroys the Controller's ends of its Process channels while the Processes' ends
+// live on, each still waiting for the sever notice of the failure. A sever from such an end
+// must reach nothing of the destroyed one.
+TEST_F(CoreTwoNodes, SeverAfterRestartReadsNoDestroyedChannelEnd) {
+  sys_.fail_controller(*c1_);
+  sys_.restart_controller(*c1_);
+  b_->fail();
+  sys_.loop().run();
+  EXPECT_TRUE(b_->failed());
+  // The surviving side still works.
+  EXPECT_TRUE(sys_.await(a_->null_op()).ok());
+}
+
+// The depth-priced local invoke (ControllerPolicy::charge_chain_traversal): a translation-cache
+// miss on a delegation chain pays (depth - 1) request traversals before the delivery, and a
+// hit pays nothing.
+TEST(CoreTranslationPricing, LocalChainPaysItsWalkOnceThenHitsTheCache) {
+  SystemConfig cfg;
+  cfg.charge_chain_traversal = true;
+  cfg.translation_cache_entries = 16;
+  System sys(cfg);
+  SpanTracer tracer;
+  sys.loop().set_span_tracer(&tracer);
+  const uint32_t n0 = sys.add_node("n0");
+  Controller& ctrl = sys.add_controller(n0, Loc::kHost);
+  Process& svc = sys.spawn("svc", n0, ctrl);
+  Process& client = sys.spawn("client", n0, ctrl);
+  int deliveries = 0;
+  const CapId root = sys.await_ok(svc.serve({}, [&](Process::Received) { ++deliveries; }));
+  const CapId root_c = sys.bootstrap_grant(svc, root, client).value();
+  // root <- mid <- leaf: depth 3, every layer without immediates, so each invoke below moves
+  // the same bytes and only the pricing differs.
+  const CapId mid = sys.await_ok(client.request_derive(root_c, {}));
+  const CapId leaf = sys.await_ok(client.request_derive(mid, {}));
+  sys.loop().run();
+
+  // Each invoke is a traced request, so the Controller's translation spans are recorded.
+  auto invoke_ns = [&](CapId cid, Process::Args args = {}) {
+    const int64_t start = sys.loop().now().ns();
+    const uint64_t trace = tracer.start_trace("client", "invoke", sys.loop().now());
+    Future<Status> invoked;
+    {
+      SpanScope scope(tracer.context_of(trace));
+      invoked = client.request_invoke(cid, std::move(args));
+    }
+    const Status s = sys.await(std::move(invoked));
+    tracer.end(trace, sys.loop().now());
+    const int64_t took = sys.loop().now().ns() - start;
+    sys.loop().run();
+    return std::make_pair(s, took);
+  };
+  auto xlate_misses = [&tracer]() {
+    size_t n = 0;
+    for (const Span& span : tracer.spans()) {
+      n += span.kind == SpanKind::kTranslation && span.name() == "xlate-miss" ? 1 : 0;
+    }
+    return n;
+  };
+  const auto flat = invoke_ns(root_c);
+  ASSERT_TRUE(flat.first.ok());
+  const auto miss = invoke_ns(leaf);
+  ASSERT_TRUE(miss.first.ok());
+  const auto hit = invoke_ns(leaf);
+  ASSERT_TRUE(hit.first.ok());
+  EXPECT_EQ(deliveries, 3);
+  EXPECT_EQ(miss.second - flat.second, (ctrl.config().costs.request_traversal * 2.0).ns());
+  EXPECT_EQ(hit.second, flat.second);
+  EXPECT_EQ(xlate_misses(), 1u);
+
+  // A delivery that fails on the priced branch (an invoke-time immediate overlapping the
+  // chain's) still gives back its admission slot: the next invoke is admitted, not shed.
+  const CapId tagged = sys.await_ok(client.request_derive(root_c, Process::Args{}.imm_u64(0, 1)));
+  const CapId tagged_leaf = sys.await_ok(client.request_derive(tagged, {}));
+  sys.loop().run();
+  ctrl.set_admission_limit(client.pid(), 1);
+  EXPECT_EQ(invoke_ns(tagged_leaf, Process::Args{}.imm_u64(0, 2)).first.error(),
+            ErrorCode::kArgumentOverlap);
+  EXPECT_EQ(xlate_misses(), 2u);
+  EXPECT_EQ(invoke_ns(tagged_leaf, Process::Args{}.imm_u64(0, 2)).first.error(),
+            ErrorCode::kArgumentOverlap);
+  EXPECT_TRUE(invoke_ns(root_c).first.ok());
+  EXPECT_EQ(deliveries, 4);
+  sys.loop().set_span_tracer(nullptr);
 }
 
 TEST(CoreCongestion, WindowLimitsOutstandingDeliveries) {

@@ -174,10 +174,10 @@ TEST_P(FsProtocolTest, Script) {
   EXPECT_EQ(client_->read_mem(last_addr_, 4096),
             std::vector<uint8_t>(want.begin(), want.begin() + 4096));
 
-  // DAX: volumes hand out per-extent children; the device backend refuses (status 1).
+  // DAX: volumes hand out per-extent children; the device backend has no DAX mode.
   auto dax = sys_.await(FsClient::open(*client_, open_ep_, "f", false, /*dax=*/true));
   if (GetParam() == Backend::kDevice) {
-    EXPECT_EQ(dax.error(), ErrorCode::kNotFound);
+    EXPECT_EQ(dax.error(), ErrorCode::kUnimplemented);
   } else {
     ASSERT_TRUE(dax.ok());
     EXPECT_EQ(dax.value().read_eps.size(), 4u);

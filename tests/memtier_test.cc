@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/core/system.h"
@@ -158,6 +160,31 @@ TEST_F(MemtierTest, DualModeDemandFetchesSingleCachelines) {
   EXPECT_EQ(sub[0], expected_byte(off + 8));
   EXPECT_EQ(fm.stats().line_hits, 1u);
   EXPECT_EQ(fm.stats().demand_fetches, 1u);
+  EXPECT_EQ(sys_.net().counters().total_bytes(), wire_before);
+}
+
+// A tenant's out-of-range access is refused with kOutOfRange through `done`, after the call
+// returns, and moves nothing: past the segment, wrapping past 2^64, across a cacheline, or
+// empty.
+TEST_F(MemtierTest, OutOfRangeAccessIsRefusedThroughDone) {
+  FarMemClient fm(&sys_, *client_, *client_ctrl_, seg_.mem, config(/*dual=*/true));
+  const uint64_t wire_before = sys_.net().counters().total_bytes();
+  const std::pair<uint64_t, uint64_t> bad[] = {
+      {kSeg, 8}, {kSeg - 4, 8}, {~0ull - 3, 8}, {kLine - 4, 8}, {0, 0}};
+  for (const auto& [off, size] : bad) {
+    std::optional<ErrorCode> read_error;
+    fm.read(off, size, [&](Result<std::vector<uint8_t>>&& r) { read_error = r.error(); });
+    std::optional<Status> wrote;
+    fm.write(off, std::vector<uint8_t>(size, 7), [&](Status st) { wrote = st; });
+    EXPECT_FALSE(read_error.has_value());
+    EXPECT_FALSE(wrote.has_value());
+    sys_.loop().run();
+    EXPECT_EQ(read_error, ErrorCode::kOutOfRange) << off << "+" << size;
+    ASSERT_TRUE(wrote.has_value());
+    EXPECT_EQ(wrote->error(), ErrorCode::kOutOfRange) << off << "+" << size;
+  }
+  EXPECT_EQ(fm.stats().accesses, 0u);
+  EXPECT_EQ(fm.stats().write_throughs, 0u);
   EXPECT_EQ(sys_.net().counters().total_bytes(), wire_before);
 }
 

@@ -90,7 +90,8 @@ TEST_P(RpcMatrixTest, ImmediatesArriveIntact) {
   const CapId ep = sys.await_ok(server.serve({}, [&](Process::Received r) {
     got_tag = r.imm_u64(0).value_or(0);
     if (bytes > 0) {
-      got = r.imm_bytes(8, static_cast<uint32_t>(bytes)).value_or(std::vector<uint8_t>{});
+      const std::string at8 = r.imm_str(8).value_or("");
+      got.assign(at8.begin(), at8.end());
     }
   }));
   const CapId ep_c = sys.bootstrap_grant(server, ep, client).value();
